@@ -22,6 +22,7 @@ from .errors import (
 )
 from .gf import DEFAULT_PRIMITIVE_POLY, Field, FieldElement
 from .rs import (
+    BatchDecode,
     DecodeOutcome,
     DecodePolicy,
     DecodeStatus,
@@ -61,6 +62,7 @@ from .sketch import (
     auth_fc,
     auth_ss,
     authenticate,
+    authenticate_batch,
     enroll_fc,
     enroll_ss,
     hash_sketch,

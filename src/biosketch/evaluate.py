@@ -4,7 +4,8 @@ The genuine accept rate enrolls every subject on its enrollment-half
 samples and probes with the held-out half (or with the enrollment
 representative itself, which by construction reproduces the enrolled bits).
 Subjects whose enrollment fails under the fail-deny policy are reported and
-excluded from the probe denominator.
+excluded from the probe denominator. Each subject's probes are decided in
+one ``authenticate_batch``, so the RS decodes of a subject run as one batch.
 
 The false accept rate is measured under two scenarios: ``zero-effort``
 (impostor presents its own biometric and its own key against the victim's
@@ -42,13 +43,16 @@ from .pipeline import (
     population_from_fused,
     probe_bits,
 )
-from .sketch import authenticate
+from .sketch import authenticate_batch
 from .synth import EmbeddingDataset
 
 SCENARIO_ZERO_EFFORT = "zero-effort"
 SCENARIO_STOLEN_KEY = "stolen-key"
 
 GS_CSV_HEADER = "m,K,security_bits,rate,gar,far_analytic,far_empirical,scheme,policy,scenario"
+
+# Trials whose probes are held at once: 4096 x 2040 bits is 8 MB at m = 8.
+_FAR_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -156,11 +160,11 @@ def gar_stats(dataset: EmbeddingDataset, config: PipelineConfig,
             vectors = [mat[:cut].mean(axis=0)]
         else:
             vectors = list(mat[cut:])
-        for vec in vectors:
-            r_b = probe_bits(vec, prep.pop, enr.key)
-            decision = authenticate(r_b, enr.record, prep.code)
-            probed += 1
-            accepted += int(decision.accepted)
+        probes = [probe_bits(vec, prep.pop, enr.key) for vec in vectors]
+        if probes:
+            decisions = authenticate_batch(np.stack(probes), enr.record, prep.code)
+            probed += len(decisions)
+            accepted += sum(d.accepted for d in decisions)
     if probed == 0:
         raise InsufficientDataError(
             "no probe samples; need more than the enrollment half"
@@ -179,12 +183,12 @@ def gar(dataset: EmbeddingDataset, config: PipelineConfig,
     return gar_stats(dataset, config, probe_mode).rate
 
 
-def _try_accept(r_b, record, code) -> bool:
-    """Authentication attempt where structural mismatches count as denial."""
+def _accepts(probes: np.ndarray, record, code) -> int:
+    """Accepted rows of a probe matrix; structural mismatches count as denial."""
     try:
-        return authenticate(r_b, record, code).accepted
+        return sum(d.accepted for d in authenticate_batch(probes, record, code))
     except ParameterMismatchError:
-        return False
+        return 0
 
 
 def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
@@ -195,6 +199,10 @@ def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
     ``zero-effort`` always probes with dataset vectors and the impostor's
     own key; ``stolen-key`` uses the victim's key with either ``uniform``
     random bits or ``dataset`` impostor vectors.
+
+    Trial i probes victim i mod (enrolled subjects). The probes are drawn
+    in trial order, then each victim's trials of a block are decided in one
+    ``authenticate_batch``.
     """
     if scenario not in (SCENARIO_ZERO_EFFORT, SCENARIO_STOLEN_KEY):
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -212,21 +220,24 @@ def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
     rng = derive_rng(seed, "far", scenario, impostor_bits)
     n_bits = prep.code.n_bits
 
-    accepts = 0
-    for trial in range(trials):
-        victim = sids[trial % len(sids)]
-        victim_enr = prep.enrollments[victim]
+    def probe(trial: int) -> np.ndarray:
         if scenario == SCENARIO_STOLEN_KEY and impostor_bits == "uniform":
-            r_b = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
-        else:
-            others = [s for s in sids if s != victim]
-            impostor = others[int(rng.integers(len(others)))]
-            mat = prep.fused[impostor]
-            vec = mat[int(rng.integers(mat.shape[0]))]
-            key = (victim_enr.key if scenario == SCENARIO_STOLEN_KEY
-                   else prep.enrollments[impostor].key)
-            r_b = probe_bits(vec, prep.pop, key)
-        accepts += int(_try_accept(r_b, victim_enr.record, prep.code))
+            return rng.integers(0, 2, size=n_bits, dtype=np.uint8)
+        victim = sids[trial % len(sids)]
+        others = [s for s in sids if s != victim]
+        impostor = others[int(rng.integers(len(others)))]
+        mat = prep.fused[impostor]
+        vec = mat[int(rng.integers(mat.shape[0]))]
+        key = (prep.enrollments[victim].key if scenario == SCENARIO_STOLEN_KEY
+               else prep.enrollments[impostor].key)
+        return probe_bits(vec, prep.pop, key)
+
+    accepts = 0
+    for lo in range(0, trials, _FAR_BLOCK):
+        probes = np.stack([probe(trial) for trial in range(lo, min(trials, lo + _FAR_BLOCK))])
+        for j, sid in enumerate(sids):
+            rows = probes[(j - lo) % len(sids)::len(sids)]
+            accepts += _accepts(rows, prep.enrollments[sid].record, prep.code)
     return accepts / trials
 
 
@@ -307,7 +318,11 @@ class PrivacyReport:
     residual_bits: int       # d - n
 
     def __post_init__(self):
-        assert self.residual_bits == self.feature_bits - self.exposed_bits
+        if self.residual_bits != self.feature_bits - self.exposed_bits:
+            raise ValueError(
+                f"residual bits {self.residual_bits} != feature bits "
+                f"{self.feature_bits} - exposed bits {self.exposed_bits}"
+            )
 
 
 def privacy_report(feature_bits: int, exposed_bits: int) -> PrivacyReport:

@@ -136,17 +136,14 @@ def _syndrome_keys(code: RsCode, vectors: np.ndarray) -> np.ndarray:
     symbol-wise XOR of syndromes and the zero key is the code itself.
     """
     m = code.field.m
-    q = code.field.size
     n = code.n_symbols
-    contrib = np.zeros((n, q), dtype=np.int64)
-    for pos in range(n):
-        for val in range(1, q):
-            word = [0] * n
-            word[pos] = val
-            key = 0
-            for j, s in enumerate(code._syndromes_unchecked(word)):
-                key |= s << (j * m)
-            contrib[pos, val] = key
+    # contrib[pos, val] packs the syndromes of the word holding val at pos:
+    # S_j = val * alpha^E[j, pos], read off the code's syndrome table.
+    values = np.arange(code.field.size)
+    synd = code.exp_table[code.log_table[values][None, :, None]
+                          + code.syndrome_exponents.T[:, None, :]]
+    lanes = np.arange(code.num_parity, dtype=np.int64) * m
+    contrib = np.bitwise_or.reduce(synd.astype(np.int64) << lanes, axis=2)
     keys = np.zeros(vectors.shape[0], dtype=np.int64)
     for pos in range(n):
         keys ^= contrib[pos, vectors[:, pos]]

@@ -8,13 +8,42 @@ verbatim at positions 0..K-1 of the codeword array and the N-K parity
 symbols follow. Position i of the array carries the coefficient of
 x^(N-1-i), so position 0 is the highest-degree term.
 
-Decoding is the classical bounded-distance pipeline: syndrome computation,
-Berlekamp-Massey for the error locator, Chien search for its roots, Forney
-for the error magnitudes, and a final syndrome re-check. A word within t
-symbol errors of a codeword is always decoded to that codeword. A word that
-is within t of a *different* codeword than the caller had in mind is
-miscorrected; that is inherent to bounded-distance decoding and is not
-detected here.
+Every codec operation runs on integer tables that the code builds once, in
+numpy, at construction:
+
+* ``exp_table`` / ``log_table``: anti-log and log with a zero sentinel.
+  ``log_table[0]`` is 2N and ``exp_table`` is 0 from index 2N on, so
+  ``exp_table[log_table[a] + log_table[b]]`` is the product a*b for all
+  symbols, zeros included, without a branch.
+* ``syndrome_exponents``, (N-K) x N: ``E[j, i] = (j+1)(N-1-i) mod N``, the
+  log of the power of alpha^(j+1) that array position i is weighted by.
+* ``chien_exponents``, N x (t+1): ``C[d, k] = -d*k mod N``, the log of
+  (alpha^-d)^k.
+* ``parity_logs``, (N-K) x K: the log of parity symbol j of the unit
+  message at position i; encoding is linear, so parity is a sum over i.
+
+The three exponent tables are int16, since every entry is at most 2N; at
+m = 10 they hold about 4 MB together.
+
+Each of syndromes, Chien search and parity is then one gather of
+``exp_table`` at (row logs + table) and an XOR reduction, over all rows of
+a batch at once. ``decode_batch`` decodes a (B, N) array of words:
+
+1. syndromes of every row; rows with zero syndromes are exact codewords;
+2. Berlekamp-Massey for the error locator, per remaining row, in pure
+   Python over the tables as lists;
+3. Chien search of every locator of degree <= t over all N points;
+4. Forney for the error magnitudes, then a syndrome re-check of every
+   corrected row;
+5. the policy for the rest (below), re-encoding fallback rows in one
+   parity gather.
+
+Scalar ``decode`` is ``decode_batch`` of one row, so there is one decoder.
+Batched gathers go in row chunks that keep the index temporary near 2 MB.
+A word within t symbol errors of a codeword is always decoded to that
+codeword. A word that is within t of a *different* codeword than the caller
+had in mind is miscorrected; that is inherent to bounded-distance decoding
+and is not detected here.
 
 Words beyond every decoding sphere are resolved by an explicit policy:
 
@@ -31,11 +60,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import add, xor
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import LengthMismatchError
 from .gf import Field
+
+# Elements per batched gather: bounds the intp index temporary to ~2 MB.
+_CHUNK = 1 << 18
 
 
 class DecodePolicy(str, Enum):
@@ -48,6 +83,11 @@ class DecodeStatus(Enum):
     CORRECTED = "corrected"
     FALLBACK = "fallback"
     FAILURE = "failure"
+
+
+# Code i in the status array of ``decode_batch`` is BATCH_STATUSES[i].
+BATCH_STATUSES = tuple(DecodeStatus)
+_EXACT, _CORRECTED, _FALLBACK, _FAILURE = range(len(BATCH_STATUSES))
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,11 +108,36 @@ class DecodeOutcome:
         return self.status is not DecodeStatus.FAILURE
 
 
+class BatchDecode(NamedTuple):
+    """Row-aligned results of ``RsCode.decode_batch``.
+
+    ``status[i]`` indexes ``BATCH_STATUSES``. ``message`` is the first K
+    columns of ``codeword``; both are zero on FAILURE rows. ``error_count``
+    is -1 on FALLBACK and FAILURE rows.
+    """
+
+    status: np.ndarray       # (B,) int8
+    message: np.ndarray      # (B, K)
+    codeword: np.ndarray     # (B, N)
+    error_count: np.ndarray  # (B,) int64
+
+    def outcome(self, i: int) -> DecodeOutcome:
+        """Row i as a ``DecodeOutcome``."""
+        status = BATCH_STATUSES[self.status[i]]
+        if status is DecodeStatus.FAILURE:
+            return DecodeOutcome(status, None, None, None)
+        count = int(self.error_count[i])
+        return DecodeOutcome(status, tuple(self.codeword[i].tolist()),
+                             tuple(self.message[i].tolist()),
+                             count if count >= 0 else None)
+
+
 class RsCode:
     """An (N, K) Reed-Solomon code over a given ``Field``."""
 
     __slots__ = ("field", "n_symbols", "k_symbols", "num_parity", "t", "d_min",
-                 "generator_poly")
+                 "exp_table", "log_table", "syndrome_exponents",
+                 "chien_exponents", "generator_poly", "parity_logs")
 
     def __init__(self, field: Field, k_symbols: int):
         n = field.order
@@ -84,7 +149,23 @@ class RsCode:
         self.num_parity = n - k_symbols
         self.t = (n - k_symbols) // 2
         self.d_min = n - k_symbols + 1
+
+        zero_log = 2 * n
+        exp = np.zeros(2 * zero_log + 1, dtype=np.uint8 if field.m <= 8 else np.uint16)
+        exp[: 2 * n] = field.exp_table
+        log = np.asarray(field.log_table, dtype=np.intp)
+        log[0] = zero_log
+        self.exp_table = exp
+        self.log_table = log
+        powers = np.arange(n, dtype=np.int32)
+        self.syndrome_exponents = (np.outer(powers[1:self.num_parity + 1], powers[::-1])
+                                   % n).astype(np.int16)
+        self.chien_exponents = (np.outer(-powers, powers[:self.t + 1]) % n).astype(np.int16)
         self.generator_poly = self._build_generator()
+        self.parity_logs = self._build_parity_logs()
+        for table in (exp, log, self.syndrome_exponents, self.chien_exponents,
+                      self.parity_logs):
+            table.setflags(write=False)
 
     @property
     def n_bits(self) -> int:
@@ -99,184 +180,174 @@ class RsCode:
     def _build_generator(self) -> tuple[int, ...]:
         # g(x) = prod_{j=1..N-K} (x - alpha^j), coefficients highest degree
         # first, g[0] == 1.
-        field = self.field
-        g = [1]
+        g = np.ones(1, dtype=self.exp_table.dtype)
         for j in range(1, self.num_parity + 1):
-            root = field.alpha_pow(j)
-            nxt = [0] * (len(g) + 1)
-            for i, coef in enumerate(g):
-                nxt[i] ^= coef
-                nxt[i + 1] ^= field.mul(coef, root)
+            nxt = np.zeros(len(g) + 1, dtype=g.dtype)
+            nxt[:-1] = g
+            nxt[1:] ^= self.exp_table[self.log_table[g] + j]
             g = nxt
-        return tuple(g)
+        return tuple(g.tolist())
 
-    def _check_word(self, word, expected_len: int, what: str) -> list[int]:
-        symbols = [int(s) for s in word]
-        if len(symbols) != expected_len:
+    def _build_parity_logs(self) -> np.ndarray:
+        # Message position i carries x^(N-1-i), so its parity is
+        # x^(N-1-i) mod g(x). Walk r = N-K .. N-1 with the division register:
+        # x^(N-K) mod g is g without its leading 1, and each step multiplies
+        # by x and folds the overflow back with g.
+        npar, k = self.num_parity, self.k_symbols
+        exp, log = self.exp_table, self.log_table
+        rows = np.zeros((k, npar), dtype=exp.dtype)
+        if npar:
+            low_logs = log[np.asarray(self.generator_poly[1:])]
+            rem = exp[low_logs]
+            for r in range(k):
+                rows[r] = rem
+                shifted = np.zeros_like(rem)
+                shifted[:-1] = rem[1:]
+                rem = shifted ^ exp[log[rem[0]] + low_logs]
+        return np.ascontiguousarray(log[rows[::-1]].T, dtype=np.int16)
+
+    # -- validation and the batched gather ------------------------------------
+
+    def _check(self, words, length: int, what: str, ndim: int = 1) -> np.ndarray:
+        arr = np.asarray(words, dtype=np.int64)
+        if arr.ndim != ndim or arr.shape[-1] != length:
             raise LengthMismatchError(
-                f"{what} must be {expected_len} symbols, got {len(symbols)}"
+                f"{what} must be {length} symbols per row, got shape {arr.shape}"
             )
-        size = self.field.size
-        for s in symbols:
-            if not 0 <= s < size:
-                raise ValueError(f"symbol {s} out of range for GF(2^{self.field.m})")
-        return symbols
+        if arr.size and (arr.min() < 0 or arr.max() >= self.field.size):
+            raise ValueError(f"symbol out of range for GF(2^{self.field.m})")
+        return arr
+
+    def _products(self, logs: np.ndarray, exps: np.ndarray) -> np.ndarray:
+        """out[r, x] = XOR over l of exp_table[logs[r, l] + exps[x, l]]."""
+        out = np.empty((len(logs), len(exps)), dtype=self.exp_table.dtype)
+        step = max(1, _CHUNK // max(1, exps.size))
+        for lo in range(0, len(logs), step):
+            terms = self.exp_table[logs[lo:lo + step, None, :] + exps]
+            out[lo:lo + step] = np.bitwise_xor.reduce(terms, axis=2)
+        return out
+
+    def _syndromes(self, words: np.ndarray) -> np.ndarray:
+        """(B, N-K) syndromes S_1..S_(N-K) of checked (B, N) words."""
+        return self._products(self.log_table[words], self.syndrome_exponents)
+
+    def _parity(self, messages: np.ndarray) -> np.ndarray:
+        """(B, N-K) parity symbols of checked (B, K) messages."""
+        return self._products(self.log_table[messages], self.parity_logs)
+
+    # -- public codec ----------------------------------------------------------
 
     def encode(self, message) -> list[int]:
         """Systematic encode: returns [message | parity] of length N."""
-        msg = self._check_word(message, self.k_symbols, "message")
-        exp = self.field.exp_table
-        log = self.field.log_table
-        gen = self.generator_poly
-        npar = self.num_parity
-        if npar == 0:
-            return msg
-        # Long division of msg(x) * x^(N-K) by g(x); the running remainder is
-        # the parity register.
-        rem = [0] * npar
-        for s in msg:
-            feedback = s ^ rem[0]
-            rem.pop(0)
-            rem.append(0)
-            if feedback:
-                lf = log[feedback]
-                for j in range(npar):
-                    gj = gen[j + 1]
-                    if gj:
-                        rem[j] ^= exp[lf + log[gj]]
-        return msg + rem
+        msg = self._check(message, self.k_symbols, "message")
+        return msg.tolist() + self._parity(msg[None])[0].tolist()
 
     def syndromes(self, word) -> list[int]:
         """S_j = word(alpha^j) for j = 1..N-K (empty when K = N)."""
-        w = self._check_word(word, self.n_symbols, "word")
-        return self._syndromes_unchecked(w)
-
-    def _syndromes_unchecked(self, w: list[int]) -> list[int]:
-        exp = self.field.exp_table
-        log = self.field.log_table
-        order = self.field.order
-        out = []
-        for j in range(1, self.num_parity + 1):
-            a_log = j % order
-            acc = 0
-            for c in w:  # Horner, highest degree first
-                if acc:
-                    acc = exp[log[acc] + a_log]
-                acc ^= c
-            out.append(acc)
-        return out
+        w = self._check(word, self.n_symbols, "word")
+        return self._syndromes(w[None])[0].tolist()
 
     def decode(self, received, policy: DecodePolicy = DecodePolicy.FALLBACK_SYSTEMATIC) -> DecodeOutcome:
         """Bounded-distance decode of N received symbols under a policy."""
-        word = self._check_word(received, self.n_symbols, "received")
+        return self.decode_batch(np.asarray(received)[None], policy).outcome(0)
+
+    def decode_batch(self, words, policy: DecodePolicy = DecodePolicy.FALLBACK_SYSTEMATIC) -> BatchDecode:
+        """Bounded-distance decode of every row of a (B, N) symbol array."""
+        words = self._check(words, self.n_symbols, "received", ndim=2)
         policy = DecodePolicy(policy)
+        k = self.k_symbols
+        codeword = words.astype(self.exp_table.dtype)
+        status = np.full(len(words), _EXACT, dtype=np.int8)
+        error_count = np.zeros(len(words), dtype=np.int64)
 
-        synd = self._syndromes_unchecked(word)
-        if not any(synd):
-            cw = tuple(word)
-            return DecodeOutcome(DecodeStatus.EXACT_CODEWORD, cw,
-                                 cw[: self.k_symbols], 0)
-
-        corrected = self._try_correct(word, synd)
-        if corrected is not None:
-            cw, nerr = corrected
-            return DecodeOutcome(DecodeStatus.CORRECTED, cw,
-                                 cw[: self.k_symbols], nerr)
-
-        if policy is DecodePolicy.FAIL_DENY:
-            return DecodeOutcome(DecodeStatus.FAILURE, None, None, None)
-        message = tuple(word[: self.k_symbols])
-        return DecodeOutcome(DecodeStatus.FALLBACK, tuple(self.encode(message)),
-                             message, None)
+        synd = self._syndromes(codeword)
+        pending = np.flatnonzero(synd.any(axis=1))
+        if pending.size:
+            fixed, counts, ok = self._correct(codeword[pending], synd[pending])
+            done, beyond = pending[ok], pending[~ok]
+            status[done] = _CORRECTED
+            codeword[done] = fixed[ok]
+            error_count[done] = counts[ok]
+            error_count[beyond] = -1
+            if policy is DecodePolicy.FAIL_DENY:
+                status[beyond] = _FAILURE
+                codeword[beyond] = 0
+            else:
+                status[beyond] = _FALLBACK
+                codeword[beyond, k:] = self._parity(codeword[beyond, :k])
+        return BatchDecode(status, codeword[:, :k], codeword, error_count)
 
     # -- decoding internals ---------------------------------------------------
 
-    def _try_correct(self, word: list[int], synd: list[int]):
-        """Return (codeword, error_count) or None if no codeword within t."""
-        sigma = self._berlekamp_massey(synd)
-        deg = len(sigma) - 1
-        if deg > self.t:
-            return None
-        err_degrees = self._chien_search(sigma)
-        if len(err_degrees) != deg:
-            return None
-        magnitudes = self._forney(sigma, synd, err_degrees)
-        n1 = self.n_symbols - 1
-        out = list(word)
-        nerr = 0
-        for d, e in zip(err_degrees, magnitudes):
-            if e:
-                out[n1 - d] ^= e
-                nerr += 1
-        if any(self._syndromes_unchecked(out)):
-            return None
-        return tuple(out), nerr
+    def _correct(self, words: np.ndarray, synd: np.ndarray):
+        """Correct rows with nonzero syndromes where a codeword is within t.
 
-    def _berlekamp_massey(self, synd: list[int]) -> list[int]:
-        """Minimal error-locator sigma(x), coefficients low to high."""
-        field = self.field
-        cur = [1]   # sigma estimate
-        prev = [1]  # copy from last length change
-        lenc = 0    # current LFSR length
-        gap = 1     # steps since last length change
-        prev_delta = 1
-        for n, s_n in enumerate(synd):
-            delta = s_n
-            for i in range(1, lenc + 1):
-                if i < len(cur) and cur[i]:
-                    delta ^= field.mul(cur[i], synd[n - i])
-            if delta == 0:
-                gap += 1
-                continue
-            coef = field.div(delta, prev_delta)
-            adjust = [0] * gap + [field.mul(coef, p) for p in prev]
-            if 2 * lenc <= n:
-                cur, prev = _poly_xor(cur, adjust), cur
-                lenc = n + 1 - lenc
-                prev_delta = delta
-                gap = 1
-            else:
-                cur = _poly_xor(cur, adjust)
-                gap += 1
-        while len(cur) > 1 and cur[-1] == 0:
-            cur.pop()
-        return cur
-
-    def _chien_search(self, sigma: list[int]) -> list[int]:
-        """Degrees d in [0, N) with sigma(alpha^-d) = 0, i.e. error terms x^d."""
-        field = self.field
-        exp = field.exp_table
-        log = field.log_table
-        order = field.order
-        found = []
-        for d in range(self.n_symbols):
-            x = exp[(order - d) % order]  # alpha^-d
-            acc = 0
-            for coef in reversed(sigma):
-                if acc:
-                    acc = exp[log[acc] + log[x]]
-                acc ^= coef
-            if acc == 0:
-                found.append(d)
-        return found
-
-    def _forney(self, sigma: list[int], synd: list[int], err_degrees: list[int]) -> list[int]:
-        """Error magnitudes via Omega(X^-1) / sigma'(X^-1), X = alpha^degree.
-
-        With generator roots starting at alpha^1, Y_l = X_l * Omega / sigma'
-        and the magnitude is Y_l / X_l, which cancels to Omega / sigma'.
+        Returns the corrected rows, the number of corrected symbols per row
+        and the mask of rows that were corrected.
         """
-        field = self.field
-        npar = self.num_parity
-        omega = _poly_mul_trunc(field, synd, sigma, npar)
-        # Formal derivative in characteristic 2: keep odd-power coefficients.
-        sigma_deriv = [sigma[i] if i % 2 == 1 else 0 for i in range(1, len(sigma))]
-        out = []
-        for d in err_degrees:
-            x_inv = field.alpha_pow(-d)
-            num = _poly_eval(field, omega, x_inv)
-            den = _poly_eval(field, sigma_deriv, x_inv)
-            out.append(field.div(num, den))
+        n, t = self.n_symbols, self.t
+        exp, log = self.exp_table, self.log_table
+        exp_list, log_list = exp.tolist(), log.tolist()
+        sigmas = [_berlekamp_massey(s, exp_list, log_list) for s in synd.tolist()]
+        degree = np.array([len(s) - 1 for s in sigmas], dtype=np.int64)
+        ok = degree <= t
+        rows = np.flatnonzero(ok)
+        sigma = np.zeros((len(rows), t + 1), dtype=exp.dtype)
+        for i, r in enumerate(rows):
+            sigma[i, : degree[r] + 1] = sigmas[r]
+        sigma_logs = log[sigma]
+
+        # Chien search: roots alpha^-d of sigma mark errors at power x^d.
+        roots = self._products(sigma_logs, self.chien_exponents) == 0
+        split = roots.sum(axis=1) == degree[rows]
+        ok[rows[~split]] = False
+        rows, sigma_logs, roots = rows[split], sigma_logs[split], roots[split]
+
+        # Forney: magnitude = Omega(X^-1) / sigma'(X^-1) at X = alpha^d. In
+        # characteristic 2, X^-1 sigma'(X^-1) is the odd part of sigma at
+        # X^-1, so sigma'(X^-1) = odd * alpha^d.
+        omega_logs = log[self._omega(synd[rows], sigma_logs)]
+        row, deg = np.nonzero(roots)
+        powers = self.chien_exponents[deg, :self.t]  # (alpha^-d)^j, j < t
+        num = np.bitwise_xor.reduce(exp[omega_logs[row] + powers], axis=1)
+        odd = np.bitwise_xor.reduce(
+            exp[sigma_logs[row, 1::2] + self.chien_exponents[deg, 1::2]], axis=1)
+        magnitude = np.where(num != 0, exp[(log[num] - log[odd] - deg) % n], 0)
+
+        fixed = words.copy()
+        patched = fixed[rows]
+        patched[row, n - 1 - deg] ^= magnitude.astype(exp.dtype)
+        clean = ~self._syndromes(patched).any(axis=1)
+        ok[rows[~clean]] = False
+        fixed[rows] = patched
+        counts = np.zeros(len(words), dtype=np.int64)
+        counts[rows] = np.bincount(row, weights=magnitude != 0,
+                                   minlength=len(rows)).astype(np.int64)
+        return fixed, counts, ok
+
+    def _omega(self, synd: np.ndarray, sigma_logs: np.ndarray) -> np.ndarray:
+        """Error evaluator (S * sigma) mod x^t, low to high, per row.
+
+        Column j of ``synd`` is S_(j+1), the coefficient of x^j of S(x). The
+        classical evaluator is taken mod x^(N-K), but when an error pattern
+        on the roots of sigma matches the syndromes it has degree below
+        deg(sigma) <= t, and when none does the re-check rejects the row
+        whatever the magnitudes; so t coefficients decide the same words.
+        """
+        t = self.t
+        zero_log = self.log_table[0]
+        synd_logs = np.concatenate(
+            [self.log_table[synd[:, :t]], np.full((len(synd), 1), zero_log)], axis=1)
+        # Coefficient j sums S_(j-k+1) sigma_k over k <= j; terms with k > j
+        # read the zero column appended at index t.
+        shear = np.subtract.outer(np.arange(t), np.arange(t + 1))
+        shear[shear < 0] = t
+        out = np.empty((len(synd), t), dtype=self.exp_table.dtype)
+        step = max(1, _CHUNK // max(1, shear.size))
+        for lo in range(0, len(synd), step):
+            terms = self.exp_table[synd_logs[lo:lo + step, shear]
+                                   + sigma_logs[lo:lo + step, None, :]]
+            out[lo:lo + step] = np.bitwise_xor.reduce(terms, axis=2)
         return out
 
     def __repr__(self) -> str:
@@ -284,43 +355,46 @@ class RsCode:
                 f"K={self.k_symbols}, t={self.t})")
 
 
-def _poly_xor(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] ^= v
-    return out
+def _berlekamp_massey(synd: list[int], exp: list[int], log: list[int]) -> list[int]:
+    """Minimal error-locator sigma(x), coefficients low to high.
 
-
-def _poly_mul_trunc(field: Field, a: list[int], b: list[int], nterms: int) -> list[int]:
-    """(a * b) mod x^nterms, coefficients low to high."""
-    out = [0] * nterms
-    exp = field.exp_table
-    log = field.log_table
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= nterms:
+    ``exp``/``log`` are the code's zero-sentinel tables as lists, so every
+    product is ``exp[log[a] + log[b]]``.
+    """
+    n_order = len(log) - 1
+    npar = len(synd)
+    synd_logs = [log[s] for s in reversed(synd)]  # synd_logs[npar - 1 - j] = log S_(j+1)
+    cur = [1]   # sigma estimate
+    prev = [1]  # copy from last length change
+    lenc = 0    # current LFSR length
+    gap = 1     # steps since last length change
+    prev_delta_log = 0
+    for n, s_n in enumerate(synd):
+        # delta = s_n + sum_{i=1..lenc} cur[i] * synd[n - i]
+        base = npar - n
+        cur_logs = map(log.__getitem__, cur[1:lenc + 1])
+        delta = reduce(xor, map(exp.__getitem__, map(add, synd_logs[base:base + lenc],
+                                                     cur_logs)), s_n)
+        if delta == 0:
+            gap += 1
             continue
-        la = log[ai]
-        for j, bj in enumerate(b):
-            if bj and i + j < nterms:
-                out[i + j] ^= exp[la + log[bj]]
-    return out
-
-
-def _poly_eval(field: Field, poly: list[int], x: int) -> int:
-    """Evaluate a low-to-high coefficient polynomial at x (Horner)."""
-    acc = 0
-    exp = field.exp_table
-    log = field.log_table
-    if x == 0:
-        return poly[0] if poly else 0
-    lx = log[x]
-    for coef in reversed(poly):
-        if acc:
-            acc = exp[log[acc] + lx]
-        acc ^= coef
-    return acc
+        # new = cur + (delta / prev_delta) * x^gap * prev
+        coef_log = (log[delta] - prev_delta_log) % n_order
+        end = gap + len(prev)
+        new = cur + [0] * (end - len(cur))
+        new[gap:end] = map(xor, new[gap:end],
+                           (exp[coef_log + log[p]] for p in prev))
+        if 2 * lenc <= n:
+            cur, prev = new, cur
+            lenc = n + 1 - lenc
+            prev_delta_log = log[delta]
+            gap = 1
+        else:
+            cur = new
+            gap += 1
+    while len(cur) > 1 and cur[-1] == 0:
+        cur.pop()
+    return cur
 
 
 def bits_to_symbols(bits, m: int) -> list[int]:
@@ -328,22 +402,31 @@ def bits_to_symbols(bits, m: int) -> list[int]:
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 1:
         raise LengthMismatchError("bit vector must be one-dimensional")
-    if arr.size % m != 0:
+    return bit_rows_to_symbols(arr, m).tolist()
+
+
+def bit_rows_to_symbols(bits, m: int) -> np.ndarray:
+    """Pack the last axis of a 0/1 array into symbols, big-endian per symbol."""
+    arr = np.asarray(bits, dtype=np.uint8)
+    if arr.ndim == 0:
+        raise LengthMismatchError("bits must be a vector or an array of rows")
+    if arr.shape[-1] % m != 0:
         raise LengthMismatchError(
-            f"bit length {arr.size} is not a multiple of m={m}"
+            f"bit length {arr.shape[-1]} is not a multiple of m={m}"
         )
     if arr.size and arr.max() > 1:
         raise ValueError("bit vector entries must be 0 or 1")
     weights = 1 << np.arange(m - 1, -1, -1)
-    return (arr.reshape(-1, m) @ weights).astype(int).tolist()
+    return arr.reshape(*arr.shape[:-1], arr.shape[-1] // m, m) @ weights
 
 
 def symbols_to_bits(symbols, m: int) -> np.ndarray:
-    """Unpack symbols to a 0/1 uint8 array, big-endian within each symbol."""
+    """Unpack symbols on the last axis to 0/1 uint8, big-endian per symbol."""
     arr = np.asarray(symbols, dtype=np.int64)
-    if arr.ndim != 1:
-        raise LengthMismatchError("symbol vector must be one-dimensional")
+    if arr.ndim == 0:
+        raise LengthMismatchError("symbols must be a vector or an array of rows")
     if arr.size and (arr.min() < 0 or arr.max() >= (1 << m)):
         raise ValueError(f"symbol out of range for m={m}")
     shifts = np.arange(m - 1, -1, -1)
-    return ((arr[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+    bits = (arr[..., None] >> shifts) & 1
+    return bits.astype(np.uint8).reshape(*arr.shape[:-1], arr.shape[-1] * m)

@@ -11,6 +11,11 @@ salted hash of the message. Authentication XORs the probe bits onto the
 offset and decodes; any probe within t symbol errors of the enrolled bits
 lands back on the enrolled codeword.
 
+``authenticate_batch`` decides a matrix of probes against one record with a
+single ``RsCode.decode_batch``; ``authenticate``, ``auth_ss`` and ``auth_fc``
+check the scheme and decide a batch of one. Every ``Decision`` carries the
+decode status and the number of corrected symbols next to its reason.
+
 Records never contain the biometric bits, the key indices, or the plain
 sketch. The hash is SHA-256 over salt || 64-bit little-endian bit length ||
 big-endian packed bits.
@@ -32,7 +37,15 @@ from .errors import (
     ParseError,
 )
 from .gf import Field
-from .rs import DecodePolicy, RsCode, bits_to_symbols, symbols_to_bits
+from .rs import (
+    BATCH_STATUSES,
+    DecodePolicy,
+    DecodeStatus,
+    RsCode,
+    bit_rows_to_symbols,
+    bits_to_symbols,
+    symbols_to_bits,
+)
 
 SCHEME_SECURE_SKETCH = "secure-sketch"
 SCHEME_FUZZY_COMMITMENT = "fuzzy-commitment"
@@ -48,11 +61,23 @@ class DecisionReason(str, Enum):
 
 @dataclass(frozen=True)
 class Decision:
+    """An authentication decision and the decode it rests on.
+
+    ``status`` and ``error_count`` are those of the probe's decode
+    (None when not known): labels and counts only, never bits, key indices
+    or messages.
+    """
+
     accepted: bool
     reason: DecisionReason
+    status: DecodeStatus | None = None
+    error_count: int | None = None
 
     def __post_init__(self):
-        assert self.accepted == (self.reason is DecisionReason.HASH_MATCH)
+        if self.accepted != (self.reason is DecisionReason.HASH_MATCH):
+            raise ValueError(
+                f"accepted={self.accepted} contradicts reason {self.reason.value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -123,11 +148,17 @@ def hash_sketch(bits, salt: bytes) -> bytes:
         raise LengthMismatchError("bit vector must be 1-D")
     if arr.size and arr.max() > 1:
         raise ValueError("bit vector entries must be 0 or 1")
-    h = hashlib.sha256()
-    h.update(bytes(salt))
-    h.update(arr.size.to_bytes(8, "little"))
+    h = _hash_prefix(salt, arr.size)
     h.update(np.packbits(arr).tobytes())
     return h.digest()
+
+
+def _hash_prefix(salt: bytes, n_bits: int):
+    """SHA-256 state after salt || 64-bit little-endian bit length."""
+    h = hashlib.sha256()
+    h.update(bytes(salt))
+    h.update(n_bits.to_bytes(8, "little"))
+    return h
 
 
 def _pack_offset(bits: np.ndarray) -> bytes:
@@ -199,53 +230,70 @@ def _resolve_code(record: EnrollmentRecord, code: RsCode | None) -> RsCode:
     return code
 
 
-def _probe_bits(record: EnrollmentRecord, r_b) -> np.ndarray:
+def _single_probe(r_b) -> np.ndarray:
     arr = np.asarray(r_b, dtype=np.uint8)
-    if arr.ndim != 1 or arr.size != record.params.n_bits:
-        raise ParameterMismatchError(
-            f"probe has {arr.size} bits, record expects {record.params.n_bits}"
-        )
-    if arr.max(initial=0) > 1:
-        raise ValueError("probe entries must be 0 or 1")
-    return arr
-
-
-def _decide(record: EnrollmentRecord, message_symbols, m: int) -> Decision:
-    digest = hash_sketch(symbols_to_bits(message_symbols, m), record.salt)
-    if hmac.compare_digest(digest, record.digest):
-        return Decision(True, DecisionReason.HASH_MATCH)
-    return Decision(False, DecisionReason.HASH_MISMATCH)
+    if arr.ndim != 1:
+        raise ParameterMismatchError(f"probe must be a bit vector, got shape {arr.shape}")
+    return arr[None]
 
 
 def auth_ss(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decision:
     """Secure-sketch authentication of probe bits against a record."""
     if record.scheme != SCHEME_SECURE_SKETCH:
         raise ParameterMismatchError("record is not a secure-sketch record")
-    code = _resolve_code(record, code)
-    arr = _probe_bits(record, r_b)
-    outcome = code.decode(bits_to_symbols(arr, code.field.m), record.params.policy)
-    if not outcome.ok:
-        return Decision(False, DecisionReason.DECODE_FAILURE)
-    return _decide(record, outcome.message, code.field.m)
+    return authenticate_batch(_single_probe(r_b), record, code)[0]
 
 
 def auth_fc(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decision:
     """Fuzzy-commitment authentication of probe bits against a record."""
     if record.scheme != SCHEME_FUZZY_COMMITMENT:
         raise ParameterMismatchError("record is not a fuzzy-commitment record")
-    code = _resolve_code(record, code)
-    arr = _probe_bits(record, r_b)
-    shifted = record.offset_bits() ^ arr
-    outcome = code.decode(bits_to_symbols(shifted, code.field.m), record.params.policy)
-    if not outcome.ok:
-        return Decision(False, DecisionReason.DECODE_FAILURE)
-    return _decide(record, outcome.message, code.field.m)
+    return authenticate_batch(_single_probe(r_b), record, code)[0]
 
 
 def authenticate(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decision:
     if record.scheme == SCHEME_SECURE_SKETCH:
         return auth_ss(r_b, record, code)
     return auth_fc(r_b, record, code)
+
+
+def authenticate_batch(probes, record: EnrollmentRecord,
+                       code: RsCode | None = None) -> list[Decision]:
+    """Decide every row of a (B, n_bits) probe matrix against one record.
+
+    This is the one authentication path: ``authenticate`` is a batch of one.
+    Fuzzy commitment XORs each probe onto the stored offset; secure sketch
+    decodes the probe as it is. All rows go through one
+    ``RsCode.decode_batch`` and are hashed from a shared salted prefix.
+    """
+    code = _resolve_code(record, code)
+    arr = np.asarray(probes, dtype=np.uint8)
+    n_bits = record.params.n_bits
+    if arr.ndim != 2 or arr.shape[1] != n_bits:
+        raise ParameterMismatchError(
+            f"probes have shape {arr.shape}, record expects {n_bits} bits per row"
+        )
+    if arr.max(initial=0) > 1:
+        raise ValueError("probe entries must be 0 or 1")
+    if record.scheme == SCHEME_FUZZY_COMMITMENT:
+        arr = record.offset_bits() ^ arr
+    m = code.field.m
+    batch = code.decode_batch(bit_rows_to_symbols(arr, m), record.params.policy)
+    packed = np.packbits(symbols_to_bits(batch.message, m), axis=1)
+    prefix = _hash_prefix(record.salt, code.k_bits)
+    decisions = []
+    for index, count, message in zip(batch.status.tolist(),
+                                     batch.error_count.tolist(), packed):
+        status = BATCH_STATUSES[index]
+        if status is DecodeStatus.FAILURE:
+            decisions.append(Decision(False, DecisionReason.DECODE_FAILURE, status))
+            continue
+        h = prefix.copy()
+        h.update(message.tobytes())
+        accepted = hmac.compare_digest(h.digest(), record.digest)
+        reason = DecisionReason.HASH_MATCH if accepted else DecisionReason.HASH_MISMATCH
+        decisions.append(Decision(accepted, reason, status, count if count >= 0 else None))
+    return decisions
 
 
 # -- record file format -------------------------------------------------------

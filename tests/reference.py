@@ -96,3 +96,165 @@ def error_patterns(n: int, q: int, max_weight: int):
                 for p, v in zip(positions, values):
                     pattern[p] = v
                 yield tuple(pattern)
+
+
+# -- Reed-Solomon: the scalar BM/Chien/Forney decoder, on slow_gf_mul --------
+#
+# Conventions match the package's RsCode: N = 2^m - 1, generator roots
+# alpha^1 .. alpha^(N-K) with alpha = x (the value 2), codeword array
+# [message | parity] with position i holding the coefficient of x^(N-1-i).
+# Polynomials in the decoder are lists of coefficients, low to high.
+
+
+def slow_gf_inv(a: int, primitive_poly: int, m: int) -> int:
+    """a^(q-2) by repeated multiplication."""
+    if a == 0:
+        raise ZeroDivisionError("0 has no inverse")
+    return slow_gf_pow(a, (1 << m) - 2, primitive_poly, m)
+
+
+def slow_alpha_pow(e: int, primitive_poly: int, m: int) -> int:
+    return slow_gf_pow(2, e % ((1 << m) - 1), primitive_poly, m)
+
+
+def slow_rs_generator(m: int, primitive_poly: int, k: int) -> list[int]:
+    """prod_{j=1..N-K} (x - alpha^j), highest degree first."""
+    n = (1 << m) - 1
+    g = [1]
+    for j in range(1, n - k + 1):
+        root = slow_alpha_pow(j, primitive_poly, m)
+        nxt = g + [0]
+        for i, coef in enumerate(g):
+            nxt[i + 1] ^= slow_gf_mul(coef, root, primitive_poly, m)
+        g = nxt
+    return g
+
+
+def slow_rs_encode(message, m: int, primitive_poly: int) -> list[int]:
+    """Systematic encode by long division of message * x^(N-K) by g(x)."""
+    msg = [int(s) for s in message]
+    gen = slow_rs_generator(m, primitive_poly, len(msg))
+    npar = len(gen) - 1
+    rem = [0] * npar
+    for s in msg:
+        feedback = s ^ (rem[0] if npar else 0)
+        rem = rem[1:] + [0] if npar else []
+        for j in range(npar):
+            rem[j] ^= slow_gf_mul(feedback, gen[j + 1], primitive_poly, m)
+    return msg + rem
+
+
+def slow_rs_syndromes(word, k: int, m: int, primitive_poly: int) -> list[int]:
+    """word(alpha^j) for j = 1..N-K, by Horner from the highest degree."""
+    n = (1 << m) - 1
+    out = []
+    for j in range(1, n - k + 1):
+        a = slow_alpha_pow(j, primitive_poly, m)
+        acc = 0
+        for c in word:
+            acc = slow_gf_mul(acc, a, primitive_poly, m) ^ c
+        out.append(acc)
+    return out
+
+
+def _slow_poly_eval(poly, x, primitive_poly, m):
+    """Low-to-high coefficients evaluated at x (Horner)."""
+    acc = 0
+    for coef in reversed(poly):
+        acc = slow_gf_mul(acc, x, primitive_poly, m) ^ coef
+    return acc
+
+
+def _slow_berlekamp_massey(synd, primitive_poly, m):
+    def mul(a, b):
+        return slow_gf_mul(a, b, primitive_poly, m)
+
+    def xor_poly(a, b):
+        out = [0] * max(len(a), len(b))
+        for i, v in enumerate(a):
+            out[i] ^= v
+        for i, v in enumerate(b):
+            out[i] ^= v
+        return out
+
+    cur, prev = [1], [1]
+    lenc, gap, prev_delta = 0, 1, 1
+    for n, s_n in enumerate(synd):
+        delta = s_n
+        for i in range(1, lenc + 1):
+            if i < len(cur):
+                delta ^= mul(cur[i], synd[n - i])
+        if delta == 0:
+            gap += 1
+            continue
+        coef = mul(delta, slow_gf_inv(prev_delta, primitive_poly, m))
+        adjust = [0] * gap + [mul(coef, p) for p in prev]
+        if 2 * lenc <= n:
+            cur, prev = xor_poly(cur, adjust), cur
+            lenc = n + 1 - lenc
+            prev_delta = delta
+            gap = 1
+        else:
+            cur = xor_poly(cur, adjust)
+            gap += 1
+    while len(cur) > 1 and cur[-1] == 0:
+        cur.pop()
+    return cur
+
+
+def _slow_try_correct(word, synd, k, m, primitive_poly):
+    n = (1 << m) - 1
+    t = (n - k) // 2
+    npar = n - k
+
+    def mul(a, b):
+        return slow_gf_mul(a, b, primitive_poly, m)
+
+    sigma = _slow_berlekamp_massey(synd, primitive_poly, m)
+    deg = len(sigma) - 1
+    if deg > t:
+        return None
+    err_degrees = [d for d in range(n)
+                   if _slow_poly_eval(sigma, slow_alpha_pow(-d, primitive_poly, m),
+                                      primitive_poly, m) == 0]
+    if len(err_degrees) != deg:
+        return None
+    omega = [0] * npar
+    for i, s in enumerate(synd):
+        for j, c in enumerate(sigma):
+            if i + j < npar:
+                omega[i + j] ^= mul(s, c)
+    sigma_deriv = [sigma[i] if i % 2 == 1 else 0 for i in range(1, len(sigma))]
+    out = list(word)
+    nerr = 0
+    for d in err_degrees:
+        x_inv = slow_alpha_pow(-d, primitive_poly, m)
+        num = _slow_poly_eval(omega, x_inv, primitive_poly, m)
+        den = _slow_poly_eval(sigma_deriv, x_inv, primitive_poly, m)
+        e = mul(num, slow_gf_inv(den, primitive_poly, m))
+        if e:
+            out[n - 1 - d] ^= e
+            nerr += 1
+    if any(slow_rs_syndromes(out, k, m, primitive_poly)):
+        return None
+    return tuple(out), nerr
+
+
+def slow_rs_decode(received, k: int, m: int, primitive_poly: int, fallback: bool):
+    """Bounded-distance decode: (status, codeword, message, error_count).
+
+    ``status`` is "exact", "corrected", "fallback" or "failure"; codeword and
+    message are None on failure, error_count is None on fallback and failure.
+    """
+    word = [int(s) for s in received]
+    synd = slow_rs_syndromes(word, k, m, primitive_poly)
+    if not any(synd):
+        return "exact", tuple(word), tuple(word[:k]), 0
+    corrected = _slow_try_correct(word, synd, k, m, primitive_poly)
+    if corrected is not None:
+        cw, nerr = corrected
+        return "corrected", cw, cw[:k], nerr
+    if not fallback:
+        return "failure", None, None, None
+    message = tuple(word[:k])
+    return "fallback", tuple(slow_rs_encode(message, m, primitive_poly)), message, None

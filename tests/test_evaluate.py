@@ -6,6 +6,7 @@ import pytest
 from biosketch import evaluate
 from biosketch.errors import InsufficientDataError
 from biosketch.evaluate import (
+    PrivacyReport,
     SCENARIO_STOLEN_KEY,
     SCENARIO_ZERO_EFFORT,
     empirical_far,
@@ -150,15 +151,48 @@ class TestEmpiricalFar:
         assert a == b
 
     def test_mismatched_probe_is_structurally_denied(self, small_dataset, rs_7_3):
-        # a probe of the wrong length never raises out of the trial loop;
-        # it simply contributes a denial
-        from biosketch.evaluate import _try_accept
+        # a probe matrix of the wrong width never raises out of the trial
+        # loop; its rows simply contribute denials
+        from biosketch.evaluate import _accepts
         from biosketch.sketch import enroll_ss
 
         record = enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3,
                            "fallback", bytes(16))
-        assert _try_accept(np.zeros(20, dtype=np.uint8), record, rs_7_3) is False
-        assert _try_accept(np.zeros(21, dtype=np.uint8), record, rs_7_3) is True
+        assert _accepts(np.zeros((3, 20), dtype=np.uint8), record, rs_7_3) == 0
+        assert _accepts(np.zeros((3, 21), dtype=np.uint8), record, rs_7_3) == 3
+
+
+class TestFarDeterminism:
+    """Rates of the scalar per-trial loop, recorded before FAR trials were
+    batched per victim (dataset seed 42, out_dim 256, config seed 5,
+    trial seed 17, 2000 trials). The batched path must return these exact
+    floats: it draws the same probes in the same order and decides each
+    one as ``authenticate`` does."""
+
+    SCENARIOS = [
+        (SCENARIO_STOLEN_KEY, "uniform"),
+        (SCENARIO_STOLEN_KEY, "dataset"),
+        (SCENARIO_ZERO_EFFORT, "uniform"),
+    ]
+    EXPECTED = {
+        (1, "secure-sketch", "fallback"): (0.116, 0.043, 0.4135),
+        (1, "secure-sketch", "fail-deny"): (0.009, 0.0, 0.514),
+        (1, "fuzzy-commitment", "fallback"): (0.1205, 0.017, 0.207),
+        (1, "fuzzy-commitment", "fail-deny"): (0.003, 0.0, 0.0705),
+        (2, "secure-sketch", "fallback"): (0.013, 0.0, 0.0705),
+        (2, "fuzzy-commitment", "fail-deny"): (0.0005, 0.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("k,scheme,policy", sorted(EXPECTED))
+    def test_recorded_rates(self, k, scheme, policy):
+        ds = gen_population(6, 8, 16, 16, 1.0, 0.2, seed=42)
+        cfg = PipelineConfig(m=3, k_symbols=k, scheme=scheme, policy=policy,
+                             out_dim=256, seed=5)
+        rates = tuple(
+            empirical_far(ds, cfg, scenario, 2000, seed=17, impostor_bits=bits)
+            for scenario, bits in self.SCENARIOS
+        )
+        assert rates == self.EXPECTED[(k, scheme, policy)]
 
 
 class TestGsCurve:
@@ -239,3 +273,9 @@ class TestPrivacyReport:
             privacy_report(100, 101)
         with pytest.raises(ValueError):
             privacy_report(0, 0)
+
+    def test_inconsistent_report_raises_not_asserts(self):
+        # a ValueError, not an assert: the check must survive python -O
+        with pytest.raises(ValueError):
+            PrivacyReport(feature_bits=100, exposed_bits=10,
+                          max_leakage_bits=10, residual_bits=91)

@@ -6,12 +6,15 @@ from biosketch.errors import LengthMismatchError
 from biosketch.gf import Field
 from biosketch.oracle import all_codewords, nearest_codeword
 from biosketch.rs import (
+    BATCH_STATUSES,
     DecodePolicy,
     DecodeStatus,
     RsCode,
+    bit_rows_to_symbols,
     bits_to_symbols,
     symbols_to_bits,
 )
+from reference import slow_rs_decode, slow_rs_encode, slow_rs_generator
 
 # Frozen on first computation: minimum distance 2 from every RS(7,5) codeword
 # (verified against the exhaustive oracle below).
@@ -206,6 +209,135 @@ class TestOracleEquivalence:
                 assert out.status is DecodeStatus.FALLBACK
 
 
+def reference_outcome(code, word, policy):
+    """(status, codeword, message, error_count) of the slow scalar decoder."""
+    field = code.field
+    return slow_rs_decode(word, code.k_symbols, field.m, field.primitive_poly,
+                          fallback=policy is DecodePolicy.FALLBACK_SYSTEMATIC)
+
+
+def outcome_fields(out):
+    return out.status.value, out.codeword, out.message, out.error_count
+
+
+def differential_words(code, rng, per_class):
+    """Exact codewords, 1..t errors, exactly t, t + 1, and uniform words."""
+    field = code.field
+    n = code.n_symbols
+    weights = [0, code.t, code.t + 1]
+    if code.t > 1:
+        weights.append(None)  # uniform in 1..t
+    words = []
+    for _ in range(per_class):
+        for weight in weights:
+            msg = rng.integers(0, field.size, code.k_symbols).tolist()
+            word = slow_rs_encode(msg, field.m, field.primitive_poly)
+            if weight is None:
+                weight = int(rng.integers(1, code.t + 1))
+            for pos in rng.choice(n, size=min(weight, n), replace=False):
+                word[pos] ^= int(rng.integers(1, field.size))
+            words.append(word)
+        words.append(rng.integers(0, field.size, n).tolist())
+    return words
+
+
+class TestDifferential:
+    """The table-driven codec against the slow scalar decoder in reference.py.
+
+    Each word is decoded once by the reference under ``fallback``; under
+    ``fail-deny`` its fallback rows become failures and the rest agree.
+    """
+
+    CODES = {
+        3: [(k, 8) for k in range(1, 8)],
+        5: [(1, 3), (11, 3), (20, 3), (30, 3), (31, 2)],
+        6: [(1, 1), (17, 2), (40, 2), (63, 1)],
+        8: [(32, 1), (200, 2), (255, 1)],
+    }
+
+    @pytest.mark.parametrize("m", sorted(CODES))
+    def test_decode_equals_reference(self, m):
+        field = Field(m)
+        rng = np.random.default_rng(1000 + m)
+        seen = set()
+        for k, per_class in self.CODES[m]:
+            code = RsCode(field, k)
+            words = differential_words(code, rng, per_class)
+            expected = {policy: [] for policy in DecodePolicy}
+            for word in words:
+                ref = reference_outcome(code, word, DecodePolicy.FALLBACK_SYSTEMATIC)
+                expected[DecodePolicy.FALLBACK_SYSTEMATIC].append(ref)
+                expected[DecodePolicy.FAIL_DENY].append(
+                    ("failure", None, None, None) if ref[0] == "fallback" else ref)
+            for policy, refs in expected.items():
+                batch = code.decode_batch(np.array(words), policy)
+                for i, (word, ref) in enumerate(zip(words, refs)):
+                    out = code.decode(word, policy)
+                    assert outcome_fields(out) == ref, (m, k, policy, word)
+                    assert batch.outcome(i) == out
+                    seen.add(out.status)
+        assert seen == set(DecodeStatus)
+
+    @pytest.mark.parametrize("m,k", [(3, 1), (3, 4), (3, 7), (5, 20), (6, 1),
+                                     (8, 32), (8, 255)])
+    def test_encode_equals_long_division(self, m, k):
+        field = Field(m)
+        code = RsCode(field, k)
+        rng = np.random.default_rng(m + k)
+        assert list(code.generator_poly) == slow_rs_generator(m, field.primitive_poly, k)
+        for _ in range(10):
+            msg = rng.integers(0, field.size, k).tolist()
+            assert code.encode(msg) == slow_rs_encode(msg, m, field.primitive_poly)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_arbitrary_words_hypothesis(self, data):
+        m = data.draw(st.sampled_from([2, 3, 4]), label="m")
+        field = Field(m)
+        code = RsCode(field, data.draw(st.integers(1, field.order), label="k"))
+        word = data.draw(st.lists(st.integers(0, field.order), min_size=field.order,
+                                  max_size=field.order), label="word")
+        for policy in DecodePolicy:
+            assert outcome_fields(code.decode(word, policy)) == reference_outcome(
+                code, word, policy)
+
+
+class TestDecodeBatch:
+    def test_arrays_layout(self, rs_7_5):
+        rows = np.array([rs_7_5.encode([1, 2, 3, 4, 5]), FAR_FROM_RS75])
+        batch = rs_7_5.decode_batch(rows, DecodePolicy.FAIL_DENY)
+        assert [BATCH_STATUSES[s] for s in batch.status] == [
+            DecodeStatus.EXACT_CODEWORD, DecodeStatus.FAILURE]
+        assert batch.message.shape == (2, 5) and batch.codeword.shape == (2, 7)
+        assert batch.error_count.tolist() == [0, -1]
+        assert np.array_equal(batch.message, batch.codeword[:, :5])
+        assert not batch.codeword[1].any()
+
+    def test_empty_batch(self, rs_7_3):
+        batch = rs_7_3.decode_batch(np.zeros((0, 7), dtype=np.int64))
+        assert batch.status.shape == (0,) and batch.codeword.shape == (0, 7)
+
+    def test_validation(self, rs_7_3):
+        with pytest.raises(LengthMismatchError):
+            rs_7_3.decode_batch(np.zeros((2, 6), dtype=np.int64))
+        with pytest.raises(LengthMismatchError):
+            rs_7_3.decode_batch(np.zeros(7, dtype=np.int64))
+        with pytest.raises(ValueError):
+            rs_7_3.decode_batch(np.full((1, 7), 8))
+        with pytest.raises(ValueError):
+            rs_7_3.decode([0, 0, 0, -1, 0, 0, 0])
+
+    def test_tables_are_read_only(self, rs_7_3):
+        with pytest.raises(ValueError):
+            rs_7_3.syndrome_exponents[0, 0] = 1
+
+    def test_zero_sentinel_multiplies_without_branch(self, gf8, rs_7_3):
+        exp, log = rs_7_3.exp_table, rs_7_3.log_table
+        for a in range(8):
+            for b in range(8):
+                assert exp[log[a] + log[b]] == gf8.mul(a, b)
+
+
 class TestBitPacking:
     def test_documented_example(self):
         assert bits_to_symbols([1, 0, 1, 1, 1, 0], 3) == [5, 6]
@@ -226,6 +358,12 @@ class TestBitPacking:
     def test_length_not_multiple(self):
         with pytest.raises(LengthMismatchError):
             bits_to_symbols([1, 0, 1, 1], 3)
+
+    def test_scalar_is_a_length_mismatch(self):
+        with pytest.raises(LengthMismatchError):
+            bit_rows_to_symbols(1, 3)
+        with pytest.raises(LengthMismatchError):
+            symbols_to_bits(1, 3)
 
     def test_non_bit_values(self):
         with pytest.raises(ValueError):

@@ -9,13 +9,23 @@ from biosketch.errors import (
     ParseError,
 )
 from biosketch.gf import Field
-from biosketch.rs import DecodePolicy, RsCode, bits_to_symbols, symbols_to_bits
+from biosketch.pipeline import PipelineConfig, enroll_vectors, population_from_fused
+from biosketch.rs import (
+    DecodePolicy,
+    DecodeStatus,
+    RsCode,
+    bits_to_symbols,
+    symbols_to_bits,
+)
 from biosketch.sketch import (
     SCHEME_FUZZY_COMMITMENT,
     SCHEME_SECURE_SKETCH,
+    Decision,
     DecisionReason,
     auth_fc,
     auth_ss,
+    authenticate,
+    authenticate_batch,
     enroll_fc,
     enroll_ss,
     hash_sketch,
@@ -125,6 +135,12 @@ class TestSecureSketch:
         record = enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3, FB, SALT)
         with pytest.raises(ParameterMismatchError):
             auth_ss(np.zeros(20, dtype=np.uint8), record, rs_7_3)
+
+    def test_probe_matrix_is_parameter_mismatch(self, rs_7_3):
+        record = enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3, FB, SALT)
+        for probe in (np.zeros((1, 21), dtype=np.uint8), np.uint8(0)):
+            with pytest.raises(ParameterMismatchError):
+                authenticate(probe, record, rs_7_3)
 
     def test_wrong_code_rejected(self, rs_7_3, rs_7_5):
         record = enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3, FB, SALT)
@@ -246,3 +262,90 @@ class TestRecordSerialization:
         salt = rng.bytes(16)
         record = enroll_fc(r_a, code, int(rng.integers(1 << 30)), salt)
         assert record_from_text(record_to_text(record)) == record
+
+
+class TestDecision:
+    def test_old_constructor_keeps_working(self):
+        decision = Decision(True, DecisionReason.HASH_MATCH)
+        assert decision.status is None and decision.error_count is None
+
+    @pytest.mark.parametrize("accepted,reason", [
+        (True, DecisionReason.HASH_MISMATCH),
+        (True, DecisionReason.DECODE_FAILURE),
+        (False, DecisionReason.HASH_MATCH),
+    ])
+    def test_contradiction_raises_not_asserts(self, accepted, reason):
+        # a ValueError, not an assert: the check must survive python -O
+        with pytest.raises(ValueError):
+            Decision(accepted, reason)
+
+    def test_carries_decode_status_and_count(self):
+        code = RsCode(Field(5), 11)  # t = 10
+        rng = np.random.default_rng(21)
+        r_a = random_bits(rng, code.n_bits)
+        for policy in (FB, FD):
+            record = enroll_fc(r_a, code, 3, SALT, policy=policy)
+            exact = auth_fc(r_a, record, code)
+            assert (exact.accepted, exact.status, exact.error_count) == (
+                True, DecodeStatus.EXACT_CODEWORD, 0)
+            near = auth_fc(flip_symbols(rng, code, r_a, 4), record, code)
+            assert (near.accepted, near.status, near.error_count) == (
+                True, DecodeStatus.CORRECTED, 4)
+        far = random_bits(rng, code.n_bits)  # beyond every decoding sphere
+        fallback = auth_fc(far, enroll_fc(r_a, code, 3, SALT, policy=FB), code)
+        assert (fallback.reason, fallback.status, fallback.error_count) == (
+            DecisionReason.HASH_MISMATCH, DecodeStatus.FALLBACK, None)
+        failure = auth_fc(far, enroll_fc(r_a, code, 3, SALT, policy=FD), code)
+        assert (failure.reason, failure.status, failure.error_count) == (
+            DecisionReason.DECODE_FAILURE, DecodeStatus.FAILURE, None)
+
+    def test_text_carries_no_bits_keys_or_messages(self):
+        rng = np.random.default_rng(5)
+        config = PipelineConfig(m=3, k_symbols=2, scheme=SCHEME_SECURE_SKETCH,
+                                out_dim=64, seed=5)
+        fused = {sid: rng.normal(size=(4, 64)) for sid in ("a", "b")}
+        pop = population_from_fused(fused)
+        code = config.build_code()
+        enr = enroll_vectors(config, code, fused["a"], pop, subject_id="a")
+        message = code.decode(bits_to_symbols(enr.template_bits, 3), FB).message
+        decision = authenticate(enr.template_bits, enr.record, code)
+        assert decision.accepted
+        assert set(Decision.__dataclass_fields__) == {
+            "accepted", "reason", "status", "error_count"}
+        secrets = [
+            "".join(map(str, enr.template_bits.tolist())),
+            np.packbits(enr.template_bits).tobytes().hex(),
+            ",".join(map(str, enr.key.indices[:4])),
+            ", ".join(map(str, enr.key.indices[:4])),
+            str(message),
+            str(list(message)),
+        ]
+        for text in (str(decision), repr(decision)):
+            for secret in secrets:
+                assert secret not in text
+
+
+class TestAuthenticateBatch:
+    @pytest.mark.parametrize("m,k", [(3, 2), (5, 11)])
+    @pytest.mark.parametrize("policy", [FB, FD])
+    def test_rows_equal_scalar_decisions(self, m, k, policy):
+        code = RsCode(Field(m), k)
+        rng = np.random.default_rng(m * 10 + k)
+        r_a = random_bits(rng, code.n_bits)
+        probes = [r_a, 1 - r_a]
+        probes += [flip_symbols(rng, code, r_a, int(w))
+                   for w in rng.integers(0, code.t + 3, size=20)]
+        probes += [random_bits(rng, code.n_bits) for _ in range(20)]
+        probes = np.array(probes)
+        records = [enroll_fc(r_a, code, 7, SALT, policy=policy)]
+        if policy is FB:
+            records.append(enroll_ss(r_a, code, policy, SALT))
+        for record in records:
+            batch = authenticate_batch(probes, record, code)
+            assert batch == [authenticate(row, record, code) for row in probes]
+
+    def test_empty_and_wrong_width(self, rs_7_3):
+        record = enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3, FB, SALT)
+        assert authenticate_batch(np.zeros((0, 21), dtype=np.uint8), record) == []
+        with pytest.raises(ParameterMismatchError):
+            authenticate_batch(np.zeros((2, 20), dtype=np.uint8), record, rs_7_3)
