@@ -11,7 +11,6 @@ from .errors import (
     DimensionMismatchError,
     DuplicateSubjectError,
     EnrollmentDecodeError,
-    FieldMismatchError,
     InsufficientDataError,
     LengthMismatchError,
     NonPrimitivePolynomialError,
@@ -20,7 +19,7 @@ from .errors import (
     SubjectNotFoundError,
     UnsupportedSymbolSizeError,
 )
-from .gf import DEFAULT_PRIMITIVE_POLY, Field, FieldElement
+from .gf import DEFAULT_PRIMITIVE_POLY, Field
 from .rs import (
     BatchDecode,
     DecodeOutcome,

@@ -13,10 +13,6 @@ class NonPrimitivePolynomialError(BiosketchError, ValueError):
     """Field polynomial is not primitive of the required degree."""
 
 
-class FieldMismatchError(BiosketchError, ValueError):
-    """Operands belong to different finite fields."""
-
-
 class LengthMismatchError(BiosketchError, ValueError):
     """Bit or symbol sequence has the wrong length for the operation."""
 

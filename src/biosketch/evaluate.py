@@ -297,11 +297,6 @@ def gs_curve_csv(points) -> str:
     return buf.getvalue()
 
 
-def write_gs_csv(points, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(gs_curve_csv(points))
-
-
 @dataclass(frozen=True)
 class PrivacyReport:
     """Worst-case information exposure when key and sketch leak.

@@ -1,25 +1,20 @@
-"""Arithmetic in the binary extension fields GF(2^m), 2 <= m <= 10.
+"""The binary extension fields GF(2^m), 2 <= m <= 10.
 
-The Reed-Solomon layer works with symbols from these fields. Multiplication,
-inversion and exponentiation are table driven: a discrete-log table and an
-anti-log table over the generator alpha (the class of x) are built once at
-construction, so the hot codec paths reduce to integer adds and lookups.
-The anti-log table is stored twice over so products of two logs never need
-a modular reduction.
+The Reed-Solomon layer works with symbols from these fields. A ``Field``
+checks that its polynomial is primitive and builds a discrete-log table and
+an anti-log table over the generator alpha (the class of x). The anti-log
+table is stored twice over, so a sum of two logs indexes it without a
+modular reduction. There is no scalar arithmetic here: ``RsCode`` extends
+these tables with a zero sentinel and computes every product as
+``exp_table[log_table[a] + log_table[b]]``.
 
-A ``Field`` is immutable after construction and every operation is pure, so
-instances can be shared freely across threads.
+A ``Field`` is immutable after construction, so instances can be shared
+freely across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import (
-    FieldMismatchError,
-    NonPrimitivePolynomialError,
-    UnsupportedSymbolSizeError,
-)
+from .errors import NonPrimitivePolynomialError, UnsupportedSymbolSizeError
 
 # Fixed default polynomial per m (minimum-weight primitive choices). Any
 # primitive polynomial yields an equivalent code; pinning one per m keeps
@@ -91,47 +86,6 @@ class Field:
         self.exp_table = exp
         self.log_table = log
 
-    # -- scalar operations on raw symbol values ------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    sub = add  # characteristic 2
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp_table[self.log_table[a] + self.log_table[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(2^m)")
-        return self.exp_table[self.order - self.log_table[a]]
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by 0 in GF(2^m)")
-        if a == 0:
-            return 0
-        return self.exp_table[(self.log_table[a] - self.log_table[b]) % self.order]
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("0 has no negative powers in GF(2^m)")
-            return 1 if e == 0 else 0
-        return self.exp_table[(self.log_table[a] * e) % self.order]
-
-    def alpha_pow(self, i: int) -> int:
-        """The element alpha^i, for any integer i."""
-        return self.exp_table[i % self.order]
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
-
-    def __contains__(self, value: int) -> bool:
-        return 0 <= value < self.size
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Field):
             return NotImplemented
@@ -143,52 +97,3 @@ class Field:
     def __repr__(self) -> str:
         return f"Field(m={self.m}, primitive_poly=0x{self.primitive_poly:x})"
 
-
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    """A single symbol of a ``Field``, with operator syntax.
-
-    The codec works on raw ints for speed; this wrapper is the convenience
-    surface for algebra at the call sites that want operator checks.
-    """
-
-    field: Field
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.size:
-            raise ValueError(
-                f"value {self.value} out of range for GF(2^{self.field.m})"
-            )
-
-    def _coerced(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"operands from different fields: {self.field!r} vs {other.field!r}"
-            )
-        return other.value
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.value ^ self._coerced(other))
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.mul(self.value, self._coerced(other)))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.div(self.value, self._coerced(other)))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value}, GF(2^{self.field.m}))"

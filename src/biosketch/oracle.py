@@ -56,22 +56,16 @@ def all_codewords(code: RsCode, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         raise BudgetExceededError(
             f"{total} codewords exceed budget {budget}"
         )
-    dtype = np.uint8 if code.field.m <= 8 else np.uint16
-    # Scale table per message position: row v of scaled[i] is the codeword of
-    # the message with value v at position i and zeros elsewhere.
-    exp = np.asarray(code.field.exp_table[: code.field.order], dtype=np.int64)
-    log = np.asarray(code.field.log_table, dtype=np.int64)
-    order = code.field.order
-
-    block = np.zeros((1, code.n_symbols), dtype=dtype)
+    # Scale table per message position: row v of scaled is the codeword of
+    # the message with value v at position i and zeros elsewhere, multiplied
+    # out on the code's zero-sentinel tables.
+    value_logs = code.log_table[np.arange(q)][:, None]
+    block = np.zeros((1, code.n_symbols), dtype=code.exp_table.dtype)
     for i in range(code.k_symbols - 1, -1, -1):
         unit = [0] * code.k_symbols
         unit[i] = 1
-        row = np.asarray(code.encode(unit), dtype=np.int64)
-        nz = row != 0
-        scaled = np.zeros((q, code.n_symbols), dtype=dtype)
-        vals = np.arange(1, q, dtype=np.int64)
-        scaled[1:, nz] = exp[(log[vals][:, None] + log[row[nz]][None, :]) % order]
+        row = code.encode(unit)
+        scaled = code.exp_table[value_logs + code.log_table[row][None, :]]
         block = (scaled[:, None, :] ^ block[None, :, :]).reshape(-1, code.n_symbols)
     return block
 

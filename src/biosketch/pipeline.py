@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .fusion import Embedding, FusionWeights, fuse, random_weights
-from .gf import DEFAULT_PRIMITIVE_POLY, Field
+from .gf import Field
 from .quantizer import (
     PopulationStats,
     ReliableKey,
@@ -60,7 +60,6 @@ class PipelineConfig:
     out_dim: int = 64
     window_factor: float = 2.0
     seed: int | None = 0
-    primitive_poly: int | None = None
 
     def __post_init__(self):
         if self.scheme not in (SCHEME_SECURE_SKETCH, SCHEME_FUZZY_COMMITMENT):
@@ -76,11 +75,8 @@ class PipelineConfig:
         """G is tied to the code: one reliable component per codeword bit."""
         return self.n_bits
 
-    def build_field(self) -> Field:
-        return Field(self.m, self.primitive_poly)
-
     def build_code(self) -> RsCode:
-        return RsCode(self.build_field(), self.k_symbols)
+        return RsCode(Field(self.m), self.k_symbols)
 
     def with_k(self, k_symbols: int) -> "PipelineConfig":
         return replace(self, k_symbols=k_symbols)

@@ -167,9 +167,9 @@ def extract(bits, key: ReliableKey) -> np.ndarray:
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 1:
         raise DimensionMismatchError("bit vector must be 1-D")
-    if key.indices and key.indices[-1] >= arr.size:
-        raise IndexError(
-            f"key index {key.indices[-1]} out of range for {arr.size} bits"
+    if key.dimension != arr.size:
+        raise DimensionMismatchError(
+            f"key is for {key.dimension} dimensions, got {arr.size} bits"
         )
     return arr[list(key.indices)]
 
@@ -207,4 +207,7 @@ def key_from_text(text: str) -> ReliableKey:
         raise ParseError(f"malformed key file: {exc}") from exc
     if len(indices) != count:
         raise ParseError(f"key file lists {len(indices)} indices, header says {count}")
-    return ReliableKey(indices=indices, dimension=d, nonce=nonce)
+    try:
+        return ReliableKey(indices=indices, dimension=d, nonce=nonce)
+    except (IndexError, ValueError) as exc:
+        raise ParseError(f"invalid key file: {exc}") from exc

@@ -3,15 +3,19 @@
 Records and keys are deliberately kept apart: the template database holds
 only hashed records (``templates/<subject>.rec``) while the keystore holds
 the matcher-local reliable keys (``keys/<subject>.key``). Single writer per
-store; concurrent readers are fine.
+store; concurrent readers are fine. A save writes a temporary file in the
+store directory, syncs it and renames it over the target, so a reader or a
+crash sees either the old file or the new one, never a partial write.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import tempfile
 from pathlib import Path
 
-from .errors import DuplicateSubjectError, SubjectNotFoundError
+from .errors import DuplicateSubjectError, ParameterMismatchError, SubjectNotFoundError
 from .quantizer import ReliableKey, key_from_text, key_to_text
 from .sketch import EnrollmentRecord, record_from_text, record_to_text
 
@@ -40,7 +44,17 @@ class _FileStore:
         target = self._file(subject_id)
         if target.exists() and not overwrite:
             raise DuplicateSubjectError(f"{subject_id!r} already stored in {self.path}")
-        target.write_text(text)
+        # The ".tmp" suffix keeps a leftover out of subjects().
+        fd, tmp = tempfile.mkstemp(dir=self.path, prefix=f".{target.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def _load_text(self, subject_id: str) -> str:
         target = self._file(subject_id)
@@ -70,7 +84,13 @@ class TemplateDb(_FileStore):
         self._save_text(subject_id, record_to_text(record), overwrite)
 
     def load(self, subject_id: str) -> EnrollmentRecord:
-        return record_from_text(self._load_text(subject_id))
+        """The subject's record; a record enrolled for another id is refused."""
+        record = record_from_text(self._load_text(subject_id))
+        if record.subject_id != subject_id:
+            raise ParameterMismatchError(
+                f"record stored as {subject_id!r} was enrolled for {record.subject_id!r}"
+            )
+        return record
 
 
 class KeyStore(_FileStore):

@@ -101,6 +101,42 @@ def test_auth_against_missing_record_is_runtime_error(dataset_csv, tmp_path, cap
     assert rc == cli.EXIT_RUNTIME
 
 
+def test_record_copied_to_another_subject_is_refused(dataset_csv, tmp_path, capsys):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    for store_dir, suffix in (("templates", ".rec"), ("keys", ".key")):
+        src = tmp_path / store_dir / f"s0000{suffix}"
+        (tmp_path / store_dir / f"s0001{suffix}").write_text(src.read_text())
+    rc = cli.main(["auth", "--subject", "s0001", "--probe-subject", "s0000",
+                   "--probe-sample", "1"] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "ACCEPT" not in captured.out
+    assert "enrolled for 's0000'" in captured.err
+
+
+def test_auth_with_other_dimension_than_key_is_runtime_error(dataset_csv, tmp_path, capsys):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0004"] + flags) == cli.EXIT_OK
+    flags[flags.index("--out-dim") + 1] = "30"
+    rc = cli.main(["auth", "--subject", "s0004", "--probe-sample", "1"] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "key is for 128 dimensions" in captured.err
+
+
+def test_key_index_beyond_dimension_is_runtime_error(dataset_csv, tmp_path, capsys):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0004"] + flags) == cli.EXIT_OK
+    indices = [str(i) for i in range(20)] + ["99"]
+    (tmp_path / "keys" / "s0004.key").write_text(
+        "\n".join(["biosketch-key v1", "d=64", "G=21", "nonce=0"] + indices) + "\n")
+    rc = cli.main(["auth", "--subject", "s0004", "--probe-sample", "1"] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "invalid key file" in captured.err
+
+
 def test_eval_writes_curve_csv(dataset_csv, tmp_path, capsys):
     out = tmp_path / "curve.csv"
     rc = cli.main([

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from biosketch.errors import (
-    FieldMismatchError,
-    NonPrimitivePolynomialError,
-    UnsupportedSymbolSizeError,
-)
+from biosketch.errors import NonPrimitivePolynomialError, UnsupportedSymbolSizeError
 from biosketch.gf import DEFAULT_PRIMITIVE_POLY, MAX_M, MIN_M, Field
+from biosketch.rs import RsCode
 
-from reference import element_order, slow_gf_mul
+from reference import element_order, slow_gf_inv, slow_gf_mul
 
 ALL_M = range(MIN_M, MAX_M + 1)
 
@@ -71,90 +68,60 @@ def test_exp_table_period_and_log_inverse(m):
         assert field.exp_table[i + order] == field.exp_table[i]
 
 
+def codec_product(m):
+    """The codec's branch-free product on its zero-sentinel tables."""
+    code = RsCode(Field(m), 1)
+    exp, log = code.exp_table, code.log_table
+    return lambda a, b: exp[log[a] + log[b]]
+
+
 @pytest.mark.parametrize("m", [3, 4])
 def test_table_mul_matches_shift_and_reduce_exhaustively(m):
-    field = Field(m)
-    for a in range(field.size):
-        for b in range(field.size):
-            assert field.mul(a, b) == slow_gf_mul(a, b, field.primitive_poly, m)
+    mul = codec_product(m)
+    poly = DEFAULT_PRIMITIVE_POLY[m]
+    for a in range(1 << m):
+        for b in range(1 << m):
+            assert mul(a, b) == slow_gf_mul(a, b, poly, m)
 
 
-def test_add_is_xor_and_involutive(gf8):
-    assert gf8.add(0b101, 0b011) == 0b110
+def test_mul_identity_and_alpha_powers():
+    mul = codec_product(3)
     for a in range(8):
-        assert gf8.add(a, a) == 0
-        assert gf8.add(a, 0) == a
-
-
-def test_mul_identity_and_alpha_powers(gf8):
-    for a in range(8):
-        assert gf8.mul(a, 1) == a
+        assert mul(a, 1) == a
     # alpha * alpha^2 = alpha^3 = x + 1
-    assert gf8.mul(2, gf8.mul(2, 2)) == 0b011
-    assert gf8.pow(2, 7) == 1
+    assert mul(2, mul(2, 2)) == 0b011
+    assert mul(mul(0b011, mul(2, 2)), mul(2, 2)) == 1  # alpha^7
 
 
 def test_inverse_everywhere():
+    # Forney divides in log form: a / b = alpha^(log a - log b mod N).
     for m in ALL_M:
-        field = Field(m)
-        for a in range(1, field.size):
-            assert field.mul(a, field.inv(a)) == 1
-        with pytest.raises(ZeroDivisionError):
-            field.inv(0)
-        with pytest.raises(ZeroDivisionError):
-            field.div(1, 0)
-
-
-def test_pow_edge_cases(gf8):
-    assert gf8.pow(0, 0) == 1
-    assert gf8.pow(0, 5) == 0
-    assert gf8.pow(3, 0) == 1
-    assert gf8.pow(3, -1) == gf8.inv(3)
-    with pytest.raises(ZeroDivisionError):
-        gf8.pow(0, -1)
+        code = RsCode(Field(m), 1)
+        exp, log, order = code.exp_table, code.log_table, code.n_symbols
+        nonzero = np.arange(1, 1 << m)
+        inverse = exp[(order - log[nonzero]) % order]
+        assert np.all(exp[log[nonzero] + log[inverse]] == 1)
+        poly = DEFAULT_PRIMITIVE_POLY[m]
+        for a in range(1, min(1 << m, 64)):
+            assert inverse[a - 1] == slow_gf_inv(a, poly, m)
 
 
 @pytest.mark.parametrize("m", ALL_M)
 def test_field_laws_random_triples(m):
-    field = Field(m)
+    mul = codec_product(m)
     rng = np.random.default_rng(1000 + m)
-    triples = rng.integers(0, field.size, size=(10_000, 3))
-    mul, add = field.mul, field.add
-    for a, b, c in triples.tolist():
-        assert mul(a, mul(b, c)) == mul(mul(a, b), c)
-        assert mul(a, b) == mul(b, a)
-        assert add(a, b) == add(b, a)
-        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    a, b, c = rng.integers(0, 1 << m, size=(3, 10_000))
+    assert np.array_equal(mul(a, mul(b, c)), mul(mul(a, b), c))
+    assert np.array_equal(mul(a, b), mul(b, a))
+    assert np.array_equal(mul(a, b ^ c), mul(a, b) ^ mul(a, c))
+    poly = DEFAULT_PRIMITIVE_POLY[m]
+    for x, y in zip(a[:200].tolist(), b[:200].tolist()):
+        assert mul(x, y) == slow_gf_mul(x, y, poly, m)
 
 
 @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))
 def test_field_laws_hypothesis(a, b, c):
-    field = Field(3)
-    assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
-    assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-
-
-class TestFieldElement:
-    def test_operators(self, gf8):
-        a = gf8.element(0b101)
-        b = gf8.element(0b011)
-        assert int(a + b) == 0b110
-        assert int(a * b) == gf8.mul(0b101, 0b011)
-        assert int(a / b) == gf8.div(0b101, 0b011)
-        assert int(a ** 7) == gf8.pow(0b101, 7)
-        assert int(a * a.inverse()) == 1
-
-    def test_field_mismatch(self, gf8):
-        other = Field(4)
-        with pytest.raises(FieldMismatchError):
-            gf8.element(1) + other.element(1)
-        with pytest.raises(FieldMismatchError):
-            gf8.element(1) * other.element(1)
-
-    def test_same_parameters_compatible(self, gf8):
-        clone = Field(3)
-        assert int(gf8.element(5) + clone.element(3)) == 6
-
-    def test_out_of_range_value(self, gf8):
-        with pytest.raises(ValueError):
-            gf8.element(8)
+    mul = codec_product(3)
+    assert mul(a, b ^ c) == mul(a, b) ^ mul(a, c)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, b) == slow_gf_mul(a, b, DEFAULT_PRIMITIVE_POLY[3], 3)

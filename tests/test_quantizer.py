@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,14 @@ from biosketch.errors import (
     DimensionMismatchError,
     InsufficientDataError,
     ParseError,
+)
+from biosketch.pipeline import (
+    PipelineConfig,
+    build_weights,
+    enroll_split,
+    enroll_vectors,
+    fuse_dataset,
+    population_from_fused,
 )
 from biosketch.quantizer import (
     ReliableKey,
@@ -20,8 +29,11 @@ from biosketch.quantizer import (
     select_reliable,
     user_stats,
 )
+from biosketch.sketch import record_to_text
+from biosketch.synth import gen_population
 
 from reference import normal_cdf
+from test_acceptance import GOLDEN_DATASET
 
 
 def make_pop(vectors, ids=None):
@@ -161,7 +173,7 @@ class TestExtract:
 
     def test_out_of_range(self):
         key = ReliableKey(indices=(0, 9), dimension=10, nonce=0)
-        with pytest.raises(IndexError):
+        with pytest.raises(DimensionMismatchError):
             extract(np.zeros(5, dtype=np.uint8), key)
 
     def test_repeated_extraction_identical(self):
@@ -218,3 +230,39 @@ class TestKeyFile:
     def test_roundtrip_hypothesis(self, indices, nonce):
         key = ReliableKey(indices=tuple(sorted(indices)), dimension=100, nonce=nonce)
         assert key_from_text(key_to_text(key)) == key
+
+
+class TestEnrollmentDeterminism:
+    """Key and record files of every golden subject, pinned by one SHA-256.
+
+    Recorded before the package's scalar field arithmetic was removed. Key
+    selection ranks dimensions by Phi, so an implementation of Phi whose
+    float ties fall differently just below 1.0 (0.5 * erfc(-z / sqrt 2) in
+    place of scipy's ndtr) changes every m=8 key and fails this test.
+    """
+
+    PINNED = {
+        (8, 1, 4096, "fca"): "28e2fd2e46b83efaecb7a740ca18a16d476f03e0955a94fae2d3d7e969211522",
+        (5, 16, 1024, "fca"): "f96431ab4894d0115474332e6f420f28343988933a24aadb83785141cc578ecb",
+        (5, 16, 1024, "bla"): "08c53c91c634d299cd7de3afb22e5041d59e0664002844fdcb524f44e1f58509",
+    }
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return gen_population(**GOLDEN_DATASET)
+
+    @pytest.mark.parametrize("m,k_symbols,out_dim,fusion_mode", sorted(PINNED))
+    def test_key_and_record_files_unchanged(self, dataset, m, k_symbols, out_dim,
+                                            fusion_mode):
+        config = PipelineConfig(m=m, k_symbols=k_symbols, out_dim=out_dim, seed=101,
+                                fusion_mode=fusion_mode)
+        fused = fuse_dataset(dataset, build_weights(config, dataset.d_face, dataset.d_iris))
+        pop = population_from_fused(fused)
+        code = config.build_code()
+        digest = hashlib.sha256()
+        for sid, mat in fused.items():
+            enrollment = enroll_vectors(config, code, mat[:enroll_split(mat.shape[0])],
+                                        pop, subject_id=sid)
+            digest.update(key_to_text(enrollment.key).encode())
+            digest.update(record_to_text(enrollment.record).encode())
+        assert digest.hexdigest() == self.PINNED[m, k_symbols, out_dim, fusion_mode]

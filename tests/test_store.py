@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,25 @@ def test_subject_listing(db, record):
     db.save("bob", record)
     db.save("alice", record)
     assert db.subjects() == ["alice", "bob"]
+
+
+def test_failed_replace_keeps_previous_file(db, record, rs_7_3, monkeypatch):
+    db.save("u1", record)
+    path = db.path / "u1.rec"
+    before = path.read_bytes()
+    newer = enroll_ss(np.ones(21, dtype=np.uint8), rs_7_3,
+                      DecodePolicy.FALLBACK_SYSTEMATIC, bytes(16), subject_id="u1")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        db.save("u1", newer, overwrite=True)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in db.path.iterdir()) == ["u1.rec"]
+    assert db.subjects() == ["u1"]
+    monkeypatch.undo()
+    db.save("u1", newer, overwrite=True)
+    assert db.load("u1") == newer
+    assert sorted(p.name for p in db.path.iterdir()) == ["u1.rec"]
