@@ -18,7 +18,7 @@ import argparse
 import sys
 
 from . import evaluate, oracle, store, synth
-from .errors import BiosketchError
+from .errors import BiosketchError, DuplicateSubjectError
 from .fusion import load_weights
 from .pipeline import (
     PipelineConfig,
@@ -149,15 +149,22 @@ def cmd_enroll(args) -> int:
     subject = _resolve(args, "subject", str, required=True)
     if subject not in fused:
         raise BiosketchError(f"subject {subject!r} not in dataset")
+    db = store.TemplateDb(_resolve(args, "templates_dir", str, default="templates"))
+    ks = store.KeyStore(_resolve(args, "keys_dir", str, default="keys"))
+    overwrite = bool(getattr(args, "overwrite", False))
+    if not overwrite:
+        for existing in (db, ks):
+            if existing.exists(subject):
+                raise DuplicateSubjectError(
+                    f"{subject!r} already stored in {existing.path}")
     code = config.build_code()
     mat = fused[subject]
     enr = enroll_vectors(config, code, mat[: enroll_split(mat.shape[0])], pop,
                          subject_id=subject)
-    db = store.TemplateDb(_resolve(args, "templates_dir", str, default="templates"))
-    ks = store.KeyStore(_resolve(args, "keys_dir", str, default="keys"))
-    overwrite = bool(getattr(args, "overwrite", False))
-    db.save(subject, enr.record, overwrite=overwrite)
+    # Key first: a record on disk always has its key, so an interrupted
+    # enroll leaves at most a stray key, which never authenticates.
     ks.save(subject, enr.key, overwrite=overwrite)
+    db.save(subject, enr.record, overwrite=overwrite)
     print(f"enrolled {subject}: scheme={enr.record.scheme} m={config.m} "
           f"K={config.k_symbols} G={config.reliable_count}")
     return EXIT_OK
@@ -179,7 +186,7 @@ def cmd_auth(args) -> int:
     record = db.load(subject)
     key = ks.load(subject)
     r_b = probe_bits(mat[sample], pop, key)
-    decision = authenticate(r_b, record)
+    decision = authenticate(r_b, record, config.build_code())
     if decision.accepted:
         print(f"ACCEPT ({decision.reason.value})")
         return EXIT_OK

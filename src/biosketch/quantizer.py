@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DimensionMismatchError, InsufficientDataError, ParseError
 
@@ -125,6 +124,9 @@ def reliability(user: UserStats, pop: PopulationStats) -> np.ndarray:
         raise DimensionMismatchError(
             f"user dimension {user.dimension} != population {pop.dimension}"
         )
+    # Deferred: auth never ranks components, and scipy.special doubles the import time.
+    from scipy.special import ndtr
+
     z = np.abs(user.mean - pop.median) / np.maximum(user.std, SIGMA_FLOOR)
     return ndtr(z)
 

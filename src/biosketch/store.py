@@ -55,6 +55,12 @@ class _FileStore:
         except BaseException:
             os.unlink(tmp)
             raise
+        # Sync the directory too, so the rename itself survives a crash.
+        dir_fd = os.open(self.path, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
     def _load_text(self, subject_id: str) -> str:
         target = self._file(subject_id)
@@ -106,9 +112,14 @@ class KeyStore(_FileStore):
 
 
 def revoke(db: TemplateDb, keystore: KeyStore, subject_id: str):
-    """Delete a subject's record and key; re-enrollment needs a fresh nonce."""
-    if not db.exists(subject_id):
+    """Delete a subject's record, then its key; re-enrollment needs a fresh nonce.
+
+    Whichever of the two exists is deleted, so a stray key or record left by
+    an interrupted enroll or revoke can be cleared. Only a subject with
+    neither file is unknown.
+    """
+    stores = [s for s in (db, keystore) if s.exists(subject_id)]
+    if not stores:
         raise SubjectNotFoundError(f"{subject_id!r} is not enrolled")
-    db.delete(subject_id)
-    if keystore.exists(subject_id):
-        keystore.delete(subject_id)
+    for s in stores:
+        s.delete(subject_id)

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import biosketch
 from biosketch import cli
 
 
@@ -221,3 +224,114 @@ def test_console_entrypoint_runs():
     assert proc.returncode == 0
     assert "m=6 N=63 n=378" in proc.stdout
     assert "rate=0.1429" in proc.stdout
+
+
+def test_auth_process_never_imports_scipy(dataset_csv, tmp_path):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    argv = ["auth", "--subject", "s0000", "--probe-sample", "1"] + flags
+    script = (
+        "import sys, biosketch, biosketch.cli\n"
+        f"rc = biosketch.cli.main({argv!r})\n"
+        "print('scipy', any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
+        "sys.exit(rc)\n"
+    )
+    src = str(Path(biosketch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert "ACCEPT (hash-match)" in proc.stdout
+    assert "scipy False" in proc.stdout
+
+
+@pytest.mark.parametrize("option,value", [("--k-symbols", "3"), ("--k-symbols", "9"),
+                                          ("--m", "4")])
+def test_auth_code_flags_contradicting_record_are_runtime_error(
+        dataset_csv, tmp_path, capsys, option, value):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    flags[flags.index(option) + 1] = value
+    rc = cli.main(["auth", "--subject", "s0000", "--probe-sample", "1"] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "ACCEPT" not in captured.out
+    assert "error:" in captured.err
+
+
+def _store_flags(tmp_path):
+    return ["--templates-dir", str(tmp_path / "templates"),
+            "--keys-dir", str(tmp_path / "keys")]
+
+
+def _store_files(tmp_path):
+    return {p.relative_to(tmp_path).as_posix(): p.read_bytes()
+            for d in ("templates", "keys") for p in sorted((tmp_path / d).iterdir())}
+
+
+@pytest.mark.parametrize("left", ["keys/s0000.key", "templates/s0000.rec"])
+def test_revoke_clears_a_stray_file(dataset_csv, tmp_path, capsys, left):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    for name in ("keys/s0000.key", "templates/s0000.rec"):
+        if name != left:
+            (tmp_path / name).unlink()
+    assert cli.main(["revoke", "--subject", "s0000"] + _store_flags(tmp_path)) == cli.EXIT_OK
+    assert _store_files(tmp_path) == {}
+    rc = cli.main(["revoke", "--subject", "s0000"] + _store_flags(tmp_path))
+    assert rc == cli.EXIT_RUNTIME
+    assert "not enrolled" in capsys.readouterr().err
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("left", ["keys/s0000.key", "templates/s0000.rec"])
+def test_enroll_over_a_stray_file_writes_nothing(dataset_csv, tmp_path, capsys, left):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    for name in ("keys/s0000.key", "templates/s0000.rec"):
+        if name != left:
+            (tmp_path / name).unlink()
+    before = _store_files(tmp_path)
+    assert list(before) == [left]
+    flags[flags.index("--seed") + 1] = "8"
+    rc = cli.main(["enroll", "--subject", "s0000"] + flags)
+    assert rc == cli.EXIT_RUNTIME
+    assert "already stored" in capsys.readouterr().err
+    assert _store_files(tmp_path) == before
+
+
+@pytest.mark.parametrize("scheme", ["ss", "fc"])
+def test_cli_output_carries_no_secrets(dataset_csv, tmp_path, capfd, scheme):
+    flags = pipeline_flags(dataset_csv, tmp_path) + ["--scheme", scheme]
+    outputs = []
+
+    def run(argv, expected):
+        assert cli.main(argv) == expected
+        captured = capfd.readouterr()
+        outputs.extend([captured.out, captured.err])
+
+    run(["enroll", "--subject", "s0000"] + flags, cli.EXIT_OK)
+    key_text = (tmp_path / "keys" / "s0000.key").read_text()
+    record_text = (tmp_path / "templates" / "s0000.rec").read_text()
+    run(["auth", "--subject", "s0000", "--probe-sample", "1"] + flags, cli.EXIT_OK)
+    run(["auth", "--subject", "s0000", "--probe-subject", "s0004",
+         "--probe-sample", "2"] + flags, cli.EXIT_DENY)
+    wrong_dim = list(flags)
+    wrong_dim[wrong_dim.index("--out-dim") + 1] = "30"
+    run(["auth", "--subject", "s0000", "--probe-sample", "1"] + wrong_dim, cli.EXIT_RUNTIME)
+    run(["revoke", "--subject", "s0000"] + _store_flags(tmp_path), cli.EXIT_OK)
+    assert outputs[0].startswith("enrolled s0000")
+
+    fields = dict(line.split("=", 1) for line in (key_text + record_text).splitlines()
+                  if "=" in line)
+    secrets = [fields["nonce"], fields["salt"], fields["digest"]]
+    if scheme == "fc":
+        secrets.append(fields["offset"])
+    indices = [line for line in key_text.splitlines()[4:] if line]
+    for start in range(len(indices) - 4):
+        run_of_five = indices[start:start + 5]
+        secrets.extend(sep.join(run_of_five) for sep in ("\n", ",", ", ", " "))
+    for text in outputs:
+        for secret in secrets:
+            assert secret not in text

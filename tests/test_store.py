@@ -128,3 +128,27 @@ def test_failed_replace_keeps_previous_file(db, record, rs_7_3, monkeypatch):
     db.save("u1", newer, overwrite=True)
     assert db.load("u1") == newer
     assert sorted(p.name for p in db.path.iterdir()) == ["u1.rec"]
+
+
+@pytest.mark.parametrize("stray", ["record", "key"])
+def test_revoke_removes_a_stray_file(db, keystore, record, key, stray):
+    db.save("u1", record)
+    keystore.save("u1", key)
+    (keystore if stray == "record" else db).delete("u1")
+    revoke(db, keystore, "u1")
+    assert not db.exists("u1") and not keystore.exists("u1")
+    with pytest.raises(SubjectNotFoundError):
+        revoke(db, keystore, "u1")
+
+
+def test_save_fsyncs_store_directory(db, record, monkeypatch):
+    real_fsync = os.fsync
+    synced = []
+
+    def recording_fsync(fd):
+        synced.append(os.path.samestat(os.fstat(fd), os.stat(db.path)))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    db.save("u1", record)
+    assert synced == [False, True]
