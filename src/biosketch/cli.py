@@ -18,7 +18,7 @@ import argparse
 import sys
 
 from . import evaluate, oracle, store, synth
-from .errors import BiosketchError, DuplicateSubjectError
+from .errors import BiosketchError, DuplicateSubjectError, ParameterMismatchError
 from .fusion import load_weights
 from .pipeline import (
     PipelineConfig,
@@ -79,6 +79,15 @@ def _resolve(args, name, cast, default=None, required=False):
     return cast(value)
 
 
+def _choice(args, name, table, default):
+    # argparse checks the flags; a --config value reaches here unchecked.
+    value = _resolve(args, name, str, default=default)
+    if value not in table:
+        raise BiosketchError(
+            f"--{name} must be one of {', '.join(sorted(table))}, got {value!r}")
+    return table[value]
+
+
 def _pipeline_config(args) -> PipelineConfig:
     m = _resolve(args, "m", int, required=True)
     k_symbols = _resolve(args, "k_symbols", int)
@@ -87,8 +96,8 @@ def _pipeline_config(args) -> PipelineConfig:
         if security is None:
             raise BiosketchError("need --k-symbols or --security")
         k_symbols = evaluate.params_for_security(m, security).k_symbols
-    scheme = _SCHEMES[_resolve(args, "scheme", str, default="ss")]
-    policy = _POLICIES[_resolve(args, "policy", str, default="fallback")]
+    scheme = _choice(args, "scheme", _SCHEMES, "ss")
+    policy = _choice(args, "policy", _POLICIES, "fallback")
     return PipelineConfig(
         m=m,
         k_symbols=k_symbols,
@@ -184,6 +193,13 @@ def cmd_auth(args) -> int:
     db = store.TemplateDb(_resolve(args, "templates_dir", str, default="templates"))
     ks = store.KeyStore(_resolve(args, "keys_dir", str, default="keys"))
     record = db.load(subject)
+    # Given explicitly or in --config, scheme and policy must be the record's.
+    for name, given, stored in (("scheme", config.scheme, record.scheme),
+                                ("policy", config.policy.value, record.params.policy.value)):
+        if getattr(args, name) is not None and given != stored:
+            raise ParameterMismatchError(
+                f"--{name} {getattr(args, name)} contradicts the record of "
+                f"{subject!r} ({stored})")
     key = ks.load(subject)
     r_b = probe_bits(mat[sample], pop, key)
     decision = authenticate(r_b, record, config.build_code())

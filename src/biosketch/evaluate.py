@@ -12,7 +12,10 @@ The false accept rate is measured under two scenarios: ``zero-effort``
 record) and ``stolen-key`` (impostor biometric, victim's key). For the
 stolen-key scenario the impostor bit source is either ``uniform`` fair coin
 flips, which makes the analytic law 2^(-K*m) exact for the total decode
-map, or ``dataset`` vectors from the other subjects.
+map, or ``dataset`` vectors from the other subjects. The uniform trials of
+a block are drawn in one call whose bits are those of one
+``rng.integers(0, 2, ...)`` draw per trial, so the rates do not depend on
+how the trials are drawn.
 
 Security is counted in message bits k = K * m; sweeping K at fixed m yields
 the GAR-security trade-off curve, written as CSV with the header
@@ -191,6 +194,21 @@ def _accepts(probes: np.ndarray, record, code) -> int:
         return 0
 
 
+def _uniform_bit_rows(rng: np.random.Generator, rows: int, n_bits: int) -> np.ndarray:
+    """(rows, n_bits) fair bits, equal to ``rows`` draws in a row of
+    ``rng.integers(0, 2, size=n_bits, dtype=np.uint8)``, in one call.
+
+    numpy draws each bounded uint8 from the next byte of a buffered uint32,
+    low byte first, and keeps its top bit for the range {0, 1}; every call
+    starts on a fresh uint32. So row i is the top bits of the first n_bits
+    bytes of uint32s i*w .. (i+1)*w - 1, w = ceil(n_bits / 4), and the
+    generator ends in the same state as after the per-row loop.
+    """
+    w = -(-n_bits // 4)
+    raw = rng.integers(0, 1 << 32, size=rows * w, dtype=np.uint32)
+    return raw.astype("<u4", copy=False).view(np.uint8).reshape(rows, 4 * w)[:, :n_bits] >> 7
+
+
 def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
                   scenario: str, trials: int, seed,
                   impostor_bits: str = "uniform") -> float:
@@ -202,7 +220,10 @@ def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
 
     Trial i probes victim i mod (enrolled subjects). The probes are drawn
     in trial order, then each victim's trials of a block are decided in one
-    ``authenticate_batch``.
+    ``authenticate_batch``. Uniform probes of a block come from one
+    ``_uniform_bit_rows`` call, which gives the bits and the generator
+    state of one ``rng.integers(0, 2, size=n_bits, dtype=np.uint8)`` per
+    trial.
     """
     if scenario not in (SCENARIO_ZERO_EFFORT, SCENARIO_STOLEN_KEY):
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -218,11 +239,9 @@ def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
     if len(sids) < 2:
         raise InsufficientDataError("need >= 2 enrolled subjects")
     rng = derive_rng(seed, "far", scenario, impostor_bits)
-    n_bits = prep.code.n_bits
+    uniform = scenario == SCENARIO_STOLEN_KEY and impostor_bits == "uniform"
 
     def probe(trial: int) -> np.ndarray:
-        if scenario == SCENARIO_STOLEN_KEY and impostor_bits == "uniform":
-            return rng.integers(0, 2, size=n_bits, dtype=np.uint8)
         victim = sids[trial % len(sids)]
         others = [s for s in sids if s != victim]
         impostor = others[int(rng.integers(len(others)))]
@@ -234,7 +253,11 @@ def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
 
     accepts = 0
     for lo in range(0, trials, _FAR_BLOCK):
-        probes = np.stack([probe(trial) for trial in range(lo, min(trials, lo + _FAR_BLOCK))])
+        block = range(lo, min(trials, lo + _FAR_BLOCK))
+        if uniform:
+            probes = _uniform_bit_rows(rng, len(block), prep.code.n_bits)
+        else:
+            probes = np.stack([probe(trial) for trial in block])
         for j, sid in enumerate(sids):
             rows = probes[(j - lo) % len(sids)::len(sids)]
             accepts += _accepts(rows, prep.enrollments[sid].record, prep.code)

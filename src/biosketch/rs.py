@@ -30,8 +30,11 @@ Each of syndromes, Chien search and parity is then one gather of
 a batch at once. ``decode_batch`` decodes a (B, N) array of words:
 
 1. syndromes of every row; rows with zero syndromes are exact codewords;
-2. Berlekamp-Massey for the error locator, per remaining row, in pure
-   Python over the tables as lists;
+2. Berlekamp-Massey for the error locator of every remaining row: with
+   at least ``_BM_LOCKSTEP`` such rows, in numpy over all of them in
+   lockstep, in the log domain; with fewer, per row in pure Python over
+   the tables as lists, which costs less than a numpy call per step. Both
+   give the same locator, and its degree is read from its coefficients;
 3. Chien search of every locator of degree <= t over all N points;
 4. Forney for the error magnitudes, then a syndrome re-check of every
    corrected row;
@@ -71,6 +74,10 @@ from .gf import Field
 
 # Elements per batched gather: bounds the intp index temporary to ~2 MB.
 _CHUNK = 1 << 18
+
+# Pending rows from which Berlekamp-Massey runs in lockstep over the batch;
+# below it the per-row list BM is faster.
+_BM_LOCKSTEP = 8
 
 
 class DecodePolicy(str, Enum):
@@ -287,15 +294,24 @@ class RsCode:
         """
         n, t = self.n_symbols, self.t
         exp, log = self.exp_table, self.log_table
-        exp_list, log_list = exp.tolist(), log.tolist()
-        sigmas = [_berlekamp_massey(s, exp_list, log_list) for s in synd.tolist()]
-        degree = np.array([len(s) - 1 for s in sigmas], dtype=np.int64)
+        if len(synd) >= _BM_LOCKSTEP:
+            # Row chunks keep each (rows, N-K+1) intp state array near 2 MB.
+            step = max(_BM_LOCKSTEP, _CHUNK // synd.shape[1])
+            parts = [self._berlekamp_massey_rows(synd[lo:lo + step])
+                     for lo in range(0, len(synd), step)]
+            sigma = np.concatenate([p[0] for p in parts])
+            degree = np.concatenate([p[1] for p in parts])
+        else:
+            exp_list, log_list = exp.tolist(), log.tolist()
+            sigmas = [_berlekamp_massey(s, exp_list, log_list) for s in synd.tolist()]
+            degree = np.array([len(s) - 1 for s in sigmas], dtype=np.int64)
+            sigma = np.zeros((len(sigmas), t + 1), dtype=exp.dtype)
+            for i, s in enumerate(sigmas):
+                if len(s) <= t + 1:
+                    sigma[i, :len(s)] = s
         ok = degree <= t
         rows = np.flatnonzero(ok)
-        sigma = np.zeros((len(rows), t + 1), dtype=exp.dtype)
-        for i, r in enumerate(rows):
-            sigma[i, : degree[r] + 1] = sigmas[r]
-        sigma_logs = log[sigma]
+        sigma_logs = log[sigma[rows, :t + 1]]
 
         # Chien search: roots alpha^-d of sigma mark errors at power x^d.
         roots = self._products(sigma_logs, self.chien_exponents) == 0
@@ -324,6 +340,58 @@ class RsCode:
         counts[rows] = np.bincount(row, weights=magnitude != 0,
                                    minlength=len(rows)).astype(np.int64)
         return fixed, counts, ok
+
+    def _berlekamp_massey_rows(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Error locators of every row of (B, N-K) syndromes, low to high.
+
+        Massey's algorithm, as ``_berlekamp_massey`` runs it, in lockstep
+        over the rows: every step is the same gathers on every row, and a
+        row whose discrepancy is zero adds nothing. Division by the last
+        discrepancy b is a subtraction of logs, so sigma is the list BM's
+        own, not a scalar multiple of it.
+
+        Returns the (B, N-K+1) coefficients and the degree of each row,
+        read from its highest nonzero coefficient as the list BM trims it.
+        The LFSR length can exceed that degree on a row that no error
+        pattern of weight <= t explains.
+        """
+        n_order = self.n_symbols
+        exp, log = self.exp_table, self.log_table
+        zero_log = log[0]
+        rows, npar = synd.shape
+        width = npar + 1
+        # Step n reads columns base .. base + w - 1 of both arrays below, with
+        # base = npar - 1 - n. synd_logs[:, c] = log S_(npar - c), so the
+        # window is S_(n+1), S_n, ...; the last column reads as zero.
+        synd_logs = np.full((rows, width), zero_log)
+        synd_logs[:, :npar] = log[synd[:, ::-1]]
+        # Logs of x^gap * B(x): B is sigma as of the last length change and
+        # gap the steps since; they start at B = 1, gap = 1. Lowering base
+        # by one each step multiplies by x for free.
+        shifted_logs = np.full((rows, width), zero_log)
+        shifted_logs[:, npar] = 0
+        sigma = np.zeros((rows, width), dtype=exp.dtype)
+        sigma[:, 0] = 1
+        length = np.zeros(rows, dtype=np.intp)
+        prev_delta_log = np.zeros(rows, dtype=np.intp)
+        for n in range(npar):
+            # At step n, deg sigma <= length <= n and deg x^gap B <= n + 1.
+            base, w = npar - 1 - n, min(n + 2, width)
+            sigma_logs = log[sigma[:, :w]]
+            delta = np.bitwise_xor.reduce(
+                exp[sigma_logs + synd_logs[:, base:base + w]], axis=1)
+            delta_log = log[delta]
+            live = delta != 0
+            # sigma += (delta / b) x^gap B; a zero delta adds nothing.
+            coef = np.where(live, (delta_log - prev_delta_log) % n_order, zero_log)
+            shifted = shifted_logs[:, base:base + w]
+            sigma[:, :w] ^= exp[shifted + coef[:, None]]
+            change = live & (length <= n // 2)
+            np.copyto(shifted, sigma_logs, where=change[:, None])
+            np.copyto(length, n + 1 - length, where=change)
+            np.copyto(prev_delta_log, delta_log, where=change)
+        degree = npar - np.argmax(sigma[:, ::-1] != 0, axis=1)
+        return sigma, degree
 
     def _omega(self, synd: np.ndarray, sigma_logs: np.ndarray) -> np.ndarray:
         """Error evaluator (S * sigma) mod x^t, low to high, per row.

@@ -260,6 +260,56 @@ def test_auth_code_flags_contradicting_record_are_runtime_error(
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("extra", [["--scheme", "fc"], ["--policy", "fail-deny"],
+                                   ["--scheme", "fc", "--policy", "fail-deny"]])
+def test_auth_scheme_or_policy_contradicting_record_is_runtime_error(
+        dataset_csv, tmp_path, capsys, extra):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    rc = cli.main(["auth", "--subject", "s0000", "--probe-sample", "1"] + flags + extra)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "ACCEPT" not in captured.out
+    assert "contradicts the record" in captured.err
+
+
+@pytest.mark.parametrize("line", ["scheme=fc", "policy=fail-deny"])
+def test_auth_config_file_contradicting_record_is_runtime_error(
+        dataset_csv, tmp_path, capsys, line):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    cfg = tmp_path / "auth.cfg"
+    cfg.write_text(line + "\n")
+    rc = cli.main(["auth", "--subject", "s0000", "--probe-sample", "1",
+                   "--config", str(cfg)] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "contradicts the record" in captured.err
+
+
+@pytest.mark.parametrize("scheme,policy", [("ss", "fallback"), ("fc", "fail-deny")])
+def test_auth_with_the_records_scheme_and_policy_or_none_accepts(
+        dataset_csv, tmp_path, capsys, scheme, policy):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    chosen = ["--scheme", scheme, "--policy", policy]
+    assert cli.main(["enroll", "--subject", "s0000"] + flags + chosen) == cli.EXIT_OK
+    for extra in (chosen, []):
+        rc = cli.main(["auth", "--subject", "s0000", "--probe-sample", "1"] + flags + extra)
+        assert rc == cli.EXIT_OK
+        assert "ACCEPT (hash-match)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["scheme=xx", "policy=never"])
+def test_unknown_scheme_or_policy_in_config_is_runtime_error(
+        dataset_csv, tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    rc = cli.main(["enroll", "--subject", "s0000", "--config", str(cfg)] + flags)
+    assert rc == cli.EXIT_RUNTIME
+    assert "must be one of" in capsys.readouterr().err
+
+
 def _store_flags(tmp_path):
     return ["--templates-dir", str(tmp_path / "templates"),
             "--keys-dir", str(tmp_path / "keys")]

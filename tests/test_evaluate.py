@@ -162,6 +162,29 @@ class TestEmpiricalFar:
         assert _accepts(np.zeros((3, 21), dtype=np.uint8), record, rs_7_3) == 3
 
 
+class TestUniformBitRows:
+    """The one-call uniform draw must be the per-trial draw it replaces.
+
+    It relies on how numpy draws bounded uint8s (top bit of each byte of
+    buffered uint32s); if numpy changes that method, this fails loudly."""
+
+    @pytest.mark.parametrize("n_bits", [21, 155, 378, 2040])
+    @pytest.mark.parametrize("rows", [1, 3, 50])
+    def test_equals_per_trial_draws(self, n_bits, rows):
+        loop_rng, block_rng = np.random.default_rng(17), np.random.default_rng(17)
+        # One odd-length draw first, so the block does not start word-aligned
+        # in the generator's 64-bit output.
+        for rng in (loop_rng, block_rng):
+            rng.integers(0, 2, size=5, dtype=np.uint8)
+        loop = np.stack([loop_rng.integers(0, 2, size=n_bits, dtype=np.uint8)
+                         for _ in range(rows)])
+        block = evaluate._uniform_bit_rows(block_rng, rows, n_bits)
+        assert block.shape == (rows, n_bits) and block.dtype == np.uint8
+        assert np.array_equal(block, loop)
+        assert block_rng.integers(1 << 62, size=4).tolist() == \
+            loop_rng.integers(1 << 62, size=4).tolist()
+
+
 class TestFarDeterminism:
     """Rates of the scalar per-trial loop, recorded before FAR trials were
     batched per victim (dataset seed 42, out_dim 256, config seed 5,

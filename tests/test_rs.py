@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biosketch import rs
 from biosketch.errors import LengthMismatchError
 from biosketch.gf import Field
 from biosketch.oracle import all_codewords, nearest_codeword
 from biosketch.rs import (
+    _BM_LOCKSTEP,
     BATCH_STATUSES,
     DecodePolicy,
     DecodeStatus,
@@ -15,6 +17,8 @@ from biosketch.rs import (
     symbols_to_bits,
 )
 from reference import (
+    _slow_berlekamp_massey,
+    error_patterns,
     slow_alpha_pow,
     slow_gf_mul,
     slow_rs_decode,
@@ -214,6 +218,23 @@ class TestOracleEquivalence:
             else:
                 assert out.status is DecodeStatus.FALLBACK
 
+    def test_exhaustive_spheres_in_one_batch(self, rs_7_3):
+        """Criterion 3(b)'s 50 x 1079 radius-t sphere words of RS(7,3), in
+        one fail-deny ``decode_batch``: every row decodes to its centre."""
+        codewords = all_codewords(rs_7_3).astype(np.int64)
+        patterns = np.array(list(error_patterns(7, 8, rs_7_3.t)))
+        assert patterns.shape == (1 + 49 + 1029, 7)
+        centres = codewords[np.random.default_rng(99).choice(len(codewords), size=50,
+                                                              replace=False)]
+        words = (centres[:, None, :] ^ patterns).reshape(-1, 7)
+        batch = rs_7_3.decode_batch(words, DecodePolicy.FAIL_DENY)
+        assert np.array_equal(batch.codeword, np.repeat(centres, len(patterns), axis=0))
+        weights = np.tile(np.count_nonzero(patterns, axis=1), len(centres))
+        assert np.array_equal(batch.error_count, weights)
+        statuses = np.where(weights == 0, BATCH_STATUSES.index(DecodeStatus.EXACT_CODEWORD),
+                            BATCH_STATUSES.index(DecodeStatus.CORRECTED))
+        assert np.array_equal(batch.status, statuses)
+
 
 def reference_outcome(code, word, policy):
     """(status, codeword, message, error_count) of the slow scalar decoder."""
@@ -306,6 +327,106 @@ class TestDifferential:
         for policy in DecodePolicy:
             assert outcome_fields(code.decode(word, policy)) == reference_outcome(
                 code, word, policy)
+
+
+def lockstep_spy(monkeypatch):
+    """Record the row count of every lockstep Berlekamp-Massey call."""
+    calls = []
+    original = RsCode._berlekamp_massey_rows
+
+    def spy(self, synd):
+        calls.append(len(synd))
+        return original(self, synd)
+
+    monkeypatch.setattr(RsCode, "_berlekamp_massey_rows", spy)
+    return calls
+
+
+class TestLockstepBerlekampMassey:
+    """``decode_batch`` with at least ``_BM_LOCKSTEP`` pending rows runs
+    Berlekamp-Massey in lockstep over them; with fewer, per row. Both must
+    give, row by row, what ``decode`` (a batch of one) and the slow
+    reference give, for every status mixed in one batch."""
+
+    # (k, per_class); K = N - 1 has t = 0 and K = N - 2 has t = 1. RS(255, 32)
+    # is checked against ``decode`` only: its reference decode takes ~0.2 s
+    # a word, and TestDifferential already ties ``decode`` to the reference.
+    CODES = {
+        3: [(1, 4), (3, 4), (5, 6), (6, 6)],
+        5: [(11, 4), (20, 4), (29, 6), (30, 6)],
+        6: [(17, 4), (61, 6), (62, 6)],
+        8: [(32, 3), (200, 3), (253, 6), (254, 6)],
+    }
+
+    @pytest.mark.parametrize("m", sorted(CODES))
+    def test_batches_equal_decode_and_reference(self, m, monkeypatch):
+        field = Field(m)
+        rng = np.random.default_rng(2000 + m)
+        calls = lockstep_spy(monkeypatch)
+        seen = set()
+        for k, per_class in self.CODES[m]:
+            code = RsCode(field, k)
+            words = differential_words(code, rng, per_class)
+            expected = {policy: [code.decode(w, policy) for w in words]
+                        for policy in DecodePolicy}
+            if (m, k) != (8, 32):
+                for i, word in enumerate(words):
+                    ref = reference_outcome(code, word, DecodePolicy.FALLBACK_SYSTEMATIC)
+                    assert outcome_fields(expected[DecodePolicy.FALLBACK_SYSTEMATIC][i]) == ref
+                    assert outcome_fields(expected[DecodePolicy.FAIL_DENY][i]) == (
+                        ("failure", None, None, None) if ref[0] == "fallback" else ref)
+            pending = [i for i, w in enumerate(words) if any(code.syndromes(w))]
+            exact = [i for i in range(len(words)) if i not in pending]
+            assert len(pending) > _BM_LOCKSTEP
+            for count in (_BM_LOCKSTEP - 1, _BM_LOCKSTEP, len(pending)):
+                rows = rng.permutation(pending[:count] + exact)
+                for policy in DecodePolicy:
+                    del calls[:]
+                    batch = code.decode_batch(np.array([words[i] for i in rows]), policy)
+                    assert calls == ([count] if count >= _BM_LOCKSTEP else [])
+                    for j, i in enumerate(rows):
+                        assert batch.outcome(j) == expected[policy][i], (m, k, count, words[i])
+                        seen.add(expected[policy][i].status)
+        assert seen == set(DecodeStatus)
+
+    def test_row_chunks_decode_as_one_batch(self, monkeypatch):
+        code = RsCode(Field(5), 11)
+        rng = np.random.default_rng(4000)
+        words = np.array(differential_words(code, rng, 25))
+        whole = code.decode_batch(words)
+        pending = int(whole.status.astype(bool).sum())
+        assert pending > 30
+        chunk = _BM_LOCKSTEP + 2
+        calls = lockstep_spy(monkeypatch)
+        monkeypatch.setattr(rs, "_CHUNK", chunk * code.num_parity)
+        chunked = code.decode_batch(words)
+        assert calls == [chunk] * (pending // chunk) + [pending % chunk] * (pending % chunk > 0)
+        for a, b in zip(whole, chunked):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("m,k", [(3, 1), (3, 5), (3, 6), (5, 20), (6, 61), (8, 200),
+                                     (8, 254)])
+    def test_locators_equal_reference(self, m, k):
+        """sigma and its degree, including rows where the degree is below
+        the LFSR length: syndromes (s, 0, .., 0) leave sigma = 1 at length 1."""
+        field = Field(m)
+        code = RsCode(field, k)
+        rng = np.random.default_rng(3000 + m + k)
+        npar = code.num_parity
+        uniform = rng.integers(0, field.size, size=(40, code.n_symbols))
+        synd = code._syndromes(uniform.astype(code.exp_table.dtype))
+        single = np.zeros((2 * npar, npar), dtype=synd.dtype)
+        single[np.arange(2 * npar), np.arange(2 * npar) % npar] = rng.integers(
+            1, field.size, size=2 * npar)
+        synd = np.concatenate([synd[synd.any(axis=1)], single])
+        sigma, degree = code._berlekamp_massey_rows(synd)
+        assert sigma.shape == (len(synd), npar + 1)
+        for row, s, deg in zip(sigma.tolist(), synd.tolist(), degree.tolist()):
+            expected = _slow_berlekamp_massey(s, field.primitive_poly, m)
+            assert deg == len(expected) - 1
+            assert row == expected + [0] * (npar - deg)
+        if npar > 1:  # the (s, 0, .., 0) row
+            assert degree[len(synd) - 2 * npar] == 0
 
 
 class TestDecodeBatch:
