@@ -13,7 +13,8 @@ plain top-G set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,18 +52,29 @@ class UserStats:
 
 @dataclass(frozen=True)
 class ReliableKey:
-    """The user-specific key: G sorted component indices plus its nonce."""
+    """The user-specific key: G sorted component indices plus its nonce.
+
+    ``indices`` may be given as any sequence of ints and is kept as a
+    tuple; ``index_array`` holds the same indices as a read-only array for
+    gathers.
+    """
 
     indices: tuple[int, ...]
     dimension: int
     nonce: int
+    index_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        idx = self.indices
-        if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
+        idx = np.array(self.indices, dtype=np.intp)
+        if idx.ndim != 1:
+            raise ValueError("key indices must be a flat sequence")
+        if np.any(idx[1:] <= idx[:-1]):
             raise ValueError("key indices must be strictly increasing")
-        if idx and (idx[0] < 0 or idx[-1] >= self.dimension):
+        if idx.size and (idx[0] < 0 or idx[-1] >= self.dimension):
             raise IndexError("key index out of range")
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", tuple(idx.tolist()))
+        object.__setattr__(self, "index_array", idx)
 
     @property
     def count(self) -> int:
@@ -157,11 +169,7 @@ def select_reliable(scores, count: int, nonce: int,
         chosen = rng.choice(window, size=count, replace=False)
     else:
         chosen = window
-    return ReliableKey(
-        indices=tuple(int(i) for i in np.sort(chosen)),
-        dimension=d,
-        nonce=int(nonce),
-    )
+    return ReliableKey(indices=np.sort(chosen), dimension=d, nonce=int(nonce))
 
 
 def extract(bits, key: ReliableKey) -> np.ndarray:
@@ -173,7 +181,7 @@ def extract(bits, key: ReliableKey) -> np.ndarray:
         raise DimensionMismatchError(
             f"key is for {key.dimension} dimensions, got {arr.size} bits"
         )
-    return arr[list(key.indices)]
+    return arr[key.index_array]
 
 
 # -- key file format ----------------------------------------------------------
@@ -187,6 +195,12 @@ def extract(bits, key: ReliableKey) -> np.ndarray:
 
 _KEY_HEADER = "biosketch-key v1"
 
+# Integers as ``key_to_text`` writes them: ASCII decimals without a plus
+# sign or leading zero. The index lines are each stripped and ended by a
+# newline; at most 18 digits keeps every index inside int64.
+_HEADER_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_INDEX_LINES = re.compile(r"(?:(?:0|[1-9][0-9]{0,17})\n)*")
+
 
 def key_to_text(key: ReliableKey) -> str:
     lines = [_KEY_HEADER, f"d={key.dimension}", f"G={key.count}",
@@ -196,17 +210,21 @@ def key_to_text(key: ReliableKey) -> str:
 
 
 def key_from_text(text: str) -> ReliableKey:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines or lines[0] != _KEY_HEADER:
         raise ParseError("not a reliable-key file")
     try:
         fields = dict(ln.split("=", 1) for ln in lines[1:4])
-        d = int(fields["d"])
-        count = int(fields["G"])
-        nonce = int(fields["nonce"])
-        indices = tuple(int(ln) for ln in lines[4:])
+        header = [fields[name] for name in ("d", "G", "nonce")]
+        if not all(map(_HEADER_INT.fullmatch, header)):
+            raise ValueError(f"header values {header} are not all plain decimals")
+        d, count, nonce = map(int, header)
     except (KeyError, ValueError) as exc:
         raise ParseError(f"malformed key file: {exc}") from exc
+    block = "\n".join(lines[4:] + [""])
+    if not _INDEX_LINES.fullmatch(block):
+        raise ParseError("malformed key file: an index line is not a plain decimal")
+    indices = np.fromstring(block, dtype=np.int64, sep="\n")
     if len(indices) != count:
         raise ParseError(f"key file lists {len(indices)} indices, header says {count}")
     try:

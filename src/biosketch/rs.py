@@ -9,7 +9,8 @@ symbols follow. Position i of the array carries the coefficient of
 x^(N-1-i), so position 0 is the highest-degree term.
 
 Every codec operation runs on integer tables that the code builds once, in
-numpy, at construction:
+numpy, at construction (the packed Berlekamp-Massey's are built on first
+use, below):
 
 * ``exp_table`` / ``log_table``: anti-log and log with a zero sentinel.
   ``log_table[0]`` is 2N and ``exp_table`` is 0 from index 2N on, so
@@ -32,9 +33,11 @@ a batch at once. ``decode_batch`` decodes a (B, N) array of words:
 1. syndromes of every row; rows with zero syndromes are exact codewords;
 2. Berlekamp-Massey for the error locator of every remaining row: with
    at least ``_BM_LOCKSTEP`` such rows, in numpy over all of them in
-   lockstep, in the log domain; with fewer, per row in pure Python over
-   the tables as lists, which costs less than a numpy call per step. Both
-   give the same locator, and its degree is read from its coefficients;
+   lockstep, in the log domain; with fewer, row by row on polynomials
+   packed into Python ints, where a sum is an XOR and a product with a
+   symbol one ``bytes.translate`` per byte plane through a multiplication
+   table the code builds on first use. Both give the same locator, and its
+   degree is read from its coefficients;
 3. Chien search of every locator of degree <= t over all N points;
 4. Forney for the error magnitudes, then a syndrome re-check of every
    corrected row;
@@ -63,9 +66,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from operator import add, xor
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,9 +77,11 @@ from .gf import Field
 # Elements per batched gather: bounds the intp index temporary to ~2 MB.
 _CHUNK = 1 << 18
 
-# Pending rows from which Berlekamp-Massey runs in lockstep over the batch;
-# below it the per-row list BM is faster.
-_BM_LOCKSTEP = 8
+# Pending rows from which Berlekamp-Massey runs in lockstep over the batch,
+# by bytes per symbol; below it the packed per-row BM is faster. The
+# crossover measured at N-K = 2..223 (one byte) and 50..200 (two bytes) did
+# not move with N-K.
+_BM_LOCKSTEP = {1: 16, 2: 4}
 
 
 class DecodePolicy(str, Enum):
@@ -144,7 +148,7 @@ class RsCode:
 
     __slots__ = ("field", "n_symbols", "k_symbols", "num_parity", "t", "d_min",
                  "exp_table", "log_table", "syndrome_exponents",
-                 "chien_exponents", "generator_poly", "parity_logs")
+                 "chien_exponents", "generator_poly", "parity_logs", "_packed_tables")
 
     def __init__(self, field: Field, k_symbols: int):
         n = field.order
@@ -173,6 +177,7 @@ class RsCode:
         for table in (exp, log, self.syndrome_exponents, self.chien_exponents,
                       self.parity_logs):
             table.setflags(write=False)
+        self._packed_tables = None
 
     @property
     def n_bits(self) -> int:
@@ -294,21 +299,18 @@ class RsCode:
         """
         n, t = self.n_symbols, self.t
         exp, log = self.exp_table, self.log_table
-        if len(synd) >= _BM_LOCKSTEP:
-            # Row chunks keep each (rows, N-K+1) intp state array near 2 MB.
-            step = max(_BM_LOCKSTEP, _CHUNK // synd.shape[1])
+        lockstep = _BM_LOCKSTEP[exp.itemsize]
+        if len(synd) >= lockstep:
+            # A numpy step costs the same for 1 row as for many, so lockstep
+            # pays from ``lockstep`` rows on. Row chunks keep each (rows,
+            # N-K+1) intp state array near 2 MB.
+            step = max(lockstep, _CHUNK // synd.shape[1])
             parts = [self._berlekamp_massey_rows(synd[lo:lo + step])
                      for lo in range(0, len(synd), step)]
             sigma = np.concatenate([p[0] for p in parts])
             degree = np.concatenate([p[1] for p in parts])
         else:
-            exp_list, log_list = exp.tolist(), log.tolist()
-            sigmas = [_berlekamp_massey(s, exp_list, log_list) for s in synd.tolist()]
-            degree = np.array([len(s) - 1 for s in sigmas], dtype=np.int64)
-            sigma = np.zeros((len(sigmas), t + 1), dtype=exp.dtype)
-            for i, s in enumerate(sigmas):
-                if len(s) <= t + 1:
-                    sigma[i, :len(s)] = s
+            sigma, degree = self._berlekamp_massey_packed(synd)
         ok = degree <= t
         rows = np.flatnonzero(ok)
         sigma_logs = log[sigma[rows, :t + 1]]
@@ -344,16 +346,16 @@ class RsCode:
     def _berlekamp_massey_rows(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Error locators of every row of (B, N-K) syndromes, low to high.
 
-        Massey's algorithm, as ``_berlekamp_massey`` runs it, in lockstep
+        Massey's algorithm, as ``_packed_locator`` runs it, in lockstep
         over the rows: every step is the same gathers on every row, and a
         row whose discrepancy is zero adds nothing. Division by the last
-        discrepancy b is a subtraction of logs, so sigma is the list BM's
-        own, not a scalar multiple of it.
+        discrepancy b is a subtraction of logs, so sigma is Massey's own,
+        not a scalar multiple of it.
 
         Returns the (B, N-K+1) coefficients and the degree of each row,
-        read from its highest nonzero coefficient as the list BM trims it.
-        The LFSR length can exceed that degree on a row that no error
-        pattern of weight <= t explains.
+        read from its highest nonzero coefficient. The LFSR length can
+        exceed that degree on a row that no error pattern of weight <= t
+        explains.
         """
         n_order = self.n_symbols
         exp, log = self.exp_table, self.log_table
@@ -393,6 +395,61 @@ class RsCode:
         degree = npar - np.argmax(sigma[:, ::-1] != 0, axis=1)
         return sigma, degree
 
+    def _berlekamp_massey_packed(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Error locators of every row of (B, N-K) syndromes, one row at a
+        time by ``_packed_locator``: the same coefficients and degrees as
+        ``_berlekamp_massey_rows``, without a numpy call per step."""
+        tables = self._packed_tables or self._build_packed_tables()
+        rows, npar = synd.shape
+        if self.exp_table.itemsize == 1:
+            data = np.ascontiguousarray(synd, dtype=np.uint8).tobytes()
+        else:
+            # The high byte of every symbol goes to the second plane.
+            split = np.zeros((rows, 2, npar + 2), dtype=np.uint8)
+            split[:, 0, :npar], split[:, 1, :npar] = synd & 0xFF, synd >> 8
+            data = split.tobytes()
+        stride = len(data) // rows
+        polys = [_packed_locator(int.from_bytes(data[lo:lo + stride], "little"), npar, tables)
+                 for lo in range(0, len(data), stride)]
+        if self.exp_table.itemsize == 1:
+            sigma = np.frombuffer(b"".join(p.to_bytes(npar + 1, "little") for p in polys),
+                                  dtype=np.uint8).reshape(rows, npar + 1)
+            degree = np.array([(p.bit_length() - 1) >> 3 for p in polys], dtype=np.intp)
+        else:
+            split = np.frombuffer(b"".join(p.to_bytes(stride, "little") for p in polys),
+                                  dtype=np.uint8).reshape(rows, 2, npar + 2)[:, :, :npar + 1]
+            sigma = split[:, 0] | split[:, 1].astype(np.uint16) << 8
+            degree = npar - np.argmax(sigma[:, ::-1] != 0, axis=1)
+        return sigma, degree
+
+    def _build_packed_tables(self) -> _PackedTables:
+        """Build, once per code, what ``_packed_locator`` reads.
+
+        A symbol of m <= 8 bits is one byte, and multiplying a packed
+        polynomial by c is one ``bytes.translate`` through row c of the
+        multiplication table. A wider symbol is two bytes, h * 2^8 + l. As
+        multiplying by c is GF(2)-linear, c(h 2^8 + l) = c(h 2^8) + c l, so
+        the low and the high byte plane each go through two 256-byte rows,
+        one for each byte of the product.
+        """
+        exp, log = self.exp_table, self.log_table
+        size = self.field.size
+        width = self.num_parity + 2
+        byte = np.arange(256)
+        if size <= 256:
+            product = exp[log[:, None] + log[np.where(byte < size, byte, 0)]]
+            rows = [row.tobytes() for row in product.astype(np.uint8)]
+            scale = partial(_scale_one_plane, rows)
+        else:
+            high = np.where(byte < size >> 8, byte << 8, 0)
+            planes = [exp[log[:, None] + log[operand]] for operand in (byte, high)]
+            split = np.stack([part for p in planes for part in (p & 0xFF, p >> 8)],
+                             axis=1).astype(np.uint8)
+            rows = [tuple(part.tobytes() for part in row) for row in split]
+            scale = partial(_scale_two_planes, rows, width)
+        self._packed_tables = _PackedTables(exp.tolist(), log.tolist(), scale, 8 * width)
+        return self._packed_tables
+
     def _omega(self, synd: np.ndarray, sigma_logs: np.ndarray) -> np.ndarray:
         """Error evaluator (S * sigma) mod x^t, low to high, per row.
 
@@ -423,46 +480,75 @@ class RsCode:
                 f"K={self.k_symbols}, t={self.t})")
 
 
-def _berlekamp_massey(synd: list[int], exp: list[int], log: list[int]) -> list[int]:
-    """Minimal error-locator sigma(x), coefficients low to high.
+class _PackedTables(NamedTuple):
+    """A code's tables as ``_packed_locator`` reads them."""
 
-    ``exp``/``log`` are the code's zero-sentinel tables as lists, so every
-    product is ``exp[log[a] + log[b]]``.
+    exp: list[int]   # the zero-sentinel tables as lists
+    log: list[int]
+    scale: Callable[[int, int], int]  # (c, p) -> c * p for packed p
+    high: int        # bit offset of the high byte plane; for m <= 8 past
+                     # every coefficient, so the high plane reads as zero
+
+
+def _scale_one_plane(rows: list[bytes], c: int, poly: int) -> int:
+    data = poly.to_bytes((poly.bit_length() + 7) >> 3, "little")
+    return int.from_bytes(data.translate(rows[c]), "little")
+
+
+def _scale_two_planes(rows: list[tuple[bytes, ...]], width: int, c: int, poly: int) -> int:
+    low_low, low_high, high_low, high_high = rows[c]
+    data = poly.to_bytes(2 * width, "little")
+    low, high = data[:width], data[width:]
+    return (int.from_bytes(low.translate(low_low) + low.translate(low_high), "little")
+            ^ int.from_bytes(high.translate(high_low) + high.translate(high_high), "little"))
+
+
+def _packed_locator(synd: int, npar: int, tables: _PackedTables) -> int:
+    """Minimal error locator sigma(x) of the syndromes S_1 .. S_npar.
+
+    A polynomial is packed into an int: the low byte of coefficient i is
+    byte i, and for m > 8 its high byte is byte i of a second plane that
+    starts at bit ``tables.high``. Adding two polynomials is then an XOR,
+    multiplying by x^j a shift by 8j bits and by a symbol ``tables.scale``.
+
+    Massey's algorithm carries the discrepancy series D = S sigma next to
+    sigma, and E = S B next to B, which is sigma as of the last length
+    change (Sarwate & Shanbhag, "High-speed architectures for Reed-Solomon
+    decoders", IEEE TVLSI 2001), so no step takes an inner product:
+
+    * D is kept from coefficient n on, so the discrepancy at step n is its
+      lowest coefficient;
+    * E is kept as x^gap S B from coefficient n on. That needs no shift:
+      gap and n grow together until the next length change sets E to D.
+      B = 1 enters at step -1 with gap 1, so E starts as x S.
+
+    Shifting D down carries the high byte of the coefficient just read
+    into the top byte of the low plane. That byte stands npar + 1
+    coefficients above the next one read, past S_npar, so no step reads it
+    or what it multiplies into.
+    Division by the last discrepancy b is a subtraction of logs, so sigma
+    is Massey's own, not a scalar multiple of it.
     """
-    n_order = len(log) - 1
-    npar = len(synd)
-    synd_logs = [log[s] for s in reversed(synd)]  # synd_logs[npar - 1 - j] = log S_(j+1)
-    cur = [1]   # sigma estimate
-    prev = [1]  # copy from last length change
-    lenc = 0    # current LFSR length
-    gap = 1     # steps since last length change
-    prev_delta_log = 0
-    for n, s_n in enumerate(synd):
-        # delta = s_n + sum_{i=1..lenc} cur[i] * synd[n - i]
-        base = npar - n
-        cur_logs = map(log.__getitem__, cur[1:lenc + 1])
-        delta = reduce(xor, map(exp.__getitem__, map(add, synd_logs[base:base + lenc],
-                                                     cur_logs)), s_n)
-        if delta == 0:
-            gap += 1
-            continue
-        # new = cur + (delta / prev_delta) * x^gap * prev
-        coef_log = (log[delta] - prev_delta_log) % n_order
-        end = gap + len(prev)
-        new = cur + [0] * (end - len(cur))
-        new[gap:end] = map(xor, new[gap:end],
-                           (exp[coef_log + log[p]] for p in prev))
-        if 2 * lenc <= n:
-            cur, prev = new, cur
-            lenc = n + 1 - lenc
-            prev_delta_log = log[delta]
-            gap = 1
-        else:
-            cur = new
-            gap += 1
-    while len(cur) > 1 and cur[-1] == 0:
-        cur.pop()
-    return cur
+    exp, log, scale, high = tables
+    order = len(log) - 1
+    sigma = prev = 1
+    d, e = synd, synd << 8
+    length = gap = prev_log = 0
+    for n in range(npar):
+        gap += 1
+        delta = d & 0xFF | (d >> high & 0xFF) << 8
+        if delta:
+            # sigma += (delta / b) x^gap B, and D += (delta / b) E with it.
+            coef = exp[log[delta] - prev_log + order]
+            updated = sigma ^ scale(coef, prev) << 8 * gap
+            if 2 * length <= n:
+                prev, e, d = sigma, d, d ^ scale(coef, e)
+                length, prev_log, gap = n + 1 - length, log[delta], 0
+            else:
+                d ^= scale(coef, e)
+            sigma = updated
+        d >>= 8
+    return sigma
 
 
 def bits_to_symbols(bits, m: int) -> list[int]:

@@ -8,6 +8,8 @@ import pytest
 import biosketch
 from biosketch import cli
 
+from test_quantizer import BAD_INDEX_LINES
+
 
 @pytest.fixture(scope="module")
 def dataset_csv(tmp_path_factory):
@@ -138,6 +140,22 @@ def test_key_index_beyond_dimension_is_runtime_error(dataset_csv, tmp_path, caps
     captured = capsys.readouterr()
     assert rc == cli.EXIT_RUNTIME
     assert "invalid key file" in captured.err
+
+
+@pytest.mark.parametrize("edit", sorted(BAD_INDEX_LINES))
+def test_key_index_lines_key_to_text_never_writes_are_runtime_errors(
+        dataset_csv, tmp_path, capsys, edit):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0005"] + flags) == cli.EXIT_OK
+    path = tmp_path / "keys" / "s0005.key"
+    lines = path.read_text().splitlines()
+    lines[4:] = BAD_INDEX_LINES[edit](lines[4:], int(lines[1].removeprefix("d=")))
+    path.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["auth", "--subject", "s0005", "--probe-sample", "1"] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "key file" in captured.err
+    assert "ACCEPT" not in captured.out
 
 
 def test_eval_writes_curve_csv(dataset_csv, tmp_path, capsys):

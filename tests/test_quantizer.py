@@ -35,6 +35,24 @@ from biosketch.synth import gen_population
 from reference import normal_cdf
 from test_acceptance import GOLDEN_DATASET
 
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
+
+# Edits to the index lines of a key file that ``key_to_text`` never writes,
+# each a ParseError. They take the index lines of a key with at least two
+# indices, the last >= 10, and its dimension d.
+BAD_INDEX_LINES = {
+    "plus-sign": lambda ix, d: ix[:1] + ["+" + ix[1]] + ix[2:],
+    "underscore": lambda ix, d: ix[:-1] + [ix[-1][0] + "_" + ix[-1][1:]],
+    "arabic-indic-digits": lambda ix, d: ix[:1] + [ix[1].translate(ARABIC_INDIC)] + ix[2:],
+    "leading-zero": lambda ix, d: ix[:1] + ["0" + ix[1]] + ix[2:],
+    "decimal-point": lambda ix, d: ix[:1] + [ix[1] + ".0"] + ix[2:],
+    "negative": lambda ix, d: ["-1"] + ix[1:],
+    "duplicate": lambda ix, d: ix[:1] + ix[:1] + ix[2:],
+    "unsorted": lambda ix, d: ix[1::-1] + ix[2:],
+    "beyond-dimension": lambda ix, d: ix[:-1] + [str(d)],
+}
+
 
 def make_pop(vectors, ids=None):
     vectors = np.asarray(vectors, dtype=float)
@@ -225,6 +243,35 @@ class TestKeyFile:
         text = key_to_text(key).replace("G=2", "G=3")
         with pytest.raises(ParseError):
             key_from_text(text)
+
+    @pytest.mark.parametrize("edit", sorted(BAD_INDEX_LINES))
+    def test_index_lines_key_to_text_never_writes_are_rejected(self, edit):
+        key = ReliableKey(indices=(1, 5, 9, 15), dimension=16, nonce=3)
+        lines = key_to_text(key).splitlines()
+        lines[4:] = BAD_INDEX_LINES[edit](lines[4:], key.dimension)
+        with pytest.raises(ParseError):
+            key_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("line,bad", [(1, "d=+16"), (1, "d=1_6"), (2, "G=\u0664"),
+                                          (2, "G=04"), (3, "nonce=3.0"), (3, "nonce= 3")])
+    def test_header_values_key_to_text_never_writes_are_rejected(self, line, bad):
+        lines = key_to_text(ReliableKey(indices=(1, 5, 9, 15), dimension=16,
+                                        nonce=3)).splitlines()
+        lines[line] = bad
+        with pytest.raises(ParseError):
+            key_from_text("\n".join(lines) + "\n")
+
+    def test_blank_lines_and_surrounding_whitespace_accepted(self):
+        key = ReliableKey(indices=(0, 5, 9, 15), dimension=16, nonce=3)
+        text = "\n biosketch-key v1 \n\nd=16\r\nG=4\n nonce=3\n 0\n\n\t5 \n9\r\n  15\n\n"
+        assert key_from_text(text) == key
+
+    def test_indices_kept_as_tuple_and_read_only_array(self):
+        key = ReliableKey(indices=np.array([2, 7]), dimension=8, nonce=0)
+        assert key.indices == (2, 7) and type(key.indices[0]) is int
+        assert key.index_array.tolist() == [2, 7]
+        assert not key.index_array.flags.writeable
+        assert key == ReliableKey(indices=(2, 7), dimension=8, nonce=0)
 
     @given(st.sets(st.integers(0, 99), min_size=1, max_size=40), st.integers(0, 2**62))
     def test_roundtrip_hypothesis(self, indices, nonce):

@@ -280,6 +280,9 @@ class TestDifferential:
         5: [(1, 3), (11, 3), (20, 3), (30, 3), (31, 2)],
         6: [(1, 1), (17, 2), (40, 2), (63, 1)],
         8: [(32, 1), (200, 2), (255, 1)],
+        # Small N-K keeps the slow reference fast; m > 8 has two byte planes.
+        9: [(491, 1), (509, 2)],
+        10: [(1003, 1), (1021, 2)],
     }
 
     @pytest.mark.parametrize("m", sorted(CODES))
@@ -343,19 +346,20 @@ def lockstep_spy(monkeypatch):
 
 
 class TestLockstepBerlekampMassey:
-    """``decode_batch`` with at least ``_BM_LOCKSTEP`` pending rows runs
-    Berlekamp-Massey in lockstep over them; with fewer, per row. Both must
-    give, row by row, what ``decode`` (a batch of one) and the slow
-    reference give, for every status mixed in one batch."""
+    """``decode_batch`` with at least ``_BM_LOCKSTEP[bytes per symbol]``
+    pending rows runs Berlekamp-Massey in lockstep over them; with fewer,
+    packed per row. Both must give, row by row, what ``decode`` (a batch of
+    one) and the slow reference give, for every status mixed in one batch."""
 
     # (k, per_class); K = N - 1 has t = 0 and K = N - 2 has t = 1. RS(255, 32)
     # is checked against ``decode`` only: its reference decode takes ~0.2 s
     # a word, and TestDifferential already ties ``decode`` to the reference.
     CODES = {
-        3: [(1, 4), (3, 4), (5, 6), (6, 6)],
-        5: [(11, 4), (20, 4), (29, 6), (30, 6)],
-        6: [(17, 4), (61, 6), (62, 6)],
-        8: [(32, 3), (200, 3), (253, 6), (254, 6)],
+        3: [(1, 5), (3, 5), (5, 9), (6, 9)],
+        5: [(11, 5), (20, 5), (29, 9), (30, 9)],
+        6: [(17, 5), (61, 9), (62, 9)],
+        8: [(32, 5), (200, 5), (253, 9), (254, 9)],
+        10: [(1013, 2)],
     }
 
     @pytest.mark.parametrize("m", sorted(CODES))
@@ -377,13 +381,14 @@ class TestLockstepBerlekampMassey:
                         ("failure", None, None, None) if ref[0] == "fallback" else ref)
             pending = [i for i, w in enumerate(words) if any(code.syndromes(w))]
             exact = [i for i in range(len(words)) if i not in pending]
-            assert len(pending) > _BM_LOCKSTEP
-            for count in (_BM_LOCKSTEP - 1, _BM_LOCKSTEP, len(pending)):
+            cut = _BM_LOCKSTEP[code.exp_table.itemsize]
+            assert len(pending) > cut
+            for count in (cut - 1, cut, len(pending)):
                 rows = rng.permutation(pending[:count] + exact)
                 for policy in DecodePolicy:
                     del calls[:]
                     batch = code.decode_batch(np.array([words[i] for i in rows]), policy)
-                    assert calls == ([count] if count >= _BM_LOCKSTEP else [])
+                    assert calls == ([count] if count >= cut else [])
                     for j, i in enumerate(rows):
                         assert batch.outcome(j) == expected[policy][i], (m, k, count, words[i])
                         seen.add(expected[policy][i].status)
@@ -396,7 +401,7 @@ class TestLockstepBerlekampMassey:
         whole = code.decode_batch(words)
         pending = int(whole.status.astype(bool).sum())
         assert pending > 30
-        chunk = _BM_LOCKSTEP + 2
+        chunk = _BM_LOCKSTEP[1] + 2
         calls = lockstep_spy(monkeypatch)
         monkeypatch.setattr(rs, "_CHUNK", chunk * code.num_parity)
         chunked = code.decode_batch(words)
@@ -405,28 +410,54 @@ class TestLockstepBerlekampMassey:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("m,k", [(3, 1), (3, 5), (3, 6), (5, 20), (6, 61), (8, 200),
-                                     (8, 254)])
+                                     (8, 254), (2, 1), (4, 7), (7, 101), (9, 491), (10, 1003)])
     def test_locators_equal_reference(self, m, k):
-        """sigma and its degree, including rows where the degree is below
-        the LFSR length: syndromes (s, 0, .., 0) leave sigma = 1 at length 1."""
+        """sigma and its degree from both Berlekamp-Massey paths, at every m
+        (two byte planes from m = 9): uniform words, words within t and just
+        beyond it, syndromes with runs of zeros, and rows where the degree is
+        below the LFSR length: syndromes (s, 0, .., 0) leave sigma = 1 at
+        length 1. Words within t end in a run of zero discrepancies."""
         field = Field(m)
         code = RsCode(field, k)
         rng = np.random.default_rng(3000 + m + k)
         npar = code.num_parity
-        uniform = rng.integers(0, field.size, size=(40, code.n_symbols))
-        synd = code._syndromes(uniform.astype(code.exp_table.dtype))
+        words = [rng.integers(0, field.size, code.n_symbols) for _ in range(20)]
+        for weight in (1, code.t, code.t + 1, code.t + 2):
+            for _ in range(4):
+                word = np.array(code.encode(rng.integers(0, field.size, k)))
+                pos = rng.choice(code.n_symbols, size=min(weight, code.n_symbols),
+                                 replace=False)
+                word[pos] ^= rng.integers(1, field.size, size=len(pos))
+                words.append(word)
+        synd = code._syndromes(np.array(words).astype(code.exp_table.dtype))
+        runs = rng.integers(0, field.size, size=(8, npar)).astype(synd.dtype)
+        for row in runs:
+            lo = int(rng.integers(0, npar))
+            row[lo:lo + int(rng.integers(1, npar + 1))] = 0
         single = np.zeros((2 * npar, npar), dtype=synd.dtype)
         single[np.arange(2 * npar), np.arange(2 * npar) % npar] = rng.integers(
             1, field.size, size=2 * npar)
-        synd = np.concatenate([synd[synd.any(axis=1)], single])
-        sigma, degree = code._berlekamp_massey_rows(synd)
-        assert sigma.shape == (len(synd), npar + 1)
-        for row, s, deg in zip(sigma.tolist(), synd.tolist(), degree.tolist()):
-            expected = _slow_berlekamp_massey(s, field.primitive_poly, m)
-            assert deg == len(expected) - 1
-            assert row == expected + [0] * (npar - deg)
-        if npar > 1:  # the (s, 0, .., 0) row
-            assert degree[len(synd) - 2 * npar] == 0
+        synd = np.concatenate([synd, runs, single])
+        synd = synd[synd.any(axis=1)]
+        expected = [_slow_berlekamp_massey(s, field.primitive_poly, m) for s in synd.tolist()]
+        for locators in (code._berlekamp_massey_rows, code._berlekamp_massey_packed):
+            sigma, degree = locators(synd)
+            assert sigma.shape == (len(synd), npar + 1)
+            for row, deg, ref in zip(sigma.tolist(), degree.tolist(), expected):
+                assert deg == len(ref) - 1
+                assert row == ref + [0] * (npar - deg)
+            if npar > 1:  # the (s, 0, .., 0) row
+                assert degree[len(synd) - 2 * npar] == 0
+
+    def test_packed_tables_built_on_first_small_batch(self):
+        code = RsCode(Field(8), 200)
+        word = code.encode(list(range(200)))
+        code.decode(word)
+        code.decode_batch(np.array([[1] + word[1:]] * _BM_LOCKSTEP[1]))
+        assert code._packed_tables is None
+        word[3] ^= 1
+        assert code.decode(word).error_count == 1
+        assert code._packed_tables is not None
 
 
 class TestDecodeBatch:
