@@ -244,12 +244,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .gf import Field
-    from .rs import RsCode
-
     m = _resolve(args, "m", int, required=True)
     k_symbols = _resolve(args, "k_symbols", int, required=True)
-    code = RsCode(Field(m), k_symbols)
+    code = PipelineConfig(m=m, k_symbols=k_symbols).build_code()
     received = _resolve(args, "received", str)
     if received:
         symbols = [int(v) for v in received.split(",")]

@@ -159,8 +159,8 @@ def select_reliable(scores, count: int, nonce: int,
     d = sc.size
     if not 1 <= count <= d:
         raise ValueError(f"cannot select {count} of {d} components")
-    if window_factor < 1.0:
-        raise ValueError("window_factor must be >= 1")
+    if not 1.0 <= window_factor < np.inf:
+        raise ValueError(f"window_factor must be finite and >= 1, got {window_factor}")
     rng = np.random.default_rng(np.random.SeedSequence([0x6B65, int(nonce)]))
     tie_break = rng.permutation(d)
     order = np.lexsort((tie_break, -sc))
@@ -195,11 +195,20 @@ def extract(bits, key: ReliableKey) -> np.ndarray:
 
 _KEY_HEADER = "biosketch-key v1"
 
-# Integers as ``key_to_text`` writes them: ASCII decimals without a plus
-# sign or leading zero. The index lines are each stripped and ended by a
-# newline; at most 18 digits keeps every index inside int64.
-_HEADER_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+# Integers as ``key_to_text`` and ``sketch.record_to_text`` write them:
+# ASCII decimals without a plus sign or leading zero. The index lines are
+# each stripped and ended by a newline; at most 18 digits keeps every index
+# inside int64.
+_PLAIN_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
 _INDEX_LINES = re.compile(r"(?:(?:0|[1-9][0-9]{0,17})\n)*")
+
+
+def parse_plain_int(text: str) -> int:
+    """An int header value as the file writers print it; ``ValueError`` for
+    any other form ``int`` takes, such as ``+3``, ``0_1`` or ``04``."""
+    if not _PLAIN_INT.fullmatch(text):
+        raise ValueError(f"{text!r} is not a plain decimal")
+    return int(text)
 
 
 def key_to_text(key: ReliableKey) -> str:
@@ -215,10 +224,7 @@ def key_from_text(text: str) -> ReliableKey:
         raise ParseError("not a reliable-key file")
     try:
         fields = dict(ln.split("=", 1) for ln in lines[1:4])
-        header = [fields[name] for name in ("d", "G", "nonce")]
-        if not all(map(_HEADER_INT.fullmatch, header)):
-            raise ValueError(f"header values {header} are not all plain decimals")
-        d, count, nonce = map(int, header)
+        d, count, nonce = (parse_plain_int(fields[name]) for name in ("d", "G", "nonce"))
     except (KeyError, ValueError) as exc:
         raise ParseError(f"malformed key file: {exc}") from exc
     block = "\n".join(lines[4:] + [""])

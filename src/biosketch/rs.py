@@ -32,11 +32,12 @@ a batch at once. ``decode_batch`` decodes a (B, N) array of words:
 
 1. syndromes of every row; rows with zero syndromes are exact codewords;
 2. Berlekamp-Massey for the error locator of every remaining row: with
-   at least ``_BM_LOCKSTEP`` such rows, in numpy over all of them in
-   lockstep, in the log domain; with fewer, row by row on polynomials
-   packed into Python ints, where a sum is an XOR and a product with a
-   symbol one ``bytes.translate`` per byte plane through a multiplication
-   table the code builds on first use. Both give the same locator, and its
+   at least ``_BM_LOCKSTEP`` such rows, or with symbols wider than a byte
+   (m > 8), in numpy over all of them in lockstep, in the log domain; with
+   fewer one-byte rows, row by row on polynomials packed into Python ints,
+   where a sum is an XOR and a product with a symbol one
+   ``bytes.translate`` through a 256-byte row of a multiplication table
+   the code builds on first use. Both give the same locator, and its
    degree is read from its coefficients;
 3. Chien search of every locator of degree <= t over all N points;
 4. Forney for the error magnitudes, then a syndrome re-check of every
@@ -66,8 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,11 +77,11 @@ from .gf import Field
 # Elements per batched gather: bounds the intp index temporary to ~2 MB.
 _CHUNK = 1 << 18
 
-# Pending rows from which Berlekamp-Massey runs in lockstep over the batch,
-# by bytes per symbol; below it the packed per-row BM is faster. The
-# crossover measured at N-K = 2..223 (one byte) and 50..200 (two bytes) did
-# not move with N-K.
-_BM_LOCKSTEP = {1: 16, 2: 4}
+# Pending rows from which Berlekamp-Massey runs in lockstep over the batch;
+# below it the packed per-row BM is faster. The crossover, measured at
+# N-K = 2..223, did not move with N-K. The packed BM takes one-byte symbols
+# only, so m > 8 runs in lockstep at every row count.
+_BM_LOCKSTEP = 16
 
 
 class DecodePolicy(str, Enum):
@@ -299,12 +299,11 @@ class RsCode:
         """
         n, t = self.n_symbols, self.t
         exp, log = self.exp_table, self.log_table
-        lockstep = _BM_LOCKSTEP[exp.itemsize]
-        if len(synd) >= lockstep:
+        if len(synd) >= _BM_LOCKSTEP or exp.itemsize > 1:
             # A numpy step costs the same for 1 row as for many, so lockstep
-            # pays from ``lockstep`` rows on. Row chunks keep each (rows,
+            # pays from ``_BM_LOCKSTEP`` rows on. Row chunks keep each (rows,
             # N-K+1) intp state array near 2 MB.
-            step = max(lockstep, _CHUNK // synd.shape[1])
+            step = max(_BM_LOCKSTEP, _CHUNK // synd.shape[1])
             parts = [self._berlekamp_massey_rows(synd[lo:lo + step])
                      for lo in range(0, len(synd), step)]
             sigma = np.concatenate([p[0] for p in parts])
@@ -396,58 +395,31 @@ class RsCode:
         return sigma, degree
 
     def _berlekamp_massey_packed(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Error locators of every row of (B, N-K) syndromes, one row at a
-        time by ``_packed_locator``: the same coefficients and degrees as
-        ``_berlekamp_massey_rows``, without a numpy call per step."""
+        """Error locators of every row of (B, N-K) one-byte syndromes, one
+        row at a time by ``_packed_locator``: the same coefficients and
+        degrees as ``_berlekamp_massey_rows``, without a numpy call per step."""
         tables = self._packed_tables or self._build_packed_tables()
         rows, npar = synd.shape
-        if self.exp_table.itemsize == 1:
-            data = np.ascontiguousarray(synd, dtype=np.uint8).tobytes()
-        else:
-            # The high byte of every symbol goes to the second plane.
-            split = np.zeros((rows, 2, npar + 2), dtype=np.uint8)
-            split[:, 0, :npar], split[:, 1, :npar] = synd & 0xFF, synd >> 8
-            data = split.tobytes()
-        stride = len(data) // rows
-        polys = [_packed_locator(int.from_bytes(data[lo:lo + stride], "little"), npar, tables)
-                 for lo in range(0, len(data), stride)]
-        if self.exp_table.itemsize == 1:
-            sigma = np.frombuffer(b"".join(p.to_bytes(npar + 1, "little") for p in polys),
-                                  dtype=np.uint8).reshape(rows, npar + 1)
-            degree = np.array([(p.bit_length() - 1) >> 3 for p in polys], dtype=np.intp)
-        else:
-            split = np.frombuffer(b"".join(p.to_bytes(stride, "little") for p in polys),
-                                  dtype=np.uint8).reshape(rows, 2, npar + 2)[:, :, :npar + 1]
-            sigma = split[:, 0] | split[:, 1].astype(np.uint16) << 8
-            degree = npar - np.argmax(sigma[:, ::-1] != 0, axis=1)
+        data = np.ascontiguousarray(synd, dtype=np.uint8).tobytes()
+        polys = [_packed_locator(int.from_bytes(data[lo:lo + npar], "little"), npar, tables)
+                 for lo in range(0, len(data), npar)]
+        sigma = np.frombuffer(b"".join(p.to_bytes(npar + 1, "little") for p in polys),
+                              dtype=np.uint8).reshape(rows, npar + 1)
+        degree = np.array([(p.bit_length() - 1) >> 3 for p in polys], dtype=np.intp)
         return sigma, degree
 
     def _build_packed_tables(self) -> _PackedTables:
-        """Build, once per code, what ``_packed_locator`` reads.
+        """Build, once per code of m <= 8, what ``_packed_locator`` reads.
 
-        A symbol of m <= 8 bits is one byte, and multiplying a packed
-        polynomial by c is one ``bytes.translate`` through row c of the
-        multiplication table. A wider symbol is two bytes, h * 2^8 + l. As
-        multiplying by c is GF(2)-linear, c(h 2^8 + l) = c(h 2^8) + c l, so
-        the low and the high byte plane each go through two 256-byte rows,
-        one for each byte of the product.
+        A symbol is one byte, and multiplying a packed polynomial by c is
+        one ``bytes.translate`` through row c of the multiplication table:
+        ``size`` rows of 256 bytes, 64 KB at m = 8.
         """
         exp, log = self.exp_table, self.log_table
-        size = self.field.size
-        width = self.num_parity + 2
         byte = np.arange(256)
-        if size <= 256:
-            product = exp[log[:, None] + log[np.where(byte < size, byte, 0)]]
-            rows = [row.tobytes() for row in product.astype(np.uint8)]
-            scale = partial(_scale_one_plane, rows)
-        else:
-            high = np.where(byte < size >> 8, byte << 8, 0)
-            planes = [exp[log[:, None] + log[operand]] for operand in (byte, high)]
-            split = np.stack([part for p in planes for part in (p & 0xFF, p >> 8)],
-                             axis=1).astype(np.uint8)
-            rows = [tuple(part.tobytes() for part in row) for row in split]
-            scale = partial(_scale_two_planes, rows, width)
-        self._packed_tables = _PackedTables(exp.tolist(), log.tolist(), scale, 8 * width)
+        product = exp[log[:, None] + log[np.where(byte < self.field.size, byte, 0)]]
+        self._packed_tables = _PackedTables(exp.tolist(), log.tolist(),
+                                            [row.tobytes() for row in product])
         return self._packed_tables
 
     def _omega(self, synd: np.ndarray, sigma_logs: np.ndarray) -> np.ndarray:
@@ -483,33 +455,23 @@ class RsCode:
 class _PackedTables(NamedTuple):
     """A code's tables as ``_packed_locator`` reads them."""
 
-    exp: list[int]   # the zero-sentinel tables as lists
+    exp: list[int]     # the zero-sentinel tables as lists
     log: list[int]
-    scale: Callable[[int, int], int]  # (c, p) -> c * p for packed p
-    high: int        # bit offset of the high byte plane; for m <= 8 past
-                     # every coefficient, so the high plane reads as zero
+    rows: list[bytes]  # rows[c] maps byte p to the symbol c * p
 
 
-def _scale_one_plane(rows: list[bytes], c: int, poly: int) -> int:
+def _scale(rows: list[bytes], c: int, poly: int) -> int:
+    """c * poly for a packed polynomial, through row c of the table."""
     data = poly.to_bytes((poly.bit_length() + 7) >> 3, "little")
     return int.from_bytes(data.translate(rows[c]), "little")
 
 
-def _scale_two_planes(rows: list[tuple[bytes, ...]], width: int, c: int, poly: int) -> int:
-    low_low, low_high, high_low, high_high = rows[c]
-    data = poly.to_bytes(2 * width, "little")
-    low, high = data[:width], data[width:]
-    return (int.from_bytes(low.translate(low_low) + low.translate(low_high), "little")
-            ^ int.from_bytes(high.translate(high_low) + high.translate(high_high), "little"))
-
-
 def _packed_locator(synd: int, npar: int, tables: _PackedTables) -> int:
-    """Minimal error locator sigma(x) of the syndromes S_1 .. S_npar.
+    """Minimal error locator sigma(x) of the one-byte syndromes S_1 .. S_npar.
 
-    A polynomial is packed into an int: the low byte of coefficient i is
-    byte i, and for m > 8 its high byte is byte i of a second plane that
-    starts at bit ``tables.high``. Adding two polynomials is then an XOR,
-    multiplying by x^j a shift by 8j bits and by a symbol ``tables.scale``.
+    A polynomial is packed into an int, coefficient i in byte i. Adding
+    two polynomials is then an XOR, multiplying by x^j a shift by 8j bits
+    and by a symbol ``_scale``.
 
     Massey's algorithm carries the discrepancy series D = S sigma next to
     sigma, and E = S B next to B, which is sigma as of the last length
@@ -522,30 +484,26 @@ def _packed_locator(synd: int, npar: int, tables: _PackedTables) -> int:
       gap and n grow together until the next length change sets E to D.
       B = 1 enters at step -1 with gap 1, so E starts as x S.
 
-    Shifting D down carries the high byte of the coefficient just read
-    into the top byte of the low plane. That byte stands npar + 1
-    coefficients above the next one read, past S_npar, so no step reads it
-    or what it multiplies into.
     Division by the last discrepancy b is a subtraction of logs, so sigma
     is Massey's own, not a scalar multiple of it.
     """
-    exp, log, scale, high = tables
+    exp, log, rows = tables
     order = len(log) - 1
     sigma = prev = 1
     d, e = synd, synd << 8
     length = gap = prev_log = 0
     for n in range(npar):
         gap += 1
-        delta = d & 0xFF | (d >> high & 0xFF) << 8
+        delta = d & 0xFF
         if delta:
             # sigma += (delta / b) x^gap B, and D += (delta / b) E with it.
             coef = exp[log[delta] - prev_log + order]
-            updated = sigma ^ scale(coef, prev) << 8 * gap
+            updated = sigma ^ _scale(rows, coef, prev) << 8 * gap
             if 2 * length <= n:
-                prev, e, d = sigma, d, d ^ scale(coef, e)
+                prev, e, d = sigma, d, d ^ _scale(rows, coef, e)
                 length, prev_log, gap = n + 1 - length, log[delta], 0
             else:
-                d ^= scale(coef, e)
+                d ^= _scale(rows, coef, e)
             sigma = updated
         d >>= 8
     return sigma

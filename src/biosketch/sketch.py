@@ -37,6 +37,7 @@ from .errors import (
     ParseError,
 )
 from .gf import Field
+from .quantizer import parse_plain_int
 from .rs import (
     BATCH_STATUSES,
     DecodePolicy,
@@ -311,6 +312,8 @@ def authenticate_batch(probes, record: EnrollmentRecord,
 #   offset=<hex>             (fuzzy commitment only)
 
 _RECORD_HEADER = "biosketch-record v1"
+_RECORD_FIELDS = frozenset({"subject_id", "scheme", "m", "k_symbols", "policy",
+                            "primitive_poly", "salt", "digest", "offset"})
 
 
 def record_to_text(record: EnrollmentRecord) -> str:
@@ -335,12 +338,17 @@ def record_from_text(text: str) -> EnrollmentRecord:
     if not lines or lines[0] != _RECORD_HEADER:
         raise ParseError("not an enrollment record")
     try:
-        fields = dict(ln.split("=", 1) for ln in lines[1:])
+        pairs = [ln.split("=", 1) for ln in lines[1:]]
+        fields = dict(pairs)
+        if len(fields) != len(pairs):
+            raise ValueError("a field is repeated")
+        if not fields.keys() <= _RECORD_FIELDS:
+            raise ValueError(f"unknown fields {sorted(fields.keys() - _RECORD_FIELDS)}")
         params = SketchParams(
-            m=int(fields["m"]),
-            k_symbols=int(fields["k_symbols"]),
+            m=parse_plain_int(fields["m"]),
+            k_symbols=parse_plain_int(fields["k_symbols"]),
             policy=DecodePolicy(fields["policy"]),
-            primitive_poly=int(fields["primitive_poly"]),
+            primitive_poly=parse_plain_int(fields["primitive_poly"]),
         )
         offset = bytes.fromhex(fields["offset"]) if "offset" in fields else None
         return EnrollmentRecord(

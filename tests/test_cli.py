@@ -9,6 +9,7 @@ import biosketch
 from biosketch import cli
 
 from test_quantizer import BAD_INDEX_LINES
+from test_sketch import BAD_RECORD_LINES
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +157,40 @@ def test_key_index_lines_key_to_text_never_writes_are_runtime_errors(
     assert rc == cli.EXIT_RUNTIME
     assert "key file" in captured.err
     assert "ACCEPT" not in captured.out
+
+
+@pytest.mark.parametrize("edit", ["plus-sign", "repeated-field", "unknown-field"])
+def test_record_lines_record_to_text_never_writes_are_runtime_errors(
+        dataset_csv, tmp_path, capsys, edit):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0005"] + flags) == cli.EXIT_OK
+    path = tmp_path / "templates" / "s0005.rec"
+    path.write_text("\n".join(BAD_RECORD_LINES[edit](path.read_text().splitlines())) + "\n")
+    rc = cli.main(["auth", "--subject", "s0005", "--probe-sample", "1"] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "malformed enrollment record" in captured.err
+    assert "ACCEPT" not in captured.out
+
+
+@pytest.mark.parametrize("factor", ["inf", "nan"])
+def test_enroll_with_non_finite_window_factor_is_runtime_error_and_writes_nothing(
+        dataset_csv, tmp_path, capsys, factor):
+    flags = pipeline_flags(dataset_csv, tmp_path) + ["--window-factor", factor]
+    rc = cli.main(["enroll", "--subject", "s0000"] + flags)
+    assert rc == cli.EXIT_RUNTIME
+    assert "window_factor must be finite" in capsys.readouterr().err
+    assert not [p for d in ("templates", "keys") for p in (tmp_path / d).glob("*")]
+
+
+def test_eval_with_infinite_window_factor_is_runtime_error(dataset_csv, tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    rc = cli.main(["eval", "--dataset", str(dataset_csv), "--m", "3", "--k-list", "1",
+                   "--seed", "5", "--out-dim", "64", "--window-factor", "inf",
+                   "--out", str(out)])
+    assert rc == cli.EXIT_RUNTIME
+    assert "window_factor must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_writes_curve_csv(dataset_csv, tmp_path, capsys):

@@ -165,6 +165,11 @@ class TestSelectReliable:
         with pytest.raises(ValueError):
             select_reliable(np.ones(4), 5, nonce=0)
 
+    @pytest.mark.parametrize("factor", [0.5, float("inf"), float("nan")])
+    def test_window_factor_below_one_or_not_finite_rejected(self, factor):
+        with pytest.raises(ValueError, match="window_factor"):
+            select_reliable(np.ones(8), 3, nonce=0, window_factor=factor)
+
     def test_indices_sorted_and_unique(self):
         rng = np.random.default_rng(3)
         for nonce in range(20):

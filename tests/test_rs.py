@@ -280,7 +280,7 @@ class TestDifferential:
         5: [(1, 3), (11, 3), (20, 3), (30, 3), (31, 2)],
         6: [(1, 1), (17, 2), (40, 2), (63, 1)],
         8: [(32, 1), (200, 2), (255, 1)],
-        # Small N-K keeps the slow reference fast; m > 8 has two byte planes.
+        # Small N-K keeps the slow reference fast; m > 8 has two-byte symbols.
         9: [(491, 1), (509, 2)],
         10: [(1003, 1), (1021, 2)],
     }
@@ -346,10 +346,11 @@ def lockstep_spy(monkeypatch):
 
 
 class TestLockstepBerlekampMassey:
-    """``decode_batch`` with at least ``_BM_LOCKSTEP[bytes per symbol]``
-    pending rows runs Berlekamp-Massey in lockstep over them; with fewer,
-    packed per row. Both must give, row by row, what ``decode`` (a batch of
-    one) and the slow reference give, for every status mixed in one batch."""
+    """``decode_batch`` with at least ``_BM_LOCKSTEP`` pending rows, or with
+    any at m > 8, runs Berlekamp-Massey in lockstep over them; with fewer
+    one-byte rows, packed per row. Both must give, row by row, what
+    ``decode`` (a batch of one) and the slow reference give, for every
+    status mixed in one batch."""
 
     # (k, per_class); K = N - 1 has t = 0 and K = N - 2 has t = 1. RS(255, 32)
     # is checked against ``decode`` only: its reference decode takes ~0.2 s
@@ -359,6 +360,7 @@ class TestLockstepBerlekampMassey:
         5: [(11, 5), (20, 5), (29, 9), (30, 9)],
         6: [(17, 5), (61, 9), (62, 9)],
         8: [(32, 5), (200, 5), (253, 9), (254, 9)],
+        9: [(501, 2)],
         10: [(1013, 2)],
     }
 
@@ -381,9 +383,14 @@ class TestLockstepBerlekampMassey:
                         ("failure", None, None, None) if ref[0] == "fallback" else ref)
             pending = [i for i, w in enumerate(words) if any(code.syndromes(w))]
             exact = [i for i in range(len(words)) if i not in pending]
-            cut = _BM_LOCKSTEP[code.exp_table.itemsize]
-            assert len(pending) > cut
-            for count in (cut - 1, cut, len(pending)):
+            if code.exp_table.itemsize > 1:
+                # Every pending-row count, 1 included, runs in lockstep.
+                cut, counts = 0, range(1, len(pending) + 1)
+            else:
+                cut = _BM_LOCKSTEP
+                assert len(pending) > cut
+                counts = (cut - 1, cut, len(pending))
+            for count in counts:
                 rows = rng.permutation(pending[:count] + exact)
                 for policy in DecodePolicy:
                     del calls[:]
@@ -401,7 +408,7 @@ class TestLockstepBerlekampMassey:
         whole = code.decode_batch(words)
         pending = int(whole.status.astype(bool).sum())
         assert pending > 30
-        chunk = _BM_LOCKSTEP[1] + 2
+        chunk = _BM_LOCKSTEP + 2
         calls = lockstep_spy(monkeypatch)
         monkeypatch.setattr(rs, "_CHUNK", chunk * code.num_parity)
         chunked = code.decode_batch(words)
@@ -412,11 +419,12 @@ class TestLockstepBerlekampMassey:
     @pytest.mark.parametrize("m,k", [(3, 1), (3, 5), (3, 6), (5, 20), (6, 61), (8, 200),
                                      (8, 254), (2, 1), (4, 7), (7, 101), (9, 491), (10, 1003)])
     def test_locators_equal_reference(self, m, k):
-        """sigma and its degree from both Berlekamp-Massey paths, at every m
-        (two byte planes from m = 9): uniform words, words within t and just
-        beyond it, syndromes with runs of zeros, and rows where the degree is
-        below the LFSR length: syndromes (s, 0, .., 0) leave sigma = 1 at
-        length 1. Words within t end in a run of zero discrepancies."""
+        """sigma and its degree from the lockstep Berlekamp-Massey at every
+        m, and from the packed one at m <= 8 (m > 8 decodes in lockstep
+        only): uniform words, words within t and just beyond it, syndromes
+        with runs of zeros, and rows where the degree is below the LFSR
+        length: syndromes (s, 0, .., 0) leave sigma = 1 at length 1. Words
+        within t end in a run of zero discrepancies."""
         field = Field(m)
         code = RsCode(field, k)
         rng = np.random.default_rng(3000 + m + k)
@@ -440,7 +448,10 @@ class TestLockstepBerlekampMassey:
         synd = np.concatenate([synd, runs, single])
         synd = synd[synd.any(axis=1)]
         expected = [_slow_berlekamp_massey(s, field.primitive_poly, m) for s in synd.tolist()]
-        for locators in (code._berlekamp_massey_rows, code._berlekamp_massey_packed):
+        paths = [code._berlekamp_massey_rows]
+        if code.exp_table.itemsize == 1:
+            paths.append(code._berlekamp_massey_packed)
+        for locators in paths:
             sigma, degree = locators(synd)
             assert sigma.shape == (len(synd), npar + 1)
             for row, deg, ref in zip(sigma.tolist(), degree.tolist(), expected):
@@ -450,14 +461,17 @@ class TestLockstepBerlekampMassey:
                 assert degree[len(synd) - 2 * npar] == 0
 
     def test_packed_tables_built_on_first_small_batch(self):
-        code = RsCode(Field(8), 200)
-        word = code.encode(list(range(200)))
-        code.decode(word)
-        code.decode_batch(np.array([[1] + word[1:]] * _BM_LOCKSTEP[1]))
-        assert code._packed_tables is None
-        word[3] ^= 1
-        assert code.decode(word).error_count == 1
-        assert code._packed_tables is not None
+        """Only a correction of fewer than ``_BM_LOCKSTEP`` one-byte rows
+        builds the packed tables; at m > 8 none does."""
+        for m, k in ((8, 200), (10, 1013)):
+            code = RsCode(Field(m), k)
+            word = code.encode(list(range(k)))
+            code.decode(word)
+            code.decode_batch(np.array([[1] + word[1:]] * _BM_LOCKSTEP))
+            assert code._packed_tables is None
+            word[3] ^= 1
+            assert code.decode(word).error_count == 1
+            assert (code._packed_tables is not None) == (m <= 8)
 
 
 class TestDecodeBatch:

@@ -33,10 +33,29 @@ from biosketch.sketch import (
     record_to_text,
 )
 
+from test_quantizer import ARABIC_INDIC
 from test_rs import FAR_FROM_RS75
 
 SALT = bytes(range(16))
 FB = DecodePolicy.FALLBACK_SYSTEMATIC
+
+
+def _edit_field(name, edit):
+    return lambda lines: [f"{name}={edit(ln.split('=', 1)[1])}" if ln.startswith(name + "=")
+                          else ln for ln in lines]
+
+
+# Record lines ``record_to_text`` never writes, as edits of its lines; each
+# is a ParseError.
+BAD_RECORD_LINES = {
+    "plus-sign": _edit_field("m", lambda v: "+" + v),
+    "underscore": _edit_field("k_symbols", lambda v: "0_" + v),
+    "arabic-indic-digits": _edit_field("m", lambda v: v.translate(ARABIC_INDIC)),
+    "leading-zero": _edit_field("k_symbols", lambda v: "0" + v),
+    "poly-underscore": _edit_field("primitive_poly", lambda v: v[0] + "_" + v[1:]),
+    "repeated-field": lambda lines: lines + [ln for ln in lines if ln.startswith("m=")],
+    "unknown-field": lambda lines: lines + ["foo=bar"],
+}
 FD = DecodePolicy.FAIL_DENY
 
 
@@ -233,6 +252,16 @@ class TestRecordSerialization:
             record_from_text("garbage\n")
         with pytest.raises(ParseError):
             record_from_text("biosketch-record v1\nsubject_id=x\n")
+
+    @pytest.mark.parametrize("edit", sorted(BAD_RECORD_LINES))
+    def test_lines_record_to_text_never_writes_are_rejected(self, rs_7_3, edit):
+        rng = np.random.default_rng(8)
+        record = enroll_fc(random_bits(rng, 21), rs_7_3, 3, SALT, subject_id="u2")
+        lines = record_to_text(record).splitlines()
+        edited = BAD_RECORD_LINES[edit](lines)
+        assert edited != lines
+        with pytest.raises(ParseError):
+            record_from_text("\n".join(edited) + "\n")
 
     def test_record_never_contains_biometric(self, rs_7_3):
         rng = np.random.default_rng(9)
