@@ -54,6 +54,7 @@ from .quantizer import (
 from .sketch import (
     SCHEME_FUZZY_COMMITMENT,
     SCHEME_SECURE_SKETCH,
+    BatchDecision,
     Decision,
     DecisionReason,
     EnrollmentRecord,

@@ -4,8 +4,9 @@ The genuine accept rate enrolls every subject on its enrollment-half
 samples and probes with the held-out half (or with the enrollment
 representative itself, which by construction reproduces the enrolled bits).
 Subjects whose enrollment fails under the fail-deny policy are reported and
-excluded from the probe denominator. Each subject's probes are decided in
-one ``authenticate_batch``, so the RS decodes of a subject run as one batch.
+excluded from the probe denominator. The probes of every enrolled subject
+are stacked and decided in one ``authenticate_batch``, each row against its
+own subject's record, so all RS decodes run as one batch.
 
 The false accept rate is measured under two scenarios: ``zero-effort``
 (impostor presents its own biometric and its own key against the victim's
@@ -155,7 +156,7 @@ def gar_stats(dataset: EmbeddingDataset, config: PipelineConfig,
     prep = _prepare(dataset, config)
     if not prep.enrollments:
         raise InsufficientDataError("no subject could be enrolled")
-    accepted = probed = 0
+    records, probes, owner = [], [], []
     for sid, enr in prep.enrollments.items():
         mat = prep.fused[sid]
         cut = enroll_split(mat.shape[0])
@@ -163,15 +164,15 @@ def gar_stats(dataset: EmbeddingDataset, config: PipelineConfig,
             vectors = [mat[:cut].mean(axis=0)]
         else:
             vectors = list(mat[cut:])
-        probes = [probe_bits(vec, prep.pop, enr.key) for vec in vectors]
-        if probes:
-            decisions = authenticate_batch(np.stack(probes), enr.record, prep.code)
-            probed += len(decisions)
-            accepted += sum(d.accepted for d in decisions)
-    if probed == 0:
+        owner += [len(records)] * len(vectors)
+        records.append(enr.record)
+        probes += [probe_bits(vec, prep.pop, enr.key) for vec in vectors]
+    if not probes:
         raise InsufficientDataError(
             "no probe samples; need more than the enrollment half"
         )
+    batch = authenticate_batch(np.stack(probes), records, np.array(owner), prep.code)
+    accepted, probed = int(batch.accepted.sum()), len(probes)
     return GarResult(
         rate=accepted / probed,
         accepted=accepted,
@@ -186,10 +187,11 @@ def gar(dataset: EmbeddingDataset, config: PipelineConfig,
     return gar_stats(dataset, config, probe_mode).rate
 
 
-def _accepts(probes: np.ndarray, record, code) -> int:
-    """Accepted rows of a probe matrix; structural mismatches count as denial."""
+def _accepts(probes: np.ndarray, records, owner: np.ndarray, code) -> int:
+    """Accepted rows of a probe matrix, row i against ``records[owner[i]]``;
+    structural mismatches count as denial."""
     try:
-        return sum(d.accepted for d in authenticate_batch(probes, record, code))
+        return int(authenticate_batch(probes, records, owner, code).accepted.sum())
     except ParameterMismatchError:
         return 0
 
@@ -218,12 +220,12 @@ def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
     own key; ``stolen-key`` uses the victim's key with either ``uniform``
     random bits or ``dataset`` impostor vectors.
 
-    Trial i probes victim i mod (enrolled subjects). The probes are drawn
-    in trial order, then each victim's trials of a block are decided in one
-    ``authenticate_batch``. Uniform probes of a block come from one
-    ``_uniform_bit_rows`` call, which gives the bits and the generator
-    state of one ``rng.integers(0, 2, size=n_bits, dtype=np.uint8)`` per
-    trial.
+    Trial i probes victim i mod (enrolled subjects). The probes of a block
+    are drawn in trial order and decided in one ``authenticate_batch``,
+    each row against its own victim's record. Uniform probes of a block
+    come from one ``_uniform_bit_rows`` call, which gives the bits and the
+    generator state of one ``rng.integers(0, 2, size=n_bits, dtype=np.uint8)``
+    per trial.
     """
     if scenario not in (SCENARIO_ZERO_EFFORT, SCENARIO_STOLEN_KEY):
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -251,6 +253,7 @@ def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
                else prep.enrollments[impostor].key)
         return probe_bits(vec, prep.pop, key)
 
+    records = [prep.enrollments[sid].record for sid in sids]
     accepts = 0
     for lo in range(0, trials, _FAR_BLOCK):
         block = range(lo, min(trials, lo + _FAR_BLOCK))
@@ -258,9 +261,8 @@ def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
             probes = _uniform_bit_rows(rng, len(block), prep.code.n_bits)
         else:
             probes = np.stack([probe(trial) for trial in block])
-        for j, sid in enumerate(sids):
-            rows = probes[(j - lo) % len(sids)::len(sids)]
-            accepts += _accepts(rows, prep.enrollments[sid].record, prep.code)
+        owner = (lo + np.arange(len(block))) % len(sids)
+        accepts += _accepts(probes, records, owner, prep.code)
     return accepts / trials
 
 

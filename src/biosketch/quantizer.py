@@ -211,6 +211,15 @@ def parse_plain_int(text: str) -> int:
     return int(text)
 
 
+def parse_plain_hex(text: str) -> bytes:
+    """Bytes as ``bytes.hex`` writes them; ``ValueError`` for the other forms
+    ``bytes.fromhex`` takes, such as upper case or spaces."""
+    value = bytes.fromhex(text)
+    if value.hex() != text:
+        raise ValueError(f"{text!r} is not plain lower-case hex")
+    return value
+
+
 def key_to_text(key: ReliableKey) -> str:
     lines = [_KEY_HEADER, f"d={key.dimension}", f"G={key.count}",
              f"nonce={key.nonce}"]

@@ -11,10 +11,13 @@ salted hash of the message. Authentication XORs the probe bits onto the
 offset and decodes; any probe within t symbol errors of the enrolled bits
 lands back on the enrolled codeword.
 
-``authenticate_batch`` decides a matrix of probes against one record with a
-single ``RsCode.decode_batch``; ``authenticate``, ``auth_ss`` and ``auth_fc``
-check the scheme and decide a batch of one. Every ``Decision`` carries the
-decode status and the number of corrected symbols next to its reason.
+``authenticate_batch`` decides a matrix of probes, row i against
+``records[owner[i]]``, with a single ``RsCode.decode_batch`` over every row;
+the records share one scheme and one set of parameters. It returns a
+``BatchDecision`` of row-aligned arrays. ``authenticate``, ``auth_ss`` and
+``auth_fc`` check the scheme and decide a batch of one. Every ``Decision``
+carries the decode status and the number of corrected symbols next to its
+reason.
 
 Records never contain the biometric bits, the key indices, or the plain
 sketch. The hash is SHA-256 over salt || 64-bit little-endian bit length ||
@@ -27,6 +30,7 @@ import hmac
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +41,7 @@ from .errors import (
     ParseError,
 )
 from .gf import Field
-from .quantizer import parse_plain_int
+from .quantizer import parse_plain_hex, parse_plain_int
 from .rs import (
     BATCH_STATUSES,
     DecodePolicy,
@@ -52,6 +56,11 @@ SCHEME_SECURE_SKETCH = "secure-sketch"
 SCHEME_FUZZY_COMMITMENT = "fuzzy-commitment"
 
 DIGEST_BITS = 256
+
+_FAILURE = BATCH_STATUSES.index(DecodeStatus.FAILURE)
+# ``owner`` of a batch of one: its row is decided against records[0].
+_ONE_OWNER = np.zeros(1, dtype=np.intp)
+_ONE_OWNER.setflags(write=False)
 
 
 class DecisionReason(str, Enum):
@@ -79,6 +88,29 @@ class Decision:
             raise ValueError(
                 f"accepted={self.accepted} contradicts reason {self.reason.value}"
             )
+
+
+class BatchDecision(NamedTuple):
+    """Row-aligned decisions of ``authenticate_batch``.
+
+    ``status[i]`` indexes ``BATCH_STATUSES``; ``error_count`` is -1 where
+    the decode has none (fallback and failure rows). Labels and counts
+    only, never bits, key indices or messages.
+    """
+
+    accepted: np.ndarray     # (B,) bool
+    status: np.ndarray       # (B,) int8
+    error_count: np.ndarray  # (B,) int64
+
+    def decision(self, i: int) -> Decision:
+        """Row i as a ``Decision``."""
+        status = BATCH_STATUSES[self.status[i]]
+        if status is DecodeStatus.FAILURE:
+            return Decision(False, DecisionReason.DECODE_FAILURE, status)
+        accepted = bool(self.accepted[i])
+        count = int(self.error_count[i])
+        reason = DecisionReason.HASH_MATCH if accepted else DecisionReason.HASH_MISMATCH
+        return Decision(accepted, reason, status, count if count >= 0 else None)
 
 
 @dataclass(frozen=True)
@@ -242,14 +274,14 @@ def auth_ss(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decisi
     """Secure-sketch authentication of probe bits against a record."""
     if record.scheme != SCHEME_SECURE_SKETCH:
         raise ParameterMismatchError("record is not a secure-sketch record")
-    return authenticate_batch(_single_probe(r_b), record, code)[0]
+    return authenticate_batch(_single_probe(r_b), [record], _ONE_OWNER, code).decision(0)
 
 
 def auth_fc(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decision:
     """Fuzzy-commitment authentication of probe bits against a record."""
     if record.scheme != SCHEME_FUZZY_COMMITMENT:
         raise ParameterMismatchError("record is not a fuzzy-commitment record")
-    return authenticate_batch(_single_probe(r_b), record, code)[0]
+    return authenticate_batch(_single_probe(r_b), [record], _ONE_OWNER, code).decision(0)
 
 
 def authenticate(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decision:
@@ -258,43 +290,57 @@ def authenticate(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> D
     return auth_fc(r_b, record, code)
 
 
-def authenticate_batch(probes, record: EnrollmentRecord,
-                       code: RsCode | None = None) -> list[Decision]:
-    """Decide every row of a (B, n_bits) probe matrix against one record.
+def authenticate_batch(probes, records, owner,
+                       code: RsCode | None = None) -> BatchDecision:
+    """Decide row i of a (B, n_bits) probe matrix against ``records[owner[i]]``.
 
     This is the one authentication path: ``authenticate`` is a batch of one.
-    Fuzzy commitment XORs each probe onto the stored offset; secure sketch
+    The records must share one scheme and one ``SketchParams``. Fuzzy
+    commitment XORs each probe onto its record's offset; secure sketch
     decodes the probe as it is. All rows go through one
-    ``RsCode.decode_batch`` and are hashed from a shared salted prefix.
+    ``RsCode.decode_batch``, and each row that decodes is hashed from its
+    own record's salted prefix.
     """
-    code = _resolve_code(record, code)
+    records = list(records)
+    if not records:
+        raise ValueError("authenticate_batch needs at least one record")
+    first = records[0]
+    for record in records[1:]:
+        if record.scheme != first.scheme or record.params != first.params:
+            raise ParameterMismatchError(
+                "records of one batch must share scheme and parameters"
+            )
+    code = _resolve_code(first, code)
     arr = np.asarray(probes, dtype=np.uint8)
-    n_bits = record.params.n_bits
+    n_bits = first.params.n_bits
     if arr.ndim != 2 or arr.shape[1] != n_bits:
         raise ParameterMismatchError(
             f"probes have shape {arr.shape}, record expects {n_bits} bits per row"
         )
     if arr.max(initial=0) > 1:
         raise ValueError("probe entries must be 0 or 1")
-    if record.scheme == SCHEME_FUZZY_COMMITMENT:
-        arr = record.offset_bits() ^ arr
+    owner = np.asarray(owner)
+    if owner.shape != (len(arr),) or (owner.size and (
+            owner.dtype.kind not in "iu"
+            or owner.min() < 0 or owner.max() >= len(records))):
+        raise ValueError(
+            f"owner must be {len(arr)} record indices in 0..{len(records) - 1}"
+        )
+    if first.scheme == SCHEME_FUZZY_COMMITMENT:
+        arr = np.array([record.offset_bits() for record in records])[owner] ^ arr
     m = code.field.m
-    batch = code.decode_batch(bit_rows_to_symbols(arr, m), record.params.policy)
-    packed = np.packbits(symbols_to_bits(batch.message, m), axis=1)
-    prefix = _hash_prefix(record.salt, code.k_bits)
-    decisions = []
-    for index, count, message in zip(batch.status.tolist(),
-                                     batch.error_count.tolist(), packed):
-        status = BATCH_STATUSES[index]
-        if status is DecodeStatus.FAILURE:
-            decisions.append(Decision(False, DecisionReason.DECODE_FAILURE, status))
-            continue
-        h = prefix.copy()
+    batch = code.decode_batch(bit_rows_to_symbols(arr, m), first.params.policy)
+    rows = np.flatnonzero(batch.status != _FAILURE)
+    packed = np.packbits(symbols_to_bits(batch.message[rows], m), axis=1)
+    prefixes = [_hash_prefix(record.salt, code.k_bits) for record in records]
+    accepted = np.zeros(len(arr), dtype=bool)
+    hashed = []
+    for j, message in zip(owner[rows].tolist(), packed):
+        h = prefixes[j].copy()
         h.update(message.tobytes())
-        accepted = hmac.compare_digest(h.digest(), record.digest)
-        reason = DecisionReason.HASH_MATCH if accepted else DecisionReason.HASH_MISMATCH
-        decisions.append(Decision(accepted, reason, status, count if count >= 0 else None))
-    return decisions
+        hashed.append(hmac.compare_digest(h.digest(), records[j].digest))
+    accepted[rows] = hashed
+    return BatchDecision(accepted, batch.status, batch.error_count)
 
 
 # -- record file format -------------------------------------------------------
@@ -350,13 +396,13 @@ def record_from_text(text: str) -> EnrollmentRecord:
             policy=DecodePolicy(fields["policy"]),
             primitive_poly=parse_plain_int(fields["primitive_poly"]),
         )
-        offset = bytes.fromhex(fields["offset"]) if "offset" in fields else None
+        offset = parse_plain_hex(fields["offset"]) if "offset" in fields else None
         return EnrollmentRecord(
             scheme=fields["scheme"],
             subject_id=fields["subject_id"],
             params=params,
-            salt=bytes.fromhex(fields["salt"]),
-            digest=bytes.fromhex(fields["digest"]),
+            salt=parse_plain_hex(fields["salt"]),
+            digest=parse_plain_hex(fields["digest"]),
             offset=offset,
         )
     except (KeyError, ValueError) as exc:

@@ -159,7 +159,8 @@ def test_key_index_lines_key_to_text_never_writes_are_runtime_errors(
     assert "ACCEPT" not in captured.out
 
 
-@pytest.mark.parametrize("edit", ["plus-sign", "repeated-field", "unknown-field"])
+@pytest.mark.parametrize("edit", ["plus-sign", "repeated-field", "unknown-field",
+                                  "upper-case-digest", "spaced-salt"])
 def test_record_lines_record_to_text_never_writes_are_runtime_errors(
         dataset_csv, tmp_path, capsys, edit):
     flags = pipeline_flags(dataset_csv, tmp_path)

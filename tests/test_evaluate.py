@@ -156,10 +156,28 @@ class TestEmpiricalFar:
         from biosketch.evaluate import _accepts
         from biosketch.sketch import enroll_ss
 
-        record = enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3,
-                           "fallback", bytes(16))
-        assert _accepts(np.zeros((3, 20), dtype=np.uint8), record, rs_7_3) == 0
-        assert _accepts(np.zeros((3, 21), dtype=np.uint8), record, rs_7_3) == 3
+        records = [enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3,
+                             "fallback", salt) for salt in (bytes(16), bytes(8))]
+        owner = np.array([0, 1, 0])
+        assert _accepts(np.zeros((3, 20), dtype=np.uint8), records, owner, rs_7_3) == 0
+        assert _accepts(np.zeros((3, 21), dtype=np.uint8), records, owner, rs_7_3) == 3
+
+    @pytest.mark.parametrize("scheme", ["secure-sketch", "fuzzy-commitment"])
+    def test_rates_do_not_depend_on_block_size(self, scheme, monkeypatch):
+        # A block of 7 trials against 6 victims starts on a different
+        # victim each time, so every trial must still meet its own victim.
+        ds = gen_population(6, 8, 16, 16, 1.0, 0.2, seed=42)
+        cfg = PipelineConfig(m=3, k_symbols=1, scheme=scheme, out_dim=256, seed=5)
+        scenarios = TestFarDeterminism.SCENARIOS
+
+        def rates():
+            return [empirical_far(ds, cfg, scenario, 500, seed=17, impostor_bits=bits)
+                    for scenario, bits in scenarios]
+
+        default = rates()
+        monkeypatch.setattr(evaluate, "_FAR_BLOCK", 7)
+        assert rates() == default
+        assert all(default)
 
 
 class TestUniformBitRows:

@@ -20,6 +20,7 @@ from biosketch.rs import (
 from biosketch.sketch import (
     SCHEME_FUZZY_COMMITMENT,
     SCHEME_SECURE_SKETCH,
+    BatchDecision,
     Decision,
     DecisionReason,
     auth_fc,
@@ -55,6 +56,11 @@ BAD_RECORD_LINES = {
     "poly-underscore": _edit_field("primitive_poly", lambda v: v[0] + "_" + v[1:]),
     "repeated-field": lambda lines: lines + [ln for ln in lines if ln.startswith("m=")],
     "unknown-field": lambda lines: lines + ["foo=bar"],
+    "upper-case-digest": _edit_field("digest", str.upper),
+    "upper-case-salt": _edit_field("salt", str.upper),
+    "spaced-salt": _edit_field("salt", lambda v: v[:2] + " " + v[2:]),
+    "spaced-offset": _edit_field("offset", lambda v: v[:2] + " " + v[2:]),
+    "odd-length-salt": _edit_field("salt", lambda v: v + "0"),
 }
 FD = DecodePolicy.FAIL_DENY
 
@@ -355,26 +361,112 @@ class TestDecision:
 
 
 class TestAuthenticateBatch:
+    @staticmethod
+    def _probes(rng, code, enrolled):
+        """Exact, complemented and near probes of each enrolled vector, then
+        random ones; returns the probes and the vector each one came from."""
+        probes, source = [], []
+        for j, r_a in enumerate(enrolled):
+            near = [flip_symbols(rng, code, r_a, int(w))
+                    for w in rng.integers(0, code.t + 3, size=10)]
+            probes += [r_a, 1 - r_a] + near
+            source += [j] * (2 + len(near))
+        probes += [random_bits(rng, code.n_bits) for _ in range(12)]
+        source += rng.integers(0, len(enrolled), size=12).tolist()
+        return np.array(probes), np.array(source)
+
     @pytest.mark.parametrize("m,k", [(3, 2), (5, 11)])
     @pytest.mark.parametrize("policy", [FB, FD])
     def test_rows_equal_scalar_decisions(self, m, k, policy):
+        # One matrix against three records with their own salts (and, for
+        # fuzzy commitment, offsets): every row is decided as its own
+        # record would decide it alone, also the rows owned by a record
+        # other than the one they came from.
         code = RsCode(Field(m), k)
         rng = np.random.default_rng(m * 10 + k)
-        r_a = random_bits(rng, code.n_bits)
-        probes = [r_a, 1 - r_a]
-        probes += [flip_symbols(rng, code, r_a, int(w))
-                   for w in rng.integers(0, code.t + 3, size=20)]
-        probes += [random_bits(rng, code.n_bits) for _ in range(20)]
-        probes = np.array(probes)
-        records = [enroll_fc(r_a, code, 7, SALT, policy=policy)]
+        enrolled = [random_bits(rng, code.n_bits) for _ in range(3)]
+        probes, source = self._probes(rng, code, enrolled)
+        owner = np.where(rng.random(len(source)) < 0.75, source, (source + 1) % 3)
+        salts = [bytes([j]) * 16 for j in range(3)]
+        record_sets = [[enroll_fc(r_a, code, 7 + j, salts[j], policy=policy)
+                        for j, r_a in enumerate(enrolled)]]
         if policy is FB:
-            records.append(enroll_ss(r_a, code, policy, SALT))
-        for record in records:
-            batch = authenticate_batch(probes, record, code)
-            assert batch == [authenticate(row, record, code) for row in probes]
+            record_sets.append([enroll_ss(r_a, code, policy, salts[j])
+                                for j, r_a in enumerate(enrolled)])
+        for records in record_sets:
+            batch = authenticate_batch(probes, records, owner, code)
+            decisions = [batch.decision(i) for i in range(len(probes))]
+            assert decisions == [authenticate(row, records[j], code)
+                                 for row, j in zip(probes, owner)]
+            assert batch.accepted.tolist() == [d.accepted for d in decisions]
+            accepted_owners = set(owner[batch.accepted].tolist())
+            assert accepted_owners == {0, 1, 2}
+            assert not batch.accepted.all()
 
     def test_empty_and_wrong_width(self, rs_7_3):
         record = enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3, FB, SALT)
-        assert authenticate_batch(np.zeros((0, 21), dtype=np.uint8), record) == []
+        empty = authenticate_batch(np.zeros((0, 21), dtype=np.uint8), [record],
+                                   np.zeros(0, dtype=np.intp))
+        assert [(a.shape, a.dtype) for a in empty] == [
+            ((0,), np.bool_), ((0,), np.int8), ((0,), np.int64)]
         with pytest.raises(ParameterMismatchError):
-            authenticate_batch(np.zeros((2, 20), dtype=np.uint8), record, rs_7_3)
+            authenticate_batch(np.zeros((2, 20), dtype=np.uint8), [record],
+                               np.zeros(2, dtype=np.intp), rs_7_3)
+
+    def test_mixed_scheme_or_params_raise(self, rs_7_3, rs_7_5):
+        r_a = np.zeros(21, dtype=np.uint8)
+        ss = enroll_ss(r_a, rs_7_3, FB, SALT)
+        others = [
+            enroll_fc(r_a, rs_7_3, 3, SALT),          # scheme
+            enroll_ss(r_a, rs_7_5, FB, SALT),         # K
+            enroll_ss(r_a, rs_7_3, FD, SALT),         # policy
+        ]
+        probes = np.zeros((2, 21), dtype=np.uint8)
+        for other in others:
+            for records in ([ss, other], [other, ss]):
+                with pytest.raises(ParameterMismatchError):
+                    authenticate_batch(probes, records, np.array([0, 1]))
+
+    @pytest.mark.parametrize("owner", [
+        [0], [0, 0, 0], [[0, 1]], [0, 2], [-1, 0], [0.0, 1.0], [True, False],
+    ], ids=["short", "long", "2-d", "beyond", "negative", "float", "bool"])
+    def test_bad_owner_raises_value_error(self, rs_7_3, owner):
+        records = [enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3, FB, salt)
+                   for salt in (SALT, bytes(16))]
+        with pytest.raises(ValueError):
+            authenticate_batch(np.zeros((2, 21), dtype=np.uint8), records, owner)
+
+    def test_no_records_raises_value_error(self, rs_7_3):
+        with pytest.raises(ValueError):
+            authenticate_batch(np.zeros((1, 21), dtype=np.uint8), [], [0], rs_7_3)
+
+    def test_repr_carries_no_bits_keys_or_messages(self):
+        rng = np.random.default_rng(6)
+        config = PipelineConfig(m=3, k_symbols=2, scheme=SCHEME_FUZZY_COMMITMENT,
+                                out_dim=64, seed=5)
+        fused = {sid: rng.normal(size=(4, 64)) for sid in ("a", "b")}
+        pop = population_from_fused(fused)
+        code = config.build_code()
+        enrs = [enroll_vectors(config, code, fused[sid], pop, subject_id=sid)
+                for sid in ("a", "b")]
+        probes = np.stack([enr.template_bits for enr in enrs])
+        batch = authenticate_batch(probes, [enr.record for enr in enrs], [0, 1], code)
+        assert batch.accepted.all()
+        assert BatchDecision._fields == ("accepted", "status", "error_count")
+        secrets = []
+        for enr in enrs:
+            message = code.decode(bits_to_symbols(
+                enr.record.offset_bits() ^ enr.template_bits, 3), FB).message
+            secrets += [
+                "".join(map(str, enr.template_bits.tolist())),
+                np.packbits(enr.template_bits).tobytes().hex(),
+                ",".join(map(str, enr.key.indices[:4])),
+                ", ".join(map(str, enr.key.indices[:4])),
+                " ".join(map(str, enr.key.indices[:4])),
+                str(message),
+                str(list(message)),
+                enr.record.offset.hex(),
+            ]
+        for text in (str(batch), repr(batch)):
+            for secret in secrets:
+                assert secret not in text
