@@ -21,21 +21,20 @@ how the trials are drawn.
 Security is counted in message bits k = K * m; sweeping K at fixed m yields
 the GAR-security trade-off curve, written as CSV with the header
 ``m,K,security_bits,rate,gar,far_analytic,far_empirical,scheme,policy,scenario``.
+A sweep fuses the population and takes its medians once, then enrolls and
+decides every K on them; a sweep without a seed runs every K, and its FAR,
+under one seed drawn at its start.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    EnrollmentDecodeError,
-    InsufficientDataError,
-    ParameterMismatchError,
-)
+from .errors import EnrollmentDecodeError, InsufficientDataError
 from .pipeline import (
     Enrollment,
     PipelineConfig,
@@ -119,29 +118,35 @@ class GarResult:
 
 @dataclass(frozen=True)
 class _Prepared:
-    config: PipelineConfig
     code: object
     pop: object
     fused: dict[str, np.ndarray]
-    enrollments: dict[str, Enrollment]
-    unenrollable: list[str]
+    enrollments: dict[str, Enrollment]  # subjects missing here are unenrollable
 
 
-def _prepare(dataset: EmbeddingDataset, config: PipelineConfig) -> _Prepared:
-    weights = build_weights(config, dataset.d_face, dataset.d_iris)
-    fused = fuse_dataset(dataset, weights)
-    pop = population_from_fused(fused)
+def _fuse(dataset: EmbeddingDataset, config: PipelineConfig):
+    """K-invariant work: every subject's fused samples and the population stats."""
+    fused = fuse_dataset(dataset, build_weights(config, dataset.d_face, dataset.d_iris))
+    return fused, population_from_fused(fused)
+
+
+def _prepare(fused: dict[str, np.ndarray], pop, config: PipelineConfig) -> _Prepared:
+    """Per-K work: the code and every subject's enrollment under it."""
     code = config.build_code()
     enrollments: dict[str, Enrollment] = {}
-    unenrollable: list[str] = []
     for sid, mat in fused.items():
         cut = enroll_split(mat.shape[0])
         try:
             enrollments[sid] = enroll_vectors(config, code, mat[:cut], pop,
                                               subject_id=sid)
         except EnrollmentDecodeError:
-            unenrollable.append(sid)
-    return _Prepared(config, code, pop, fused, enrollments, unenrollable)
+            pass
+    return _Prepared(code, pop, fused, enrollments)
+
+
+def _check_probe_mode(probe_mode: str) -> None:
+    if probe_mode not in ("heldout", "enroll"):
+        raise ValueError(f"unknown probe mode {probe_mode!r}")
 
 
 def gar_stats(dataset: EmbeddingDataset, config: PipelineConfig,
@@ -151,49 +156,33 @@ def gar_stats(dataset: EmbeddingDataset, config: PipelineConfig,
     ``heldout`` probes each subject with its held-out samples;
     ``enroll`` probes with the enrollment representative itself.
     """
-    if probe_mode not in ("heldout", "enroll"):
-        raise ValueError(f"unknown probe mode {probe_mode!r}")
-    prep = _prepare(dataset, config)
+    _check_probe_mode(probe_mode)
+    return _gar_stats(_prepare(*_fuse(dataset, config), config), probe_mode)
+
+
+def _gar_stats(prep: _Prepared, probe_mode: str) -> GarResult:
     if not prep.enrollments:
         raise InsufficientDataError("no subject could be enrolled")
     records, probes, owner = [], [], []
     for sid, enr in prep.enrollments.items():
         mat = prep.fused[sid]
         cut = enroll_split(mat.shape[0])
-        if probe_mode == "enroll":
-            vectors = [mat[:cut].mean(axis=0)]
-        else:
-            vectors = list(mat[cut:])
+        vectors = [mat[:cut].mean(axis=0)] if probe_mode == "enroll" else list(mat[cut:])
         owner += [len(records)] * len(vectors)
         records.append(enr.record)
         probes += [probe_bits(vec, prep.pop, enr.key) for vec in vectors]
     if not probes:
-        raise InsufficientDataError(
-            "no probe samples; need more than the enrollment half"
-        )
+        raise InsufficientDataError("no probe samples; need more than the enrollment half")
     batch = authenticate_batch(np.stack(probes), records, np.array(owner), prep.code)
     accepted, probed = int(batch.accepted.sum()), len(probes)
-    return GarResult(
-        rate=accepted / probed,
-        accepted=accepted,
-        probed=probed,
-        enrolled=len(prep.enrollments),
-        unenrollable=len(prep.unenrollable),
-    )
+    return GarResult(rate=accepted / probed, accepted=accepted, probed=probed,
+                     enrolled=len(prep.enrollments),
+                     unenrollable=len(prep.fused) - len(prep.enrollments))
 
 
 def gar(dataset: EmbeddingDataset, config: PipelineConfig,
         probe_mode: str = "heldout") -> float:
     return gar_stats(dataset, config, probe_mode).rate
-
-
-def _accepts(probes: np.ndarray, records, owner: np.ndarray, code) -> int:
-    """Accepted rows of a probe matrix, row i against ``records[owner[i]]``;
-    structural mismatches count as denial."""
-    try:
-        return int(authenticate_batch(probes, records, owner, code).accepted.sum())
-    except ParameterMismatchError:
-        return 0
 
 
 def _uniform_bit_rows(rng: np.random.Generator, rows: int, n_bits: int) -> np.ndarray:
@@ -209,6 +198,18 @@ def _uniform_bit_rows(rng: np.random.Generator, rows: int, n_bits: int) -> np.nd
     w = -(-n_bits // 4)
     raw = rng.integers(0, 1 << 32, size=rows * w, dtype=np.uint32)
     return raw.astype("<u4", copy=False).view(np.uint8).reshape(rows, 4 * w)[:, :n_bits] >> 7
+
+
+def _check_far_args(dataset: EmbeddingDataset, scenario: str, trials: int,
+                    impostor_bits: str) -> None:
+    if scenario not in (SCENARIO_ZERO_EFFORT, SCENARIO_STOLEN_KEY):
+        raise ValueError(f"unknown scenario {scenario!r}")
+    if impostor_bits not in ("uniform", "dataset"):
+        raise ValueError(f"unknown impostor bit source {impostor_bits!r}")
+    if trials <= 0:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if dataset.n_subjects < 2:
+        raise InsufficientDataError("impostor trials need >= 2 subjects")
 
 
 def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
@@ -227,16 +228,13 @@ def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
     generator state of one ``rng.integers(0, 2, size=n_bits, dtype=np.uint8)``
     per trial.
     """
-    if scenario not in (SCENARIO_ZERO_EFFORT, SCENARIO_STOLEN_KEY):
-        raise ValueError(f"unknown scenario {scenario!r}")
-    if impostor_bits not in ("uniform", "dataset"):
-        raise ValueError(f"unknown impostor bit source {impostor_bits!r}")
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if dataset.n_subjects < 2:
-        raise InsufficientDataError("impostor trials need >= 2 subjects")
+    _check_far_args(dataset, scenario, trials, impostor_bits)
+    return _empirical_far(_prepare(*_fuse(dataset, config), config),
+                          scenario, trials, seed, impostor_bits)
 
-    prep = _prepare(dataset, config)
+
+def _empirical_far(prep: _Prepared, scenario: str, trials: int, seed,
+                   impostor_bits: str) -> float:
     sids = list(prep.enrollments)
     if len(sids) < 2:
         raise InsufficientDataError("need >= 2 enrolled subjects")
@@ -249,8 +247,7 @@ def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
         impostor = others[int(rng.integers(len(others)))]
         mat = prep.fused[impostor]
         vec = mat[int(rng.integers(mat.shape[0]))]
-        key = (prep.enrollments[victim].key if scenario == SCENARIO_STOLEN_KEY
-               else prep.enrollments[impostor].key)
+        key = prep.enrollments[victim if scenario == SCENARIO_STOLEN_KEY else impostor].key
         return probe_bits(vec, prep.pop, key)
 
     records = [prep.enrollments[sid].record for sid in sids]
@@ -262,7 +259,7 @@ def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
         else:
             probes = np.stack([probe(trial) for trial in block])
         owner = (lo + np.arange(len(block))) % len(sids)
-        accepts += _accepts(probes, records, owner, prep.code)
+        accepts += int(authenticate_batch(probes, records, owner, prep.code).accepted.sum())
     return accepts / trials
 
 
@@ -285,26 +282,26 @@ def run_gs_curve(dataset: EmbeddingDataset, config: PipelineConfig,
                  far_trials: int | None = None, seed=None,
                  probe_mode: str = "heldout") -> list[GsCurvePoint]:
     """One GAR-security point per K; deterministic given dataset and seeds."""
+    _check_probe_mode(probe_mode)
+    if far_trials:
+        _check_far_args(dataset, scenario, far_trials, "uniform")
+    if config.seed is None:
+        config = replace(config, seed=int(np.random.default_rng().integers(0, 2**63)))
     seed = config.seed if seed is None else seed
+    fused, pop = _fuse(dataset, config)
     points = []
     for k_symbols in k_list:
         cfg = config.with_k(int(k_symbols))
         security = cfg.k_symbols * cfg.m
-        g = gar(dataset, cfg, probe_mode=probe_mode)
-        fe = None
-        if far_trials:
-            fe = empirical_far(dataset, cfg, scenario, far_trials, seed)
+        prep = _prepare(fused, pop, cfg)
+        g = _gar_stats(prep, probe_mode).rate
+        fe = (_empirical_far(prep, scenario, far_trials, seed, "uniform")
+              if far_trials else None)
         points.append(GsCurvePoint(
-            m=cfg.m,
-            k_symbols=cfg.k_symbols,
-            security_bits=security,
-            rate=security / cfg.n_bits,
-            gar=g,
-            far_analytic=far_analytic(security),
-            far_empirical=fe,
-            scheme=cfg.scheme,
-            policy=cfg.policy.value,
-            scenario=scenario,
+            m=cfg.m, k_symbols=cfg.k_symbols, security_bits=security,
+            rate=security / cfg.n_bits, gar=g,
+            far_analytic=far_analytic(security), far_empirical=fe,
+            scheme=cfg.scheme, policy=cfg.policy.value, scenario=scenario,
         ))
     return points
 

@@ -223,6 +223,18 @@ def test_eval_deterministic_bytes(dataset_csv, tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_unseeded_eval_runs_every_k_under_one_seed(dataset_csv, tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    rc = cli.main([
+        "eval", "--dataset", str(dataset_csv), "--m", "3",
+        "--k-list", "2,2", "--out-dim", "64", "--trials", "200", "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert rc == cli.EXIT_OK
+    header, first, second = out.read_text().splitlines()
+    assert first == second
+
+
 def test_oracle_collision_output(capsys):
     rc = cli.main(["oracle", "--m", "3", "--k-symbols", "1",
                    "--trials", "3000", "--seed", "1"])

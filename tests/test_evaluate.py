@@ -150,18 +150,6 @@ class TestEmpiricalFar:
         b = empirical_far(small_dataset, SMALL_CFG, SCENARIO_STOLEN_KEY, 300, seed=9)
         assert a == b
 
-    def test_mismatched_probe_is_structurally_denied(self, small_dataset, rs_7_3):
-        # a probe matrix of the wrong width never raises out of the trial
-        # loop; its rows simply contribute denials
-        from biosketch.evaluate import _accepts
-        from biosketch.sketch import enroll_ss
-
-        records = [enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3,
-                             "fallback", salt) for salt in (bytes(16), bytes(8))]
-        owner = np.array([0, 1, 0])
-        assert _accepts(np.zeros((3, 20), dtype=np.uint8), records, owner, rs_7_3) == 0
-        assert _accepts(np.zeros((3, 21), dtype=np.uint8), records, owner, rs_7_3) == 3
-
     @pytest.mark.parametrize("scheme", ["secure-sketch", "fuzzy-commitment"])
     def test_rates_do_not_depend_on_block_size(self, scheme, monkeypatch):
         # A block of 7 trials against 6 victims starts on a different
@@ -266,6 +254,51 @@ class TestGsCurve:
     def test_empty_far_column_without_trials(self, small_dataset):
         text = gs_curve_csv(run_gs_curve(small_dataset, SMALL_CFG, [1]))
         assert ",,secure-sketch" in text.splitlines()[1]
+
+    def test_unseeded_sweep_is_one_system(self):
+        # Every K point of one sweep, FAR included, runs under one drawn
+        # seed, so repeated K values give repeated points.
+        ds = gen_population(10, 8, 16, 16, 1.0, 0.5, seed=3)
+        cfg = PipelineConfig(m=3, k_symbols=2, out_dim=64, seed=None)
+        points = run_gs_curve(ds, cfg, [2, 2, 2], far_trials=400)
+        assert len({(p.gar, p.far_empirical) for p in points}) == 1
+
+
+class TestFusionCount:
+    """Fusion does not depend on K: a sweep fuses the population once."""
+
+    @pytest.fixture
+    def fusions(self, monkeypatch):
+        calls = []
+        original = evaluate.fuse_dataset
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "fuse_dataset", counted)
+        return calls
+
+    def test_sweep_fuses_once(self, small_dataset, fusions):
+        run_gs_curve(small_dataset, SMALL_CFG, [1, 2, 3], far_trials=200)
+        assert len(fusions) == 1
+
+    def test_direct_calls_fuse_once_each(self, small_dataset, fusions):
+        gar_stats(small_dataset, SMALL_CFG)
+        assert len(fusions) == 1
+        empirical_far(small_dataset, SMALL_CFG, SCENARIO_STOLEN_KEY, 200, seed=1)
+        assert len(fusions) == 2
+
+    @pytest.mark.parametrize("call", [
+        lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 2], probe_mode="banana"),
+        lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 2], scenario="replay", far_trials=100),
+        lambda ds: gar_stats(ds, SMALL_CFG, probe_mode="banana"),
+        lambda ds: empirical_far(ds, SMALL_CFG, "replay", 100, seed=1),
+    ], ids=["sweep-probe-mode", "sweep-scenario", "gar-probe-mode", "far-scenario"])
+    def test_bad_arguments_raise_before_fusion(self, small_dataset, fusions, call):
+        with pytest.raises(ValueError):
+            call(small_dataset)
+        assert fusions == []
 
 
 class TestGoldenCurve:

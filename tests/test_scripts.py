@@ -1,10 +1,13 @@
 """Smoke runs of the command-line scripts under ``scripts/``.
 
 Each script runs in a fresh interpreter with ``src`` on the path in place
-of an installed package, on inputs small enough for a second or two.
+of an installed package, on inputs small enough for a second or two. The
+pinned GAR-security sweep runs in-process at its full default size.
 """
 
+import hashlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +45,24 @@ def test_run_gs_experiment_writes_one_row_per_k(tmp_path):
         lines = (out_dir / f"gs_curve_m3_{fusion_mode}.csv").read_text().splitlines()
         assert lines[0] == GS_CSV_HEADER
         assert [line.split(",")[1] for line in lines[1:]] == ["1", "2"]
+
+
+# SHA-256 of the CSVs of ``run_gs_experiment.py --m 5`` at its defaults:
+# population seed 20260811, config seed 101, out_dim 1024, securities
+# 55/80/100. Any change to these bytes is a change of behaviour.
+PINNED_GS_CSVS = {
+    "fca": "67f40841d18234329586b31bbcfcbfb60596cc729c2ba5b687c341dfd884d7de",
+    "bla": "006486461e28bbd5d8785be3589e48c9fe4d1bbd5d6821cd744a3785021d0749",
+}
+
+
+def test_run_gs_experiment_matches_pinned_csvs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [
+        "run_gs_experiment.py", "--m", "5", "--out-dir", str(tmp_path)])
+    runpy.run_path(str(ROOT / "scripts" / "run_gs_experiment.py"), run_name="__main__")
+    capsys.readouterr()
+    digests = {
+        mode: hashlib.sha256((tmp_path / f"gs_curve_m5_{mode}.csv").read_bytes()).hexdigest()
+        for mode in PINNED_GS_CSVS
+    }
+    assert digests == PINNED_GS_CSVS
