@@ -13,6 +13,7 @@ plain top-G set.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -25,12 +26,9 @@ SIGMA_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class PopulationStats:
-    """Per-dimension mean and median over a reference population."""
+    """Per-dimension median over a reference population."""
 
-    mean: np.ndarray
     median: np.ndarray
-    n_subjects: int
-    n_samples: int
 
     @property
     def dimension(self) -> int:
@@ -43,7 +41,6 @@ class UserStats:
 
     mean: np.ndarray
     std: np.ndarray
-    n_samples: int
 
     @property
     def dimension(self) -> int:
@@ -93,12 +90,7 @@ def population_stats(vectors, subject_ids) -> PopulationStats:
         raise InsufficientDataError("population statistics need >= 2 subjects")
     if not np.all(np.isfinite(mat)):
         raise ValueError("non-finite values in population vectors")
-    return PopulationStats(
-        mean=mat.mean(axis=0),
-        median=np.median(mat, axis=0),
-        n_subjects=len(set(ids)),
-        n_samples=mat.shape[0],
-    )
+    return PopulationStats(median=np.median(mat, axis=0))
 
 
 def user_stats(vectors) -> UserStats:
@@ -108,11 +100,7 @@ def user_stats(vectors) -> UserStats:
         raise DimensionMismatchError("vectors must be a (samples, dims) matrix")
     if mat.shape[0] < 2:
         raise InsufficientDataError("user statistics need >= 2 samples")
-    return UserStats(
-        mean=mat.mean(axis=0),
-        std=mat.std(axis=0, ddof=1),
-        n_samples=mat.shape[0],
-    )
+    return UserStats(mean=mat.mean(axis=0), std=mat.std(axis=0, ddof=1))
 
 
 def binarize(vector, pop: PopulationStats) -> np.ndarray:
@@ -136,11 +124,11 @@ def reliability(user: UserStats, pop: PopulationStats) -> np.ndarray:
         raise DimensionMismatchError(
             f"user dimension {user.dimension} != population {pop.dimension}"
         )
-    # Deferred: auth never ranks components, and scipy.special doubles the import time.
-    from scipy.special import ndtr
-
     z = np.abs(user.mean - pop.median) / np.maximum(user.std, SIGMA_FLOOR)
-    return ndtr(z)
+    # Multiply by sqrt(1/2): z / sqrt(2) rounds differently, shifts the float
+    # ties just below 1.0 and with them every m=8 key.
+    x = z * math.sqrt(0.5)
+    return np.array([0.5 * math.erfc(-v) for v in x.tolist()])
 
 
 def select_reliable(scores, count: int, nonce: int,

@@ -292,13 +292,13 @@ def test_console_entrypoint_runs():
     assert "rate=0.1429" in proc.stdout
 
 
-def test_auth_process_never_imports_scipy(dataset_csv, tmp_path):
+def test_cli_never_imports_scipy(dataset_csv, tmp_path):
     flags = pipeline_flags(dataset_csv, tmp_path)
-    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
-    argv = ["auth", "--subject", "s0000", "--probe-sample", "1"] + flags
+    enroll = ["enroll", "--subject", "s0000"] + flags
+    auth = ["auth", "--subject", "s0000", "--probe-sample", "1"] + flags
     script = (
         "import sys, biosketch, biosketch.cli\n"
-        f"rc = biosketch.cli.main({argv!r})\n"
+        f"rc = biosketch.cli.main({enroll!r}) or biosketch.cli.main({auth!r})\n"
         "print('scipy', any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
         "sys.exit(rc)\n"
     )

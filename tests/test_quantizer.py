@@ -20,6 +20,7 @@ from biosketch.pipeline import (
 )
 from biosketch.quantizer import (
     ReliableKey,
+    UserStats,
     binarize,
     extract,
     key_from_text,
@@ -62,9 +63,8 @@ def make_pop(vectors, ids=None):
 
 
 class TestPopulationStats:
-    def test_two_vector_mean(self):
+    def test_two_vector_median(self):
         pop = make_pop([[0.0, 2.0], [2.0, 0.0]])
-        assert np.array_equal(pop.mean, [1.0, 1.0])
         assert np.array_equal(pop.median, [1.0, 1.0])
 
     def test_single_subject_rejected(self):
@@ -123,6 +123,27 @@ class TestReliability:
         score = reliability(user, pop)[0]
         assert score == pytest.approx(normal_cdf(1.0), abs=1e-12)
         assert score == pytest.approx(0.8413, abs=5e-5)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0.0, 10.0),                                  # the whole useful range
+        (8.2, 8.4),                                   # values saturate to 1.0
+        (math.sqrt(2) - 1e-6, math.sqrt(2) + 1e-6),   # erf/erfc switch in ndtr
+        (0.0, 1e-3),                                  # just above 0.5
+    ])
+    def test_same_order_and_ties_as_scipy_ndtr(self, lo, hi):
+        # Ranking reads only order and ties, so values may differ by an ulp.
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        z = np.linspace(lo, hi, 200_000)
+        pop = make_pop(np.zeros((2, z.size)))
+        scores = reliability(UserStats(mean=z, std=np.ones_like(z)), pop)
+        steps = np.diff(scores)
+        assert np.all(steps >= 0)
+        assert np.array_equal(steps == 0, np.diff(ndtr(z)) == 0)
+
+    def test_exact_half_at_zero_and_one_far_out(self):
+        pop = make_pop([[0.0, 0.0], [0.0, 0.0]])
+        scores = reliability(UserStats(mean=np.array([0.0, 40.0]), std=np.ones(2)), pop)
+        assert scores.tolist() == [0.5, 1.0]
 
     def test_user_stats_need_two_samples(self):
         with pytest.raises(InsufficientDataError):
@@ -288,9 +309,10 @@ class TestEnrollmentDeterminism:
     """Key and record files of every golden subject, pinned by one SHA-256.
 
     Recorded before the package's scalar field arithmetic was removed. Key
-    selection ranks dimensions by Phi, so an implementation of Phi whose
-    float ties fall differently just below 1.0 (0.5 * erfc(-z / sqrt 2) in
-    place of scipy's ndtr) changes every m=8 key and fails this test.
+    selection ranks dimensions by Phi, so only Phi's order and float ties
+    matter, and those depend on how its argument is rounded: computing
+    x = z * sqrt(1/2) keeps every key, while x = z / sqrt(2) moves all m=8
+    keys and fails this test.
     """
 
     PINNED = {
