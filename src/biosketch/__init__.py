@@ -36,6 +36,7 @@ from .fusion import (
     fuse,
     fuse_bla,
     fuse_fca,
+    fuse_rows,
     load_weights,
     random_weights,
     save_weights,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import evaluate, oracle, store, synth
+from . import evaluate, gf, oracle, store, synth
 from .errors import BiosketchError, DuplicateSubjectError, ParameterMismatchError
 from .fusion import load_weights
 from .pipeline import (
@@ -141,6 +141,7 @@ def cmd_gen(args) -> int:
 
 def cmd_params(args) -> int:
     m = _resolve(args, "m", int, required=True)
+    gf.check_symbol_size(m)
     n_symbols = (1 << m) - 1
     print(f"m={m} N={n_symbols} n={m * n_symbols}")
     security = _resolve(args, "security", int)

@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EnrollmentDecodeError, InsufficientDataError
+from .gf import check_symbol_size
 from .pipeline import (
     Enrollment,
     PipelineConfig,
@@ -81,6 +82,7 @@ def params_for_security(m: int, security_bits: int) -> ParamPlan:
     Security is quantized to multiples of m because K is integral; both the
     nominal and the achieved level are reported.
     """
+    check_symbol_size(m)
     n_symbols = (1 << m) - 1
     n_bits = m * n_symbols
     if not 1 <= security_bits <= n_bits:
@@ -167,14 +169,15 @@ def _gar_stats(prep: _Prepared, probe_mode: str) -> GarResult:
     for sid, enr in prep.enrollments.items():
         mat = prep.fused[sid]
         cut = enroll_split(mat.shape[0])
-        vectors = [mat[:cut].mean(axis=0)] if probe_mode == "enroll" else list(mat[cut:])
-        owner += [len(records)] * len(vectors)
+        rows = mat[:cut].mean(axis=0, keepdims=True) if probe_mode == "enroll" else mat[cut:]
+        owner.append(np.full(len(rows), len(records)))
         records.append(enr.record)
-        probes += [probe_bits(vec, prep.pop, enr.key) for vec in vectors]
-    if not probes:
+        probes.append(probe_bits(rows, prep.pop, enr.key))
+    bits = np.concatenate(probes)
+    if not len(bits):
         raise InsufficientDataError("no probe samples; need more than the enrollment half")
-    batch = authenticate_batch(np.stack(probes), records, np.array(owner), prep.code)
-    accepted, probed = int(batch.accepted.sum()), len(probes)
+    batch = authenticate_batch(bits, records, np.concatenate(owner), prep.code)
+    accepted, probed = int(batch.accepted.sum()), len(bits)
     return GarResult(rate=accepted / probed, accepted=accepted, probed=probed,
                      enrolled=len(prep.enrollments),
                      unenrollable=len(prep.fused) - len(prep.enrollments))

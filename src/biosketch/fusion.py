@@ -8,6 +8,10 @@ Two fusion modes produce the shared feature vector:
   flattened row-major, optionally followed by a stored linear projection P
   down to the output dimension.
 
+``fuse_rows`` fuses n pairs into an (n, out_dim) matrix; ``fuse`` is a
+one-row call to it. Each row is a BLAS matrix-vector product, as ``W @ row``,
+so rows are bit-identical to per-pair fusion; ``X @ W.T`` would move keys.
+
 Network training is out of scope; weights are inputs. They are loaded from a
 small binary file (format below) or generated from a seed for synthetic
 experiments. In-memory arrays are float64; the file payload is float32.
@@ -66,10 +70,6 @@ class Embedding:
             raise ValueError(f"unknown modality {self.modality!r}")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def dimension(self) -> int:
-        return self.values.size
-
 
 @dataclass
 class FusionWeights:
@@ -116,45 +116,47 @@ class FusionWeights:
                     )
 
 
-def _check_inputs(face: Embedding, iris: Embedding, weights: FusionWeights):
+def fuse_rows(face_rows, iris_rows, weights: FusionWeights) -> np.ndarray:
+    """(n, out_dim) fusion of face row i with iris row i, for every i."""
+    face = np.asarray(face_rows, dtype=np.float64)
+    iris = np.asarray(iris_rows, dtype=np.float64)
+    if (face.ndim, iris.ndim) != (2, 2) or face.shape[0] != iris.shape[0] or (
+            (face.shape[1], iris.shape[1]) != (weights.d_face, weights.d_iris)):
+        raise DimensionMismatchError(
+            f"face rows {face.shape} and iris rows {iris.shape} do not pair up "
+            f"for weights ({weights.d_face}, {weights.d_iris})"
+        )
+    if not (np.isfinite(face).all() and np.isfinite(iris).all()):
+        raise ValueError("embedding contains non-finite values")
+    if weights.mode == MODE_FCA:
+        x = np.concatenate([face, iris], axis=1)
+        z = (weights.W @ x[:, :, None])[:, :, 0] + weights.b
+    else:
+        z = (face[:, :, None] * iris[:, None, :]).reshape(face.shape[0], -1)
+        if weights.P is not None:
+            z = (weights.P @ z[:, :, None])[:, :, 0]
+    return np.maximum(z, 0.0) if weights.activation == ACT_RELU else z
+
+
+def fuse(face: Embedding, iris: Embedding, weights: FusionWeights) -> np.ndarray:
+    """One face/iris pair fused as a one-row ``fuse_rows`` call."""
     if face.modality != "face" or iris.modality != "iris":
         raise DimensionMismatchError("arguments must be a face and an iris embedding")
-    if face.dimension != weights.d_face or iris.dimension != weights.d_iris:
-        raise DimensionMismatchError(
-            f"embedding dims ({face.dimension}, {iris.dimension}) do not match "
-            f"weights ({weights.d_face}, {weights.d_iris})"
-        )
-
-
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == ACT_RELU:
-        return np.maximum(z, 0.0)
-    return z
+    return fuse_rows(face.values[None], iris.values[None], weights)[0]
 
 
 def fuse_fca(face: Embedding, iris: Embedding, weights: FusionWeights) -> np.ndarray:
     """Fully connected fusion: act(W [face; iris] + b)."""
     if weights.mode != MODE_FCA:
         raise DimensionMismatchError("weights are not fca weights")
-    _check_inputs(face, iris, weights)
-    z = weights.W @ np.concatenate([face.values, iris.values]) + weights.b
-    return _activate(z, weights.activation)
+    return fuse(face, iris, weights)
 
 
 def fuse_bla(face: Embedding, iris: Embedding, weights: FusionWeights) -> np.ndarray:
     """Bilinear fusion: flattened outer product, optionally projected by P."""
     if weights.mode != MODE_BLA:
         raise DimensionMismatchError("weights are not bla weights")
-    _check_inputs(face, iris, weights)
-    flat = np.outer(face.values, iris.values).reshape(-1)
-    z = flat if weights.P is None else weights.P @ flat
-    return _activate(z, weights.activation)
-
-
-def fuse(face: Embedding, iris: Embedding, weights: FusionWeights) -> np.ndarray:
-    if weights.mode == MODE_FCA:
-        return fuse_fca(face, iris, weights)
-    return fuse_bla(face, iris, weights)
+    return fuse(face, iris, weights)
 
 
 def random_weights(mode: str, d_face: int, d_iris: int, out_dim: int, seed,

@@ -35,6 +35,13 @@ MIN_M = 2
 MAX_M = 10
 
 
+def check_symbol_size(m: int) -> None:
+    if not MIN_M <= m <= MAX_M:
+        raise UnsupportedSymbolSizeError(
+            f"symbol size m={m} outside supported range {MIN_M}..{MAX_M}"
+        )
+
+
 class Field:
     """GF(2^m) with exp/log tables over the generator alpha.
 
@@ -46,10 +53,7 @@ class Field:
     __slots__ = ("m", "size", "order", "primitive_poly", "exp_table", "log_table")
 
     def __init__(self, m: int, primitive_poly: int | None = None):
-        if not MIN_M <= m <= MAX_M:
-            raise UnsupportedSymbolSizeError(
-                f"symbol size m={m} outside supported range {MIN_M}..{MAX_M}"
-            )
+        check_symbol_size(m)
         if primitive_poly is None:
             primitive_poly = DEFAULT_PRIMITIVE_POLY[m]
         if primitive_poly.bit_length() != m + 1:

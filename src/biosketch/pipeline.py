@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .errors import InsufficientDataError
-from .fusion import Embedding, FusionWeights, fuse, random_weights
+from .fusion import FusionWeights, fuse_rows, random_weights
 from .gf import Field
 from .quantizer import (
     PopulationStats,
@@ -102,14 +102,8 @@ def build_weights(config: PipelineConfig, d_face: int, d_iris: int) -> FusionWei
 
 def fuse_dataset(dataset: EmbeddingDataset, weights: FusionWeights) -> dict[str, np.ndarray]:
     """Fused sample matrix (n_samples, out_dim) per subject."""
-    fused: dict[str, np.ndarray] = {}
-    for sid in dataset.subject_ids:
-        rows = [
-            fuse(Embedding(f, "face"), Embedding(i, "iris"), weights)
-            for f, i in zip(dataset.face[sid], dataset.iris[sid])
-        ]
-        fused[sid] = np.asarray(rows)
-    return fused
+    return {sid: fuse_rows(dataset.face[sid], dataset.iris[sid], weights)
+            for sid in dataset.subject_ids}
 
 
 def enroll_split(n_samples: int) -> int:
@@ -136,8 +130,7 @@ class Enrollment:
 
 def enroll_vectors(config: PipelineConfig, code: RsCode,
                    enroll_matrix: np.ndarray, pop: PopulationStats,
-                   subject_id: str = "",
-                   rng: np.random.Generator | None = None) -> Enrollment:
+                   subject_id: str = "") -> Enrollment:
     """Enroll one subject from its enrollment-half fused vectors."""
     if enroll_matrix.shape[0] < 2:
         raise InsufficientDataError("enrollment needs >= 2 samples")
@@ -145,8 +138,7 @@ def enroll_vectors(config: PipelineConfig, code: RsCode,
         raise ValueError(
             f"fused dimension {pop.dimension} < required G={config.reliable_count}"
         )
-    if rng is None:
-        rng = derive_rng(config.seed, "enroll", subject_id)
+    rng = derive_rng(config.seed, "enroll", subject_id)
     user = user_stats(enroll_matrix)
     scores = reliability(user, pop)
     nonce = int(rng.integers(0, 2**63))
@@ -163,6 +155,6 @@ def enroll_vectors(config: PipelineConfig, code: RsCode,
     return Enrollment(record=record, key=key, template_bits=r_a)
 
 
-def probe_bits(vector: np.ndarray, pop: PopulationStats, key: ReliableKey) -> np.ndarray:
-    """Reliable-bit vector a probe presents: binarize then gather."""
-    return extract(binarize(vector, pop), key)
+def probe_bits(vectors: np.ndarray, pop: PopulationStats, key: ReliableKey) -> np.ndarray:
+    """Reliable bits a probe vector, or each row of a matrix, presents."""
+    return extract(binarize(vectors, pop), key)

@@ -103,12 +103,12 @@ def user_stats(vectors) -> UserStats:
     return UserStats(mean=mat.mean(axis=0), std=mat.std(axis=0, ddof=1))
 
 
-def binarize(vector, pop: PopulationStats) -> np.ndarray:
-    """Bit j is 1 when the vector exceeds the population median there."""
-    vec = np.asarray(vector, dtype=np.float64)
-    if vec.shape != (pop.dimension,):
+def binarize(vectors, pop: PopulationStats) -> np.ndarray:
+    """Bit j of a vector, or of each row, is 1 above the population median."""
+    vec = np.asarray(vectors, dtype=np.float64)
+    if vec.ndim not in (1, 2) or vec.shape[-1] != pop.dimension:
         raise DimensionMismatchError(
-            f"vector has shape {vec.shape}, expected ({pop.dimension},)"
+            f"vectors have shape {vec.shape}, expected (..., {pop.dimension})"
         )
     return (vec > pop.median).astype(np.uint8)
 
@@ -161,15 +161,15 @@ def select_reliable(scores, count: int, nonce: int,
 
 
 def extract(bits, key: ReliableKey) -> np.ndarray:
-    """Gather the key's components from a binarized vector."""
+    """Gather the key's components from a bit vector or each row of a matrix."""
     arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise DimensionMismatchError("bit vector must be 1-D")
-    if key.dimension != arr.size:
+    if arr.ndim not in (1, 2):
+        raise DimensionMismatchError("bits must be a vector or a matrix of rows")
+    if key.dimension != arr.shape[-1]:
         raise DimensionMismatchError(
-            f"key is for {key.dimension} dimensions, got {arr.size} bits"
+            f"key is for {key.dimension} dimensions, got {arr.shape[-1]} bits"
         )
-    return arr[key.index_array]
+    return arr.take(key.index_array, axis=-1)
 
 
 # -- key file format ----------------------------------------------------------

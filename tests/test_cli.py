@@ -48,6 +48,15 @@ def test_params_lengths(capsys, m, n_sym, n_bits):
     assert f"m={m} N={n_sym} n={n_bits}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra", [[], ["--security", "5"]])
+@pytest.mark.parametrize("m", [1, 11, 40])
+def test_params_rejects_unsupported_symbol_size(capsys, m, extra):
+    assert cli.main(["params", "--m", str(m)] + extra) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"symbol size m={m} outside supported range 2..10" in captured.err
+
+
 def test_enroll_then_genuine_auth_accepts(dataset_csv, tmp_path, capsys):
     flags = pipeline_flags(dataset_csv, tmp_path)
     assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
@@ -181,6 +190,21 @@ def test_enroll_with_non_finite_window_factor_is_runtime_error_and_writes_nothin
     rc = cli.main(["enroll", "--subject", "s0000"] + flags)
     assert rc == cli.EXIT_RUNTIME
     assert "window_factor must be finite" in capsys.readouterr().err
+    assert not [p for d in ("templates", "keys") for p in (tmp_path / d).glob("*")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_enroll_on_non_finite_dataset_is_runtime_error_and_writes_nothing(
+        dataset_csv, tmp_path, capsys, value):
+    lines = dataset_csv.read_text().splitlines(keepends=True)
+    fields = lines[5].split(",")
+    fields[4] = value
+    lines[5] = ",".join(fields)
+    bad_csv = tmp_path / "embeddings.csv"
+    bad_csv.write_text("".join(lines))
+    rc = cli.main(["enroll", "--subject", "s0000"] + pipeline_flags(bad_csv, tmp_path))
+    assert rc == cli.EXIT_RUNTIME
+    assert "embedding contains non-finite values" in capsys.readouterr().err
     assert not [p for d in ("templates", "keys") for p in (tmp_path / d).glob("*")]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from biosketch import evaluate
-from biosketch.errors import InsufficientDataError
+from biosketch.errors import InsufficientDataError, UnsupportedSymbolSizeError
 from biosketch.evaluate import (
     PrivacyReport,
     SCENARIO_STOLEN_KEY,
@@ -55,6 +55,11 @@ class TestParamsForSecurity:
             params_for_security(3, 22)
         with pytest.raises(ValueError):
             params_for_security(5, 0)
+
+    @pytest.mark.parametrize("m", [1, 11, 40])
+    def test_unsupported_symbol_size(self, m):
+        with pytest.raises(UnsupportedSymbolSizeError):
+            params_for_security(m, 5)
 
     def test_lengths_per_symbol_size(self):
         for m, n_bits in ((5, 155), (6, 378), (7, 889)):

@@ -5,8 +5,10 @@ from biosketch.errors import DimensionMismatchError, ParseError
 from biosketch.fusion import (
     Embedding,
     FusionWeights,
+    fuse,
     fuse_bla,
     fuse_fca,
+    fuse_rows,
     load_weights,
     random_weights,
     save_weights,
@@ -125,6 +127,84 @@ class TestBla:
     def test_projection_free_requires_product_dim(self):
         with pytest.raises(DimensionMismatchError):
             FusionWeights("bla", 2, 2, 5, "identity")
+
+
+def per_row_reference(face, iris, w):
+    """The per-pair formulas, one matrix-vector product per row."""
+    rows = []
+    for f, i in zip(face, iris):
+        if w.mode == "fca":
+            z = w.W @ np.concatenate([f, i]) + w.b
+        else:
+            flat = np.outer(f, i).reshape(-1)
+            z = flat if w.P is None else w.P @ flat
+        rows.append(np.maximum(z, 0.0) if w.activation == "relu" else z)
+    return np.array(rows)
+
+
+class TestFuseRows:
+    @pytest.mark.parametrize("n", [1, 13])
+    @pytest.mark.parametrize("mode,d_face,d_iris,out_dim,activation", [
+        ("fca", 32, 24, 256, "relu"),
+        ("fca", 32, 24, 256, "identity"),
+        ("bla", 12, 10, 96, "identity"),    # projected by P
+        ("bla", 12, 10, 96, "relu"),
+        ("bla", 12, 10, 120, "identity"),   # no P: out_dim = d_face * d_iris
+        ("bla", 12, 10, 120, "relu"),
+    ])
+    def test_rows_bit_identical_to_per_row_formulas(self, n, mode, d_face, d_iris,
+                                                    out_dim, activation):
+        rng = np.random.default_rng([n, out_dim])
+        w = random_weights(mode, d_face, d_iris, out_dim, seed=out_dim, activation=activation)
+        assert (w.P is not None) == (mode == "bla" and out_dim != d_face * d_iris)
+        face, iris = rng.normal(size=(n, d_face)), rng.normal(size=(n, d_iris))
+        got = fuse_rows(face, iris, w)
+        assert got.shape == (n, out_dim)
+        assert np.array_equal(got, per_row_reference(face, iris, w))
+
+    @pytest.mark.parametrize("mode,out_dim", [("fca", 1024), ("bla", 512)])
+    def test_fortran_ordered_rows(self, mode, out_dim):
+        rng = np.random.default_rng(21)
+        d = 64 if mode == "fca" else 16
+        w = random_weights(mode, d, d, out_dim, seed=22)
+        face = np.asfortranarray(rng.normal(size=(20, d)))
+        iris = rng.normal(size=(20, d))
+        assert np.array_equal(fuse_rows(face, iris, w), per_row_reference(face, iris, w))
+
+    @pytest.mark.parametrize("mode,out_dim", [("fca", 40), ("bla", 30)])
+    def test_per_pair_fuse_is_a_one_row_call(self, mode, out_dim):
+        rng = np.random.default_rng(23)
+        w = random_weights(mode, 6, 5, out_dim, seed=24)
+        face, iris = rng.normal(size=(4, 6)), rng.normal(size=(4, 5))
+        rows = fuse_rows(face, iris, w)
+        per_mode = fuse_fca if mode == "fca" else fuse_bla
+        for k in range(4):
+            pair = emb(face[k], "face"), emb(iris[k], "iris")
+            assert np.array_equal(fuse(*pair, w), rows[k])
+            assert np.array_equal(per_mode(*pair, w), rows[k])
+
+    @pytest.mark.parametrize("face,iris", [
+        (np.zeros((2, 3)), np.zeros((3, 2))),        # unpaired rows
+        (np.zeros((2, 2)), np.zeros((2, 2))),        # face width
+        (np.zeros((2, 3)), np.zeros((2, 3))),        # iris width
+        (np.zeros(3), np.zeros(2)),                  # vectors, not rows
+        (np.zeros((1, 2, 3)), np.zeros((1, 2, 2))),
+    ])
+    def test_shape_mismatch(self, face, iris):
+        w = random_weights("fca", 3, 2, 4, seed=25)
+        with pytest.raises(DimensionMismatchError):
+            fuse_rows(face, iris, w)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        w = random_weights("bla", 3, 2, 6, seed=26)
+        face, iris = np.ones((2, 3)), np.ones((2, 2))
+        face[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            fuse_rows(face, np.ones((2, 2)), w)
+        iris[0, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            fuse_rows(np.ones((2, 3)), iris, w)
 
 
 class TestEmbedding:

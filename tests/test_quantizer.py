@@ -88,6 +88,7 @@ class TestBinarize:
         pop = make_pop(vectors)
         bits = np.stack([binarize(v, pop) for v in vectors])
         assert np.array_equal(bits.sum(axis=0), np.full(16, 20))
+        assert np.array_equal(binarize(vectors, pop), bits)
 
     def test_matches_componentwise_comparison(self):
         rng = np.random.default_rng(1)
@@ -101,6 +102,20 @@ class TestBinarize:
         pop = make_pop([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(DimensionMismatchError):
             binarize([1.0, 2.0, 3.0], pop)
+        with pytest.raises(DimensionMismatchError):
+            binarize(np.zeros((4, 3)), pop)
+        with pytest.raises(DimensionMismatchError):
+            binarize(np.zeros((1, 4, 2)), pop)
+
+
+def assert_same_order_and_ties_as_ndtr(z):
+    # Ranking reads only order and ties, so values may differ by an ulp.
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    pop = make_pop(np.zeros((2, z.size)))
+    scores = reliability(UserStats(mean=z, std=np.ones_like(z)), pop)
+    steps = np.diff(scores)
+    assert np.all(steps >= 0)
+    assert np.array_equal(steps == 0, np.diff(ndtr(z)) == 0)
 
 
 class TestReliability:
@@ -131,14 +146,15 @@ class TestReliability:
         (0.0, 1e-3),                                  # just above 0.5
     ])
     def test_same_order_and_ties_as_scipy_ndtr(self, lo, hi):
-        # Ranking reads only order and ties, so values may differ by an ulp.
-        ndtr = pytest.importorskip("scipy.special").ndtr
-        z = np.linspace(lo, hi, 200_000)
-        pop = make_pop(np.zeros((2, z.size)))
-        scores = reliability(UserStats(mean=z, std=np.ones_like(z)), pop)
-        steps = np.diff(scores)
-        assert np.all(steps >= 0)
-        assert np.array_equal(steps == 0, np.diff(ndtr(z)) == 0)
+        assert_same_order_and_ties_as_ndtr(np.linspace(lo, hi, 200_000))
+
+    def test_ulp_neighbourhoods_where_only_the_shipped_argument_form_matches_ndtr(self):
+        # At these z, 0.5 * erfc(-z / sqrt(2)) misses ndtr's value while the
+        # shipped z * sqrt(1/2) hits it; the linspace grids cannot tell the
+        # two forms apart. Each neighbourhood spans +-8 ulps.
+        centres = (4.00180604000038, 4.011696229999481, 4.022446449999203)
+        assert_same_order_and_ties_as_ndtr(
+            np.concatenate([c + np.arange(-8, 9) * np.spacing(c) for c in centres]))
 
     def test_exact_half_at_zero_and_one_far_out(self):
         pop = make_pop([[0.0, 0.0], [0.0, 0.0]])
@@ -214,11 +230,17 @@ class TestExtract:
         idx = tuple(sorted(rng.choice(50, size=20, replace=False).tolist()))
         key = ReliableKey(indices=idx, dimension=50, nonce=0)
         assert extract(bits, key).tolist() == [int(bits[i]) for i in idx]
+        rows = rng.integers(0, 2, size=(7, 50), dtype=np.uint8)
+        assert extract(rows, key).tolist() == [[int(r[i]) for i in idx] for r in rows]
 
     def test_out_of_range(self):
         key = ReliableKey(indices=(0, 9), dimension=10, nonce=0)
         with pytest.raises(DimensionMismatchError):
             extract(np.zeros(5, dtype=np.uint8), key)
+        with pytest.raises(DimensionMismatchError):
+            extract(np.zeros((3, 5), dtype=np.uint8), key)
+        with pytest.raises(DimensionMismatchError):
+            extract(np.zeros((1, 3, 10), dtype=np.uint8), key)
 
     def test_repeated_extraction_identical(self):
         rng = np.random.default_rng(5)
