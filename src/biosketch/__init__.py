@@ -64,13 +64,14 @@ from .sketch import (
     auth_ss,
     authenticate,
     authenticate_batch,
+    enroll_batch,
     enroll_fc,
     enroll_ss,
     hash_sketch,
 )
 from .store import KeyStore, TemplateDb, revoke
 from .synth import EmbeddingDataset, gen_population, read_embeddings, write_embeddings
-from .pipeline import PipelineConfig, enroll_vectors, probe_bits
+from .pipeline import PipelineConfig, enroll_vectors, probe_bits, select_template
 from .evaluate import (
     GsCurvePoint,
     ParamPlan,

@@ -21,9 +21,10 @@ how the trials are drawn.
 Security is counted in message bits k = K * m; sweeping K at fixed m yields
 the GAR-security trade-off curve, written as CSV with the header
 ``m,K,security_bits,rate,gar,far_analytic,far_empirical,scheme,policy,scenario``.
-A sweep fuses the population and takes its medians once, then enrolls and
-decides every K on them; a sweep without a seed runs every K, and its FAR,
-under one seed drawn at its start.
+A sweep fuses the population, takes its medians and selects every
+subject's key and enrolled bits once, then enrolls every K in one
+``enroll_batch`` and decides it; a sweep without a seed runs every K, and
+its FAR, under one seed drawn at its start.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EnrollmentDecodeError, InsufficientDataError
+from .errors import InsufficientDataError
 from .gf import check_symbol_size
 from .pipeline import (
     Enrollment,
@@ -42,12 +43,12 @@ from .pipeline import (
     build_weights,
     derive_rng,
     enroll_split,
-    enroll_vectors,
     fuse_dataset,
     population_from_fused,
     probe_bits,
+    select_template,
 )
-from .sketch import authenticate_batch
+from .sketch import authenticate_batch, enroll_batch
 from .synth import EmbeddingDataset
 
 SCENARIO_ZERO_EFFORT = "zero-effort"
@@ -127,22 +128,24 @@ class _Prepared:
 
 
 def _fuse(dataset: EmbeddingDataset, config: PipelineConfig):
-    """K-invariant work: every subject's fused samples and the population stats."""
+    """K-invariant work: every subject's fused samples, the population stats
+    and every subject's ``select_template``."""
     fused = fuse_dataset(dataset, build_weights(config, dataset.d_face, dataset.d_iris))
-    return fused, population_from_fused(fused)
+    pop = population_from_fused(fused)
+    selections = {sid: select_template(config, mat[:enroll_split(mat.shape[0])], pop, sid)
+                  for sid, mat in fused.items()}
+    return fused, pop, selections
 
 
-def _prepare(fused: dict[str, np.ndarray], pop, config: PipelineConfig) -> _Prepared:
-    """Per-K work: the code and every subject's enrollment under it."""
+def _prepare(fused: dict[str, np.ndarray], pop, selections,
+             config: PipelineConfig) -> _Prepared:
+    """Per-K work: the code and one ``enroll_batch`` of every subject under it."""
     code = config.build_code()
-    enrollments: dict[str, Enrollment] = {}
-    for sid, mat in fused.items():
-        cut = enroll_split(mat.shape[0])
-        try:
-            enrollments[sid] = enroll_vectors(config, code, mat[:cut], pop,
-                                              subject_id=sid)
-        except EnrollmentDecodeError:
-            pass
+    keys, bits, salts, seeds = zip(*selections.values())
+    records = enroll_batch(config.scheme, np.stack(bits), code, config.policy, salts,
+                           list(selections), seeds)
+    enrollments = {record.subject_id: Enrollment(record, key, r_a)
+                   for key, r_a, record in zip(keys, bits, records) if record is not None}
     return _Prepared(code, pop, fused, enrollments)
 
 
@@ -203,10 +206,14 @@ def _uniform_bit_rows(rng: np.random.Generator, rows: int, n_bits: int) -> np.nd
     return raw.astype("<u4", copy=False).view(np.uint8).reshape(rows, 4 * w)[:, :n_bits] >> 7
 
 
-def _check_far_args(dataset: EmbeddingDataset, scenario: str, trials: int,
-                    impostor_bits: str) -> None:
+def _check_scenario(scenario: str) -> None:
     if scenario not in (SCENARIO_ZERO_EFFORT, SCENARIO_STOLEN_KEY):
         raise ValueError(f"unknown scenario {scenario!r}")
+
+
+def _check_far_args(dataset: EmbeddingDataset, scenario: str, trials: int,
+                    impostor_bits: str) -> None:
+    _check_scenario(scenario)
     if impostor_bits not in ("uniform", "dataset"):
         raise ValueError(f"unknown impostor bit source {impostor_bits!r}")
     if trials <= 0:
@@ -284,22 +291,26 @@ def run_gs_curve(dataset: EmbeddingDataset, config: PipelineConfig,
                  k_list, scenario: str = SCENARIO_STOLEN_KEY,
                  far_trials: int | None = None, seed=None,
                  probe_mode: str = "heldout") -> list[GsCurvePoint]:
-    """One GAR-security point per K; deterministic given dataset and seeds."""
+    """One GAR-security point per K; deterministic given dataset and seeds.
+
+    ``far_trials=None`` leaves the empirical FAR column empty.
+    """
     _check_probe_mode(probe_mode)
-    if far_trials:
+    _check_scenario(scenario)
+    if far_trials is not None:
         _check_far_args(dataset, scenario, far_trials, "uniform")
     if config.seed is None:
         config = replace(config, seed=int(np.random.default_rng().integers(0, 2**63)))
     seed = config.seed if seed is None else seed
-    fused, pop = _fuse(dataset, config)
+    fused, pop, selections = _fuse(dataset, config)
     points = []
     for k_symbols in k_list:
         cfg = config.with_k(int(k_symbols))
         security = cfg.k_symbols * cfg.m
-        prep = _prepare(fused, pop, cfg)
+        prep = _prepare(fused, pop, selections, cfg)
         g = _gar_stats(prep, probe_mode).rate
         fe = (_empirical_far(prep, scenario, far_trials, seed, "uniform")
-              if far_trials else None)
+              if far_trials is not None else None)
         points.append(GsCurvePoint(
             m=cfg.m, k_symbols=cfg.k_symbols, security_bits=security,
             rate=security / cfg.n_bits, gar=g,

@@ -11,6 +11,11 @@ reproduces every artifact bit-exactly while distinct subjects stay
 independent. Enrollment without a seed draws from OS entropy, which is what
 gives a revoked subject a fresh key on re-enrollment.
 
+Enrollment has two halves. ``select_template`` does the K-invariant one:
+the key, the enrolled bits r_a, the salt and the fuzzy-commitment message
+seed. ``enroll_vectors`` adds the record under one code; a sweep over K
+selects once per subject and enrolls every K with ``sketch.enroll_batch``.
+
 The enrollment representative is the per-user mean of the enrollment-half
 sample vectors: user statistics, the enrolled bits and the genuine
 "probe equals enrollment" check all derive from that same vector.
@@ -128,10 +133,14 @@ class Enrollment:
     template_bits: np.ndarray = dc_field(repr=False)  # r_a; never stored
 
 
-def enroll_vectors(config: PipelineConfig, code: RsCode,
-                   enroll_matrix: np.ndarray, pop: PopulationStats,
-                   subject_id: str = "") -> Enrollment:
-    """Enroll one subject from its enrollment-half fused vectors."""
+def select_template(config: PipelineConfig, enroll_matrix: np.ndarray, pop: PopulationStats,
+                    subject_id: str = "") -> tuple[ReliableKey, np.ndarray, bytes, int]:
+    """The K-invariant half of enrolling one subject from its enrollment-half
+    fused vectors: ``(key, r_a, salt, fc_seed)``; r_a is never stored.
+
+    The subject's generator draws the selection nonce, the record salt and
+    the fuzzy-commitment message seed, in that order, for either scheme.
+    """
     if enroll_matrix.shape[0] < 2:
         raise InsufficientDataError("enrollment needs >= 2 samples")
     if pop.dimension < config.reliable_count:
@@ -140,16 +149,20 @@ def enroll_vectors(config: PipelineConfig, code: RsCode,
         )
     rng = derive_rng(config.seed, "enroll", subject_id)
     user = user_stats(enroll_matrix)
-    scores = reliability(user, pop)
-    nonce = int(rng.integers(0, 2**63))
-    key = select_reliable(scores, config.reliable_count, nonce,
-                          window_factor=config.window_factor)
+    key = select_reliable(reliability(user, pop), config.reliable_count,
+                          int(rng.integers(0, 2**63)), window_factor=config.window_factor)
     r_a = extract(binarize(user.mean, pop), key)
-    salt = rng.bytes(SALT_BYTES)
+    return key, r_a, rng.bytes(SALT_BYTES), int(rng.integers(0, 2**63))
+
+
+def enroll_vectors(config: PipelineConfig, code: RsCode,
+                   enroll_matrix: np.ndarray, pop: PopulationStats,
+                   subject_id: str = "") -> Enrollment:
+    """Enroll one subject from its enrollment-half fused vectors."""
+    key, r_a, salt, fc_seed = select_template(config, enroll_matrix, pop, subject_id)
     if config.scheme == SCHEME_SECURE_SKETCH:
         record = enroll_ss(r_a, code, config.policy, salt, subject_id=subject_id)
     else:
-        fc_seed = int(rng.integers(0, 2**63))
         record = enroll_fc(r_a, code, fc_seed, salt, subject_id=subject_id,
                            policy=config.policy)
     return Enrollment(record=record, key=key, template_bits=r_a)

@@ -11,6 +11,9 @@ salted hash of the message. Authentication XORs the probe bits onto the
 offset and decodes; any probe within t symbol errors of the enrolled bits
 lands back on the enrolled codeword.
 
+Both directions are batched. ``enroll_batch`` enrolls a matrix of bit
+rows, one salt and subject id per row, with a single ``RsCode.decode_batch``
+for secure sketch; ``enroll_ss`` and ``enroll_fc`` are batches of one.
 ``authenticate_batch`` decides a matrix of probes, row i against
 ``records[owner[i]]``, with a single ``RsCode.decode_batch`` over every row;
 the records share one scheme and one set of parameters. It returns a
@@ -21,7 +24,8 @@ reason.
 
 Records never contain the biometric bits, the key indices, or the plain
 sketch. The hash is SHA-256 over salt || 64-bit little-endian bit length ||
-big-endian packed bits.
+big-endian packed bits; enrolled and probed messages are hashed by one
+helper, and ``hash_sketch`` is the same hash of a single bit vector.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .rs import (
     DecodeStatus,
     RsCode,
     bit_rows_to_symbols,
-    bits_to_symbols,
     symbols_to_bits,
 )
 
@@ -58,7 +61,7 @@ SCHEME_FUZZY_COMMITMENT = "fuzzy-commitment"
 DIGEST_BITS = 256
 
 _FAILURE = BATCH_STATUSES.index(DecodeStatus.FAILURE)
-# ``owner`` of a batch of one: its row is decided against records[0].
+# ``owner`` of a batch of one: its row belongs to records[0] (or salts[0]).
 _ONE_OWNER = np.zeros(1, dtype=np.intp)
 _ONE_OWNER.setflags(write=False)
 
@@ -130,15 +133,6 @@ class SketchParams:
         return self.m * ((1 << self.m) - 1)
 
 
-def params_for_code(code: RsCode, policy: DecodePolicy) -> SketchParams:
-    return SketchParams(
-        m=code.field.m,
-        k_symbols=code.k_symbols,
-        policy=DecodePolicy(policy),
-        primitive_poly=code.field.primitive_poly,
-    )
-
-
 @dataclass(frozen=True)
 class EnrollmentRecord:
     """The stored template: scheme, parameters, salt, digest, FC offset.
@@ -181,30 +175,69 @@ def hash_sketch(bits, salt: bytes) -> bytes:
         raise LengthMismatchError("bit vector must be 1-D")
     if arr.size and arr.max() > 1:
         raise ValueError("bit vector entries must be 0 or 1")
-    h = _hash_prefix(salt, arr.size)
-    h.update(np.packbits(arr).tobytes())
-    return h.digest()
+    return _digests(arr[None], [salt], _ONE_OWNER)[0]
 
 
-def _hash_prefix(salt: bytes, n_bits: int):
-    """SHA-256 state after salt || 64-bit little-endian bit length."""
-    h = hashlib.sha256()
-    h.update(bytes(salt))
-    h.update(n_bits.to_bytes(8, "little"))
-    return h
+def _digests(bit_rows: np.ndarray, salts, owner) -> list[bytes]:
+    """The digest of each 0/1 row under ``salts[owner[i]]``: SHA-256 over
+    salt || 64-bit little-endian bit length || big-endian packed bits.
+
+    Every record digest, enrolled or probed, is made here."""
+    length = bit_rows.shape[1].to_bytes(8, "little")
+    prefixes = [bytes(salt) + length for salt in salts]
+    return [hashlib.sha256(prefixes[j] + row.tobytes()).digest()
+            for j, row in zip(owner.tolist(), np.packbits(bit_rows, axis=1))]
 
 
-def _pack_offset(bits: np.ndarray) -> bytes:
-    return np.packbits(bits).tobytes()
+def _per_row(values, rows: int, what: str) -> list:
+    if np.ndim(values) != 1 or len(values) != rows:
+        raise LengthMismatchError(f"need one {what} per enrollment row, {rows} in all")
+    return list(values)
 
 
-def _check_bits(bits, n_bits: int, what: str) -> np.ndarray:
+def enroll_batch(scheme: str, bits, code: RsCode, policy: DecodePolicy, salts,
+                 subject_ids, fc_seeds=None) -> list[EnrollmentRecord | None]:
+    """Enroll row i of a (B, n_bits) bit matrix as ``subject_ids[i]``, salted
+    with ``salts[i]``.
+
+    This is the one enrollment path, the mirror of ``authenticate_batch``:
+    ``enroll_ss`` and ``enroll_fc`` are batches of one. Secure sketch decodes
+    every row in one ``RsCode.decode_batch`` and hashes each decoded
+    message; the row's record is None where FAIL_DENY cannot decode it.
+    Fuzzy commitment draws row i's message from ``fc_seeds[i]`` (unused by
+    secure sketch), stores its codeword XOR the row, and hashes the message.
+    """
+    if scheme not in (SCHEME_SECURE_SKETCH, SCHEME_FUZZY_COMMITMENT):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    policy, m = DecodePolicy(policy), code.field.m
     arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or arr.size != n_bits:
-        raise LengthMismatchError(f"{what} must be {n_bits} bits, got {arr.size}")
+    if arr.ndim != 2 or arr.shape[1] != code.n_bits:
+        raise LengthMismatchError(
+            f"enrollment bits have shape {arr.shape}, code expects {code.n_bits} per row"
+        )
     if arr.max(initial=0) > 1:
-        raise ValueError(f"{what} entries must be 0 or 1")
-    return arr
+        raise ValueError("enrollment bit entries must be 0 or 1")
+    salts = _per_row(salts, len(arr), "salt")
+    subject_ids = _per_row(subject_ids, len(arr), "subject id")
+    offsets = [None] * len(arr)
+    if scheme == SCHEME_SECURE_SKETCH:
+        batch = code.decode_batch(bit_rows_to_symbols(arr, m), policy)
+        rows = np.flatnonzero(batch.status != _FAILURE)
+        messages = batch.message[rows]
+    else:
+        rows = np.arange(len(arr))
+        messages = np.array([
+            np.random.default_rng(seed).integers(0, code.field.size, size=code.k_symbols)
+            for seed in _per_row(fc_seeds, len(arr), "fc seed")
+        ]).reshape(len(arr), code.k_symbols)
+        offsets = [np.packbits(symbols_to_bits(code.encode(message), m) ^ row).tobytes()
+                   for message, row in zip(messages, arr)]
+    params = SketchParams(m, code.k_symbols, policy, code.field.primitive_poly)
+    records = [None] * len(arr)
+    for i, digest in zip(rows.tolist(), _digests(symbols_to_bits(messages, m), salts, rows)):
+        records[i] = EnrollmentRecord(scheme, subject_ids[i], params, bytes(salts[i]),
+                                      digest, offsets[i])
+    return records
 
 
 def enroll_ss(r_a, code: RsCode, policy: DecodePolicy, salt: bytes,
@@ -214,41 +247,21 @@ def enroll_ss(r_a, code: RsCode, policy: DecodePolicy, salt: bytes,
     Under FAIL_DENY an undecodable enrollment raises ``EnrollmentDecodeError``
     and the caller should re-acquire or re-enroll.
     """
-    policy = DecodePolicy(policy)
-    arr = _check_bits(r_a, code.n_bits, "enrollment bits")
-    outcome = code.decode(bits_to_symbols(arr, code.field.m), policy)
-    if not outcome.ok:
+    record, = enroll_batch(SCHEME_SECURE_SKETCH, np.asarray(r_a, dtype=np.uint8)[None],
+                           code, policy, [salt], [subject_id])
+    if record is None:
         raise EnrollmentDecodeError(
             "enrollment bits are not within decoding range under fail-deny"
         )
-    digest = hash_sketch(symbols_to_bits(outcome.message, code.field.m), salt)
-    return EnrollmentRecord(
-        scheme=SCHEME_SECURE_SKETCH,
-        subject_id=subject_id,
-        params=params_for_code(code, policy),
-        salt=bytes(salt),
-        digest=digest,
-    )
+    return record
 
 
 def enroll_fc(r_a, code: RsCode, rng_seed, salt: bytes,
               subject_id: str = "",
               policy: DecodePolicy = DecodePolicy.FALLBACK_SYSTEMATIC) -> EnrollmentRecord:
     """Fuzzy-commitment enrollment: random codeword offset plus message hash."""
-    arr = _check_bits(r_a, code.n_bits, "enrollment bits")
-    rng = np.random.default_rng(rng_seed)
-    message = rng.integers(0, code.field.size, size=code.k_symbols).tolist()
-    codeword_bits = symbols_to_bits(code.encode(message), code.field.m)
-    offset = codeword_bits ^ arr
-    digest = hash_sketch(symbols_to_bits(message, code.field.m), salt)
-    return EnrollmentRecord(
-        scheme=SCHEME_FUZZY_COMMITMENT,
-        subject_id=subject_id,
-        params=params_for_code(code, policy),
-        salt=bytes(salt),
-        digest=digest,
-        offset=_pack_offset(offset),
-    )
+    return enroll_batch(SCHEME_FUZZY_COMMITMENT, np.asarray(r_a, dtype=np.uint8)[None],
+                        code, policy, [salt], [subject_id], [rng_seed])[0]
 
 
 def _resolve_code(record: EnrollmentRecord, code: RsCode | None) -> RsCode:
@@ -331,15 +344,12 @@ def authenticate_batch(probes, records, owner,
     m = code.field.m
     batch = code.decode_batch(bit_rows_to_symbols(arr, m), first.params.policy)
     rows = np.flatnonzero(batch.status != _FAILURE)
-    packed = np.packbits(symbols_to_bits(batch.message[rows], m), axis=1)
-    prefixes = [_hash_prefix(record.salt, code.k_bits) for record in records]
+    owners = owner[rows]
+    digests = _digests(symbols_to_bits(batch.message[rows], m),
+                       [record.salt for record in records], owners)
     accepted = np.zeros(len(arr), dtype=bool)
-    hashed = []
-    for j, message in zip(owner[rows].tolist(), packed):
-        h = prefixes[j].copy()
-        h.update(message.tobytes())
-        hashed.append(hmac.compare_digest(h.digest(), records[j].digest))
-    accepted[rows] = hashed
+    accepted[rows] = [hmac.compare_digest(digest, records[j].digest)
+                      for j, digest in zip(owners.tolist(), digests)]
     return BatchDecision(accepted, batch.status, batch.error_count)
 
 

@@ -247,6 +247,23 @@ def test_eval_deterministic_bytes(dataset_csv, tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("config,flags", [
+    ("scenario=replay\n", []),
+    ("", ["--trials", "0"]),
+], ids=["config-scenario", "zero-trials"])
+def test_eval_bad_far_arguments_are_runtime_errors(dataset_csv, tmp_path, capsys,
+                                                     config, flags):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "curve.csv"
+    rc = cli.main(["eval", "--dataset", str(dataset_csv), "--m", "3", "--k-list", "1",
+                   "--seed", "5", "--out-dim", "64", "--config", str(cfg),
+                   "--out", str(out)] + flags)
+    capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert not out.exists()
+
+
 def test_unseeded_eval_runs_every_k_under_one_seed(dataset_csv, tmp_path, capsys):
     out = tmp_path / "curve.csv"
     rc = cli.main([

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biosketch import evaluate
+from biosketch import evaluate, pipeline
 from biosketch.errors import InsufficientDataError, UnsupportedSymbolSizeError
 from biosketch.evaluate import (
     PrivacyReport,
@@ -102,6 +102,14 @@ class TestGar:
         assert st.unenrollable > 0
         assert st.enrolled + st.unenrollable == 10
         assert st.rate == 1.0
+
+    def test_partially_enrollable_fail_deny_pinned(self):
+        # Recorded before enrollment was batched: 4 of 12 subjects cannot
+        # be enrolled at K=27, and the other 8 are probed and decided.
+        ds = gen_population(12, 8, 16, 16, 1.0, 0.05, seed=42)
+        cfg = PipelineConfig(m=5, k_symbols=27, policy="fail-deny", out_dim=256, seed=9)
+        assert gar_stats(ds, cfg) == evaluate.GarResult(
+            rate=0.03125, accepted=1, probed=32, enrolled=8, unenrollable=4)
 
     def test_stats_add_up(self, small_dataset):
         st = gar_stats(small_dataset, SMALL_CFG)
@@ -299,11 +307,33 @@ class TestFusionCount:
         lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 2], scenario="replay", far_trials=100),
         lambda ds: gar_stats(ds, SMALL_CFG, probe_mode="banana"),
         lambda ds: empirical_far(ds, SMALL_CFG, "replay", 100, seed=1),
-    ], ids=["sweep-probe-mode", "sweep-scenario", "gar-probe-mode", "far-scenario"])
+        lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 2], scenario="replay"),
+        lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 2], far_trials=0),
+    ], ids=["sweep-probe-mode", "sweep-scenario", "gar-probe-mode", "far-scenario",
+            "sweep-scenario-without-far", "sweep-zero-trials"])
     def test_bad_arguments_raise_before_fusion(self, small_dataset, fusions, call):
         with pytest.raises(ValueError):
             call(small_dataset)
         assert fusions == []
+
+
+class TestSelectionCount:
+    """Key selection does not depend on K: a sweep selects once per subject."""
+
+    def test_sweep_selects_once_per_subject(self, monkeypatch):
+        ds = gen_population(6, 8, 16, 16, 1.0, 0.2, seed=42)
+        cfg = PipelineConfig(m=5, k_symbols=11, out_dim=256, seed=5)
+        calls = []
+        original = pipeline.select_reliable
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "select_reliable", counted)
+        points = run_gs_curve(ds, cfg, [11, 16, 20])
+        assert len(points) == 3
+        assert len(calls) == ds.n_subjects
 
 
 class TestGoldenCurve:

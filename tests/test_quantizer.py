@@ -343,15 +343,23 @@ class TestEnrollmentDeterminism:
         (5, 16, 1024, "bla"): "08c53c91c634d299cd7de3afb22e5041d59e0664002844fdcb524f44e1f58509",
     }
 
+    # Fuzzy-commitment files, recorded before enrollment was batched. fc
+    # enrollment never decodes, so fail-deny only labels its records.
+    PINNED_FC = {
+        (8, 1, 4096, "fca", "fallback"):
+            "bd99f5042fec29e56f9dc953c8b813001ef6da9230d6d995c44d396df0088565",
+        (5, 16, 1024, "fca", "fallback"):
+            "6cf3a6905584caafae688913de67b396909642379408f4d56c6915469a1f4701",
+        (5, 16, 1024, "bla", "fail-deny"):
+            "ee4ec06a9048ec364b59cb50a70683340662307de6aaa73d2174fc15015f6140",
+    }
+
     @pytest.fixture(scope="class")
     def dataset(self):
         return gen_population(**GOLDEN_DATASET)
 
-    @pytest.mark.parametrize("m,k_symbols,out_dim,fusion_mode", sorted(PINNED))
-    def test_key_and_record_files_unchanged(self, dataset, m, k_symbols, out_dim,
-                                            fusion_mode):
-        config = PipelineConfig(m=m, k_symbols=k_symbols, out_dim=out_dim, seed=101,
-                                fusion_mode=fusion_mode)
+    @staticmethod
+    def files_digest(dataset, config):
         fused = fuse_dataset(dataset, build_weights(config, dataset.d_face, dataset.d_iris))
         pop = population_from_fused(fused)
         code = config.build_code()
@@ -361,4 +369,21 @@ class TestEnrollmentDeterminism:
                                         pop, subject_id=sid)
             digest.update(key_to_text(enrollment.key).encode())
             digest.update(record_to_text(enrollment.record).encode())
-        assert digest.hexdigest() == self.PINNED[m, k_symbols, out_dim, fusion_mode]
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("m,k_symbols,out_dim,fusion_mode", sorted(PINNED))
+    def test_key_and_record_files_unchanged(self, dataset, m, k_symbols, out_dim,
+                                            fusion_mode):
+        config = PipelineConfig(m=m, k_symbols=k_symbols, out_dim=out_dim, seed=101,
+                                fusion_mode=fusion_mode)
+        assert (self.files_digest(dataset, config)
+                == self.PINNED[m, k_symbols, out_dim, fusion_mode])
+
+    @pytest.mark.parametrize("m,k_symbols,out_dim,fusion_mode,policy", sorted(PINNED_FC))
+    def test_fuzzy_commitment_files_unchanged(self, dataset, m, k_symbols, out_dim,
+                                              fusion_mode, policy):
+        config = PipelineConfig(m=m, k_symbols=k_symbols, out_dim=out_dim, seed=101,
+                                fusion_mode=fusion_mode, scheme="fuzzy-commitment",
+                                policy=policy)
+        assert (self.files_digest(dataset, config)
+                == self.PINNED_FC[m, k_symbols, out_dim, fusion_mode, policy])

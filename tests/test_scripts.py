@@ -66,3 +66,32 @@ def test_run_gs_experiment_matches_pinned_csvs(tmp_path, monkeypatch, capsys):
         for mode in PINNED_GS_CSVS
     }
     assert digests == PINNED_GS_CSVS
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        '"""Module docstring\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # trailing comment\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """Docstring."""\n'
+        "    return (x +\n"
+        "            1)\n"
+        "\n"
+        "\n"
+        "TEXT = '''not a\n"
+        "docstring'''\n"
+    )
+    (package / "empty.py").write_text("")
+    proc = run_script("code_lines.py", str(package), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "     0 empty.py",
+        "     6 mod.py",
+        "     6 total",
+    ]

@@ -27,6 +27,7 @@ from biosketch.sketch import (
     auth_ss,
     authenticate,
     authenticate_batch,
+    enroll_batch,
     enroll_fc,
     enroll_ss,
     hash_sketch,
@@ -358,6 +359,83 @@ class TestDecision:
         for text in (str(decision), repr(decision)):
             for secret in secrets:
                 assert secret not in text
+
+
+class TestEnrollBatch:
+    @staticmethod
+    def _rows(rng, code):
+        """Codewords, near codewords and random rows, which fail-deny
+        mostly cannot decode."""
+        words = [codeword_bits(code, rng.integers(0, code.field.size, size=code.k_symbols))
+                 for _ in range(4)]
+        near = [flip_symbols(rng, code, w, int(rng.integers(1, code.t + 1))) for w in words]
+        return np.array(words + near + [random_bits(rng, code.n_bits) for _ in range(4)])
+
+    @pytest.mark.parametrize("m,k", [(3, 2), (5, 11)])
+    @pytest.mark.parametrize("policy", [FB, FD])
+    def test_rows_equal_scalar_enrollments(self, m, k, policy):
+        code = RsCode(Field(m), k)
+        rng = np.random.default_rng(m * 10 + k)
+        rows = rng.permutation(self._rows(rng, code))
+        salts = [bytes([j]) * 16 for j in range(len(rows))]
+        ids = [f"s{j}" for j in range(len(rows))]
+        seeds = [7 + j for j in range(len(rows))]
+        ss = enroll_batch(SCHEME_SECURE_SKETCH, rows, code, policy, salts, ids, seeds)
+        fc = enroll_batch(SCHEME_FUZZY_COMMITMENT, rows, code, policy, salts, ids, seeds)
+        for j, r_a in enumerate(rows):
+            assert fc[j] == enroll_fc(r_a, code, seeds[j], salts[j], ids[j], policy)
+            outcome = code.decode(bits_to_symbols(r_a, m), policy)
+            if ss[j] is None:
+                assert not outcome.ok
+                with pytest.raises(EnrollmentDecodeError):
+                    enroll_ss(r_a, code, policy, salts[j], ids[j])
+                continue
+            assert ss[j] == enroll_ss(r_a, code, policy, salts[j], ids[j])
+            assert ss[j].digest == hash_sketch(symbols_to_bits(outcome.message, m), salts[j])
+        unenrollable = sum(record is None for record in ss)
+        assert 0 < unenrollable < len(rows) if policy is FD else unenrollable == 0
+        assert None not in fc
+
+    def test_empty_batch(self, rs_7_3):
+        assert enroll_batch(SCHEME_SECURE_SKETCH, np.zeros((0, 21), dtype=np.uint8),
+                            rs_7_3, FB, [], []) == []
+        assert enroll_batch(SCHEME_FUZZY_COMMITMENT, np.zeros((0, 21), dtype=np.uint8),
+                            rs_7_3, FB, [], [], []) == []
+
+    @pytest.mark.parametrize("bits", [np.zeros(21), np.zeros((2, 20)), np.zeros((1, 2, 21))],
+                             ids=["1-d", "short-rows", "3-d"])
+    @pytest.mark.parametrize("scheme", [SCHEME_SECURE_SKETCH, SCHEME_FUZZY_COMMITMENT])
+    def test_bad_shape_raises(self, rs_7_3, scheme, bits):
+        rows = max(1, len(bits))
+        with pytest.raises(LengthMismatchError):
+            enroll_batch(scheme, bits, rs_7_3, FB, [SALT] * rows, ["a"] * rows, [1] * rows)
+
+    def test_non_bit_values_raise(self, rs_7_3):
+        bits = np.zeros((2, 21), dtype=np.uint8)
+        bits[1, 4] = 2
+        with pytest.raises(ValueError):
+            enroll_batch(SCHEME_SECURE_SKETCH, bits, rs_7_3, FB, [SALT] * 2, ["a", "b"])
+
+    @pytest.mark.parametrize("salts,ids,seeds", [
+        ([SALT], ["a", "b"], [1, 2]),
+        ([SALT] * 2, ["a"], [1, 2]),
+        ([SALT] * 2, ["a", "b"], [1]),
+        ([SALT] * 2, ["a", "b"], 1),
+        ([SALT] * 2, ["a", "b"], None),
+        (SALT, ["a", "b"], [1, 2]),
+        ([SALT] * 2, "ab", [1, 2]),
+    ], ids=["salts", "ids", "seeds", "one-seed", "no-seeds", "one-salt", "one-id-string"])
+    def test_one_value_per_row_or_raise(self, rs_7_3, salts, ids, seeds):
+        # A single fc seed is not broadcast: rows sharing one seed would
+        # share one message.
+        bits = np.zeros((2, 21), dtype=np.uint8)
+        with pytest.raises(LengthMismatchError):
+            enroll_batch(SCHEME_FUZZY_COMMITMENT, bits, rs_7_3, FB, salts, ids, seeds)
+
+    def test_unknown_scheme_raises(self, rs_7_3):
+        with pytest.raises(ValueError):
+            enroll_batch("commitment", np.zeros((1, 21), dtype=np.uint8), rs_7_3, FB,
+                         [SALT], ["a"])
 
 
 class TestAuthenticateBatch:
