@@ -311,8 +311,9 @@ def authenticate_batch(probes, records, owner,
     The records must share one scheme and one ``SketchParams``. Fuzzy
     commitment XORs each probe onto its record's offset; secure sketch
     decodes the probe as it is. All rows go through one
-    ``RsCode.decode_batch``, and each row that decodes is hashed from its
-    own record's salted prefix.
+    ``RsCode.decode_batch``; each distinct (record, message) pair among the
+    rows that decode is hashed once, from its record's salted prefix, and
+    its verdict goes to every row that holds it.
     """
     records = list(records)
     if not records:
@@ -344,12 +345,22 @@ def authenticate_batch(probes, records, owner,
     m = code.field.m
     batch = code.decode_batch(bit_rows_to_symbols(arr, m), first.params.policy)
     rows = np.flatnonzero(batch.status != _FAILURE)
-    owners = owner[rows]
-    digests = _digests(symbols_to_bits(batch.message[rows], m),
+    pairs = np.column_stack([owner[rows], batch.message[rows]])
+    inverse = slice(None)
+    if len(pairs) > 1:
+        # Probes repeat (owner, message) pairs: hash each distinct pair once.
+        # Grouping the rows' raw bytes is ~3x faster than np.unique(axis=0).
+        row_bytes = pairs.view(np.dtype((np.void, pairs.itemsize * pairs.shape[1])))
+        _, first, inverse = np.unique(row_bytes.ravel(), return_index=True,
+                                      return_inverse=True)
+        pairs = pairs[first]
+    owners = pairs[:, 0]
+    digests = _digests(symbols_to_bits(pairs[:, 1:], m),
                        [record.salt for record in records], owners)
+    matches = np.array([hmac.compare_digest(digest, records[j].digest)
+                        for j, digest in zip(owners.tolist(), digests)], dtype=bool)
     accepted = np.zeros(len(arr), dtype=bool)
-    accepted[rows] = [hmac.compare_digest(digest, records[j].digest)
-                      for j, digest in zip(owners.tolist(), digests)]
+    accepted[rows] = matches[inverse]
     return BatchDecision(accepted, batch.status, batch.error_count)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -480,6 +482,45 @@ class TestAuthenticateBatch:
             accepted_owners = set(owner[batch.accepted].tolist())
             assert accepted_owners == {0, 1, 2}
             assert not batch.accepted.all()
+
+    @pytest.mark.parametrize("scheme", [SCHEME_SECURE_SKETCH, SCHEME_FUZZY_COMMITMENT])
+    @pytest.mark.parametrize("policy", [FB, FD])
+    def test_each_distinct_pair_is_hashed_once(self, scheme, policy, monkeypatch):
+        # At K = 1 a block against three records holds at most 3 x 8
+        # distinct (record, message) pairs, so most rows repeat one.
+        code = RsCode(Field(3), 1)
+        rng = np.random.default_rng(11)
+        enrolled = [codeword_bits(code, [j + 2]) for j in range(3)]
+        salts = [bytes([j]) * 16 for j in range(3)]
+        if scheme == SCHEME_SECURE_SKETCH:
+            records = [enroll_ss(r_a, code, policy, salt) for r_a, salt in zip(enrolled, salts)]
+        else:
+            records = [enroll_fc(r_a, code, 7 + j, salts[j], policy=policy)
+                       for j, r_a in enumerate(enrolled)]
+        probes = np.array(
+            [flip_symbols(rng, code, enrolled[j], int(w))
+             for j, w in zip(rng.integers(0, 3, 150), rng.integers(0, 6, 150))]
+            + [random_bits(rng, code.n_bits) for _ in range(150)])
+        owner = rng.integers(0, 3, len(probes))
+        pairs, decoded = set(), 0
+        for row, j in zip(probes, owner):
+            word = row ^ records[j].offset_bits() if records[j].offset else row
+            outcome = code.decode(bits_to_symbols(word, 3), policy)
+            if outcome.status is not DecodeStatus.FAILURE:
+                pairs.add((int(j), outcome.message))
+                decoded += 1
+        assert len(pairs) < decoded // 5
+
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+        batch = authenticate_batch(probes, records, owner, code)
+        monkeypatch.undo()
+        assert len(hashed) == len(set(hashed)) == len(pairs)
+        decisions = [batch.decision(i) for i in range(len(probes))]
+        assert decisions == [authenticate(row, records[j], code)
+                             for row, j in zip(probes, owner)]
+        assert 0 < batch.accepted.sum() < decoded
 
     def test_empty_and_wrong_width(self, rs_7_3):
         record = enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3, FB, SALT)

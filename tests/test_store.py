@@ -1,9 +1,15 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from biosketch.errors import DuplicateSubjectError, SubjectNotFoundError
+from biosketch.errors import (
+    DuplicateSubjectError,
+    ParameterMismatchError,
+    ParseError,
+    SubjectNotFoundError,
+)
 from biosketch.quantizer import ReliableKey
 from biosketch.rs import DecodePolicy
 from biosketch.sketch import enroll_fc, enroll_ss
@@ -152,3 +158,124 @@ def test_save_fsyncs_store_directory(db, record, monkeypatch):
     monkeypatch.setattr(os, "fsync", recording_fsync)
     db.save("u1", record)
     assert synced == [False, True]
+
+
+# -- parse cache ----------------------------------------------------------------
+#
+# A load re-parses only when the file's text changed since the subject's last
+# load through the same store instance. Each case below is run on both stores:
+# ``values`` are two distinct values for subject u1, ``edit`` rewrites one
+# field of a file's text without changing its length.
+
+def _records(code):
+    return [enroll_ss(bits, code, DecodePolicy.FALLBACK_SYSTEMATIC, bytes(16), subject_id="u1")
+            for bits in (np.zeros(21, dtype=np.uint8), np.ones(21, dtype=np.uint8))]
+
+
+def _flip_digest_hex(text):
+    head, digest = text.split("digest=", 1)
+    return f"{head}digest={'1' if digest[0] == '0' else '0'}{digest[1:]}"
+
+
+CASES = {
+    "records": (_records, _flip_digest_hex),
+    "keys": (lambda code: [ReliableKey(indices=(1, 4, 7), dimension=32, nonce=99),
+                           ReliableKey(indices=(2, 5, 8), dimension=32, nonce=98)],
+             lambda text: text.replace("\n4\n", "\n5\n")),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request, db, keystore, rs_7_3):
+    make_values, edit = CASES[request.param]
+    store = db if request.param == "records" else keystore
+    return store, make_values(rs_7_3), edit
+
+
+def test_unchanged_file_is_parsed_once(case):
+    store, (value, _), _ = case
+    store.save("u1", value)
+    first = store.load("u1")
+    assert first == value
+    assert store.load("u1") is first
+
+
+def test_overwritten_file_is_reloaded(case):
+    store, (old, new), _ = case
+    assert old != new
+    store.save("u1", old)
+    assert store.load("u1") == old
+    store.save("u1", new, overwrite=True)
+    assert store.load("u1") == new
+
+
+def test_same_size_rewrite_in_place_is_reparsed(case, monkeypatch):
+    # Same inode and size; on a filesystem whose clock did not tick between
+    # the two writes, the timestamps match too. Every stat of the file
+    # reports what it did before the rewrite, so only the text tells the two
+    # versions apart.
+    store, (value, _), edit = case
+    store.save("u1", value)
+    before = store.load("u1")
+    path = store._file("u1")
+    text = path.read_text()
+    edited = edit(text)
+    assert edited != text and len(edited) == len(text)
+    frozen, real_stat, real_fstat = os.stat(path), os.stat, os.fstat
+
+    def same_clock(st):
+        return frozen if (st.st_dev, st.st_ino) == (frozen.st_dev, frozen.st_ino) else st
+
+    monkeypatch.setattr(os, "stat", lambda *a, **kw: same_clock(real_stat(*a, **kw)))
+    monkeypatch.setattr(os, "fstat", lambda fd: same_clock(real_fstat(fd)))
+    with open(path, "r+") as fh:
+        fh.write(edited)
+    after = store.load("u1")
+    assert after != before
+    assert after == type(store)(store.path).load("u1")
+
+
+def test_revoked_subject_is_gone_then_reenrolled(case, db, keystore):
+    store, (old, new), _ = case
+    store.save("u1", old)
+    assert store.load("u1") == old
+    revoke(db, keystore, "u1")
+    for _ in range(2):
+        with pytest.raises(SubjectNotFoundError):
+            store.load("u1")
+    store.save("u1", new)
+    assert store.load("u1") == new
+
+
+def test_file_removed_behind_the_store_is_not_found(case):
+    store, (value, _), _ = case
+    store.save("u1", value)
+    store.load("u1")
+    store._file("u1").unlink()
+    with pytest.raises(SubjectNotFoundError):
+        store.load("u1")
+    with pytest.raises(SubjectNotFoundError):
+        store.delete("u1")
+
+
+def test_malformed_file_fails_on_every_load(case):
+    store, (value, _), _ = case
+    store.save("u1", value)
+    store.load("u1")
+    store._file("u1").write_text("not a file of this store\n")
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            store.load("u1")
+    store.save("u1", value, overwrite=True)
+    assert store.load("u1") == value
+
+
+def test_copied_record_is_refused_after_a_warm_load(db, rs_7_3):
+    for sid in ("s0000", "s0001"):
+        db.save(sid, enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3,
+                               DecodePolicy.FALLBACK_SYSTEMATIC, bytes(16), subject_id=sid))
+    assert db.load("s0001").subject_id == "s0001"
+    shutil.copyfile(db.path / "s0000.rec", db.path / "s0001.rec")
+    for _ in range(2):
+        with pytest.raises(ParameterMismatchError):
+            db.load("s0001")
