@@ -2,14 +2,22 @@
 
 Subcommands: ``gen`` (synthetic dataset), ``params`` (code planning),
 ``enroll``, ``auth``, ``revoke``, ``eval`` (GAR-security CSV sweep) and
-``oracle`` (small-code collision demo). Every subcommand honors ``--seed``
-for bit-exact reproducibility; without it, enrollment randomness comes from
-OS entropy.
+``oracle`` (small-code collision demo). Each subcommand takes only the
+options it reads. ``gen``, ``enroll``, ``auth``, ``eval`` and ``oracle``
+take ``--seed`` for bit-exact reproducibility; without it, enrollment
+randomness comes from OS entropy.
+
+``enroll``, ``auth`` and ``eval`` require ``--out-dim``: at the smallest
+legal value, G, the key selects every component, so a revoked subject would
+be re-issued the same key. The model options a run leaves out (scheme,
+policy, fusion mode, window factor) take ``PipelineConfig``'s defaults.
 
 Exit codes: 0 success/accept, 1 deny, 2 usage error, 3 runtime error.
 
 A ``--config`` file holds ``key=value`` lines using the long option names
 without the leading dashes (e.g. ``m=5``); explicit flags win over the file.
+One file can serve every command: a key that another command takes is
+ignored, and a key that no command takes is a runtime error.
 """
 
 from __future__ import annotations
@@ -59,11 +67,13 @@ def _read_config_file(path) -> dict[str, str]:
 
 
 def _apply_config_file(args: argparse.Namespace):
-    if not getattr(args, "config", None):
+    if not args.config:
         return
     overrides = _read_config_file(args.config)
     for key, raw in overrides.items():
-        if not hasattr(args, key):
+        if key not in args.option_names:
+            raise BiosketchError(f"{args.config}: no command takes {key!r}")
+        if not hasattr(args, key):  # another command's option
             continue
         if getattr(args, key) is not None:  # explicit flag wins
             continue
@@ -79,13 +89,13 @@ def _resolve(args, name, cast, default=None, required=False):
     return cast(value)
 
 
-def _choice(args, name, table, default):
+def _choice(args, name, table):
     # argparse checks the flags; a --config value reaches here unchecked.
-    value = _resolve(args, name, str, default=default)
-    if value not in table:
+    value = _resolve(args, name, str)
+    if value is not None and value not in table:
         raise BiosketchError(
             f"--{name} must be one of {', '.join(sorted(table))}, got {value!r}")
-    return table[value]
+    return table.get(value)
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -96,18 +106,20 @@ def _pipeline_config(args) -> PipelineConfig:
         if security is None:
             raise BiosketchError("need --k-symbols or --security")
         k_symbols = evaluate.params_for_security(m, security).k_symbols
-    scheme = _choice(args, "scheme", _SCHEMES, "ss")
-    policy = _choice(args, "policy", _POLICIES, "fallback")
-    return PipelineConfig(
-        m=m,
-        k_symbols=k_symbols,
-        scheme=scheme,
-        policy=policy,
-        fusion_mode=_resolve(args, "fusion", str, default="fca"),
-        out_dim=_resolve(args, "out_dim", int, default=m * ((1 << m) - 1)),
-        window_factor=_resolve(args, "window_factor", float, default=2.0),
-        seed=_resolve(args, "seed", int),
-    )
+    optional = {"scheme": _choice(args, "scheme", _SCHEMES),
+                "policy": _choice(args, "policy", _POLICIES),
+                "fusion_mode": _resolve(args, "fusion", str),
+                "window_factor": _resolve(args, "window_factor", float)}
+    # Only the options given reach PipelineConfig, which owns the defaults.
+    return PipelineConfig(m=m, k_symbols=k_symbols,
+                          out_dim=_resolve(args, "out_dim", int, required=True),
+                          seed=_resolve(args, "seed", int),
+                          **{k: v for k, v in optional.items() if v is not None})
+
+
+def _stores(args) -> tuple[store.TemplateDb, store.KeyStore]:
+    return (store.TemplateDb(_resolve(args, "templates_dir", str, default="templates")),
+            store.KeyStore(_resolve(args, "keys_dir", str, default="keys")))
 
 
 def _load_pipeline_data(args, config: PipelineConfig):
@@ -159,8 +171,7 @@ def cmd_enroll(args) -> int:
     subject = _resolve(args, "subject", str, required=True)
     if subject not in fused:
         raise BiosketchError(f"subject {subject!r} not in dataset")
-    db = store.TemplateDb(_resolve(args, "templates_dir", str, default="templates"))
-    ks = store.KeyStore(_resolve(args, "keys_dir", str, default="keys"))
+    db, ks = _stores(args)
     overwrite = bool(getattr(args, "overwrite", False))
     if not overwrite:
         for existing in (db, ks):
@@ -191,8 +202,7 @@ def cmd_auth(args) -> int:
     mat = fused[probe_subject]
     if not 0 <= sample < mat.shape[0]:
         raise BiosketchError(f"probe sample {sample} out of range")
-    db = store.TemplateDb(_resolve(args, "templates_dir", str, default="templates"))
-    ks = store.KeyStore(_resolve(args, "keys_dir", str, default="keys"))
+    db, ks = _stores(args)
     record = db.load(subject)
     # Given explicitly or in --config, scheme and policy must be the record's.
     for name, given, stored in (("scheme", config.scheme, record.scheme),
@@ -213,8 +223,7 @@ def cmd_auth(args) -> int:
 
 def cmd_revoke(args) -> int:
     subject = _resolve(args, "subject", str, required=True)
-    db = store.TemplateDb(_resolve(args, "templates_dir", str, default="templates"))
-    ks = store.KeyStore(_resolve(args, "keys_dir", str, default="keys"))
+    db, ks = _stores(args)
     store.revoke(db, ks, subject)
     print(f"revoked {subject}")
     return EXIT_OK
@@ -232,7 +241,7 @@ def cmd_eval(args) -> int:
     scenario = _resolve(args, "scenario", str, default=evaluate.SCENARIO_STOLEN_KEY)
     trials = _resolve(args, "trials", int)
     points = evaluate.run_gs_curve(dataset, config, k_list, scenario=scenario,
-                                   far_trials=trials, seed=config.seed)
+                                   far_trials=trials)
     out = _resolve(args, "out", str)
     csv_text = evaluate.gs_curve_csv(points)
     if out:
@@ -265,25 +274,27 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="key=value defaults file")
-    parser.add_argument("--seed", help="master seed for reproducibility")
+def _add_seed(add):
+    add("--seed", help="master seed for reproducibility")
 
 
-def _add_pipeline_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--m", help="symbol size in bits")
-    parser.add_argument("--k-symbols", dest="k_symbols", help="message length K in symbols")
-    parser.add_argument("--security", help="target security in bits (chooses K)")
-    parser.add_argument("--scheme", choices=sorted(_SCHEMES), help="ss or fc")
-    parser.add_argument("--policy", choices=sorted(_POLICIES), help="decode policy")
-    parser.add_argument("--fusion", choices=["fca", "bla"], help="fusion mode")
-    parser.add_argument("--out-dim", dest="out_dim", help="fused vector dimension")
-    parser.add_argument("--window-factor", dest="window_factor",
-                        help="reliable-selection window factor")
-    parser.add_argument("--weights", help="fusion weights file")
-    parser.add_argument("--dataset", help="embeddings CSV")
-    parser.add_argument("--templates-dir", dest="templates_dir", help="record store")
-    parser.add_argument("--keys-dir", dest="keys_dir", help="keystore")
+def _add_code_options(add):
+    add("--m", help="symbol size in bits")
+    add("--k-symbols", help="message length K in symbols")
+    add("--security", help="target security in bits (chooses K)")
+    add("--scheme", choices=sorted(_SCHEMES), help="ss or fc")
+    add("--policy", choices=sorted(_POLICIES), help="decode policy")
+
+
+def _add_model_options(add):
+    add("--dataset", help="embeddings CSV")
+    add("--fusion", choices=["fca", "bla"], help="fusion mode")
+    add("--out-dim", help="fused vector dimension (required)")
+
+
+def _add_store_options(add):
+    add("--templates-dir", help="record store")
+    add("--keys-dir", help="keystore")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,65 +303,69 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multibiometric template protection and evaluation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    option_names: set[str] = set()
 
-    p = sub.add_parser("gen", help="generate a synthetic embeddings CSV")
-    _add_common(p)
-    p.add_argument("--subjects")
-    p.add_argument("--samples")
-    p.add_argument("--d-face", dest="d_face")
-    p.add_argument("--d-iris", dest="d_iris")
-    p.add_argument("--between-std", dest="between_std")
-    p.add_argument("--within-std", dest="within_std")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
+    def command(name, func, help_text, *groups):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("params", help="plan code parameters for a security level")
-    _add_common(p)
-    p.add_argument("--m")
-    p.add_argument("--security")
-    p.set_defaults(func=cmd_params)
+        def add(*flags, **kwargs):
+            option_names.add(p.add_argument(*flags, **kwargs).dest)
 
-    p = sub.add_parser("enroll", help="enroll a subject from a dataset")
-    _add_common(p)
-    _add_pipeline_options(p)
-    p.add_argument("--subject", help="subject id to enroll")
-    p.add_argument("--overwrite", action="store_true")
-    p.set_defaults(func=cmd_enroll)
+        add("--config", help="key=value defaults file")
+        for group in groups:
+            group(add)
+        return add
 
-    p = sub.add_parser("auth", help="authenticate a probe against a record")
-    _add_common(p)
-    _add_pipeline_options(p)
-    p.add_argument("--subject", help="claimed identity")
-    p.add_argument("--probe-subject", dest="probe_subject",
-                   help="actual biometric owner (defaults to --subject)")
-    p.add_argument("--probe-sample", dest="probe_sample", help="sample index")
-    p.set_defaults(func=cmd_auth)
+    add = command("gen", cmd_gen, "generate a synthetic embeddings CSV", _add_seed)
+    add("--subjects")
+    add("--samples")
+    add("--d-face")
+    add("--d-iris")
+    add("--between-std")
+    add("--within-std")
+    add("--out", required=True)
 
-    p = sub.add_parser("revoke", help="delete a subject's record and key")
-    _add_common(p)
-    p.add_argument("--subject")
-    p.add_argument("--templates-dir", dest="templates_dir")
-    p.add_argument("--keys-dir", dest="keys_dir")
-    p.set_defaults(func=cmd_revoke)
+    add = command("params", cmd_params, "plan code parameters for a security level")
+    add("--m")
+    add("--security")
 
-    p = sub.add_parser("eval", help="GAR-security sweep, written as CSV")
-    _add_common(p)
-    _add_pipeline_options(p)
-    p.add_argument("--k-list", dest="k_list", help="comma-separated K values")
-    p.add_argument("--scenario",
-                   choices=[evaluate.SCENARIO_ZERO_EFFORT, evaluate.SCENARIO_STOLEN_KEY])
-    p.add_argument("--trials", help="empirical FAR trials per point")
-    p.add_argument("--out", help="output CSV path (stdout when omitted)")
-    p.set_defaults(func=cmd_eval)
+    add = command("enroll", cmd_enroll, "enroll a subject from a dataset", _add_seed,
+                  _add_code_options, _add_model_options, _add_store_options)
+    add("--window-factor", help="reliable-selection window factor")
+    add("--weights", help="fusion weights file")
+    add("--subject", help="subject id to enroll")
+    add("--overwrite", action="store_true")
 
-    p = sub.add_parser("oracle", help="brute-force decoder demos on small codes")
-    _add_common(p)
-    p.add_argument("--m")
-    p.add_argument("--k-symbols", dest="k_symbols")
-    p.add_argument("--trials")
-    p.add_argument("--received", help="comma-separated symbols to decode exhaustively")
-    p.set_defaults(func=cmd_oracle)
+    add = command("auth", cmd_auth, "authenticate a probe against a record", _add_seed,
+                  _add_code_options, _add_model_options, _add_store_options)
+    add("--weights", help="fusion weights file")
+    add("--subject", help="claimed identity")
+    add("--probe-subject",
+        help="actual biometric owner (defaults to --subject)")
+    add("--probe-sample", help="sample index")
 
+    add = command("revoke", cmd_revoke, "delete a subject's record and key",
+                  _add_store_options)
+    add("--subject")
+
+    add = command("eval", cmd_eval, "GAR-security sweep, written as CSV", _add_seed,
+                  _add_code_options, _add_model_options)
+    add("--window-factor", help="reliable-selection window factor")
+    add("--k-list", help="comma-separated K values")
+    add("--scenario", choices=[evaluate.SCENARIO_ZERO_EFFORT, evaluate.SCENARIO_STOLEN_KEY])
+    add("--trials", help="empirical FAR trials per point")
+    add("--out", help="output CSV path (stdout when omitted)")
+
+    add = command("oracle", cmd_oracle, "brute-force decoder demos on small codes",
+                  _add_seed)
+    add("--m")
+    add("--k-symbols")
+    add("--trials")
+    add("--received", help="comma-separated symbols to decode exhaustively")
+
+    # A --config key outside every command's options is a typo.
+    parser.set_defaults(option_names=frozenset(option_names))
     return parser
 
 

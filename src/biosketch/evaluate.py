@@ -289,9 +289,11 @@ class GsCurvePoint:
 
 def run_gs_curve(dataset: EmbeddingDataset, config: PipelineConfig,
                  k_list, scenario: str = SCENARIO_STOLEN_KEY,
-                 far_trials: int | None = None, seed=None,
+                 far_trials: int | None = None,
                  probe_mode: str = "heldout") -> list[GsCurvePoint]:
-    """One GAR-security point per K; deterministic given dataset and seeds.
+    """One GAR-security point per K; deterministic given dataset and config.
+
+    Enrollment and the FAR trials both draw from ``config.seed``.
 
     ``far_trials=None`` leaves the empirical FAR column empty.
     """
@@ -301,7 +303,6 @@ def run_gs_curve(dataset: EmbeddingDataset, config: PipelineConfig,
         _check_far_args(dataset, scenario, far_trials, "uniform")
     if config.seed is None:
         config = replace(config, seed=int(np.random.default_rng().integers(0, 2**63)))
-    seed = config.seed if seed is None else seed
     fused, pop, selections = _fuse(dataset, config)
     points = []
     for k_symbols in k_list:
@@ -309,7 +310,7 @@ def run_gs_curve(dataset: EmbeddingDataset, config: PipelineConfig,
         security = cfg.k_symbols * cfg.m
         prep = _prepare(fused, pop, selections, cfg)
         g = _gar_stats(prep, probe_mode).rate
-        fe = (_empirical_far(prep, scenario, far_trials, seed, "uniform")
+        fe = (_empirical_far(prep, scenario, far_trials, config.seed, "uniform")
               if far_trials is not None else None)
         points.append(GsCurvePoint(
             m=cfg.m, k_symbols=cfg.k_symbols, security_bits=security,

@@ -12,14 +12,13 @@ CSV schema, one row per (subject, sample, modality), no header row:
     subject_id,sample_id,modality,v0,v1,...
 
 Floats are serialized with ``repr`` (shortest round-trip decimal), so a
-write/read cycle reproduces every value bit-exactly. Generation metadata is
-not serialized.
+write/read cycle reproduces every value bit-exactly.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ class EmbeddingDataset:
 
     face: dict[str, np.ndarray]
     iris: dict[str, np.ndarray]
-    meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if set(self.face) != set(self.iris):
@@ -78,7 +76,7 @@ class EmbeddingDataset:
         return sum(m.shape[0] for m in self.face.values())
 
     def equals(self, other: "EmbeddingDataset") -> bool:
-        """Value equality over subjects and vectors; metadata is ignored."""
+        """Value equality over subjects and vectors."""
         if self.subject_ids != other.subject_ids:
             return False
         return all(
@@ -107,13 +105,7 @@ def gen_population(num_subjects: int, samples_per_subject: int,
         iris_mean = rng.normal(0.0, between_std, size=d_iris)
         face[sid] = face_mean + rng.normal(0.0, within_std, size=(samples_per_subject, d_face))
         iris[sid] = iris_mean + rng.normal(0.0, within_std, size=(samples_per_subject, d_iris))
-    meta = {
-        "seed": seed,
-        "between_std": between_std,
-        "within_std": within_std,
-        "generator": "numpy.default_rng (PCG64)",
-    }
-    return EmbeddingDataset(face=face, iris=iris, meta=meta)
+    return EmbeddingDataset(face=face, iris=iris)
 
 
 def write_embeddings(dataset: EmbeddingDataset, path):

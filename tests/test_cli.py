@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -492,3 +493,111 @@ def test_cli_output_carries_no_secrets(dataset_csv, tmp_path, capfd, scheme):
     for text in outputs:
         for secret in secrets:
             assert secret not in text
+
+
+def test_seeded_run_without_model_flags_is_byte_identical(dataset_csv, tmp_path, capsys):
+    # Leaves --scheme, --policy, --fusion and --window-factor to
+    # PipelineConfig's defaults; the digest was recorded when the CLI still
+    # restated those defaults itself, so moving them changed no output.
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    runs = [["enroll", "--subject", "s0000"] + flags,
+            ["auth", "--subject", "s0000", "--probe-sample", "1"] + flags,
+            ["auth", "--subject", "s0000", "--probe-subject", "s0004",
+             "--probe-sample", "2"] + flags,
+            ["eval", "--dataset", str(dataset_csv), "--m", "3", "--k-list", "1,2",
+             "--seed", "5", "--out-dim", "64", "--trials", "300"]]
+    assert [cli.main(argv) for argv in runs] == [cli.EXIT_OK, cli.EXIT_OK,
+                                                  cli.EXIT_DENY, cli.EXIT_OK]
+    digest = hashlib.sha256()
+    for path in (tmp_path / "keys" / "s0000.key", tmp_path / "templates" / "s0000.rec"):
+        digest.update(path.read_bytes())
+    digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "dee905978f3e92b955c8ecbcb869c3991d147e7562ff08a5776fb58704d3b05d")
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("eval", ["--weights", "/no/such/file"]),
+    ("eval", ["--templates-dir", "T"]),
+    ("eval", ["--keys-dir", "K"]),
+    ("auth", ["--window-factor", "2"]),
+    ("params", ["--seed", "1"]),
+    ("revoke", ["--seed", "1"]),
+])
+def test_flag_the_command_never_reads_is_usage_error(dataset_csv, tmp_path, capsys,
+                                                      command, flag):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    argv = {
+        "eval": ["eval", "--dataset", str(dataset_csv), "--m", "3", "--k-list", "1",
+                 "--seed", "5", "--out-dim", "64"],
+        "auth": ["auth", "--subject", "s0000", "--probe-sample", "1"] + flags,
+        "params": ["params", "--m", "5"],
+        "revoke": ["revoke", "--subject", "s0000"] + _store_flags(tmp_path),
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + flag)
+    assert err.value.code == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert (tmp_path / "keys" / "s0000.key").exists()
+
+
+@pytest.mark.parametrize("command", ["enroll", "auth", "eval"])
+def test_missing_out_dim_is_runtime_error_and_writes_nothing(dataset_csv, tmp_path,
+                                                              capsys, command):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    if command == "auth":
+        assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+        capsys.readouterr()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    del flags[flags.index("--out-dim"):flags.index("--out-dim") + 2]
+    argv = {
+        "enroll": ["enroll", "--subject", "s0001"] + flags,
+        "auth": ["auth", "--subject", "s0000", "--probe-sample", "1"] + flags,
+        "eval": ["eval", "--dataset", str(dataset_csv), "--m", "3", "--k-list", "1",
+                 "--seed", "5", "--out", str(tmp_path / "curve.csv")],
+    }[command]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "missing required option --out-dim" in captured.err
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_config_key_no_command_takes_is_runtime_error_and_writes_nothing(
+        dataset_csv, tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("schme=fc\n")
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    rc = cli.main(["enroll", "--subject", "s0000", "--config", str(cfg)] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "'schme'" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "templates").exists() and not (tmp_path / "keys").exists()
+
+
+def test_config_key_of_another_command_is_ignored(tmp_path, capsys):
+    # One file serves every command: params takes neither --trials nor --out-dim.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m=5\nsecurity=100\ntrials=400\nout-dim=1024\n")
+    assert cli.main(["params", "--config", str(cfg)]) == cli.EXIT_OK
+    assert "K=20" in capsys.readouterr().out
+
+
+def test_revoked_subject_gets_another_index_set(dataset_csv, tmp_path, capsys):
+    # Unseeded, with the README's flags: the re-issued key selects other
+    # components, which is what makes the template cancelable.
+    flags = ["--dataset", str(dataset_csv), "--m", "5", "--k-symbols", "20",
+             "--out-dim", "1024"] + _store_flags(tmp_path)
+    key_path = tmp_path / "keys" / "s0000.key"
+    index_sets = []
+    for _ in range(2):
+        assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+        lines = key_path.read_text().splitlines()
+        assert lines[2] == "G=155"
+        index_sets.append(set(lines[4:]))
+        assert cli.main(["revoke", "--subject", "s0000"] + _store_flags(tmp_path)) == cli.EXIT_OK
+    capsys.readouterr()
+    assert index_sets[0] != index_sets[1]

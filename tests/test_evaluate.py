@@ -247,7 +247,7 @@ class TestGsCurve:
             assert ratio == pytest.approx(2.0 ** -(b.security_bits - a.security_bits))
 
     def test_csv_layout(self, small_dataset):
-        points = run_gs_curve(small_dataset, SMALL_CFG, [2], far_trials=200, seed=4)
+        points = run_gs_curve(small_dataset, SMALL_CFG, [2], far_trials=200)
         text = gs_curve_csv(points)
         lines = text.strip().splitlines()
         assert lines[0] == ("m,K,security_bits,rate,gar,far_analytic,"
@@ -258,8 +258,7 @@ class TestGsCurve:
 
     def test_byte_identical_across_runs(self, small_dataset):
         runs = [
-            gs_curve_csv(run_gs_curve(small_dataset, SMALL_CFG, [1, 2],
-                                      far_trials=300, seed=11))
+            gs_curve_csv(run_gs_curve(small_dataset, SMALL_CFG, [1, 2], far_trials=300))
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
