@@ -50,24 +50,12 @@ def all_codewords(code: RsCode, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     The lex index treats the message as base-q digits, message[0] most
     significant.
     """
-    q = code.field.size
-    total = q**code.k_symbols
-    if total > budget:
+    q, k = code.field.size, code.k_symbols
+    if q**k > budget:
         raise BudgetExceededError(
-            f"{total} codewords exceed budget {budget}"
+            f"{q**k} codewords exceed budget {budget}"
         )
-    # Scale table per message position: row v of scaled is the codeword of
-    # the message with value v at position i and zeros elsewhere, multiplied
-    # out on the code's zero-sentinel tables.
-    value_logs = code.log_table[np.arange(q)][:, None]
-    block = np.zeros((1, code.n_symbols), dtype=code.exp_table.dtype)
-    for i in range(code.k_symbols - 1, -1, -1):
-        unit = [0] * code.k_symbols
-        unit[i] = 1
-        row = code.encode(unit)
-        scaled = code.exp_table[value_logs + code.log_table[row][None, :]]
-        block = (scaled[:, None, :] ^ block[None, :, :]).reshape(-1, code.n_symbols)
-    return block
+    return code.encode_batch(np.indices((q,) * k).reshape(k, -1).T)
 
 
 def nearest_codeword(code: RsCode, received, budget: int = DEFAULT_BUDGET) -> NearestResult:
@@ -97,7 +85,6 @@ def coset_leader_table(code: RsCode, budget: int = DEFAULT_BUDGET) -> np.ndarray
     """
     q = code.field.size
     n = code.n_symbols
-    m = code.field.m
     npar = code.num_parity
     if q**npar > budget:
         raise BudgetExceededError(f"{q**npar} cosets exceed budget {budget}")
@@ -106,12 +93,7 @@ def coset_leader_table(code: RsCode, budget: int = DEFAULT_BUDGET) -> np.ndarray
             f"coset-leader table needs q^N = {q**n} enumeration, cap {_LEADER_SPACE_CAP}"
         )
 
-    total = q**n
-    idx = np.arange(total, dtype=np.int64)
-    vectors = np.empty((total, n), dtype=np.uint8)
-    for pos in range(n - 1, -1, -1):
-        vectors[:, pos] = idx % q
-        idx //= q
+    vectors = np.indices((q,) * n, dtype=np.uint8).reshape(n, -1).T
     weights = np.count_nonzero(vectors, axis=1)
     order = np.argsort(weights, kind="stable")  # stable keeps lex order inside a weight
     vectors = vectors[order]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .fusion import FusionWeights, fuse_rows, random_weights
-from .gf import Field
+from .gf import Field, check_symbol_size
 from .quantizer import (
     PopulationStats,
     ReliableKey,
@@ -67,6 +67,7 @@ class PipelineConfig:
     seed: int | None = 0
 
     def __post_init__(self):
+        check_symbol_size(self.m)
         if self.scheme not in (SCHEME_SECURE_SKETCH, SCHEME_FUZZY_COMMITMENT):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         object.__setattr__(self, "policy", DecodePolicy(self.policy))

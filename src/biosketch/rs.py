@@ -42,10 +42,15 @@ a batch at once. ``decode_batch`` decodes a (B, N) array of words:
 3. Chien search of every locator of degree <= t over all N points;
 4. Forney for the error magnitudes, then a syndrome re-check of every
    corrected row;
-5. the policy for the rest (below), re-encoding fallback rows in one
-   parity gather.
+5. the policy for the rest (below), which only labels rows: no parity is
+   computed.
 
-Scalar ``decode`` is ``decode_batch`` of one row, so there is one decoder.
+It returns each row's status, message and corrected-symbol count, which is
+all its callers read. ``encode_batch`` is the one encoder: every parity in
+the package is its one gather over a (B, K) message array, and ``encode``
+is a batch of one. Scalar ``decode`` is ``decode_batch`` of one row, and
+``outcome`` re-encodes its message into the codeword of a ``DecodeOutcome``,
+so there is one decoder.
 Batched gathers go in row chunks that keep the index temporary near 2 MB.
 A word within t symbol errors of a codeword is always decoded to that
 codeword. A word that is within t of a *different* codeword than the caller
@@ -56,8 +61,8 @@ Words beyond every decoding sphere are resolved by an explicit policy:
 
 * ``FAIL_DENY``      - report ``DecodeStatus.FAILURE``;
 * ``FALLBACK_SYSTEMATIC`` - take the systematic positions of the received
-  word as the message and re-encode, making the decode map total and
-  deterministic.
+  word as the message, making the decode map total and deterministic; its
+  codeword is that message re-encoded.
 
 Bit/symbol packing is big-endian within each symbol: the first of m bits is
 the most significant bit of symbol 0.
@@ -122,25 +127,13 @@ class DecodeOutcome:
 class BatchDecode(NamedTuple):
     """Row-aligned results of ``RsCode.decode_batch``.
 
-    ``status[i]`` indexes ``BATCH_STATUSES``. ``message`` is the first K
-    columns of ``codeword``; both are zero on FAILURE rows. ``error_count``
-    is -1 on FALLBACK and FAILURE rows.
+    ``status[i]`` indexes ``BATCH_STATUSES``. ``message`` is zero on FAILURE
+    rows. ``error_count`` is -1 on FALLBACK and FAILURE rows.
     """
 
     status: np.ndarray       # (B,) int8
     message: np.ndarray      # (B, K)
-    codeword: np.ndarray     # (B, N)
     error_count: np.ndarray  # (B,) int64
-
-    def outcome(self, i: int) -> DecodeOutcome:
-        """Row i as a ``DecodeOutcome``."""
-        status = BATCH_STATUSES[self.status[i]]
-        if status is DecodeStatus.FAILURE:
-            return DecodeOutcome(status, None, None, None)
-        count = int(self.error_count[i])
-        return DecodeOutcome(status, tuple(self.codeword[i].tolist()),
-                             tuple(self.message[i].tolist()),
-                             count if count >= 0 else None)
 
 
 class RsCode:
@@ -249,10 +242,18 @@ class RsCode:
 
     # -- public codec ----------------------------------------------------------
 
+    def encode_batch(self, messages) -> np.ndarray:
+        """Systematic encode of every row of a (B, K) message array: the
+        (B, N) codewords [message | parity], in ``exp_table.dtype``."""
+        msg = self._check(messages, self.k_symbols, "message", ndim=2)
+        out = np.empty((len(msg), self.n_symbols), dtype=self.exp_table.dtype)
+        out[:, :self.k_symbols] = msg
+        out[:, self.k_symbols:] = self._parity(msg)
+        return out
+
     def encode(self, message) -> list[int]:
         """Systematic encode: returns [message | parity] of length N."""
-        msg = self._check(message, self.k_symbols, "message")
-        return msg.tolist() + self._parity(msg[None])[0].tolist()
+        return self.encode_batch(np.asarray(message)[None])[0].tolist()
 
     def syndromes(self, word) -> list[int]:
         """S_j = word(alpha^j) for j = 1..N-K (empty when K = N)."""
@@ -261,33 +262,43 @@ class RsCode:
 
     def decode(self, received, policy: DecodePolicy = DecodePolicy.FALLBACK_SYSTEMATIC) -> DecodeOutcome:
         """Bounded-distance decode of N received symbols under a policy."""
-        return self.decode_batch(np.asarray(received)[None], policy).outcome(0)
+        return self.outcome(self.decode_batch(np.asarray(received)[None], policy), 0)
+
+    def outcome(self, batch: BatchDecode, i: int) -> DecodeOutcome:
+        """Row i of a ``decode_batch`` result as a ``DecodeOutcome``, whose
+        codeword is the row's message re-encoded."""
+        status = BATCH_STATUSES[batch.status[i]]
+        if status is DecodeStatus.FAILURE:
+            return DecodeOutcome(status, None, None, None)
+        codeword = self.encode(batch.message[i])
+        count = int(batch.error_count[i])
+        return DecodeOutcome(status, tuple(codeword), tuple(codeword[:self.k_symbols]),
+                             count if count >= 0 else None)
 
     def decode_batch(self, words, policy: DecodePolicy = DecodePolicy.FALLBACK_SYSTEMATIC) -> BatchDecode:
         """Bounded-distance decode of every row of a (B, N) symbol array."""
         words = self._check(words, self.n_symbols, "received", ndim=2)
         policy = DecodePolicy(policy)
-        k = self.k_symbols
-        codeword = words.astype(self.exp_table.dtype)
+        words = words.astype(self.exp_table.dtype)
         status = np.full(len(words), _EXACT, dtype=np.int8)
         error_count = np.zeros(len(words), dtype=np.int64)
 
-        synd = self._syndromes(codeword)
+        synd = self._syndromes(words)
         pending = np.flatnonzero(synd.any(axis=1))
         if pending.size:
-            fixed, counts, ok = self._correct(codeword[pending], synd[pending])
+            fixed, counts, ok = self._correct(words[pending], synd[pending])
             done, beyond = pending[ok], pending[~ok]
             status[done] = _CORRECTED
-            codeword[done] = fixed[ok]
+            words[done] = fixed[ok]
             error_count[done] = counts[ok]
             error_count[beyond] = -1
             if policy is DecodePolicy.FAIL_DENY:
                 status[beyond] = _FAILURE
-                codeword[beyond] = 0
+                words[beyond] = 0
             else:
+                # The received systematic symbols are the message as they stand.
                 status[beyond] = _FALLBACK
-                codeword[beyond, k:] = self._parity(codeword[beyond, :k])
-        return BatchDecode(status, codeword[:, :k], codeword, error_count)
+        return BatchDecode(status, words[:, :self.k_symbols], error_count)
 
     # -- decoding internals ---------------------------------------------------
 

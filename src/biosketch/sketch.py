@@ -44,7 +44,7 @@ from .errors import (
     ParameterMismatchError,
     ParseError,
 )
-from .gf import Field
+from .gf import Field, check_symbol_size
 from .quantizer import parse_plain_hex, parse_plain_int
 from .rs import (
     BATCH_STATUSES,
@@ -124,6 +124,9 @@ class SketchParams:
     k_symbols: int
     policy: DecodePolicy
     primitive_poly: int
+
+    def __post_init__(self):
+        check_symbol_size(self.m)
 
     def build_code(self) -> RsCode:
         return RsCode(Field(self.m, self.primitive_poly), self.k_symbols)
@@ -230,8 +233,8 @@ def enroll_batch(scheme: str, bits, code: RsCode, policy: DecodePolicy, salts,
             np.random.default_rng(seed).integers(0, code.field.size, size=code.k_symbols)
             for seed in _per_row(fc_seeds, len(arr), "fc seed")
         ]).reshape(len(arr), code.k_symbols)
-        offsets = [np.packbits(symbols_to_bits(code.encode(message), m) ^ row).tobytes()
-                   for message, row in zip(messages, arr)]
+        codeword_bits = symbols_to_bits(code.encode_batch(messages), m)
+        offsets = [row.tobytes() for row in np.packbits(codeword_bits ^ arr, axis=1)]
     params = SketchParams(m, code.k_symbols, policy, code.field.primitive_poly)
     records = [None] * len(arr)
     for i, digest in zip(rows.tolist(), _digests(symbols_to_bits(messages, m), salts, rows)):

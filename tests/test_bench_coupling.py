@@ -1,0 +1,38 @@
+"""The benchmark reaches into the package by name: ``benchmarks/tracing.py``
+patches the callables its ``TARGETS`` list, and ``benchmarks/kernels.py``
+calls the public codec and reads ``DecodeOutcome`` fields. These tests only
+read ``benchmarks/``, so a rename or a changed return type in ``src/`` fails
+here rather than silently blinding the benchmark."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracing_target_resolves():
+    missing = []
+    for modname, attr, _ in _load("tracing").TARGETS:
+        module = importlib.import_module(modname)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = meth in vars(getattr(module, cls_name, object))
+        else:
+            found = hasattr(module, attr)
+        if not found:
+            missing.append(f"{modname}.{attr}")
+    assert not missing
+
+
+def test_kernel_table_decodes_every_t_error_word():
+    metrics, wrong = _load("kernels").kernel_table(1, {3: 3, 5: 3, 6: 3, 8: 3})
+    assert wrong == 0
+    assert len(metrics) == 4 * 5 and all(v > 0 for v in metrics.values())

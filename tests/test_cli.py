@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biosketch
-from biosketch import cli
+from biosketch import cli, store
 
 from test_quantizer import BAD_INDEX_LINES
 from test_sketch import BAD_RECORD_LINES
@@ -601,3 +606,128 @@ def test_revoked_subject_gets_another_index_set(dataset_csv, tmp_path, capsys):
         assert cli.main(["revoke", "--subject", "s0000"] + _store_flags(tmp_path)) == cli.EXIT_OK
     capsys.readouterr()
     assert index_sets[0] != index_sets[1]
+
+
+# Values CPython or numpy refuse at once: 1 << m, or a weight matrix of about
+# 10^12 rows, could never be allocated, so these cases allocate nothing.
+HUGE_M = "10000000000000000000"
+
+
+def test_record_with_unsupported_symbol_size_is_runtime_error(dataset_csv, tmp_path, capsys):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000", "--scheme", "fc"] + flags) == cli.EXIT_OK
+    path = tmp_path / "templates" / "s0000.rec"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(f"m={HUGE_M}" if ln.startswith("m=") else ln
+                              for ln in lines) + "\n")
+    rc = cli.main(["auth", "--subject", "s0000", "--probe-sample", "1"] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "malformed enrollment record" in captured.err
+    assert "outside supported range 2..10" in captured.err
+
+
+@pytest.mark.parametrize("m", [HUGE_M, "11"])
+def test_eval_with_unsupported_symbol_size_is_runtime_error(dataset_csv, capsys, m):
+    rc = cli.main(["eval", "--dataset", str(dataset_csv), "--m", m, "--k-symbols", "1",
+                   "--out-dim", "1024", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert f"symbol size m={m} outside supported range 2..10" in captured.err
+
+
+def test_eval_with_unallocatable_out_dim_is_runtime_error(dataset_csv, capsys):
+    rc = cli.main(["eval", "--dataset", str(dataset_csv), "--m", "3", "--k-symbols", "1",
+                   "--out-dim", "1000000000000", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert captured.err.startswith("error: ")
+
+
+# -- the exit-code contract over mutated store files ---------------------------
+
+STORE_SUBJECTS = {"s0000": "ss", "s0001": "fc"}
+STORES = {".rec": ("templates", store.TemplateDb), ".key": ("keys", store.KeyStore)}
+
+
+@pytest.fixture(scope="module")
+def enrolled_stores(dataset_csv, tmp_path_factory):
+    """Stores holding one ss and one fc subject enrolled at m=3, K=1, the
+    auth flags, each stored value and the exit code of each subject's
+    unmutated genuine auth."""
+    root = tmp_path_factory.mktemp("stores")
+    flags = ["--dataset", str(dataset_csv), "--m", "3", "--k-symbols", "1",
+             "--seed", "7", "--out-dim", "128"]
+    for subject, scheme in STORE_SUBJECTS.items():
+        assert cli.main(["enroll", "--subject", subject, "--scheme", scheme]
+                        + flags + _store_flags(root)) == cli.EXIT_OK
+    stored = {(subject, suffix): store_class(root / name).load(subject)
+              for subject in STORE_SUBJECTS
+              for suffix, (name, store_class) in STORES.items()}
+    baseline = {subject: _auth_in(root, flags, subject)[0] for subject in STORE_SUBJECTS}
+    return root, flags, stored, baseline
+
+
+def _auth_in(root, flags, subject):
+    """(exit code, stderr) of a genuine in-process auth against root's stores."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["auth", "--subject", subject, "--probe-sample", "1"]
+                      + flags + _store_flags(Path(root)))
+    return rc, err.getvalue()
+
+
+STORE_VALUES = st.one_of(st.sampled_from([-1, 0, 1, 2, 10, 11, 10**19]),
+                         st.integers(-5, 300))
+
+
+def _mutate(data, raw: bytes) -> bytes:
+    """One mutation of a store file's bytes, drawn from ``data``."""
+    kind = data.draw(st.sampled_from(["flip", "truncate", "duplicate", "drop",
+                                      "swap", "value"]))
+    if kind == "flip":
+        flipped = bytearray(raw)
+        flipped[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+        return bytes(flipped)
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    lines = raw.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        k = data.draw(st.sampled_from([k for k, ln in enumerate(lines) if b"=" in ln]))
+        lines[k] = lines[k].split(b"=", 1)[0] + f"={data.draw(STORE_VALUES)}\n".encode()
+    return b"".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_store_file_exits_by_contract(enrolled_stores, data):
+    """A mutated .rec or .key exits 0, 1 or 3 with no traceback: 3 when the
+    store cannot load it, and the unmutated exit when it loads unchanged."""
+    root, flags, stored, baseline = enrolled_stores
+    subject = data.draw(st.sampled_from(sorted(STORE_SUBJECTS)))
+    suffix = data.draw(st.sampled_from(sorted(STORES)))
+    name, store_class = STORES[suffix]
+    with tempfile.TemporaryDirectory() as work:
+        for copied in ("templates", "keys"):
+            shutil.copytree(root / copied, Path(work) / copied)
+        path = Path(work) / name / f"{subject}{suffix}"
+        path.write_bytes(_mutate(data, path.read_bytes()))
+        try:
+            loaded = store_class(path.parent).load(subject)
+        except Exception:
+            loaded = None
+        rc, err = _auth_in(work, flags, subject)
+    assert rc in (cli.EXIT_OK, cli.EXIT_DENY, cli.EXIT_RUNTIME), err
+    assert "Traceback" not in err
+    if loaded is None:
+        assert rc == cli.EXIT_RUNTIME, err
+    elif loaded == stored[subject, suffix]:
+        assert rc == baseline[subject], err

@@ -98,6 +98,46 @@ class TestEncode:
         assert int(weights[1:].min()) == code.d_min
 
 
+class TestEncodeBatch:
+    """``encode_batch`` is the one encoder; ``encode`` is a batch of one."""
+
+    @pytest.mark.parametrize("m", [3, 5, 6, 8])
+    def test_rows_equal_encode_and_long_division(self, m):
+        field = Field(m)
+        rng = np.random.default_rng(70 + m)
+        for k in (1, field.order // 2, field.order):  # K = N has no parity
+            code = RsCode(field, k)
+            messages = rng.integers(0, field.size, (4, k))
+            words = code.encode_batch(messages)
+            assert words.shape == (4, field.order) and words.dtype == code.exp_table.dtype
+            for msg, word in zip(messages.tolist(), words.tolist()):
+                assert word == code.encode(msg) == slow_rs_encode(msg, m, field.primitive_poly)
+
+    def test_empty_batch(self, rs_7_3):
+        assert rs_7_3.encode_batch(np.zeros((0, 3), dtype=np.int64)).shape == (0, 7)
+
+    def test_validation_as_encode(self, rs_7_3):
+        with pytest.raises(LengthMismatchError):
+            rs_7_3.encode_batch(np.zeros(3, dtype=np.int64))
+        with pytest.raises(LengthMismatchError):
+            rs_7_3.encode_batch(np.zeros((2, 2), dtype=np.int64))
+        for bad in (8, -1):
+            with pytest.raises(ValueError):
+                rs_7_3.encode_batch([[0, bad, 0]])
+
+    @pytest.mark.parametrize("m", [3, 5, 6, 8])
+    def test_decoded_codeword_is_encoded_message(self, m):
+        field = Field(m)
+        rng = np.random.default_rng(80 + m)
+        for k, per_class in TestDifferential.CODES[m]:
+            code = RsCode(field, k)
+            for word in differential_words(code, rng, per_class):
+                for policy in DecodePolicy:
+                    out = code.decode(word, policy)
+                    if out.ok:
+                        assert out.codeword == tuple(code.encode(out.message))
+
+
 class TestDecode:
     def test_exact_codeword(self, rs_7_3):
         msg = [5, 0, 2]
@@ -228,7 +268,7 @@ class TestOracleEquivalence:
                                                               replace=False)]
         words = (centres[:, None, :] ^ patterns).reshape(-1, 7)
         batch = rs_7_3.decode_batch(words, DecodePolicy.FAIL_DENY)
-        assert np.array_equal(batch.codeword, np.repeat(centres, len(patterns), axis=0))
+        assert np.array_equal(batch.message, np.repeat(centres[:, :3], len(patterns), axis=0))
         weights = np.tile(np.count_nonzero(patterns, axis=1), len(centres))
         assert np.array_equal(batch.error_count, weights)
         statuses = np.where(weights == 0, BATCH_STATUSES.index(DecodeStatus.EXACT_CODEWORD),
@@ -304,7 +344,7 @@ class TestDifferential:
                 for i, (word, ref) in enumerate(zip(words, refs)):
                     out = code.decode(word, policy)
                     assert outcome_fields(out) == ref, (m, k, policy, word)
-                    assert batch.outcome(i) == out
+                    assert code.outcome(batch, i) == out
                     seen.add(out.status)
         assert seen == set(DecodeStatus)
 
@@ -397,7 +437,7 @@ class TestLockstepBerlekampMassey:
                     batch = code.decode_batch(np.array([words[i] for i in rows]), policy)
                     assert calls == ([count] if count >= cut else [])
                     for j, i in enumerate(rows):
-                        assert batch.outcome(j) == expected[policy][i], (m, k, count, words[i])
+                        assert code.outcome(batch, j) == expected[policy][i], (m, k, count, words[i])
                         seen.add(expected[policy][i].status)
         assert seen == set(DecodeStatus)
 
@@ -480,14 +520,14 @@ class TestDecodeBatch:
         batch = rs_7_5.decode_batch(rows, DecodePolicy.FAIL_DENY)
         assert [BATCH_STATUSES[s] for s in batch.status] == [
             DecodeStatus.EXACT_CODEWORD, DecodeStatus.FAILURE]
-        assert batch.message.shape == (2, 5) and batch.codeword.shape == (2, 7)
+        assert batch.message.shape == (2, 5)
         assert batch.error_count.tolist() == [0, -1]
-        assert np.array_equal(batch.message, batch.codeword[:, :5])
-        assert not batch.codeword[1].any()
+        assert batch.message[0].tolist() == [1, 2, 3, 4, 5]
+        assert not batch.message[1].any()
 
     def test_empty_batch(self, rs_7_3):
         batch = rs_7_3.decode_batch(np.zeros((0, 7), dtype=np.int64))
-        assert batch.status.shape == (0,) and batch.codeword.shape == (0, 7)
+        assert batch.status.shape == (0,) and batch.message.shape == (0, 3)
 
     def test_validation(self, rs_7_3):
         with pytest.raises(LengthMismatchError):
