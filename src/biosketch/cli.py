@@ -7,17 +7,24 @@ options it reads. ``gen``, ``enroll``, ``auth``, ``eval`` and ``oracle``
 take ``--seed`` for bit-exact reproducibility; without it, enrollment
 randomness comes from OS entropy.
 
+Each value has one way to be set. ``enroll`` and ``auth`` take the message
+length K as ``--k-symbols``, and ``eval`` takes the K values of its sweep as
+``--k-list``; ``params --security`` prints the K for a security target.
 ``enroll``, ``auth`` and ``eval`` require ``--out-dim``: at the smallest
 legal value, G, the key selects every component, so a revoked subject would
 be re-issued the same key. The model options a run leaves out (scheme,
-policy, fusion mode, window factor) take ``PipelineConfig``'s defaults.
+policy, fusion mode, window factor) take ``PipelineConfig``'s defaults. A
+``--weights`` file must agree with ``--out-dim`` and with ``--fusion`` when
+given, as ``auth``'s scheme and policy must agree with the record.
 
 Exit codes: 0 success/accept, 1 deny, 2 usage error, 3 runtime error.
 
 A ``--config`` file holds ``key=value`` lines using the long option names
 without the leading dashes (e.g. ``m=5``); explicit flags win over the file.
 One file can serve every command: a key that another command takes is
-ignored, and a key that no command takes is a runtime error.
+ignored, and a key that no command takes is a runtime error. A file cannot
+set ``config`` or ``overwrite``: it names no further file, and replacing an
+enrolled template is asked for on the command line of each run.
 """
 
 from __future__ import annotations
@@ -50,6 +57,9 @@ _POLICIES = {
     "fail-deny": DecodePolicy.FAIL_DENY,
     "fallback": DecodePolicy.FALLBACK_SYSTEMATIC,
 }
+# A --config file names no further file, and replacing an enrolled template
+# is asked for on the command line of each run.
+_COMMAND_LINE_ONLY = frozenset({"config", "overwrite"})
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -71,6 +81,8 @@ def _apply_config_file(args: argparse.Namespace):
         return
     overrides = _read_config_file(args.config)
     for key, raw in overrides.items():
+        if key in _COMMAND_LINE_ONLY:
+            raise BiosketchError(f"{args.config}: {key!r} is taken only on the command line")
         if key not in args.option_names:
             raise BiosketchError(f"{args.config}: no command takes {key!r}")
         if not hasattr(args, key):  # another command's option
@@ -98,20 +110,13 @@ def _choice(args, name, table):
     return table.get(value)
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    m = _resolve(args, "m", int, required=True)
-    k_symbols = _resolve(args, "k_symbols", int)
-    security = _resolve(args, "security", int)
-    if k_symbols is None:
-        if security is None:
-            raise BiosketchError("need --k-symbols or --security")
-        k_symbols = evaluate.params_for_security(m, security).k_symbols
+def _pipeline_config(args, k_symbols: int) -> PipelineConfig:
     optional = {"scheme": _choice(args, "scheme", _SCHEMES),
                 "policy": _choice(args, "policy", _POLICIES),
                 "fusion_mode": _resolve(args, "fusion", str),
                 "window_factor": _resolve(args, "window_factor", float)}
     # Only the options given reach PipelineConfig, which owns the defaults.
-    return PipelineConfig(m=m, k_symbols=k_symbols,
+    return PipelineConfig(m=_resolve(args, "m", int, required=True), k_symbols=k_symbols,
                           out_dim=_resolve(args, "out_dim", int, required=True),
                           seed=_resolve(args, "seed", int),
                           **{k: v for k, v in optional.items() if v is not None})
@@ -122,11 +127,23 @@ def _stores(args) -> tuple[store.TemplateDb, store.KeyStore]:
             store.KeyStore(_resolve(args, "keys_dir", str, default="keys")))
 
 
+def _check_agrees(args, pairs, what: str):
+    """Each option given, as a flag or in --config, must hold ``what``'s value."""
+    for name, given, stored in pairs:
+        if getattr(args, name) is not None and given != stored:
+            raise ParameterMismatchError(
+                f"--{name.replace('_', '-')} {getattr(args, name)} contradicts {what} "
+                f"({stored})")
+
+
 def _load_pipeline_data(args, config: PipelineConfig):
     dataset = synth.read_embeddings(_resolve(args, "dataset", str, required=True))
     weights_path = _resolve(args, "weights", str)
     if weights_path:
         weights = load_weights(weights_path)
+        _check_agrees(args, (("out_dim", config.out_dim, weights.out_dim),
+                             ("fusion", config.fusion_mode, weights.mode)),
+                      f"the weights file {weights_path}")
     else:
         weights = build_weights(config, dataset.d_face, dataset.d_iris)
     fused = fuse_dataset(dataset, weights)
@@ -166,7 +183,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_enroll(args) -> int:
-    config = _pipeline_config(args)
+    config = _pipeline_config(args, _resolve(args, "k_symbols", int, required=True))
     dataset, fused, pop = _load_pipeline_data(args, config)
     subject = _resolve(args, "subject", str, required=True)
     if subject not in fused:
@@ -192,7 +209,7 @@ def cmd_enroll(args) -> int:
 
 
 def cmd_auth(args) -> int:
-    config = _pipeline_config(args)
+    config = _pipeline_config(args, _resolve(args, "k_symbols", int, required=True))
     dataset, fused, pop = _load_pipeline_data(args, config)
     subject = _resolve(args, "subject", str, required=True)
     probe_subject = _resolve(args, "probe_subject", str, default=subject)
@@ -204,13 +221,9 @@ def cmd_auth(args) -> int:
         raise BiosketchError(f"probe sample {sample} out of range")
     db, ks = _stores(args)
     record = db.load(subject)
-    # Given explicitly or in --config, scheme and policy must be the record's.
-    for name, given, stored in (("scheme", config.scheme, record.scheme),
-                                ("policy", config.policy.value, record.params.policy.value)):
-        if getattr(args, name) is not None and given != stored:
-            raise ParameterMismatchError(
-                f"--{name} {getattr(args, name)} contradicts the record of "
-                f"{subject!r} ({stored})")
+    _check_agrees(args, (("scheme", config.scheme, record.scheme),
+                         ("policy", config.policy.value, record.params.policy.value)),
+                  f"the record of {subject!r}")
     key = ks.load(subject)
     r_b = probe_bits(mat[sample], pop, key)
     decision = authenticate(r_b, record, config.build_code())
@@ -230,13 +243,10 @@ def cmd_revoke(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    k_list_raw = _resolve(args, "k_list", str)
-    k_list = [int(v) for v in k_list_raw.split(",") if v] if k_list_raw else []
-    if k_list and getattr(args, "k_symbols", None) is None:
-        args.k_symbols = str(k_list[0])
-    config = _pipeline_config(args)
+    k_list = [int(v) for v in _resolve(args, "k_list", str, required=True).split(",") if v]
     if not k_list:
-        k_list = [config.k_symbols]
+        raise BiosketchError("--k-list names no K")
+    config = _pipeline_config(args, k_list[0])
     dataset = synth.read_embeddings(_resolve(args, "dataset", str, required=True))
     scenario = _resolve(args, "scenario", str, default=evaluate.SCENARIO_STOLEN_KEY)
     trials = _resolve(args, "trials", int)
@@ -280,8 +290,6 @@ def _add_seed(add):
 
 def _add_code_options(add):
     add("--m", help="symbol size in bits")
-    add("--k-symbols", help="message length K in symbols")
-    add("--security", help="target security in bits (chooses K)")
     add("--scheme", choices=sorted(_SCHEMES), help="ss or fc")
     add("--policy", choices=sorted(_POLICIES), help="decode policy")
 
@@ -328,10 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     add = command("params", cmd_params, "plan code parameters for a security level")
     add("--m")
-    add("--security")
+    add("--security", help="target security in bits (prints the K for it)")
 
     add = command("enroll", cmd_enroll, "enroll a subject from a dataset", _add_seed,
                   _add_code_options, _add_model_options, _add_store_options)
+    add("--k-symbols", help="message length K in symbols")
     add("--window-factor", help="reliable-selection window factor")
     add("--weights", help="fusion weights file")
     add("--subject", help="subject id to enroll")
@@ -339,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add = command("auth", cmd_auth, "authenticate a probe against a record", _add_seed,
                   _add_code_options, _add_model_options, _add_store_options)
+    add("--k-symbols", help="message length K in symbols")
     add("--weights", help="fusion weights file")
     add("--subject", help="claimed identity")
     add("--probe-subject",

@@ -289,15 +289,14 @@ class GsCurvePoint:
 
 def run_gs_curve(dataset: EmbeddingDataset, config: PipelineConfig,
                  k_list, scenario: str = SCENARIO_STOLEN_KEY,
-                 far_trials: int | None = None,
-                 probe_mode: str = "heldout") -> list[GsCurvePoint]:
+                 far_trials: int | None = None) -> list[GsCurvePoint]:
     """One GAR-security point per K; deterministic given dataset and config.
 
-    Enrollment and the FAR trials both draw from ``config.seed``.
+    GAR probes every enrolled subject with its held-out samples. Enrollment
+    and the FAR trials both draw from ``config.seed``.
 
     ``far_trials=None`` leaves the empirical FAR column empty.
     """
-    _check_probe_mode(probe_mode)
     _check_scenario(scenario)
     if far_trials is not None:
         _check_far_args(dataset, scenario, far_trials, "uniform")
@@ -309,7 +308,7 @@ def run_gs_curve(dataset: EmbeddingDataset, config: PipelineConfig,
         cfg = config.with_k(int(k_symbols))
         security = cfg.k_symbols * cfg.m
         prep = _prepare(fused, pop, selections, cfg)
-        g = _gar_stats(prep, probe_mode).rate
+        g = _gar_stats(prep, "heldout").rate
         fe = (_empirical_far(prep, scenario, far_trials, config.seed, "uniform")
               if far_trials is not None else None)
         points.append(GsCurvePoint(

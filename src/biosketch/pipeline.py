@@ -61,7 +61,6 @@ class PipelineConfig:
     scheme: str = SCHEME_SECURE_SKETCH
     policy: DecodePolicy = DecodePolicy.FALLBACK_SYSTEMATIC
     fusion_mode: str = "fca"
-    activation: str | None = None  # None = fusion-mode default
     out_dim: int = 64
     window_factor: float = 2.0
     seed: int | None = 0
@@ -100,10 +99,11 @@ def derive_rng(seed, *labels) -> np.random.Generator:
 
 
 def build_weights(config: PipelineConfig, d_face: int, d_iris: int) -> FusionWeights:
-    """Seeded random fusion weights matching the config and data dimensions."""
+    """Seeded random fusion weights matching the config and data dimensions,
+    with the fusion mode's default activation (relu for fca, identity for bla)."""
     weights_seed = derive_rng(config.seed, "fusion-weights").integers(0, 2**63)
     return random_weights(config.fusion_mode, d_face, d_iris, config.out_dim,
-                          seed=int(weights_seed), activation=config.activation)
+                          seed=int(weights_seed))
 
 
 def fuse_dataset(dataset: EmbeddingDataset, weights: FusionWeights) -> dict[str, np.ndarray]:

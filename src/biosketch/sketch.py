@@ -9,18 +9,23 @@ Fuzzy commitment: a random K-symbol message is encoded and the XOR offset
 between its codeword bits and the enrolled bits is stored along with the
 salted hash of the message. Authentication XORs the probe bits onto the
 offset and decodes; any probe within t symbol errors of the enrolled bits
-lands back on the enrolled codeword.
+lands back on the enrolled codeword. This is the code-offset construction
+of Juels and Wattenberg, "A Fuzzy Commitment Scheme" (CCS 1999), and of
+Dodis, Ostrovsky, Reyzin and Smith, "Fuzzy Extractors" (SIAM J. Comput.
+2008). A secure sketch is a fuzzy commitment with a zero offset: its record
+stores none, and ``EnrollmentRecord.offset_bits`` reads it as n zero bits.
 
 Both directions are batched. ``enroll_batch`` enrolls a matrix of bit
 rows, one salt and subject id per row, with a single ``RsCode.decode_batch``
 for secure sketch; ``enroll_ss`` and ``enroll_fc`` are batches of one.
 ``authenticate_batch`` decides a matrix of probes, row i against
-``records[owner[i]]``, with a single ``RsCode.decode_batch`` over every row;
-the records share one scheme and one set of parameters. It returns a
-``BatchDecision`` of row-aligned arrays. ``authenticate``, ``auth_ss`` and
-``auth_fc`` check the scheme and decide a batch of one. Every ``Decision``
-carries the decode status and the number of corrected symbols next to its
-reason.
+``records[owner[i]]``: it XORs every probe onto its record's offset and runs
+a single ``RsCode.decode_batch`` over every row, with no scheme branch; the
+records share one scheme and one set of parameters. It returns a
+``BatchDecision`` of row-aligned arrays. ``authenticate`` decides a batch of
+one, and ``auth_ss`` and ``auth_fc`` check the scheme first. Every
+``Decision`` carries the decode status and the number of corrected symbols
+next to its reason.
 
 Records never contain the biometric bits, the key indices, or the plain
 sketch. The hash is SHA-256 over salt || 64-bit little-endian bit length ||
@@ -140,8 +145,8 @@ class SketchParams:
 class EnrollmentRecord:
     """The stored template: scheme, parameters, salt, digest, FC offset.
 
-    ``offset`` is the big-endian packed XOR offset (fuzzy commitment only);
-    its bit length is ``params.n_bits``.
+    ``offset`` is the big-endian packed XOR offset (fuzzy commitment only;
+    None for secure sketch); its bit length is ``params.n_bits``.
     """
 
     scheme: str
@@ -164,8 +169,9 @@ class EnrollmentRecord:
                 raise ValueError(f"fuzzy-commitment offset must be {expect} bytes")
 
     def offset_bits(self) -> np.ndarray:
+        """The n offset bits; a secure sketch's offset is zero."""
         if self.offset is None:
-            raise ValueError("record has no offset")
+            return np.zeros(self.params.n_bits, dtype=np.uint8)
         return np.unpackbits(
             np.frombuffer(self.offset, dtype=np.uint8), count=self.params.n_bits
         )
@@ -290,20 +296,19 @@ def auth_ss(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decisi
     """Secure-sketch authentication of probe bits against a record."""
     if record.scheme != SCHEME_SECURE_SKETCH:
         raise ParameterMismatchError("record is not a secure-sketch record")
-    return authenticate_batch(_single_probe(r_b), [record], _ONE_OWNER, code).decision(0)
+    return authenticate(r_b, record, code)
 
 
 def auth_fc(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decision:
     """Fuzzy-commitment authentication of probe bits against a record."""
     if record.scheme != SCHEME_FUZZY_COMMITMENT:
         raise ParameterMismatchError("record is not a fuzzy-commitment record")
-    return authenticate_batch(_single_probe(r_b), [record], _ONE_OWNER, code).decision(0)
+    return authenticate(r_b, record, code)
 
 
 def authenticate(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decision:
-    if record.scheme == SCHEME_SECURE_SKETCH:
-        return auth_ss(r_b, record, code)
-    return auth_fc(r_b, record, code)
+    """Authentication of probe bits against a record: a batch of one."""
+    return authenticate_batch(_single_probe(r_b), [record], _ONE_OWNER, code).decision(0)
 
 
 def authenticate_batch(probes, records, owner,
@@ -311,12 +316,11 @@ def authenticate_batch(probes, records, owner,
     """Decide row i of a (B, n_bits) probe matrix against ``records[owner[i]]``.
 
     This is the one authentication path: ``authenticate`` is a batch of one.
-    The records must share one scheme and one ``SketchParams``. Fuzzy
-    commitment XORs each probe onto its record's offset; secure sketch
-    decodes the probe as it is. All rows go through one
-    ``RsCode.decode_batch``; each distinct (record, message) pair among the
-    rows that decode is hashed once, from its record's salted prefix, and
-    its verdict goes to every row that holds it.
+    The records must share one scheme and one ``SketchParams``. Each probe
+    is XORed onto its record's offset, which is zero for secure sketch, and
+    all rows go through one ``RsCode.decode_batch``; each distinct (record,
+    message) pair among the rows that decode is hashed once, from its
+    record's salted prefix, and its verdict goes to every row that holds it.
     """
     records = list(records)
     if not records:
@@ -343,8 +347,7 @@ def authenticate_batch(probes, records, owner,
         raise ValueError(
             f"owner must be {len(arr)} record indices in 0..{len(records) - 1}"
         )
-    if first.scheme == SCHEME_FUZZY_COMMITMENT:
-        arr = np.array([record.offset_bits() for record in records])[owner] ^ arr
+    arr = np.array([record.offset_bits() for record in records])[owner] ^ arr
     m = code.field.m
     batch = code.decode_batch(bit_rows_to_symbols(arr, m), first.params.policy)
     rows = np.flatnonzero(batch.status != _FAILURE)

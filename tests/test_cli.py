@@ -412,6 +412,48 @@ def test_auth_with_the_records_scheme_and_policy_or_none_accepts(
         assert "ACCEPT (hash-match)" in capsys.readouterr().out
 
 
+@pytest.fixture
+def weights_file(tmp_path):
+    """fca weights for the dataset_csv embeddings (24 + 24 dims) at out_dim 128."""
+    path = tmp_path / "w128.fusw"
+    biosketch.save_weights(biosketch.random_weights("fca", 24, 24, 128, seed=3), path)
+    return path
+
+
+def test_enroll_and_auth_with_a_matching_weights_file_accept(
+        dataset_csv, tmp_path, capsys, weights_file):
+    flags = pipeline_flags(dataset_csv, tmp_path) + ["--weights", str(weights_file)]
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    for extra in ([], ["--fusion", "fca"]):
+        rc = cli.main(["auth", "--subject", "s0000", "--probe-sample", "1"] + flags + extra)
+        assert rc == cli.EXIT_OK
+        assert "ACCEPT (hash-match)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["enroll", "auth"])
+@pytest.mark.parametrize("option,value,stored", [("--out-dim", "4096", "128"),
+                                                 ("--fusion", "bla", "fca")])
+def test_weights_file_contradicting_flags_is_runtime_error_and_writes_nothing(
+        dataset_csv, tmp_path, capsys, weights_file, command, option, value, stored):
+    flags = pipeline_flags(dataset_csv, tmp_path) + ["--weights", str(weights_file)]
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    capsys.readouterr()
+    before = _store_files(tmp_path)
+    if option in flags:
+        flags[flags.index(option) + 1] = value
+    else:
+        flags += [option, value]
+    argv = {"enroll": ["enroll", "--subject", "s0001"],
+            "auth": ["auth", "--subject", "s0000", "--probe-sample", "1"]}[command]
+    rc = cli.main(argv + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert f"{option} {value} contradicts the weights file" in captured.err
+    assert f"({stored})" in captured.err
+    assert captured.out == ""
+    assert _store_files(tmp_path) == before
+
+
 @pytest.mark.parametrize("line", ["scheme=xx", "policy=never"])
 def test_unknown_scheme_or_policy_in_config_is_runtime_error(
         dataset_csv, tmp_path, capsys, line):
@@ -528,14 +570,21 @@ def test_seeded_run_without_model_flags_is_byte_identical(dataset_csv, tmp_path,
     ("auth", ["--window-factor", "2"]),
     ("params", ["--seed", "1"]),
     ("revoke", ["--seed", "1"]),
+    # K has one flag per command; --security only plans K, in params.
+    ("enroll", ["--security", "6"]),
+    ("auth", ["--security", "6"]),
+    ("eval", ["--security", "6"]),
+    ("eval", ["--k-symbols", "2"]),
 ])
 def test_flag_the_command_never_reads_is_usage_error(dataset_csv, tmp_path, capsys,
                                                       command, flag):
     flags = pipeline_flags(dataset_csv, tmp_path)
     assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    before = _store_files(tmp_path)
     argv = {
         "eval": ["eval", "--dataset", str(dataset_csv), "--m", "3", "--k-list", "1",
-                 "--seed", "5", "--out-dim", "64"],
+                 "--seed", "5", "--out-dim", "64", "--out", str(tmp_path / "curve.csv")],
+        "enroll": ["enroll", "--subject", "s0001"] + flags,
         "auth": ["auth", "--subject", "s0000", "--probe-sample", "1"] + flags,
         "params": ["params", "--m", "5"],
         "revoke": ["revoke", "--subject", "s0000"] + _store_flags(tmp_path),
@@ -545,6 +594,35 @@ def test_flag_the_command_never_reads_is_usage_error(dataset_csv, tmp_path, caps
     assert err.value.code == cli.EXIT_USAGE
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
     assert (tmp_path / "keys" / "s0000.key").exists()
+    assert _store_files(tmp_path) == before
+    assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("command,k_flag,option", [
+    ("enroll", [], "--k-symbols"),
+    ("auth", [], "--k-symbols"),
+    ("eval", [], "--k-list"),
+    ("eval", ["--k-list", ","], "--k-list"),
+])
+def test_missing_k_is_runtime_error_and_writes_nothing(dataset_csv, tmp_path, capsys,
+                                                      command, k_flag, option):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    del flags[flags.index("--k-symbols"):flags.index("--k-symbols") + 2]
+    argv = {
+        "enroll": ["enroll", "--subject", "s0001"] + flags,
+        "auth": ["auth", "--subject", "s0000", "--probe-sample", "1"] + flags,
+        "eval": ["eval", "--dataset", str(dataset_csv), "--m", "3", "--seed", "5",
+                 "--out-dim", "64", "--out", str(tmp_path / "curve.csv")],
+    }[command]
+    rc = cli.main(argv + k_flag)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert captured.err.startswith("error: ") and option in captured.err
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 @pytest.mark.parametrize("command", ["enroll", "auth", "eval"])
@@ -581,6 +659,32 @@ def test_config_key_no_command_takes_is_runtime_error_and_writes_nothing(
     assert "'schme'" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "templates").exists() and not (tmp_path / "keys").exists()
+
+
+def test_config_cannot_overwrite_an_enrolled_subject(dataset_csv, tmp_path, capsys):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    capsys.readouterr()
+    before = _store_files(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("overwrite=1\n")
+    flags[flags.index("--seed") + 1] = "8"
+    rc = cli.main(["enroll", "--subject", "s0000", "--config", str(cfg)] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "'overwrite'" in captured.err and "command line" in captured.err
+    assert captured.out == ""
+    assert _store_files(tmp_path) == before
+
+
+def test_config_cannot_name_another_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m=5\nconfig=/no/such.cfg\n")
+    rc = cli.main(["params", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "'config'" in captured.err and "command line" in captured.err
+    assert captured.out == ""
 
 
 def test_config_key_of_another_command_is_ignored(tmp_path, capsys):
@@ -629,7 +733,7 @@ def test_record_with_unsupported_symbol_size_is_runtime_error(dataset_csv, tmp_p
 
 @pytest.mark.parametrize("m", [HUGE_M, "11"])
 def test_eval_with_unsupported_symbol_size_is_runtime_error(dataset_csv, capsys, m):
-    rc = cli.main(["eval", "--dataset", str(dataset_csv), "--m", m, "--k-symbols", "1",
+    rc = cli.main(["eval", "--dataset", str(dataset_csv), "--m", m, "--k-list", "1",
                    "--out-dim", "1024", "--seed", "1"])
     captured = capsys.readouterr()
     assert rc == cli.EXIT_RUNTIME
@@ -637,7 +741,7 @@ def test_eval_with_unsupported_symbol_size_is_runtime_error(dataset_csv, capsys,
 
 
 def test_eval_with_unallocatable_out_dim_is_runtime_error(dataset_csv, capsys):
-    rc = cli.main(["eval", "--dataset", str(dataset_csv), "--m", "3", "--k-symbols", "1",
+    rc = cli.main(["eval", "--dataset", str(dataset_csv), "--m", "3", "--k-list", "1",
                    "--out-dim", "1000000000000", "--seed", "1"])
     captured = capsys.readouterr()
     assert rc == cli.EXIT_RUNTIME

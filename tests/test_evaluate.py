@@ -302,13 +302,12 @@ class TestFusionCount:
         assert len(fusions) == 2
 
     @pytest.mark.parametrize("call", [
-        lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 2], probe_mode="banana"),
         lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 2], scenario="replay", far_trials=100),
         lambda ds: gar_stats(ds, SMALL_CFG, probe_mode="banana"),
         lambda ds: empirical_far(ds, SMALL_CFG, "replay", 100, seed=1),
         lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 2], scenario="replay"),
         lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 2], far_trials=0),
-    ], ids=["sweep-probe-mode", "sweep-scenario", "gar-probe-mode", "far-scenario",
+    ], ids=["sweep-scenario", "gar-probe-mode", "far-scenario",
             "sweep-scenario-without-far", "sweep-zero-trials"])
     def test_bad_arguments_raise_before_fusion(self, small_dataset, fusions, call):
         with pytest.raises(ValueError):
