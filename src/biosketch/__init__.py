@@ -3,86 +3,26 @@
 Feature-level fusion of face and iris embeddings, median binarization with
 user-specific reliable-component keys, and Reed-Solomon secure-sketch /
 fuzzy-commitment templates, plus the GAR-security evaluation harness.
+
+The package namespace is empty: import each name from the module that
+defines it.
+
+- ``fusion``: ``FusionWeights``, ``random_weights``, ``save_weights``,
+  ``load_weights``, ``fuse_rows``
+- ``quantizer``: ``ReliableKey``, ``population_stats``, ``user_stats``,
+  ``select_reliable``, ``binarize``, ``extract``
+- ``rs``: ``RsCode``, ``DecodePolicy``, ``DecodeStatus``, ``bits_to_symbols``
+- ``gf``: ``Field``, the tables ``RsCode`` computes with
+- ``sketch``: ``SketchParams``, ``EnrollmentRecord``, ``enroll_batch``,
+  ``authenticate_batch``, ``authenticate``, ``hash_sketch``
+- ``store``: ``TemplateDb``, ``KeyStore``, ``revoke``
+- ``pipeline``: ``PipelineConfig``, ``enroll_vectors``, ``probe_bits``,
+  ``select_template``
+- ``evaluate``: ``run_gs_curve``, ``gar_stats``, ``empirical_far``,
+  ``far_analytic``, ``params_for_security``
+- ``synth``: ``EmbeddingDataset``, ``gen_population``, ``read_embeddings``,
+  ``write_embeddings``
+- ``oracle``: ``nearest_codeword``, ``column_collision_rate``
+- ``errors``: ``BiosketchError`` and its subclasses
+- ``cli``: the ``biosketch`` command
 """
-
-from .errors import (
-    BiosketchError,
-    BudgetExceededError,
-    DimensionMismatchError,
-    DuplicateSubjectError,
-    EnrollmentDecodeError,
-    InsufficientDataError,
-    LengthMismatchError,
-    NonPrimitivePolynomialError,
-    ParameterMismatchError,
-    ParseError,
-    SubjectNotFoundError,
-    UnsupportedSymbolSizeError,
-)
-from .gf import DEFAULT_PRIMITIVE_POLY, Field
-from .rs import (
-    BatchDecode,
-    DecodeOutcome,
-    DecodePolicy,
-    DecodeStatus,
-    RsCode,
-    bits_to_symbols,
-    symbols_to_bits,
-)
-from .oracle import NearestResult, column_collision_rate, nearest_codeword
-from .fusion import (
-    Embedding,
-    FusionWeights,
-    fuse,
-    fuse_bla,
-    fuse_fca,
-    fuse_rows,
-    load_weights,
-    random_weights,
-    save_weights,
-)
-from .quantizer import (
-    PopulationStats,
-    ReliableKey,
-    UserStats,
-    binarize,
-    extract,
-    population_stats,
-    reliability,
-    select_reliable,
-    user_stats,
-)
-from .sketch import (
-    SCHEME_FUZZY_COMMITMENT,
-    SCHEME_SECURE_SKETCH,
-    BatchDecision,
-    Decision,
-    DecisionReason,
-    EnrollmentRecord,
-    SketchParams,
-    auth_fc,
-    auth_ss,
-    authenticate,
-    authenticate_batch,
-    enroll_batch,
-    enroll_fc,
-    enroll_ss,
-    hash_sketch,
-)
-from .store import KeyStore, TemplateDb, revoke
-from .synth import EmbeddingDataset, gen_population, read_embeddings, write_embeddings
-from .pipeline import PipelineConfig, enroll_vectors, probe_bits, select_template
-from .evaluate import (
-    GsCurvePoint,
-    ParamPlan,
-    PrivacyReport,
-    empirical_far,
-    far_analytic,
-    gar,
-    gar_stats,
-    params_for_security,
-    privacy_report,
-    run_gs_curve,
-)
-
-__version__ = "0.1.0"

@@ -148,7 +148,7 @@ def _load_pipeline_data(args, config: PipelineConfig):
         weights = build_weights(config, dataset.d_face, dataset.d_iris)
     fused = fuse_dataset(dataset, weights)
     pop = population_from_fused(fused)
-    return dataset, fused, pop
+    return fused, pop
 
 
 def cmd_gen(args) -> int:
@@ -184,7 +184,7 @@ def cmd_params(args) -> int:
 
 def cmd_enroll(args) -> int:
     config = _pipeline_config(args, _resolve(args, "k_symbols", int, required=True))
-    dataset, fused, pop = _load_pipeline_data(args, config)
+    fused, pop = _load_pipeline_data(args, config)
     subject = _resolve(args, "subject", str, required=True)
     if subject not in fused:
         raise BiosketchError(f"subject {subject!r} not in dataset")
@@ -210,7 +210,7 @@ def cmd_enroll(args) -> int:
 
 def cmd_auth(args) -> int:
     config = _pipeline_config(args, _resolve(args, "k_symbols", int, required=True))
-    dataset, fused, pop = _load_pipeline_data(args, config)
+    fused, pop = _load_pipeline_data(args, config)
     subject = _resolve(args, "subject", str, required=True)
     probe_subject = _resolve(args, "probe_subject", str, default=subject)
     sample = _resolve(args, "probe_sample", int, default=0)

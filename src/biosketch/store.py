@@ -3,9 +3,11 @@
 Records and keys are deliberately kept apart: the template database holds
 only hashed records (``templates/<subject>.rec``) while the keystore holds
 the matcher-local reliable keys (``keys/<subject>.key``). Single writer per
-store; concurrent readers are fine. A save writes a temporary file in the
-store directory, syncs it and renames it over the target, so a reader or a
-crash sees either the old file or the new one, never a partial write.
+store; concurrent readers are fine. Only a save creates the store
+directory: a load, a delete or a listing of a missing directory changes
+nothing on disk. A save writes a temporary file in the store directory,
+syncs it and renames it over the target, so a reader or a crash sees either
+the old file or the new one, never a partial write.
 
 A load re-reads the file every time and re-parses it only when its text
 differs from the text of the subject's last load through that store
@@ -43,7 +45,6 @@ class _FileStore:
 
     def __init__(self, path):
         self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
         # subject id -> (text, parsed value) of its last good load
         self._parsed: dict[str, tuple[str, object]] = {}
 
@@ -52,6 +53,7 @@ class _FileStore:
 
     def _save_text(self, subject_id: str, text: str, overwrite: bool):
         target = self._file(subject_id)
+        self.path.mkdir(parents=True, exist_ok=True)
         if target.exists() and not overwrite:
             raise DuplicateSubjectError(f"{subject_id!r} already stored in {self.path}")
         # The ".tmp" suffix keeps a leftover out of subjects().

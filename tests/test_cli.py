@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biosketch
-from biosketch import cli, store
+from biosketch import cli, fusion, store
 
 from test_quantizer import BAD_INDEX_LINES
 from test_sketch import BAD_RECORD_LINES
@@ -120,6 +120,24 @@ def test_auth_against_missing_record_is_runtime_error(dataset_csv, tmp_path, cap
     rc = cli.main(["auth", "--subject", "s0005", "--probe-sample", "0"] + flags)
     capsys.readouterr()
     assert rc == cli.EXIT_RUNTIME
+
+
+@pytest.mark.parametrize("command,reason", [("auth", "not found"),
+                                            ("revoke", "not enrolled"),
+                                            ("enroll", "K must be in 1..7")])
+def test_failed_command_creates_no_store_directory(dataset_csv, tmp_path, capsys,
+                                                   command, reason):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    argv = {
+        "auth": ["auth", "--subject", "s0005", "--probe-sample", "0"] + flags,
+        "revoke": ["revoke", "--subject", "s0005"] + _store_flags(tmp_path),
+        "enroll": ["enroll", "--subject", "s0000"] + flags + ["--k-symbols", "0"],
+    }[command]
+    rc = cli.main(argv)
+    assert rc == cli.EXIT_RUNTIME
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "templates").exists()
+    assert not (tmp_path / "keys").exists()
 
 
 def test_record_copied_to_another_subject_is_refused(dataset_csv, tmp_path, capsys):
@@ -416,7 +434,7 @@ def test_auth_with_the_records_scheme_and_policy_or_none_accepts(
 def weights_file(tmp_path):
     """fca weights for the dataset_csv embeddings (24 + 24 dims) at out_dim 128."""
     path = tmp_path / "w128.fusw"
-    biosketch.save_weights(biosketch.random_weights("fca", 24, 24, 128, seed=3), path)
+    fusion.save_weights(fusion.random_weights("fca", 24, 24, 128, seed=3), path)
     return path
 
 
@@ -785,10 +803,10 @@ STORE_VALUES = st.one_of(st.sampled_from([-1, 0, 1, 2, 10, 11, 10**19]),
                          st.integers(-5, 300))
 
 
-def _mutate(data, raw: bytes) -> bytes:
-    """One mutation of a store file's bytes, drawn from ``data``."""
-    kind = data.draw(st.sampled_from(["flip", "truncate", "duplicate", "drop",
-                                      "swap", "value"]))
+def _mutate(data, raw: bytes,
+            kinds=("flip", "truncate", "duplicate", "drop", "swap", "value")) -> bytes:
+    """One mutation of a file's bytes, of one of ``kinds``, drawn from ``data``."""
+    kind = data.draw(st.sampled_from(kinds))
     if kind == "flip":
         flipped = bytearray(raw)
         flipped[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
@@ -835,3 +853,64 @@ def test_mutated_store_file_exits_by_contract(enrolled_stores, data):
         assert rc == cli.EXIT_RUNTIME, err
     elif loaded == stored[subject, suffix]:
         assert rc == baseline[subject], err
+
+
+# -- the exit-code contract over a mutated dataset CSV or weights file --------
+
+MODEL_MUTATIONS = {"dataset": ("flip", "truncate", "duplicate", "drop"),
+                   "weights": ("flip", "truncate", "header")}
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """Bytes of a 6-subject, 4-sample, 8 + 8-dim dataset CSV and of fca
+    weights for it at out_dim 64."""
+    root = tmp_path_factory.mktemp("model")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", "--subjects", "6", "--samples", "4", "--d-face", "8",
+                         "--d-iris", "8", "--within-std", "0.05", "--seed", "11",
+                         "--out", str(root / "embeddings.csv")]) == cli.EXIT_OK
+    fusion.save_weights(fusion.random_weights("fca", 8, 8, 64, seed=3), root / "w.fusw")
+    return {"dataset": (root / "embeddings.csv").read_bytes(),
+            "weights": (root / "w.fusw").read_bytes()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_dataset_or_weights_exits_by_contract(model_files, data):
+    """enroll, then a genuine or impostor auth, on a mutated dataset CSV or
+    FUSW weights file exit 0, 1 or 3 with no traceback; 1 only from auth, as
+    a printed DENY, and an enroll that exits 3 leaves no store directory."""
+    target = data.draw(st.sampled_from(sorted(model_files)))
+    kind = data.draw(st.sampled_from(MODEL_MUTATIONS[target]))
+    raw = model_files[target]
+    if kind == "header":
+        at = data.draw(st.integers(0, 19))
+        mutated = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
+    else:
+        mutated = _mutate(data, raw, (kind,))
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        files = {name: work / name for name in model_files}
+        for name, path in files.items():
+            path.write_bytes(mutated if name == target else model_files[name])
+        flags = ["--dataset", str(files["dataset"]), "--m", "3", "--k-symbols", "1",
+                 "--seed", "7", "--out-dim", "64"] + _store_flags(work)
+        if target == "weights":
+            flags += ["--weights", str(files["weights"])]
+        probe = ["--probe-subject", data.draw(st.sampled_from(["s0000", "s0001"])),
+                 "--probe-sample", "3"]
+        for command, extra in (("enroll", []), ("auth", probe)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main([command, "--subject", "s0000"] + extra + flags)
+            last = (out.getvalue().splitlines() or [""])[-1]
+            assert rc in (cli.EXIT_OK, cli.EXIT_DENY, cli.EXIT_RUNTIME), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if rc == cli.EXIT_DENY:
+                assert command == "auth" and last.startswith("DENY ("), err.getvalue()
+            if command == "auth" and rc == cli.EXIT_OK:
+                assert last.startswith("ACCEPT (")
+            if command == "enroll" and rc == cli.EXIT_RUNTIME:
+                assert not (work / "templates").exists()
+                assert not (work / "keys").exists()

@@ -1,0 +1,37 @@
+"""Each public name has one import path: the module that defines it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh(statement: str) -> list[str]:
+    """Words printed by ``statement`` run in a fresh interpreter on src/."""
+    done = subprocess.run([sys.executable, "-c", f"import sys\n{statement}"],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
+def _loaded_after(module: str) -> set[str]:
+    return set(_fresh(f"import {module}\n"
+                      "print(*(n for n in sys.modules if n.split('.')[0] == 'biosketch'))"))
+
+
+def test_package_binds_no_public_name():
+    assert _fresh("import biosketch\n"
+                  "print(*(n for n in vars(biosketch) if not n.startswith('_')))") == []
+
+
+def test_importing_the_codec_loads_only_what_it_needs():
+    assert _loaded_after("biosketch.rs") == {
+        "biosketch", "biosketch.errors", "biosketch.gf", "biosketch.rs"}
+
+
+def test_importing_sketch_loads_no_pipeline_or_cli_module():
+    loaded = _loaded_after("biosketch.sketch")
+    for name in ("evaluate", "oracle", "pipeline", "fusion", "synth", "store", "cli"):
+        assert f"biosketch.{name}" not in loaded

@@ -114,6 +114,24 @@ def test_subject_listing(db, record):
     assert db.subjects() == ["alice", "bob"]
 
 
+@pytest.mark.parametrize("store_class", [TemplateDb, KeyStore])
+def test_only_a_save_creates_the_store_directory(tmp_path, store_class, record, key):
+    stored = record if store_class is TemplateDb else key
+    target = store_class(tmp_path / "missing" / "store")
+    assert target.subjects() == []
+    assert not target.exists("u1")
+    with pytest.raises(SubjectNotFoundError):
+        target.load("u1")
+    with pytest.raises(SubjectNotFoundError):
+        target.delete("u1")
+    with pytest.raises(ValueError):
+        target.save("../u1", stored)
+    assert not (tmp_path / "missing").exists()
+    target.save("u1", stored)
+    assert target.subjects() == ["u1"]
+    assert target.load("u1") == stored
+
+
 def test_failed_replace_keeps_previous_file(db, record, rs_7_3, monkeypatch):
     db.save("u1", record)
     path = db.path / "u1.rec"
