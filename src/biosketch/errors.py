@@ -18,7 +18,7 @@ class LengthMismatchError(BiosketchError, ValueError):
 
 
 class BudgetExceededError(BiosketchError):
-    """Exhaustive enumeration would exceed the configured budget."""
+    """Exhaustive enumeration would exceed the oracle's cap."""
 
 
 class DimensionMismatchError(BiosketchError, ValueError):

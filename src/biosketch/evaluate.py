@@ -252,12 +252,12 @@ def _empirical_far(prep: _Prepared, scenario: str, trials: int, seed,
     uniform = scenario == SCENARIO_STOLEN_KEY and impostor_bits == "uniform"
 
     def probe(trial: int) -> np.ndarray:
-        victim = sids[trial % len(sids)]
-        others = [s for s in sids if s != victim]
-        impostor = others[int(rng.integers(len(others)))]
+        v = trial % len(sids)
+        j = int(rng.integers(len(sids) - 1))
+        impostor = sids[j + (j >= v)]  # the j-th subject other than the victim
         mat = prep.fused[impostor]
         vec = mat[int(rng.integers(mat.shape[0]))]
-        key = prep.enrollments[victim if scenario == SCENARIO_STOLEN_KEY else impostor].key
+        key = prep.enrollments[sids[v] if scenario == SCENARIO_STOLEN_KEY else impostor].key
         return probe_bits(vec, prep.pop, key)
 
     records = [prep.enrollments[sid].record for sid in sids]

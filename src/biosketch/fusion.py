@@ -13,30 +13,17 @@ one-row call to it. Each row is a BLAS matrix-vector product, as ``W @ row``,
 so rows are bit-identical to per-pair fusion; ``X @ W.T`` would move keys.
 
 Network training is out of scope; weights are inputs. They are loaded from a
-small binary file (format below) or generated from a seed for synthetic
-experiments. In-memory arrays are float64; the file payload is float32.
-
-Weights file layout (all integers little-endian):
-
-    bytes 0..3   magic b"FUSW"
-    byte  4      format version, currently 1
-    byte  5      mode: 1 = fca, 2 = bla
-    byte  6      activation: 0 = identity, 1 = relu
-    byte  7      flags: bit 0 set when a bla projection P is present
-    bytes 8..11  d_face  (uint32)
-    bytes 12..15 d_iris  (uint32)
-    bytes 16..19 out_dim (uint32)
-    payload      fca: W row-major (out_dim x (d_face+d_iris)) float32,
-                      then b (out_dim) float32
-                 bla: P row-major (out_dim x d_face*d_iris) float32 when the
-                      projection flag is set, otherwise empty (out_dim must
-                      equal d_face*d_iris)
+small binary file or generated from a seed for synthetic experiments.
+In-memory arrays are float64; the file payload is float32. ``_HEADER`` is the
+file's 20-byte header and ``_layout`` names the arrays of the payload, in file
+order, with their shapes; README "File formats" is the bit-exact spec.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +38,23 @@ _MAGIC = b"FUSW"
 _VERSION = 1
 _MODE_CODES = {MODE_FCA: 1, MODE_BLA: 2}
 _ACT_CODES = {ACT_IDENTITY: 0, ACT_RELU: 1}
+# magic, version, mode, activation, flags (bit 0: bla projection present),
+# d_face, d_iris, out_dim
+_HEADER = struct.Struct("<4sBBBBIII")
+
+
+def _layout(mode: str, d_face: int, d_iris: int, out_dim: int,
+            projected: bool) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of each array a weights set holds, in file order."""
+    if min(d_face, d_iris, out_dim) <= 0:
+        raise DimensionMismatchError("dimensions must be positive")
+    if mode == MODE_FCA:
+        return {"W": (out_dim, d_face + d_iris), "b": (out_dim,)}
+    if projected:
+        return {"P": (out_dim, d_face * d_iris)}
+    if out_dim != d_face * d_iris:
+        raise DimensionMismatchError("bla without projection requires out_dim = d_face * d_iris")
+    return {}
 
 
 @dataclass(frozen=True)
@@ -80,40 +84,27 @@ class FusionWeights:
     activation: str
     W: np.ndarray | None = None  # fca only
     b: np.ndarray | None = None  # fca only
-    P: np.ndarray | None = dc_field(default=None)  # bla, optional
+    P: np.ndarray | None = None  # bla, optional
 
     def __post_init__(self):
         if self.mode not in _MODE_CODES:
             raise ValueError(f"unknown fusion mode {self.mode!r}")
         if self.activation not in _ACT_CODES:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if min(self.d_face, self.d_iris, self.out_dim) <= 0:
-            raise DimensionMismatchError("dimensions must be positive")
-        if self.mode == MODE_FCA:
-            if self.W is None or self.b is None:
-                raise DimensionMismatchError("fca weights need W and b")
-            self.W = np.asarray(self.W, dtype=np.float64)
-            self.b = np.asarray(self.b, dtype=np.float64)
-            if self.W.shape != (self.out_dim, self.d_face + self.d_iris):
-                raise DimensionMismatchError(
-                    f"W shape {self.W.shape} != ({self.out_dim}, {self.d_face + self.d_iris})"
-                )
-            if self.b.shape != (self.out_dim,):
-                raise DimensionMismatchError(f"b shape {self.b.shape} != ({self.out_dim},)")
-        else:
-            if self.W is not None or self.b is not None:
-                raise DimensionMismatchError("bla weights take no W/b")
-            if self.P is None:
-                if self.out_dim != self.d_face * self.d_iris:
-                    raise DimensionMismatchError(
-                        "bla without projection requires out_dim = d_face * d_iris"
-                    )
-            else:
-                self.P = np.asarray(self.P, dtype=np.float64)
-                if self.P.shape != (self.out_dim, self.d_face * self.d_iris):
-                    raise DimensionMismatchError(
-                        f"P shape {self.P.shape} != ({self.out_dim}, {self.d_face * self.d_iris})"
-                    )
+        layout = _layout(self.mode, self.d_face, self.d_iris, self.out_dim,
+                         self.P is not None)
+        for name in ("W", "b", "P"):
+            given = getattr(self, name)
+            if given is None:
+                if name in layout:
+                    raise DimensionMismatchError(f"{self.mode} weights need {name}")
+                continue
+            if name not in layout:
+                raise DimensionMismatchError(f"{self.mode} weights take no {name}")
+            array = np.asarray(given, dtype=np.float64)
+            if array.shape != layout[name]:
+                raise DimensionMismatchError(f"{name} shape {array.shape} != {layout[name]}")
+            setattr(self, name, array)
 
 
 def fuse_rows(face_rows, iris_rows, weights: FusionWeights) -> np.ndarray:
@@ -159,86 +150,53 @@ def fuse_bla(face: Embedding, iris: Embedding, weights: FusionWeights) -> np.nda
     return fuse(face, iris, weights)
 
 
-def random_weights(mode: str, d_face: int, d_iris: int, out_dim: int, seed,
-                   activation: str | None = None) -> FusionWeights:
+def random_weights(mode: str, d_face: int, d_iris: int, out_dim: int, seed) -> FusionWeights:
     """Seeded random weights for synthetic experiments.
 
-    Entries are Gaussian with 1/sqrt(fan_in) scale; fca bias is zero. The
-    default activation is relu for fca and identity for bla.
+    Matrix entries are Gaussian with 1/sqrt(fan_in) scale, drawn in layout
+    order; the fca bias is zero. bla weights carry a projection P only when
+    out_dim != d_face * d_iris. The activation is relu for fca and identity
+    for bla.
     """
     rng = np.random.default_rng(seed)
-    if activation is None:
-        activation = ACT_RELU if mode == MODE_FCA else ACT_IDENTITY
-    if mode == MODE_FCA:
-        fan_in = d_face + d_iris
-        W = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(out_dim, fan_in))
-        return FusionWeights(mode, d_face, d_iris, out_dim, activation,
-                             W=W, b=np.zeros(out_dim))
-    if out_dim == d_face * d_iris:
-        return FusionWeights(mode, d_face, d_iris, out_dim, activation)
-    fan_in = d_face * d_iris
-    P = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(out_dim, fan_in))
-    return FusionWeights(mode, d_face, d_iris, out_dim, activation, P=P)
+    layout = _layout(mode, d_face, d_iris, out_dim, out_dim != d_face * d_iris)
+    arrays = {name: rng.normal(0.0, 1.0 / np.sqrt(shape[1]), size=shape) if len(shape) == 2
+              else np.zeros(shape) for name, shape in layout.items()}
+    activation = ACT_RELU if mode == MODE_FCA else ACT_IDENTITY
+    return FusionWeights(mode, d_face, d_iris, out_dim, activation, **arrays)
 
 
 def save_weights(weights: FusionWeights, path):
-    header = _MAGIC + struct.pack(
-        "<BBBBIII",
-        _VERSION,
-        _MODE_CODES[weights.mode],
-        _ACT_CODES[weights.activation],
-        1 if (weights.mode == MODE_BLA and weights.P is not None) else 0,
-        weights.d_face,
-        weights.d_iris,
-        weights.out_dim,
-    )
-    parts = [header]
-    if weights.mode == MODE_FCA:
-        parts.append(weights.W.astype("<f4").tobytes(order="C"))
-        parts.append(weights.b.astype("<f4").tobytes(order="C"))
-    elif weights.P is not None:
-        parts.append(weights.P.astype("<f4").tobytes(order="C"))
+    header = _HEADER.pack(_MAGIC, _VERSION, _MODE_CODES[weights.mode],
+                          _ACT_CODES[weights.activation], int(weights.P is not None),
+                          weights.d_face, weights.d_iris, weights.out_dim)
+    layout = _layout(weights.mode, weights.d_face, weights.d_iris, weights.out_dim,
+                     weights.P is not None)
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(header + b"".join(getattr(weights, name).astype("<f4").tobytes()
+                                   for name in layout))
 
 
 def load_weights(path) -> FusionWeights:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 20 or blob[:4] != _MAGIC:
+    if len(blob) < _HEADER.size or blob[:4] != _MAGIC:
         raise ParseError("not a fusion weights file")
-    version, mode_code, act_code, flags, d_face, d_iris, out_dim = struct.unpack(
-        "<BBBBIII", blob[4:20]
-    )
+    _, version, mode_code, act_code, flags, d_face, d_iris, out_dim = _HEADER.unpack_from(blob)
     if version != _VERSION:
         raise ParseError(f"unsupported weights version {version}")
     modes = {v: k for k, v in _MODE_CODES.items()}
     acts = {v: k for k, v in _ACT_CODES.items()}
     if mode_code not in modes or act_code not in acts:
         raise ParseError("unknown mode or activation code")
-    mode, activation = modes[mode_code], acts[act_code]
-    payload = blob[20:]
-
-    def take(count, what):
-        nonlocal payload
-        nbytes = 4 * count
-        if len(payload) < nbytes:
-            raise ParseError(f"truncated weights file: missing {what}")
-        out = np.frombuffer(payload[:nbytes], dtype="<f4").astype(np.float64)
-        payload = payload[nbytes:]
-        return out
-
-    if mode == MODE_FCA:
-        W = take(out_dim * (d_face + d_iris), "W").reshape(out_dim, d_face + d_iris)
-        b = take(out_dim, "b")
-        if payload:
-            raise ParseError("trailing bytes after fca payload")
-        return FusionWeights(mode, d_face, d_iris, out_dim, activation, W=W, b=b)
-    if flags & 1:
-        P = take(out_dim * d_face * d_iris, "P").reshape(out_dim, d_face * d_iris)
-        if payload:
-            raise ParseError("trailing bytes after bla payload")
-        return FusionWeights(mode, d_face, d_iris, out_dim, activation, P=P)
-    if payload:
-        raise ParseError("unexpected payload for projection-free bla weights")
-    return FusionWeights(mode, d_face, d_iris, out_dim, activation)
+    mode = modes[mode_code]
+    layout = _layout(mode, d_face, d_iris, out_dim, bool(flags & 1))
+    sizes = [math.prod(shape) for shape in layout.values()]
+    if len(blob) - _HEADER.size != 4 * sum(sizes):
+        raise ParseError(f"{mode} weights payload is {len(blob) - _HEADER.size} bytes, "
+                         f"the header implies {4 * sum(sizes)}")
+    values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).astype(np.float64)
+    chunks = np.split(values, np.cumsum(sizes[:-1], dtype=np.int64))
+    return FusionWeights(mode, d_face, d_iris, out_dim, acts[act_code],
+                         **{name: chunk.reshape(shape)
+                            for (name, shape), chunk in zip(layout.items(), chunks)})

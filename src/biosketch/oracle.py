@@ -9,7 +9,7 @@ coset-leader (syndrome) table keeps its decision regions exactly equal in
 size, which is what makes 2^(-K*m) the exact collision probability.
 
 Everything here enumerates exponentially large sets and is guarded by an
-explicit budget; it is meant for toy codes only.
+explicit cap; it is meant for toy codes only.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import numpy as np
 from .errors import BudgetExceededError, LengthMismatchError
 from .rs import RsCode
 
-DEFAULT_BUDGET = 1 << 20
-
-# Full-space enumeration cap for the coset-leader table (q^N entries).
+# Caps on enumeration: codewords (q^K) and cosets (q^(N-K)), and the full
+# space the coset-leader table walks (q^N).
+_BUDGET = 1 << 20
 _LEADER_SPACE_CAP = 1 << 24
 
 
@@ -44,21 +44,19 @@ class NearestResult:
         return len(self.codewords) == 1
 
 
-def all_codewords(code: RsCode, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+def all_codewords(code: RsCode) -> np.ndarray:
     """Every codeword as a (q^K, N) array, row i = message with lex index i.
 
     The lex index treats the message as base-q digits, message[0] most
     significant.
     """
     q, k = code.field.size, code.k_symbols
-    if q**k > budget:
-        raise BudgetExceededError(
-            f"{q**k} codewords exceed budget {budget}"
-        )
+    if q**k > _BUDGET:
+        raise BudgetExceededError(f"{q**k} codewords exceed budget {_BUDGET}")
     return code.encode_batch(np.indices((q,) * k).reshape(k, -1).T)
 
 
-def nearest_codeword(code: RsCode, received, budget: int = DEFAULT_BUDGET) -> NearestResult:
+def nearest_codeword(code: RsCode, received) -> NearestResult:
     """Exhaustive minimum over all codewords; ties preserved in lex order."""
     rec = np.asarray([int(s) for s in received], dtype=np.int64)
     if rec.size != code.n_symbols:
@@ -67,7 +65,7 @@ def nearest_codeword(code: RsCode, received, budget: int = DEFAULT_BUDGET) -> Ne
         )
     if rec.size and (rec.min() < 0 or rec.max() >= code.field.size):
         raise ValueError("received symbol out of field range")
-    codewords = all_codewords(code, budget=budget)
+    codewords = all_codewords(code)
     dist = np.count_nonzero(codewords != rec[None, :], axis=1)
     dmin = int(dist.min())
     idx = np.flatnonzero(dist == dmin)
@@ -76,7 +74,7 @@ def nearest_codeword(code: RsCode, received, budget: int = DEFAULT_BUDGET) -> Ne
     return NearestResult(cws, msgs, dmin)
 
 
-def coset_leader_table(code: RsCode, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+def coset_leader_table(code: RsCode) -> np.ndarray:
     """Minimum-weight coset leaders indexed by packed syndrome.
 
     Enumerates the whole space in (weight, lex) order and keeps the first
@@ -86,8 +84,8 @@ def coset_leader_table(code: RsCode, budget: int = DEFAULT_BUDGET) -> np.ndarray
     q = code.field.size
     n = code.n_symbols
     npar = code.num_parity
-    if q**npar > budget:
-        raise BudgetExceededError(f"{q**npar} cosets exceed budget {budget}")
+    if q**npar > _BUDGET:
+        raise BudgetExceededError(f"{q**npar} cosets exceed budget {_BUDGET}")
     if q**n > _LEADER_SPACE_CAP:
         raise BudgetExceededError(
             f"coset-leader table needs q^N = {q**n} enumeration, cap {_LEADER_SPACE_CAP}"
@@ -126,8 +124,7 @@ def _syndrome_keys(code: RsCode, vectors: np.ndarray) -> np.ndarray:
     return keys
 
 
-def column_collision_rate(code: RsCode, trials: int, seed: int,
-                          budget: int = DEFAULT_BUDGET) -> float:
+def column_collision_rate(code: RsCode, trials: int, seed: int) -> float:
     """Fraction of uniform random word pairs decoding to the same codeword.
 
     Decoding is the coset-leader map v -> v + leader(syndrome(v)): a complete
@@ -136,7 +133,7 @@ def column_collision_rate(code: RsCode, trials: int, seed: int,
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
-    leaders = coset_leader_table(code, budget=budget)
+    leaders = coset_leader_table(code)
     q = code.field.size
     n = code.n_symbols
     rng = np.random.default_rng(seed)

@@ -99,8 +99,8 @@ def derive_rng(seed, *labels) -> np.random.Generator:
 
 
 def build_weights(config: PipelineConfig, d_face: int, d_iris: int) -> FusionWeights:
-    """Seeded random fusion weights matching the config and data dimensions,
-    with the fusion mode's default activation (relu for fca, identity for bla)."""
+    """Seeded random fusion weights matching the config and data dimensions.
+    The fusion mode fixes the activation: relu for fca, identity for bla."""
     weights_seed = derive_rng(config.seed, "fusion-weights").integers(0, 2**63)
     return random_weights(config.fusion_mode, d_face, d_iris, config.out_dim,
                           seed=int(weights_seed))

@@ -6,6 +6,7 @@ from the deterministic pipeline and frozen.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,8 +258,8 @@ def test_criterion_9_fusion_algebra():
     worst_fca = worst_bla = 0.0
     for _ in range(1000):
         d_f, d_i, out = (int(v) for v in rng.integers(1, 8, size=3))
-        w = random_weights("fca", d_f, d_i, out, seed=int(rng.integers(1 << 30)),
-                           activation="identity")
+        w = replace(random_weights("fca", d_f, d_i, out, seed=int(rng.integers(1 << 30))),
+                    activation="identity")
         face = rng.normal(size=d_f)
         iris = rng.normal(size=d_i)
         got = fuse_fca(Embedding(face, "face"), Embedding(iris, "iris"), w)
@@ -267,8 +268,7 @@ def test_criterion_9_fusion_algebra():
         worst_fca = max(worst_fca, np.abs(got - want).max() / scale)
     for _ in range(1000):
         d_f, d_i, out = (int(v) for v in rng.integers(1, 6, size=3))
-        w = random_weights("bla", d_f, d_i, out, seed=int(rng.integers(1 << 30)),
-                           activation="identity")
+        w = random_weights("bla", d_f, d_i, out, seed=int(rng.integers(1 << 30)))
         if w.P is None:
             w = FusionWeights("bla", d_f, d_i, d_f * d_i, "identity")
         face = rng.normal(size=d_f)

@@ -857,36 +857,45 @@ def test_mutated_store_file_exits_by_contract(enrolled_stores, data):
 
 # -- the exit-code contract over a mutated dataset CSV or weights file --------
 
+# Weights for the 8 + 8-dim dataset: (mode, out_dim); bla at out_dim 64 = 8 * 8
+# has no projection, so its file is the 20-byte header alone.
+MODEL_WEIGHTS = {"weights-fca": ("fca", 64), "weights-bla-p": ("bla", 48),
+                 "weights-bla": ("bla", 64)}
 MODEL_MUTATIONS = {"dataset": ("flip", "truncate", "duplicate", "drop"),
-                   "weights": ("flip", "truncate", "header")}
+                   **dict.fromkeys(MODEL_WEIGHTS, ("flip", "truncate", "header", "append"))}
 
 
 @pytest.fixture(scope="module")
 def model_files(tmp_path_factory):
-    """Bytes of a 6-subject, 4-sample, 8 + 8-dim dataset CSV and of fca
-    weights for it at out_dim 64."""
+    """Bytes of a 6-subject, 4-sample, 8 + 8-dim dataset CSV and of each
+    ``MODEL_WEIGHTS`` weights file for it."""
     root = tmp_path_factory.mktemp("model")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["gen", "--subjects", "6", "--samples", "4", "--d-face", "8",
                          "--d-iris", "8", "--within-std", "0.05", "--seed", "11",
                          "--out", str(root / "embeddings.csv")]) == cli.EXIT_OK
-    fusion.save_weights(fusion.random_weights("fca", 8, 8, 64, seed=3), root / "w.fusw")
-    return {"dataset": (root / "embeddings.csv").read_bytes(),
-            "weights": (root / "w.fusw").read_bytes()}
+    files = {"dataset": (root / "embeddings.csv").read_bytes()}
+    for name, (mode, out_dim) in MODEL_WEIGHTS.items():
+        fusion.save_weights(fusion.random_weights(mode, 8, 8, out_dim, seed=3), root / name)
+        files[name] = (root / name).read_bytes()
+    return files
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mutated_dataset_or_weights_exits_by_contract(model_files, data):
     """enroll, then a genuine or impostor auth, on a mutated dataset CSV or
-    FUSW weights file exit 0, 1 or 3 with no traceback; 1 only from auth, as
-    a printed DENY, and an enroll that exits 3 leaves no store directory."""
+    FUSW weights file (fca, bla with and without P) exit 0, 1 or 3 with no
+    traceback; 1 only from auth, as a printed DENY, and an enroll that exits
+    3 leaves no store directory."""
     target = data.draw(st.sampled_from(sorted(model_files)))
     kind = data.draw(st.sampled_from(MODEL_MUTATIONS[target]))
     raw = model_files[target]
     if kind == "header":
         at = data.draw(st.integers(0, 19))
         mutated = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
+    elif kind == "append":
+        mutated = raw + data.draw(st.binary(min_size=1, max_size=12))
     else:
         mutated = _mutate(data, raw, (kind,))
     with tempfile.TemporaryDirectory() as work:
@@ -894,10 +903,11 @@ def test_mutated_dataset_or_weights_exits_by_contract(model_files, data):
         files = {name: work / name for name in model_files}
         for name, path in files.items():
             path.write_bytes(mutated if name == target else model_files[name])
+        mode, out_dim = MODEL_WEIGHTS.get(target, ("fca", 64))
         flags = ["--dataset", str(files["dataset"]), "--m", "3", "--k-symbols", "1",
-                 "--seed", "7", "--out-dim", "64"] + _store_flags(work)
-        if target == "weights":
-            flags += ["--weights", str(files["weights"])]
+                 "--seed", "7", "--out-dim", str(out_dim)] + _store_flags(work)
+        if target in MODEL_WEIGHTS:
+            flags += ["--fusion", mode, "--weights", str(files[target])]
         probe = ["--probe-subject", data.draw(st.sampled_from(["s0000", "s0001"])),
                  "--probe-sample", "3"]
         for command, extra in (("enroll", []), ("auth", probe)):

@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,7 +37,7 @@ class TestFca:
         assert np.array_equal(fuse_fca(face, iris, w), [1, 2, 3, 4, 5, 6])
 
     def test_zero_inputs_zero_output(self):
-        w = random_weights("fca", 4, 4, 8, seed=0, activation="identity")
+        w = replace(random_weights("fca", 4, 4, 8, seed=0), activation="identity")
         out = fuse_fca(emb(np.zeros(4), "face"), emb(np.zeros(4), "iris"), w)
         assert np.array_equal(out, np.zeros(8))
 
@@ -42,8 +45,8 @@ class TestFca:
         rng = np.random.default_rng(3)
         for _ in range(200):
             d_f, d_i, out = rng.integers(1, 7, size=3)
-            w = random_weights("fca", d_f, d_i, out, seed=int(rng.integers(1 << 30)),
-                               activation="identity")
+            w = replace(random_weights("fca", d_f, d_i, out, seed=int(rng.integers(1 << 30))),
+                        activation="identity")
             face = emb(rng.normal(size=d_f), "face")
             iris = emb(rng.normal(size=d_i), "iris")
             got = fuse_fca(face, iris, w)
@@ -52,7 +55,7 @@ class TestFca:
 
     def test_affine_additivity_identity_activation(self):
         rng = np.random.default_rng(8)
-        w = random_weights("fca", 5, 4, 10, seed=2, activation="identity")
+        w = replace(random_weights("fca", 5, 4, 10, seed=2), activation="identity")
         for _ in range(50):
             f1, f2 = rng.normal(size=(2, 5))
             i1, i2 = rng.normal(size=(2, 4))
@@ -91,7 +94,7 @@ class TestBla:
 
     def test_scaling_bilinearity(self):
         rng = np.random.default_rng(4)
-        w = random_weights("bla", 3, 4, 5, seed=6, activation="identity")
+        w = random_weights("bla", 3, 4, 5, seed=6)
         for _ in range(50):
             f = rng.normal(size=3)
             i = rng.normal(size=4)
@@ -102,7 +105,7 @@ class TestBla:
 
     def test_additivity_in_each_slot(self):
         rng = np.random.default_rng(5)
-        w = random_weights("bla", 3, 3, 4, seed=7, activation="identity")
+        w = random_weights("bla", 3, 3, 4, seed=7)
         f1, f2, i0 = rng.normal(size=(3, 3))
         lhs = fuse_bla(emb(f1 + f2, "face"), emb(i0, "iris"), w)
         rhs = (fuse_bla(emb(f1, "face"), emb(i0, "iris"), w)
@@ -113,8 +116,7 @@ class TestBla:
         rng = np.random.default_rng(6)
         for _ in range(100):
             d_f, d_i, out = rng.integers(1, 6, size=3)
-            w = random_weights("bla", d_f, d_i, out, seed=int(rng.integers(1 << 30)),
-                               activation="identity")
+            w = random_weights("bla", d_f, d_i, out, seed=int(rng.integers(1 << 30)))
             if w.P is None:
                 w = FusionWeights("bla", d_f, d_i, d_f * d_i, "identity")
             face = emb(rng.normal(size=d_f), "face")
@@ -127,6 +129,20 @@ class TestBla:
     def test_projection_free_requires_product_dim(self):
         with pytest.raises(DimensionMismatchError):
             FusionWeights("bla", 2, 2, 5, "identity")
+
+
+@pytest.mark.parametrize("mode,dims,arrays", [
+    ("fca", (2, 1, 3), {"W": np.zeros((3, 3))}),                              # no b
+    ("fca", (2, 1, 3), {"W": np.zeros((3, 2)), "b": np.zeros(3)}),            # W shape
+    ("fca", (2, 1, 3), {"W": np.zeros((3, 3)), "b": np.zeros(4)}),            # b shape
+    ("fca", (2, 1, 3), {"W": np.zeros((3, 3)), "b": np.zeros(3), "P": np.zeros((3, 2))}),
+    ("bla", (2, 2, 4), {"W": np.zeros((4, 4)), "b": np.zeros(4)}),
+    ("bla", (2, 2, 3), {"P": np.zeros((3, 5))}),                              # P shape
+    ("bla", (0, 2, 3), {"P": np.zeros((3, 0))}),                              # zero dim
+])
+def test_arrays_must_fit_the_layout(mode, dims, arrays):
+    with pytest.raises(DimensionMismatchError):
+        FusionWeights(mode, *dims, "identity", **arrays)
 
 
 def per_row_reference(face, iris, w):
@@ -155,7 +171,8 @@ class TestFuseRows:
     def test_rows_bit_identical_to_per_row_formulas(self, n, mode, d_face, d_iris,
                                                     out_dim, activation):
         rng = np.random.default_rng([n, out_dim])
-        w = random_weights(mode, d_face, d_iris, out_dim, seed=out_dim, activation=activation)
+        w = replace(random_weights(mode, d_face, d_iris, out_dim, seed=out_dim),
+                    activation=activation)
         assert (w.P is not None) == (mode == "bla" and out_dim != d_face * d_iris)
         face, iris = rng.normal(size=(n, d_face)), rng.normal(size=(n, d_iris))
         got = fuse_rows(face, iris, w)
@@ -222,6 +239,23 @@ class TestEmbedding:
 
 
 class TestWeightsFile:
+    @pytest.mark.parametrize("mode,d_face,d_iris,out_dim,seed,size,sha256", [
+        ("fca", 3, 2, 4, 1, 116,
+         "7680a9c40ac2b2a3621d9a15821d5f0b503e8d443df56b81642bb5c190a7d0dd"),
+        ("bla", 2, 3, 4, 2, 116,   # projected by P
+         "be9165ad3fe58252ac7e65c7d7892b128b3822d27e9bac57065fa2670fac8e3b"),
+        ("bla", 2, 3, 6, 3, 20,    # no P: the header alone
+         "5de1e52e5dbde3cff28127b7ac550869e1f86de89f5bd25bee54593b29631da8"),
+    ])
+    def test_saved_bytes_are_pinned(self, tmp_path, mode, d_face, d_iris, out_dim, seed,
+                                    size, sha256):
+        """The bytes of a saved file, so a reordered or reshaped payload
+        cannot pass as a round trip."""
+        path = tmp_path / "w.bin"
+        save_weights(random_weights(mode, d_face, d_iris, out_dim, seed=seed), path)
+        blob = path.read_bytes()
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == (size, sha256)
+
     def test_fca_roundtrip(self, tmp_path):
         w = random_weights("fca", 6, 5, 9, seed=12)
         path = tmp_path / "w.bin"

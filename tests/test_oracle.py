@@ -87,7 +87,7 @@ def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         all_codewords(code)
     with pytest.raises(BudgetExceededError):
-        nearest_codeword(code, [0] * 255, budget=1000)
+        nearest_codeword(code, [0] * 255)
 
 
 def test_leader_table_is_minimum_weight(rs_7_3):
