@@ -25,10 +25,21 @@ A sweep fuses the population, takes its medians and selects every
 subject's key and enrolled bits once, then enrolls every K in one
 ``enroll_batch`` and decides it; a sweep without a seed runs every K, and
 its FAR, under one seed drawn at its start.
+
+That K-invariant half (fused rows, medians, selections) is also kept
+across calls, in one slot: ``gar_stats``, ``empirical_far`` and
+``run_gs_curve`` reuse it when the SHA-256 of the dataset (subject ids in
+order; dtype, shape and bytes of every face and iris matrix) and of the
+config fields it reads (seed, fusion mode, out_dim, m, window factor) match
+the last seeded call. K, scheme and policy are not part of the key. A
+config without a seed never reuses it, since each such call draws fresh
+entropy. The slot keeps one population in memory after the call returns;
+its fused matrices, medians and enrolled bits are read-only.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 from dataclasses import dataclass, replace
@@ -48,6 +59,7 @@ from .pipeline import (
     probe_bits,
     select_template,
 )
+from .quantizer import binarize
 from .sketch import authenticate_batch, enroll_batch
 from .synth import EmbeddingDataset
 
@@ -127,13 +139,49 @@ class _Prepared:
     enrollments: dict[str, Enrollment]  # subjects missing here are unenrollable
 
 
+# The PipelineConfig fields _fuse reads; the others (k_symbols, scheme,
+# policy) only matter per K.
+_FUSE_FIELDS = ("seed", "fusion_mode", "out_dim", "m", "window_factor")
+
+# (key, _fuse result) of the last seeded _fuse call.
+_fuse_memo = None
+
+
+def _fuse_key(dataset: EmbeddingDataset, config: PipelineConfig) -> bytes:
+    digest = hashlib.sha256(repr([getattr(config, f) for f in _FUSE_FIELDS]).encode())
+    for sid in dataset.subject_ids:
+        digest.update(repr(sid).encode())
+        for mat in (dataset.face[sid], dataset.iris[sid]):
+            mat = np.ascontiguousarray(mat)
+            digest.update(f"{mat.dtype.str}{mat.shape}".encode())
+            digest.update(mat)
+    return digest.digest()
+
+
 def _fuse(dataset: EmbeddingDataset, config: PipelineConfig):
+    """``_fuse_uncached``, reused while the dataset content and the config's
+    ``_FUSE_FIELDS`` match the last seeded call."""
+    global _fuse_memo
+    if config.seed is None:
+        return _fuse_uncached(dataset, config)
+    key, memo = _fuse_key(dataset, config), _fuse_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    _fuse_memo = memo = None  # free the old population before building the next
+    population = _fuse_uncached(dataset, config)
+    _fuse_memo = key, population
+    return population
+
+
+def _fuse_uncached(dataset: EmbeddingDataset, config: PipelineConfig):
     """K-invariant work: every subject's fused samples, the population stats
-    and every subject's ``select_template``."""
+    and every subject's ``select_template``, with read-only arrays."""
     fused = fuse_dataset(dataset, build_weights(config, dataset.d_face, dataset.d_iris))
     pop = population_from_fused(fused)
     selections = {sid: select_template(config, mat[:enroll_split(mat.shape[0])], pop, sid)
                   for sid, mat in fused.items()}
+    for arr in [*fused.values(), pop.median, *(r_a for _, r_a, _, _ in selections.values())]:
+        arr.flags.writeable = False
     return fused, pop, selections
 
 
@@ -249,28 +297,50 @@ def _empirical_far(prep: _Prepared, scenario: str, trials: int, seed,
     if len(sids) < 2:
         raise InsufficientDataError("need >= 2 enrolled subjects")
     rng = derive_rng(seed, "far", scenario, impostor_bits)
-    uniform = scenario == SCENARIO_STOLEN_KEY and impostor_bits == "uniform"
-
-    def probe(trial: int) -> np.ndarray:
-        v = trial % len(sids)
-        j = int(rng.integers(len(sids) - 1))
-        impostor = sids[j + (j >= v)]  # the j-th subject other than the victim
-        mat = prep.fused[impostor]
-        vec = mat[int(rng.integers(mat.shape[0]))]
-        key = prep.enrollments[sids[v] if scenario == SCENARIO_STOLEN_KEY else impostor].key
-        return probe_bits(vec, prep.pop, key)
-
+    if scenario == SCENARIO_STOLEN_KEY and impostor_bits == "uniform":
+        def draw(victims: np.ndarray) -> np.ndarray:
+            return _uniform_bit_rows(rng, len(victims), prep.code.n_bits)
+    else:
+        draw = _dataset_probes(prep, sids, rng, scenario == SCENARIO_STOLEN_KEY)
     records = [prep.enrollments[sid].record for sid in sids]
     accepts = 0
     for lo in range(0, trials, _FAR_BLOCK):
-        block = range(lo, min(trials, lo + _FAR_BLOCK))
-        if uniform:
-            probes = _uniform_bit_rows(rng, len(block), prep.code.n_bits)
-        else:
-            probes = np.stack([probe(trial) for trial in block])
-        owner = (lo + np.arange(len(block))) % len(sids)
-        accepts += int(authenticate_batch(probes, records, owner, prep.code).accepted.sum())
+        victims = np.arange(lo, min(trials, lo + _FAR_BLOCK)) % len(sids)
+        accepts += int(authenticate_batch(draw(victims), records, victims,
+                                          prep.code).accepted.sum())
     return accepts / trials
+
+
+def _dataset_probes(prep: _Prepared, sids: list[str], rng: np.random.Generator,
+                    stolen_key: bool):
+    """A function from a block's victims to its dataset-impostor probes.
+
+    Each trial draws, in trial order, its impostor (the j-th subject other
+    than the victim) and then one of the impostor's samples. The samples of
+    every subject are binarized once, up front; a block gathers each key
+    owner's rows (the victim's under a stolen key, else the impostor's)
+    under that owner's key.
+    """
+    counts = [prep.fused[sid].shape[0] for sid in sids]
+    starts = np.cumsum([0] + counts).tolist()
+    bits = binarize(np.concatenate([prep.fused[sid] for sid in sids]), prep.pop)
+    keys = [prep.enrollments[sid].key.index_array for sid in sids]
+
+    def draw(victims: np.ndarray) -> np.ndarray:
+        rows, key_owner = [], []
+        for v in victims.tolist():
+            j = int(rng.integers(len(sids) - 1))
+            impostor = j + (j >= v)
+            rows.append(starts[impostor] + int(rng.integers(counts[impostor])))
+            key_owner.append(v if stolen_key else impostor)
+        rows, key_owner = np.array(rows), np.array(key_owner)
+        probes = np.empty((len(rows), prep.code.n_bits), dtype=np.uint8)
+        for owner in np.unique(key_owner):
+            at = np.flatnonzero(key_owner == owner)
+            probes[at] = bits[np.ix_(rows[at], keys[owner])]
+        return probes
+
+    return draw
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,8 @@ def load_weights(path) -> FusionWeights:
         raise ParseError(f"{mode} weights payload is {len(blob) - _HEADER.size} bytes, "
                          f"the header implies {4 * sum(sizes)}")
     values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise ParseError(f"{mode} weights hold non-finite values")
     chunks = np.split(values, np.cumsum(sizes[:-1], dtype=np.int64))
     return FusionWeights(mode, d_face, d_iris, out_dim, acts[act_code],
                          **{name: chunk.reshape(shape)

@@ -6,13 +6,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import biosketch
-from biosketch import cli, fusion, store
+from biosketch import cli, fusion, pipeline, store
 
 from test_quantizer import BAD_INDEX_LINES
 from test_sketch import BAD_RECORD_LINES
@@ -766,6 +768,29 @@ def test_eval_with_unallocatable_out_dim_is_runtime_error(dataset_csv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_weights_exit_3_before_any_fusion(
+        dataset_csv, tmp_path, capsys, monkeypatch, weights_file, value):
+    weights = fusion.load_weights(weights_file)
+    weights.W[5, 0] = value
+    path = tmp_path / "nonfinite.fusw"
+    fusion.save_weights(weights, path)
+
+    def no_fusion(*args, **kwargs):
+        raise AssertionError("fused with non-finite weights")
+
+    monkeypatch.setattr(fusion, "fuse_rows", no_fusion)
+    monkeypatch.setattr(pipeline, "fuse_rows", no_fusion)
+    flags = pipeline_flags(dataset_csv, tmp_path) + ["--weights", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["enroll", "--subject", "s0000"] + flags)
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_RUNTIME
+    assert "non-finite" in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "templates").exists() and not (tmp_path / "keys").exists()
+
+
 # -- the exit-code contract over mutated store files ---------------------------
 
 STORE_SUBJECTS = {"s0000": "ss", "s0001": "fc"}
@@ -862,7 +887,9 @@ def test_mutated_store_file_exits_by_contract(enrolled_stores, data):
 MODEL_WEIGHTS = {"weights-fca": ("fca", 64), "weights-bla-p": ("bla", 48),
                  "weights-bla": ("bla", 64)}
 MODEL_MUTATIONS = {"dataset": ("flip", "truncate", "duplicate", "drop"),
-                   **dict.fromkeys(MODEL_WEIGHTS, ("flip", "truncate", "header", "append"))}
+                   **dict.fromkeys(MODEL_WEIGHTS,
+                                   ("flip", "truncate", "header", "append", "nonfinite"))}
+NONFINITE = [np.array(v, dtype="<f4").tobytes() for v in (np.nan, np.inf, -np.inf)]
 
 
 @pytest.fixture(scope="module")
@@ -896,6 +923,10 @@ def test_mutated_dataset_or_weights_exits_by_contract(model_files, data):
         mutated = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
     elif kind == "append":
         mutated = raw + data.draw(st.binary(min_size=1, max_size=12))
+    elif kind == "nonfinite":
+        # One payload float becomes NaN or +-inf; a header-only file gains one.
+        at = 20 + 4 * data.draw(st.integers(0, max(0, (len(raw) - 20) // 4 - 1)))
+        mutated = raw[:at] + data.draw(st.sampled_from(NONFINITE)) + raw[at + 4:]
     else:
         mutated = _mutate(data, raw, (kind,))
     with tempfile.TemporaryDirectory() as work:
@@ -912,11 +943,17 @@ def test_mutated_dataset_or_weights_exits_by_contract(model_files, data):
                  "--probe-sample", "3"]
         for command, extra in (("enroll", []), ("auth", probe)):
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 rc = cli.main([command, "--subject", "s0000"] + extra + flags)
             last = (out.getvalue().splitlines() or [""])[-1]
             assert rc in (cli.EXIT_OK, cli.EXIT_DENY, cli.EXIT_RUNTIME), err.getvalue()
             assert "Traceback" not in err.getvalue()
+            if kind == "nonfinite":
+                # Refused as a bad weights file, not after fusing with it.
+                assert rc == cli.EXIT_RUNTIME and not caught, err.getvalue()
+                assert "weights" in err.getvalue()
             if rc == cli.EXIT_DENY:
                 assert command == "auth" and last.startswith("DENY ("), err.getvalue()
             if command == "auth" and rc == cli.EXIT_OK:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -276,20 +277,29 @@ class TestGsCurve:
         assert len({(p.gar, p.far_empirical) for p in points}) == 1
 
 
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty memo of the K-invariant population."""
+    monkeypatch.setattr(evaluate, "_fuse_memo", None)
+
+
+@pytest.fixture
+def fusions(monkeypatch, cold_memo):
+    """The ``fuse_dataset`` calls made from a cold memo."""
+    calls = []
+    original = evaluate.fuse_dataset
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "fuse_dataset", counted)
+    return calls
+
+
 class TestFusionCount:
-    """Fusion does not depend on K: a sweep fuses the population once."""
-
-    @pytest.fixture
-    def fusions(self, monkeypatch):
-        calls = []
-        original = evaluate.fuse_dataset
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(evaluate, "fuse_dataset", counted)
-        return calls
+    """Fusion does not depend on K: a sweep fuses the population once, and
+    calls under one seeded config share one fusion."""
 
     def test_sweep_fuses_once(self, small_dataset, fusions):
         run_gs_curve(small_dataset, SMALL_CFG, [1, 2, 3], far_trials=200)
@@ -299,7 +309,7 @@ class TestFusionCount:
         gar_stats(small_dataset, SMALL_CFG)
         assert len(fusions) == 1
         empirical_far(small_dataset, SMALL_CFG, SCENARIO_STOLEN_KEY, 200, seed=1)
-        assert len(fusions) == 2
+        assert len(fusions) == 1
 
     @pytest.mark.parametrize("call", [
         lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 2], scenario="replay", far_trials=100),
@@ -318,7 +328,7 @@ class TestFusionCount:
 class TestSelectionCount:
     """Key selection does not depend on K: a sweep selects once per subject."""
 
-    def test_sweep_selects_once_per_subject(self, monkeypatch):
+    def test_sweep_selects_once_per_subject(self, monkeypatch, cold_memo):
         ds = gen_population(6, 8, 16, 16, 1.0, 0.2, seed=42)
         cfg = PipelineConfig(m=5, k_symbols=11, out_dim=256, seed=5)
         calls = []
@@ -332,6 +342,90 @@ class TestSelectionCount:
         points = run_gs_curve(ds, cfg, [11, 16, 20])
         assert len(points) == 3
         assert len(calls) == ds.n_subjects
+
+
+# Each entry point, and another call that warms the memo for it.
+MEMO_CALLS = {
+    "gar_stats": lambda ds, cfg: gar_stats(ds, cfg),
+    "empirical_far": lambda ds, cfg: [
+        empirical_far(ds, cfg, scenario, 300, seed=17, impostor_bits=bits)
+        for scenario, bits in TestFarDeterminism.SCENARIOS],
+    "run_gs_curve": lambda ds, cfg: run_gs_curve(ds, cfg, [1, 2], far_trials=300),
+}
+MEMO_WARMERS = {"gar_stats": "run_gs_curve", "empirical_far": "gar_stats",
+                "run_gs_curve": "empirical_far"}
+
+
+class TestFuseMemo:
+    """The K-invariant population is reused across calls exactly when the
+    dataset content and the config fields ``_fuse`` reads are unchanged."""
+
+    def test_every_config_field_is_keyed_or_per_k(self):
+        # A new PipelineConfig field fails here until it is classified.
+        per_k = {"k_symbols", "scheme", "policy"}
+        keyed = set(evaluate._FUSE_FIELDS)
+        assert not keyed & per_k
+        assert {f.name for f in dataclasses.fields(PipelineConfig)} == keyed | per_k
+
+    @pytest.mark.parametrize("change", [
+        dict(k_symbols=7), dict(scheme="fuzzy-commitment"), dict(policy="fail-deny"),
+    ], ids=["k", "scheme", "policy"])
+    def test_per_k_fields_do_not_change_the_population(self, small_dataset, change):
+        base = evaluate._fuse_uncached(small_dataset, SMALL_CFG)
+        other = evaluate._fuse_uncached(small_dataset, dataclasses.replace(SMALL_CFG, **change))
+        (fused, pop, selections), (fused2, pop2, selections2) = base, other
+        assert list(fused) == list(fused2)
+        assert all(np.array_equal(fused[sid], fused2[sid]) for sid in fused)
+        assert np.array_equal(pop.median, pop2.median)
+        assert list(selections) == list(selections2)
+        for (key, r_a, salt, seed), (key2, r_a2, salt2, seed2) in zip(
+                selections.values(), selections2.values()):
+            assert (key, salt, seed) == (key2, salt2, seed2)
+            assert np.array_equal(r_a, r_a2)
+
+    @pytest.mark.parametrize("entry", sorted(MEMO_CALLS))
+    def test_warm_memo_gives_the_cold_result(self, entry, small_dataset, fusions, monkeypatch):
+        cold = MEMO_CALLS[entry](small_dataset, SMALL_CFG)
+        monkeypatch.setattr(evaluate, "_fuse_memo", None)
+        MEMO_CALLS[MEMO_WARMERS[entry]](small_dataset, SMALL_CFG.with_k(2))
+        assert MEMO_CALLS[entry](small_dataset, SMALL_CFG) == cold
+        assert len(fusions) == 2
+
+    @pytest.mark.parametrize("entry", sorted(MEMO_CALLS))
+    def test_in_place_edit_recomputes(self, entry, fusions, monkeypatch):
+        ds = gen_population(6, 8, 16, 16, 1.0, 0.2, seed=42)
+        MEMO_CALLS[entry](ds, SMALL_CFG)
+        ds.iris[ds.subject_ids[2]][3, 5] += 0.5
+        edited = MEMO_CALLS[entry](ds, SMALL_CFG)
+        assert len(fusions) == 2
+        monkeypatch.setattr(evaluate, "_fuse_memo", None)
+        assert MEMO_CALLS[entry](ds, SMALL_CFG) == edited
+
+    @pytest.mark.parametrize("entry", sorted(MEMO_CALLS))
+    def test_unseeded_calls_each_fuse(self, entry, small_dataset, fusions):
+        unseeded = dataclasses.replace(SMALL_CFG, seed=None)
+        MEMO_CALLS[entry](small_dataset, unseeded)
+        fused = len(fusions)
+        MEMO_CALLS[entry](small_dataset, unseeded)
+        assert len(fusions) == 2 * fused > 0
+
+    @pytest.mark.parametrize("change", [
+        dict(fusion_mode="bla"), dict(out_dim=128), dict(m=4), dict(window_factor=1.5),
+        dict(seed=6),
+    ], ids=["fusion-mode", "out-dim", "m", "window-factor", "seed"])
+    def test_keyed_field_change_fuses_again(self, small_dataset, fusions, change):
+        gar_stats(small_dataset, SMALL_CFG)
+        other = dataclasses.replace(SMALL_CFG, **change)
+        gar_stats(small_dataset, other)
+        assert len(fusions) == 2
+        gar_stats(small_dataset, other)
+        assert len(fusions) == 2
+
+    def test_memoised_arrays_are_read_only(self, small_dataset, cold_memo):
+        fused, pop, selections = evaluate._fuse(small_dataset, SMALL_CFG)
+        arrays = [*fused.values(), pop.median, *(r_a for _, r_a, _, _ in selections.values())]
+        assert not any(arr.flags.writeable for arr in arrays)
+        assert all(mat.flags.writeable for mat in small_dataset.face.values())
 
 
 class TestGoldenCurve:

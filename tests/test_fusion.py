@@ -294,6 +294,15 @@ class TestWeightsFile:
         with pytest.raises(ParseError):
             load_weights(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_payload(self, tmp_path, value):
+        w = random_weights("bla", 3, 4, 6, seed=13)
+        w.P[2, 7] = value
+        path = tmp_path / "w.bin"
+        save_weights(w, path)
+        with pytest.raises(ParseError, match="non-finite"):
+            load_weights(path)
+
     def test_trailing_garbage(self, tmp_path):
         w = random_weights("fca", 2, 2, 3, seed=16)
         path = tmp_path / "w.bin"
