@@ -2,20 +2,18 @@
 
 Subcommands: ``gen`` (synthetic dataset), ``params`` (code planning),
 ``enroll``, ``auth``, ``revoke``, ``eval`` (GAR-security CSV sweep) and
-``oracle`` (small-code collision demo). Each subcommand takes only the
-options it reads. ``gen``, ``enroll``, ``auth``, ``eval`` and ``oracle``
-take ``--seed`` for bit-exact reproducibility; without it, enrollment
-randomness comes from OS entropy.
+``oracle`` (small-code collision demo). ``_OPTIONS`` states once, for each
+option, its cast, the commands that take it, the commands that require it
+and its help; a command takes only the options its row names, and any other
+flag is a usage error. With no ``--seed``, enrollment randomness comes from
+OS entropy.
 
-Each value has one way to be set. ``enroll`` and ``auth`` take the message
-length K as ``--k-symbols``, and ``eval`` takes the K values of its sweep as
-``--k-list``; ``params --security`` prints the K for a security target.
-``enroll``, ``auth`` and ``eval`` require ``--out-dim``: at the smallest
-legal value, G, the key selects every component, so a revoked subject would
-be re-issued the same key. The model options a run leaves out (scheme,
-policy, fusion mode, window factor) take ``PipelineConfig``'s defaults. A
-``--weights`` file must agree with ``--out-dim`` and with ``--fusion`` when
-given, as ``auth``'s scheme and policy must agree with the record.
+``--out-dim`` is required because at its smallest legal value, G, the key
+selects every component, so a revoked subject would be re-issued the same
+key. The model options a run leaves out (scheme, policy, fusion mode,
+window factor) take ``PipelineConfig``'s defaults. A ``--weights`` file must
+agree with ``--out-dim`` and with ``--fusion`` when given, as ``auth``'s
+scheme and policy must agree with the record.
 
 Exit codes: 0 success/accept, 1 deny, 2 usage error, 3 runtime error.
 
@@ -34,7 +32,7 @@ import sys
 
 from . import evaluate, gf, oracle, store, synth
 from .errors import BiosketchError, DuplicateSubjectError, ParameterMismatchError
-from .fusion import load_weights
+from .fusion import MODE_BLA, MODE_FCA, load_weights
 from .pipeline import (
     PipelineConfig,
     build_weights,
@@ -57,9 +55,50 @@ _POLICIES = {
     "fail-deny": DecodePolicy.FAIL_DENY,
     "fallback": DecodePolicy.FALLBACK_SYSTEMATIC,
 }
-# A --config file names no further file, and replacing an enrolled template
-# is asked for on the command line of each run.
-_COMMAND_LINE_ONLY = frozenset({"config", "overwrite"})
+_FUSIONS = {mode: mode for mode in (MODE_FCA, MODE_BLA)}
+_SCENARIOS = {s: s for s in (evaluate.SCENARIO_ZERO_EFFORT, evaluate.SCENARIO_STOLEN_KEY)}
+_PIPELINE = "enroll auth eval"
+
+# One row per option: flag, cast, the commands that take it, the commands
+# that require it, help. A dict cast maps each allowed value to the value
+# the command reads; ``bool`` marks a store-true flag.
+_OPTIONS = (
+    ("--seed", int, "gen enroll auth eval oracle", "", "master seed for reproducibility"),
+    ("--m", int, "params enroll auth eval oracle", "params enroll auth eval oracle",
+     "symbol size in bits"),
+    ("--scheme", _SCHEMES, _PIPELINE, "", "secure sketch or fuzzy commitment"),
+    ("--policy", _POLICIES, _PIPELINE, "", "decode policy"),
+    ("--dataset", str, _PIPELINE, _PIPELINE, "embeddings CSV"),
+    ("--fusion", _FUSIONS, _PIPELINE, "", "fusion mode"),
+    ("--out-dim", int, _PIPELINE, _PIPELINE, "fused vector dimension"),
+    ("--templates-dir", str, "enroll auth revoke", "", "record store"),
+    ("--keys-dir", str, "enroll auth revoke", "", "keystore"),
+    ("--k-symbols", int, "enroll auth oracle", "enroll auth oracle",
+     "message length K in symbols"),
+    ("--window-factor", float, "enroll eval", "", "reliable-selection window factor"),
+    ("--weights", str, "enroll auth", "", "fusion weights file"),
+    ("--subject", str, "enroll auth revoke", "enroll auth revoke",
+     "subject id; for auth, the claimed identity"),
+    ("--overwrite", bool, "enroll", "", "replace a stored record and key"),
+    ("--probe-subject", str, "auth", "", "actual biometric owner (defaults to --subject)"),
+    ("--probe-sample", int, "auth", "", "sample index"),
+    ("--k-list", str, "eval", "eval", "comma-separated K values"),
+    ("--scenario", _SCENARIOS, "eval", "", "empirical FAR attack"),
+    ("--trials", int, "eval oracle", "", "Monte Carlo trials (eval: empirical FAR per point)"),
+    ("--received", str, "oracle", "", "comma-separated symbols to decode exhaustively"),
+    ("--security", int, "params", "", "target security in bits (prints the K for it)"),
+    ("--subjects", int, "gen", "", "number of subjects"),
+    ("--samples", int, "gen", "", "samples per subject"),
+    ("--d-face", int, "gen", "", "face embedding dimension"),
+    ("--d-iris", int, "gen", "", "iris embedding dimension"),
+    ("--between-std", float, "gen", "", "spread of the subject means"),
+    ("--within-std", float, "gen", "", "spread of a subject's samples"),
+    ("--out", str, "gen eval", "gen", "output CSV, or stdout for an eval without it"),
+)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -76,55 +115,54 @@ def _read_config_file(path) -> dict[str, str]:
     return values
 
 
-def _apply_config_file(args: argparse.Namespace):
-    if not args.config:
-        return
-    overrides = _read_config_file(args.config)
-    for key, raw in overrides.items():
-        if key in _COMMAND_LINE_ONLY:
+def _cast_options(args: argparse.Namespace):
+    """Fill the options left out on the command line from ``--config``, then
+    cast each given option of ``args.command`` once and check the required."""
+    taken = {_dest(flag) for flag, *_ in _OPTIONS}
+    for key, raw in (_read_config_file(args.config) if args.config else {}).items():
+        # A file names no further file, and replacing an enrolled template
+        # is asked for on the command line of each run.
+        if key in ("config", "overwrite"):
             raise BiosketchError(f"{args.config}: {key!r} is taken only on the command line")
-        if key not in args.option_names:
+        if key not in taken:
             raise BiosketchError(f"{args.config}: no command takes {key!r}")
-        if not hasattr(args, key):  # another command's option
+        if key in vars(args) and getattr(args, key) is None:  # explicit flags win
+            setattr(args, key, raw)
+    for flag, cast, commands, required, _ in _OPTIONS:
+        if args.command not in commands.split():
             continue
-        if getattr(args, key) is not None:  # explicit flag wins
-            continue
-        setattr(args, key, raw)
+        value = getattr(args, _dest(flag))
+        if value is None:
+            if args.command in required.split():
+                raise BiosketchError(f"missing required option {flag}")
+        elif isinstance(cast, dict):
+            # argparse checks the flags; a --config value reaches here unchecked.
+            if value not in cast:
+                raise BiosketchError(
+                    f"{flag} must be one of {', '.join(sorted(cast))}, got {value!r}")
+            setattr(args, _dest(flag), cast[value])
+        else:
+            setattr(args, _dest(flag), cast(value))
 
 
-def _resolve(args, name, cast, default=None, required=False):
-    value = getattr(args, name, None)
-    if value is None:
-        if required:
-            raise BiosketchError(f"missing required option --{name.replace('_', '-')}")
-        return default
-    return cast(value)
-
-
-def _choice(args, name, table):
-    # argparse checks the flags; a --config value reaches here unchecked.
-    value = _resolve(args, name, str)
-    if value is not None and value not in table:
-        raise BiosketchError(
-            f"--{name} must be one of {', '.join(sorted(table))}, got {value!r}")
-    return table.get(value)
+def _default(value, default):
+    """``default`` when an option is absent; a given empty string is kept."""
+    return default if value is None else value
 
 
 def _pipeline_config(args, k_symbols: int) -> PipelineConfig:
-    optional = {"scheme": _choice(args, "scheme", _SCHEMES),
-                "policy": _choice(args, "policy", _POLICIES),
-                "fusion_mode": _resolve(args, "fusion", str),
-                "window_factor": _resolve(args, "window_factor", float)}
+    # auth takes no --window-factor: the stored key has already selected.
+    optional = {"scheme": args.scheme, "policy": args.policy, "fusion_mode": args.fusion,
+                "window_factor": getattr(args, "window_factor", None)}
     # Only the options given reach PipelineConfig, which owns the defaults.
-    return PipelineConfig(m=_resolve(args, "m", int, required=True), k_symbols=k_symbols,
-                          out_dim=_resolve(args, "out_dim", int, required=True),
-                          seed=_resolve(args, "seed", int),
+    return PipelineConfig(m=args.m, k_symbols=k_symbols, out_dim=args.out_dim,
+                          seed=args.seed,
                           **{k: v for k, v in optional.items() if v is not None})
 
 
 def _stores(args) -> tuple[store.TemplateDb, store.KeyStore]:
-    return (store.TemplateDb(_resolve(args, "templates_dir", str, default="templates")),
-            store.KeyStore(_resolve(args, "keys_dir", str, default="keys")))
+    return (store.TemplateDb(_default(args.templates_dir, "templates")),
+            store.KeyStore(_default(args.keys_dir, "keys")))
 
 
 def _check_agrees(args, pairs, what: str):
@@ -132,18 +170,16 @@ def _check_agrees(args, pairs, what: str):
     for name, given, stored in pairs:
         if getattr(args, name) is not None and given != stored:
             raise ParameterMismatchError(
-                f"--{name.replace('_', '-')} {getattr(args, name)} contradicts {what} "
-                f"({stored})")
+                f"--{name.replace('_', '-')} {given} contradicts {what} ({stored})")
 
 
 def _load_pipeline_data(args, config: PipelineConfig):
-    dataset = synth.read_embeddings(_resolve(args, "dataset", str, required=True))
-    weights_path = _resolve(args, "weights", str)
-    if weights_path:
-        weights = load_weights(weights_path)
+    dataset = synth.read_embeddings(args.dataset)
+    if args.weights:
+        weights = load_weights(args.weights)
         _check_agrees(args, (("out_dim", config.out_dim, weights.out_dim),
                              ("fusion", config.fusion_mode, weights.mode)),
-                      f"the weights file {weights_path}")
+                      f"the weights file {args.weights}")
     else:
         weights = build_weights(config, dataset.d_face, dataset.d_iris)
     fused = fuse_dataset(dataset, weights)
@@ -153,29 +189,26 @@ def _load_pipeline_data(args, config: PipelineConfig):
 
 def cmd_gen(args) -> int:
     dataset = synth.gen_population(
-        num_subjects=_resolve(args, "subjects", int, default=50),
-        samples_per_subject=_resolve(args, "samples", int, default=20),
-        d_face=_resolve(args, "d_face", int, default=64),
-        d_iris=_resolve(args, "d_iris", int, default=64),
-        between_std=_resolve(args, "between_std", float, default=1.0),
-        within_std=_resolve(args, "within_std", float, default=0.3),
-        seed=_resolve(args, "seed", int, default=0),
+        num_subjects=_default(args.subjects, 50),
+        samples_per_subject=_default(args.samples, 20),
+        d_face=_default(args.d_face, 64),
+        d_iris=_default(args.d_iris, 64),
+        between_std=_default(args.between_std, 1.0),
+        within_std=_default(args.within_std, 0.3),
+        seed=_default(args.seed, 0),
     )
-    out = _resolve(args, "out", str, required=True)
-    synth.write_embeddings(dataset, out)
+    synth.write_embeddings(dataset, args.out)
     print(f"wrote {dataset.n_subjects} subjects x "
-          f"{dataset.n_samples(dataset.subject_ids[0])} samples to {out}")
+          f"{dataset.n_samples(dataset.subject_ids[0])} samples to {args.out}")
     return EXIT_OK
 
 
 def cmd_params(args) -> int:
-    m = _resolve(args, "m", int, required=True)
-    gf.check_symbol_size(m)
-    n_symbols = (1 << m) - 1
-    print(f"m={m} N={n_symbols} n={m * n_symbols}")
-    security = _resolve(args, "security", int)
-    if security is not None:
-        plan = evaluate.params_for_security(m, security)
+    gf.check_symbol_size(args.m)
+    n_symbols = (1 << args.m) - 1
+    print(f"m={args.m} N={n_symbols} n={args.m * n_symbols}")
+    if args.security is not None:
+        plan = evaluate.params_for_security(args.m, args.security)
         print(f"K={plan.k_symbols} t={plan.t} "
               f"security={plan.security_bits} (requested {plan.nominal_security}) "
               f"rate={plan.rate:.4f}")
@@ -183,14 +216,13 @@ def cmd_params(args) -> int:
 
 
 def cmd_enroll(args) -> int:
-    config = _pipeline_config(args, _resolve(args, "k_symbols", int, required=True))
+    config = _pipeline_config(args, args.k_symbols)
     fused, pop = _load_pipeline_data(args, config)
-    subject = _resolve(args, "subject", str, required=True)
+    subject = args.subject
     if subject not in fused:
         raise BiosketchError(f"subject {subject!r} not in dataset")
     db, ks = _stores(args)
-    overwrite = bool(getattr(args, "overwrite", False))
-    if not overwrite:
+    if not args.overwrite:
         for existing in (db, ks):
             if existing.exists(subject):
                 raise DuplicateSubjectError(
@@ -201,19 +233,19 @@ def cmd_enroll(args) -> int:
                          subject_id=subject)
     # Key first: a record on disk always has its key, so an interrupted
     # enroll leaves at most a stray key, which never authenticates.
-    ks.save(subject, enr.key, overwrite=overwrite)
-    db.save(subject, enr.record, overwrite=overwrite)
+    ks.save(subject, enr.key, overwrite=args.overwrite)
+    db.save(subject, enr.record, overwrite=args.overwrite)
     print(f"enrolled {subject}: scheme={enr.record.scheme} m={config.m} "
           f"K={config.k_symbols} G={config.reliable_count}")
     return EXIT_OK
 
 
 def cmd_auth(args) -> int:
-    config = _pipeline_config(args, _resolve(args, "k_symbols", int, required=True))
+    config = _pipeline_config(args, args.k_symbols)
     fused, pop = _load_pipeline_data(args, config)
-    subject = _resolve(args, "subject", str, required=True)
-    probe_subject = _resolve(args, "probe_subject", str, default=subject)
-    sample = _resolve(args, "probe_sample", int, default=0)
+    subject = args.subject
+    probe_subject = _default(args.probe_subject, subject)
+    sample = _default(args.probe_sample, 0)
     if probe_subject not in fused:
         raise BiosketchError(f"subject {probe_subject!r} not in dataset")
     mat = fused[probe_subject]
@@ -235,74 +267,48 @@ def cmd_auth(args) -> int:
 
 
 def cmd_revoke(args) -> int:
-    subject = _resolve(args, "subject", str, required=True)
     db, ks = _stores(args)
-    store.revoke(db, ks, subject)
-    print(f"revoked {subject}")
+    store.revoke(db, ks, args.subject)
+    print(f"revoked {args.subject}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    k_list = [int(v) for v in _resolve(args, "k_list", str, required=True).split(",") if v]
+    k_list = [int(v) for v in args.k_list.split(",") if v]
     if not k_list:
         raise BiosketchError("--k-list names no K")
     config = _pipeline_config(args, k_list[0])
-    dataset = synth.read_embeddings(_resolve(args, "dataset", str, required=True))
-    scenario = _resolve(args, "scenario", str, default=evaluate.SCENARIO_STOLEN_KEY)
-    trials = _resolve(args, "trials", int)
-    points = evaluate.run_gs_curve(dataset, config, k_list, scenario=scenario,
-                                   far_trials=trials)
-    out = _resolve(args, "out", str)
+    dataset = synth.read_embeddings(args.dataset)
+    points = evaluate.run_gs_curve(
+        dataset, config, k_list,
+        scenario=_default(args.scenario, evaluate.SCENARIO_STOLEN_KEY),
+        far_trials=args.trials)
     csv_text = evaluate.gs_curve_csv(points)
-    if out:
-        with open(out, "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             fh.write(csv_text)
-        print(f"wrote {len(points)} curve points to {out}")
+        print(f"wrote {len(points)} curve points to {args.out}")
     else:
         sys.stdout.write(csv_text)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    m = _resolve(args, "m", int, required=True)
-    k_symbols = _resolve(args, "k_symbols", int, required=True)
+    m, k_symbols = args.m, args.k_symbols
     code = PipelineConfig(m=m, k_symbols=k_symbols).build_code()
-    received = _resolve(args, "received", str)
-    if received:
-        symbols = [int(v) for v in received.split(",")]
+    if args.received:
+        symbols = [int(v) for v in args.received.split(",")]
         result = oracle.nearest_codeword(code, symbols)
         print(f"distance={result.distance} ties={len(result.codewords)}")
         for cw in result.codewords:
             print(",".join(str(s) for s in cw))
         return EXIT_OK
-    trials = _resolve(args, "trials", int, default=10000)
-    seed = _resolve(args, "seed", int, default=0)
-    rate = oracle.column_collision_rate(code, trials, seed)
+    trials = _default(args.trials, 10000)
+    rate = oracle.column_collision_rate(code, trials, _default(args.seed, 0))
     security = k_symbols * m
     print(f"collision_rate={rate:.6g} analytic={2.0 ** -security:.6g} "
           f"trials={trials} security_bits={security}")
     return EXIT_OK
-
-
-def _add_seed(add):
-    add("--seed", help="master seed for reproducibility")
-
-
-def _add_code_options(add):
-    add("--m", help="symbol size in bits")
-    add("--scheme", choices=sorted(_SCHEMES), help="ss or fc")
-    add("--policy", choices=sorted(_POLICIES), help="decode policy")
-
-
-def _add_model_options(add):
-    add("--dataset", help="embeddings CSV")
-    add("--fusion", choices=["fca", "bla"], help="fusion mode")
-    add("--out-dim", help="fused vector dimension (required)")
-
-
-def _add_store_options(add):
-    add("--templates-dir", help="record store")
-    add("--keys-dir", help="keystore")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,71 +317,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multibiometric template protection and evaluation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    option_names: set[str] = set()
-
-    def command(name, func, help_text, *groups):
+    for name, func, help_text in (
+            ("gen", cmd_gen, "generate a synthetic embeddings CSV"),
+            ("params", cmd_params, "plan code parameters for a security level"),
+            ("enroll", cmd_enroll, "enroll a subject from a dataset"),
+            ("auth", cmd_auth, "authenticate a probe against a record"),
+            ("revoke", cmd_revoke, "delete a subject's record and key"),
+            ("eval", cmd_eval, "GAR-security sweep, written as CSV"),
+            ("oracle", cmd_oracle, "brute-force decoder demos on small codes")):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-
-        def add(*flags, **kwargs):
-            option_names.add(p.add_argument(*flags, **kwargs).dest)
-
-        add("--config", help="key=value defaults file")
-        for group in groups:
-            group(add)
-        return add
-
-    add = command("gen", cmd_gen, "generate a synthetic embeddings CSV", _add_seed)
-    add("--subjects")
-    add("--samples")
-    add("--d-face")
-    add("--d-iris")
-    add("--between-std")
-    add("--within-std")
-    add("--out", required=True)
-
-    add = command("params", cmd_params, "plan code parameters for a security level")
-    add("--m")
-    add("--security", help="target security in bits (prints the K for it)")
-
-    add = command("enroll", cmd_enroll, "enroll a subject from a dataset", _add_seed,
-                  _add_code_options, _add_model_options, _add_store_options)
-    add("--k-symbols", help="message length K in symbols")
-    add("--window-factor", help="reliable-selection window factor")
-    add("--weights", help="fusion weights file")
-    add("--subject", help="subject id to enroll")
-    add("--overwrite", action="store_true")
-
-    add = command("auth", cmd_auth, "authenticate a probe against a record", _add_seed,
-                  _add_code_options, _add_model_options, _add_store_options)
-    add("--k-symbols", help="message length K in symbols")
-    add("--weights", help="fusion weights file")
-    add("--subject", help="claimed identity")
-    add("--probe-subject",
-        help="actual biometric owner (defaults to --subject)")
-    add("--probe-sample", help="sample index")
-
-    add = command("revoke", cmd_revoke, "delete a subject's record and key",
-                  _add_store_options)
-    add("--subject")
-
-    add = command("eval", cmd_eval, "GAR-security sweep, written as CSV", _add_seed,
-                  _add_code_options, _add_model_options)
-    add("--window-factor", help="reliable-selection window factor")
-    add("--k-list", help="comma-separated K values")
-    add("--scenario", choices=[evaluate.SCENARIO_ZERO_EFFORT, evaluate.SCENARIO_STOLEN_KEY])
-    add("--trials", help="empirical FAR trials per point")
-    add("--out", help="output CSV path (stdout when omitted)")
-
-    add = command("oracle", cmd_oracle, "brute-force decoder demos on small codes",
-                  _add_seed)
-    add("--m")
-    add("--k-symbols")
-    add("--trials")
-    add("--received", help="comma-separated symbols to decode exhaustively")
-
-    # A --config key outside every command's options is a typo.
-    parser.set_defaults(option_names=frozenset(option_names))
+        p.add_argument("--config", help="key=value defaults file")
+        for flag, cast, commands, required, text in _OPTIONS:
+            if name not in commands.split():
+                continue
+            text += " (required)" if name in required.split() else ""
+            if cast is bool:
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(flag, choices=sorted(cast) if isinstance(cast, dict) else None,
+                               help=text)
     return parser
 
 
@@ -383,7 +344,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _cast_options(args)
         return args.func(args)
     except BiosketchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -961,3 +963,116 @@ def test_mutated_dataset_or_weights_exits_by_contract(model_files, data):
             if command == "enroll" and rc == cli.EXIT_RUNTIME:
                 assert not (work / "templates").exists()
                 assert not (work / "keys").exists()
+
+
+# -- the exit-code contract over a mutated --config file -----------------------
+
+# Keys enroll or auth take that the flags below leave out; each command
+# ignores the keys only the other one takes.
+CONFIG_TEXT = (b"scheme=fc\npolicy=fail-deny\nfusion=fca\nwindow-factor=2.5\n"
+               b"probe-subject=s0000\nprobe-sample=3\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_config_file_exits_by_contract(model_files, data):
+    """enroll, then auth, under a mutated --config file exit 0, 1 or 3 with
+    no traceback; 1 only from auth, as a printed DENY, and an enroll that
+    exits 3 leaves no store directory. The unmutated file enrolls and
+    accepts."""
+    mutated = _mutate(data, CONFIG_TEXT)
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        (work / "embeddings.csv").write_bytes(model_files["dataset"])
+        (work / "run.cfg").write_bytes(mutated)
+        flags = ["--dataset", str(work / "embeddings.csv"), "--m", "3", "--k-symbols", "1",
+                 "--seed", "7", "--out-dim", "64", "--config", str(work / "run.cfg")]
+        for command in ("enroll", "auth"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main([command, "--subject", "s0000"] + flags + _store_flags(work))
+            last = (out.getvalue().splitlines() or [""])[-1]
+            assert rc in (cli.EXIT_OK, cli.EXIT_DENY, cli.EXIT_RUNTIME), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if mutated == CONFIG_TEXT:
+                assert rc == cli.EXIT_OK, err.getvalue()
+            if rc == cli.EXIT_DENY:
+                assert command == "auth" and last.startswith("DENY ("), err.getvalue()
+            if command == "enroll" and rc == cli.EXIT_RUNTIME:
+                assert not (work / "templates").exists()
+                assert not (work / "keys").exists()
+
+
+# -- what the option table promises --------------------------------------------
+
+@pytest.mark.parametrize("given", [["--probe-subject", ""], ["--config", "probe.cfg"]])
+def test_empty_probe_subject_is_runtime_error_not_the_claimed_subject(
+        dataset_csv, tmp_path, capsys, monkeypatch, given):
+    # An empty value is a value: only an absent --probe-subject means --subject.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "probe.cfg").write_text("probe-subject=\n")
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    capsys.readouterr()
+    rc = cli.main(["auth", "--subject", "s0000", "--probe-sample", "1"] + flags + given)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "subject '' not in dataset" in captured.err
+    assert captured.out == ""
+
+
+def test_empty_store_dir_is_the_working_directory(dataset_csv, tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    flags[flags.index("--templates-dir") + 1] = ""
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    assert (tmp_path / "s0000.rec").exists() and (tmp_path / "keys" / "s0000.key").exists()
+    assert not (tmp_path / "templates").exists()
+    rc = cli.main(["auth", "--subject", "s0000", "--probe-sample", "1"] + flags)
+    assert rc == cli.EXIT_OK
+    assert "ACCEPT (hash-match)" in capsys.readouterr().out
+
+
+def test_gen_without_out_is_runtime_error_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["gen", "--subjects", "3", "--samples", "2", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "missing required option --out" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_takes_out_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"out={tmp_path / 'data.csv'}\nsubjects=3\n")
+    rc = cli.main(["gen", "--samples", "2", "--seed", "1", "--config", str(cfg)])
+    assert rc == cli.EXIT_OK
+    assert "wrote 3 subjects x 2 samples" in capsys.readouterr().out
+    assert (tmp_path / "data.csv").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_option_table_is_the_parsers():
+    """The README's per-command table, with its option groups expanded,
+    lists each subparser's options in usage order."""
+    text = README.read_text()
+    head = "| command | options besides `--config` |\n|---|---|\n"
+    table, legend = text[text.index(head) + len(head):].split("\n\n")[:2]
+    groups = {name: flags.split() for name, flags in re.findall(r"(\w+): `([^`]+)`", legend)}
+    readme = {}
+    for row in table.splitlines():
+        _, command, options, _ = row.split("|")
+        readme[command.strip(" `")] = [
+            flag for part in options.split(", ") for flag in
+            (part.strip(" `").split() if "`" in part else groups[part.strip()])]
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert readme == {
+        command: [s for a in sub._actions for s in a.option_strings
+                  if s.startswith("--") and s not in ("--help", "--config")]
+        for command, sub in subparsers.items()}
