@@ -22,7 +22,6 @@ defines it.
   ``far_analytic``, ``params_for_security``
 - ``synth``: ``EmbeddingDataset``, ``gen_population``, ``read_embeddings``,
   ``write_embeddings``
-- ``oracle``: ``nearest_codeword``, ``column_collision_rate``
 - ``errors``: ``BiosketchError`` and its subclasses
 - ``cli``: the ``biosketch`` command
 """

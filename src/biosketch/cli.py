@@ -1,12 +1,11 @@
 """Command-line surface for the template-protection pipeline.
 
 Subcommands: ``gen`` (synthetic dataset), ``params`` (code planning),
-``enroll``, ``auth``, ``revoke``, ``eval`` (GAR-security CSV sweep) and
-``oracle`` (small-code collision demo). ``_OPTIONS`` states once, for each
-option, its cast, the commands that take it, the commands that require it
-and its help; a command takes only the options its row names, and any other
-flag is a usage error. With no ``--seed``, enrollment randomness comes from
-OS entropy.
+``enroll``, ``auth``, ``revoke`` and ``eval`` (GAR-security CSV sweep).
+``_OPTIONS`` states once, for each option, its cast, the commands that take
+it, the commands that require it and its help; a command takes only the
+options its row names, and any other flag is a usage error. With no
+``--seed``, enrollment randomness comes from OS entropy.
 
 ``--out-dim`` is required because at its smallest legal value, G, the key
 selects every component, so a revoked subject would be re-issued the same
@@ -30,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import evaluate, gf, oracle, store, synth
+from . import evaluate, gf, store, synth
 from .errors import BiosketchError, DuplicateSubjectError, ParameterMismatchError
 from .fusion import MODE_BLA, MODE_FCA, load_weights
 from .pipeline import (
@@ -63,9 +62,8 @@ _PIPELINE = "enroll auth eval"
 # that require it, help. A dict cast maps each allowed value to the value
 # the command reads; ``bool`` marks a store-true flag.
 _OPTIONS = (
-    ("--seed", int, "gen enroll auth eval oracle", "", "master seed for reproducibility"),
-    ("--m", int, "params enroll auth eval oracle", "params enroll auth eval oracle",
-     "symbol size in bits"),
+    ("--seed", int, "gen enroll auth eval", "", "master seed for reproducibility"),
+    ("--m", int, "params enroll auth eval", "params enroll auth eval", "symbol size in bits"),
     ("--scheme", _SCHEMES, _PIPELINE, "", "secure sketch or fuzzy commitment"),
     ("--policy", _POLICIES, _PIPELINE, "", "decode policy"),
     ("--dataset", str, _PIPELINE, _PIPELINE, "embeddings CSV"),
@@ -73,8 +71,7 @@ _OPTIONS = (
     ("--out-dim", int, _PIPELINE, _PIPELINE, "fused vector dimension"),
     ("--templates-dir", str, "enroll auth revoke", "", "record store"),
     ("--keys-dir", str, "enroll auth revoke", "", "keystore"),
-    ("--k-symbols", int, "enroll auth oracle", "enroll auth oracle",
-     "message length K in symbols"),
+    ("--k-symbols", int, "enroll auth", "enroll auth", "message length K in symbols"),
     ("--window-factor", float, "enroll eval", "", "reliable-selection window factor"),
     ("--weights", str, "enroll auth", "", "fusion weights file"),
     ("--subject", str, "enroll auth revoke", "enroll auth revoke",
@@ -84,8 +81,7 @@ _OPTIONS = (
     ("--probe-sample", int, "auth", "", "sample index"),
     ("--k-list", str, "eval", "eval", "comma-separated K values"),
     ("--scenario", _SCENARIOS, "eval", "", "empirical FAR attack"),
-    ("--trials", int, "eval oracle", "", "Monte Carlo trials (eval: empirical FAR per point)"),
-    ("--received", str, "oracle", "", "comma-separated symbols to decode exhaustively"),
+    ("--trials", int, "eval", "", "Monte Carlo trials of the empirical FAR per point"),
     ("--security", int, "params", "", "target security in bits (prints the K for it)"),
     ("--subjects", int, "gen", "", "number of subjects"),
     ("--samples", int, "gen", "", "samples per subject"),
@@ -293,24 +289,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    m, k_symbols = args.m, args.k_symbols
-    code = PipelineConfig(m=m, k_symbols=k_symbols).build_code()
-    if args.received:
-        symbols = [int(v) for v in args.received.split(",")]
-        result = oracle.nearest_codeword(code, symbols)
-        print(f"distance={result.distance} ties={len(result.codewords)}")
-        for cw in result.codewords:
-            print(",".join(str(s) for s in cw))
-        return EXIT_OK
-    trials = _default(args.trials, 10000)
-    rate = oracle.column_collision_rate(code, trials, _default(args.seed, 0))
-    security = k_symbols * m
-    print(f"collision_rate={rate:.6g} analytic={2.0 ** -security:.6g} "
-          f"trials={trials} security_bits={security}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biosketch",
@@ -323,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("enroll", cmd_enroll, "enroll a subject from a dataset"),
             ("auth", cmd_auth, "authenticate a probe against a record"),
             ("revoke", cmd_revoke, "delete a subject's record and key"),
-            ("eval", cmd_eval, "GAR-security sweep, written as CSV"),
-            ("oracle", cmd_oracle, "brute-force decoder demos on small codes")):
+            ("eval", cmd_eval, "GAR-security sweep, written as CSV")):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--config", help="key=value defaults file")

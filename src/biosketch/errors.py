@@ -17,10 +17,6 @@ class LengthMismatchError(BiosketchError, ValueError):
     """Bit or symbol sequence has the wrong length for the operation."""
 
 
-class BudgetExceededError(BiosketchError):
-    """Exhaustive enumeration would exceed the oracle's cap."""
-
-
 class DimensionMismatchError(BiosketchError, ValueError):
     """Vector or matrix dimensions are inconsistent."""
 

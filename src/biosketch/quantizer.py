@@ -152,7 +152,8 @@ def select_reliable(scores, count: int, nonce: int,
     rng = np.random.default_rng(np.random.SeedSequence([0x6B65, int(nonce)]))
     tie_break = rng.permutation(d)
     order = np.lexsort((tie_break, -sc))
-    window = order[: min(d, max(count, int(round(count * window_factor))))]
+    # Clamp in float: a huge finite factor overflows int(round(...)).
+    window = order[: max(count, int(round(min(d, count * window_factor))))]
     if window.size > count:
         chosen = rng.choice(window, size=count, replace=False)
     else:

@@ -93,8 +93,8 @@ def gen_population(num_subjects: int, samples_per_subject: int,
     """Seeded synthetic population of paired embeddings."""
     if min(num_subjects, samples_per_subject, d_face, d_iris) <= 0:
         raise ValueError("counts and dimensions must be positive")
-    if between_std <= 0 or within_std < 0:
-        raise ValueError("between_std must be > 0 and within_std >= 0")
+    if not (0 < between_std < np.inf and 0 <= within_std < np.inf):
+        raise ValueError("between_std must be finite and > 0, within_std finite and >= 0")
     rng = np.random.default_rng(seed)
     width = max(4, len(str(num_subjects - 1)))
     face: dict[str, np.ndarray] = {}

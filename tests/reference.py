@@ -44,15 +44,12 @@ def element_order(a: int, primitive_poly: int, m: int) -> int:
 
 
 def brute_force_nearest(codewords, received):
-    """All minimum-distance codewords, in enumeration order."""
-    best, best_d = [], None
-    for cw in codewords:
-        d = sum(1 for x, y in zip(cw, received) if x != y)
-        if best_d is None or d < best_d:
-            best, best_d = [tuple(cw)], d
-        elif d == best_d:
-            best.append(tuple(cw))
-    return best, best_d
+    """All codewords at minimum symbol distance, in enumeration order, and
+    that distance."""
+    words = np.asarray(codewords)
+    dist = np.count_nonzero(words != np.asarray(received)[None, :], axis=1)
+    best = int(dist.min())
+    return [tuple(int(s) for s in words[i]) for i in np.flatnonzero(dist == best)], best
 
 
 def naive_affine(W, b, x):
@@ -142,6 +139,27 @@ def slow_rs_encode(message, m: int, primitive_poly: int) -> list[int]:
         for j in range(npar):
             rem[j] ^= slow_gf_mul(feedback, gen[j + 1], primitive_poly, m)
     return msg + rem
+
+
+def all_codewords(code) -> np.ndarray:
+    """Every codeword as a (q^K, N) array, row i = the message with lex index i.
+
+    The lex index reads the message as base-q digits, message[0] most
+    significant. Only m, K and the field polynomial are read off ``code``.
+    The code is linear, so each codeword is the XOR sum of the unit-message
+    codewords from ``slow_rs_encode`` scaled by its message symbols, the
+    scaling read from a q x q product table built with ``slow_gf_mul``.
+    """
+    m, poly, k = code.field.m, code.field.primitive_poly, code.k_symbols
+    q = 1 << m
+    product = np.array([[slow_gf_mul(a, b, poly, m) for b in range(q)] for a in range(q)])
+    words = np.zeros((1, q - 1), dtype=np.int64)
+    for i in range(k):
+        unit = slow_rs_encode([int(j == i) for j in range(k)], m, poly)
+        # scaled[v] = v * unit; appending digit i keeps the rows in lex order
+        scaled = product[:, unit]
+        words = (words[:, None, :] ^ scaled[None, :, :]).reshape(-1, q - 1)
+    return words
 
 
 def slow_rs_syndromes(word, k: int, m: int, primitive_poly: int) -> list[int]:

@@ -23,13 +23,12 @@ from biosketch.evaluate import (
 )
 from biosketch.fusion import Embedding, FusionWeights, fuse_bla, fuse_fca, random_weights
 from biosketch.gf import Field
-from biosketch.oracle import all_codewords
 from biosketch.pipeline import PipelineConfig
 from biosketch.rs import DecodePolicy, RsCode, bits_to_symbols, symbols_to_bits
 from biosketch.sketch import auth_fc, auth_ss, enroll_fc, enroll_ss
 from biosketch.synth import gen_population
 
-from reference import naive_affine, naive_bilinear
+from reference import all_codewords, naive_affine, naive_bilinear
 
 FB = DecodePolicy.FALLBACK_SYSTEMATIC
 

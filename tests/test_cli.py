@@ -221,6 +221,18 @@ def test_enroll_with_non_finite_window_factor_is_runtime_error_and_writes_nothin
     assert not [p for d in ("templates", "keys") for p in (tmp_path / d).glob("*")]
 
 
+def test_enroll_with_huge_finite_window_factor_selects_every_component(
+        dataset_csv, tmp_path, capsys):
+    # G = n = 21 bits at m=3; a window of out_dim / G times G is everything.
+    keys = []
+    for name, factor in (("huge", "1e307"), ("whole", str(128 / 21))):
+        flags = pipeline_flags(dataset_csv, tmp_path / name) + ["--window-factor", factor]
+        assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+        keys.append((tmp_path / name / "keys" / "s0000.key").read_bytes())
+    assert "Traceback" not in capsys.readouterr().err
+    assert keys[0] == keys[1]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_enroll_on_non_finite_dataset_is_runtime_error_and_writes_nothing(
         dataset_csv, tmp_path, capsys, value):
@@ -304,27 +316,11 @@ def test_unseeded_eval_runs_every_k_under_one_seed(dataset_csv, tmp_path, capsys
     assert first == second
 
 
-def test_oracle_collision_output(capsys):
-    rc = cli.main(["oracle", "--m", "3", "--k-symbols", "1",
-                   "--trials", "3000", "--seed", "1"])
-    out = capsys.readouterr().out
-    assert rc == cli.EXIT_OK
-    assert "collision_rate=" in out
-    assert "analytic=0.125" in out
-
-
-def test_oracle_received_decode(capsys):
-    rc = cli.main(["oracle", "--m", "3", "--k-symbols", "3",
-                   "--received", "0,0,0,0,0,0,0"])
-    out = capsys.readouterr().out
-    assert rc == cli.EXIT_OK
-    assert "distance=0" in out
-
-
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["no-such-command"])
-    assert err.value.code == cli.EXIT_USAGE
+    for command in ("no-such-command", "oracle"):
+        with pytest.raises(SystemExit) as err:
+            cli.main([command])
+        assert err.value.code == cli.EXIT_USAGE
 
 
 def test_missing_required_flag_is_runtime_error(capsys):
@@ -1041,6 +1037,17 @@ def test_gen_without_out_is_runtime_error_and_writes_nothing(tmp_path, capsys, m
     assert rc == cli.EXIT_RUNTIME
     assert "missing required option --out" in captured.err
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag,value", [("--within-std", "nan"), ("--between-std", "inf"),
+                                        ("--between-std", "nan")])
+def test_gen_with_non_finite_spread_is_runtime_error_and_writes_nothing(
+        tmp_path, capsys, flag, value):
+    out = tmp_path / "data.csv"
+    rc = cli.main(["gen", "--subjects", "3", "--samples", "2", flag, value, "--out", str(out)])
+    assert rc == cli.EXIT_RUNTIME
+    assert "must be finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -33,5 +33,5 @@ def test_importing_the_codec_loads_only_what_it_needs():
 
 def test_importing_sketch_loads_no_pipeline_or_cli_module():
     loaded = _loaded_after("biosketch.sketch")
-    for name in ("evaluate", "oracle", "pipeline", "fusion", "synth", "store", "cli"):
+    for name in ("evaluate", "pipeline", "fusion", "synth", "store", "cli"):
         assert f"biosketch.{name}" not in loaded

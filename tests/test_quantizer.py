@@ -207,6 +207,12 @@ class TestSelectReliable:
         with pytest.raises(ValueError, match="window_factor"):
             select_reliable(np.ones(8), 3, nonce=0, window_factor=factor)
 
+    def test_huge_finite_window_factor_is_the_whole_vector(self):
+        # count * 1e308 overflows to inf; the window stops at d all the same.
+        scores = np.random.default_rng(6).random(40)
+        assert (select_reliable(scores, 7, nonce=4, window_factor=1e308)
+                == select_reliable(scores, 7, nonce=4, window_factor=40 / 7))
+
     def test_indices_sorted_and_unique(self):
         rng = np.random.default_rng(3)
         for nonce in range(20):

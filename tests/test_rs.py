@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from biosketch import rs
 from biosketch.errors import LengthMismatchError
 from biosketch.gf import Field
-from biosketch.oracle import all_codewords, nearest_codeword
 from biosketch.rs import (
     _BM_LOCKSTEP,
     BATCH_STATUSES,
@@ -18,6 +17,8 @@ from biosketch.rs import (
 )
 from reference import (
     _slow_berlekamp_massey,
+    all_codewords,
+    brute_force_nearest,
     error_patterns,
     slow_alpha_pow,
     slow_gf_mul,
@@ -173,12 +174,12 @@ class TestDecode:
             out = rs_7_3.decode(received, DecodePolicy.FAIL_DENY)
             assert out.status is DecodeStatus.CORRECTED
             assert out.message == tuple(msg)
-            nearest = nearest_codeword(rs_7_3, received)
-            assert nearest.unique and nearest.codewords[0] == out.codeword
+            nearest, _ = brute_force_nearest(all_codewords(rs_7_3), received)
+            assert len(nearest) == 1 and nearest[0] == out.codeword
 
     def test_fail_deny_far_word(self, rs_7_5):
-        nearest = nearest_codeword(rs_7_5, FAR_FROM_RS75)
-        assert nearest.distance >= 2 > rs_7_5.t
+        _, distance = brute_force_nearest(all_codewords(rs_7_5), FAR_FROM_RS75)
+        assert distance >= 2 > rs_7_5.t
         out = rs_7_5.decode(FAR_FROM_RS75, DecodePolicy.FAIL_DENY)
         assert out.status is DecodeStatus.FAILURE
         assert out.codeword is None and out.message is None
@@ -241,20 +242,20 @@ class TestOracleEquivalence:
             cw = codewords[int(rng.integers(len(codewords)))].tolist()
             weight = int(rng.integers(0, rs_7_3.t + 1))
             received = corrupt(rng, rs_7_3.field, cw, weight)
-            nearest = nearest_codeword(rs_7_3, received)
+            nearest, _ = brute_force_nearest(codewords, received)
             out = rs_7_3.decode(received, DecodePolicy.FAIL_DENY)
-            assert nearest.unique
-            assert out.ok and out.codeword == nearest.codewords[0]
+            assert len(nearest) == 1
+            assert out.ok and out.codeword == nearest[0]
 
     def test_fallback_agrees_when_oracle_within_t(self, rs_7_3):
         rng = np.random.default_rng(12)
         for _ in range(1500):
             received = rng.integers(0, 8, size=7).tolist()
-            nearest = nearest_codeword(rs_7_3, received)
+            nearest, distance = brute_force_nearest(all_codewords(rs_7_3), received)
             out = rs_7_3.decode(received, DecodePolicy.FALLBACK_SYSTEMATIC)
-            if nearest.distance <= rs_7_3.t:
+            if distance <= rs_7_3.t:
                 assert out.status in (DecodeStatus.EXACT_CODEWORD, DecodeStatus.CORRECTED)
-                assert out.codeword == nearest.codewords[0]
+                assert out.codeword == nearest[0]
             else:
                 assert out.status is DecodeStatus.FALLBACK
 

@@ -40,6 +40,10 @@ def test_invalid_params():
         gen_population(3, 5, 8, 8, 0.0, 0.1, seed=0)
     with pytest.raises(ValueError):
         gen_population(3, 5, 8, 8, 1.0, -0.1, seed=0)
+    for between, within in ((1.0, float("nan")), (float("inf"), 0.1),
+                            (float("nan"), 0.1), (1.0, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            gen_population(3, 5, 8, 8, between, within, seed=0)
 
 
 def test_between_vs_within_distances():
