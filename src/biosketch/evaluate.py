@@ -35,6 +35,15 @@ the last seeded call. K, scheme and policy are not part of the key. A
 config without a seed never reuses it, since each such call draws fresh
 entropy. The slot keeps one population in memory after the call returns;
 its fused matrices, medians and enrolled bits are read-only.
+
+The slot's population also keeps a table of its enrollments, one read-only
+mapping per (K, scheme, policy) asked for, so a repeated call builds only
+the code and decides; the first call at a (K, scheme, policy) runs the one
+``enroll_batch``. The records depend only on the population and on those
+three fields, so a reused entry equals a fresh one. An entry costs one
+record per enrolled subject (salt, digest and, for fuzzy commitment, n
+offset bits); codes are not kept, since their tables outweigh the records.
+The table goes with the population when the slot is replaced.
 """
 
 from __future__ import annotations
@@ -42,7 +51,10 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -136,12 +148,13 @@ class _Prepared:
     code: object
     pop: object
     fused: dict[str, np.ndarray]
-    enrollments: dict[str, Enrollment]  # subjects missing here are unenrollable
+    enrollments: Mapping[str, Enrollment]  # subjects missing here are unenrollable
 
 
-# The PipelineConfig fields _fuse reads; the others (k_symbols, scheme,
-# policy) only matter per K.
+# The PipelineConfig fields _fuse reads. The others only matter per K: they
+# key the population's table of enrollments, which _prepare fills.
 _FUSE_FIELDS = ("seed", "fusion_mode", "out_dim", "m", "window_factor")
+_PER_K_FIELDS = ("k_symbols", "scheme", "policy")
 
 # (key, _fuse result) of the last seeded _fuse call.
 _fuse_memo = None
@@ -159,16 +172,17 @@ def _fuse_key(dataset: EmbeddingDataset, config: PipelineConfig) -> bytes:
 
 
 def _fuse(dataset: EmbeddingDataset, config: PipelineConfig):
-    """``_fuse_uncached``, reused while the dataset content and the config's
+    """``_fuse_uncached`` plus an empty table of per-K enrollments for
+    ``_prepare``, both reused while the dataset content and the config's
     ``_FUSE_FIELDS`` match the last seeded call."""
     global _fuse_memo
     if config.seed is None:
-        return _fuse_uncached(dataset, config)
+        return *_fuse_uncached(dataset, config), {}
     key, memo = _fuse_key(dataset, config), _fuse_memo
     if memo is not None and memo[0] == key:
         return memo[1]
     _fuse_memo = memo = None  # free the old population before building the next
-    population = _fuse_uncached(dataset, config)
+    population = *_fuse_uncached(dataset, config), {}
     _fuse_memo = key, population
     return population
 
@@ -185,15 +199,21 @@ def _fuse_uncached(dataset: EmbeddingDataset, config: PipelineConfig):
     return fused, pop, selections
 
 
-def _prepare(fused: dict[str, np.ndarray], pop, selections,
+def _prepare(fused: dict[str, np.ndarray], pop, selections, enrolled: dict,
              config: PipelineConfig) -> _Prepared:
-    """Per-K work: the code and one ``enroll_batch`` of every subject under it."""
+    """Per-K work: the code, and every subject's enrollment under it from the
+    table ``enrolled``, which one ``enroll_batch`` fills on a miss. Codes are
+    rebuilt per call: they hold far more memory than the records."""
     code = config.build_code()
-    keys, bits, salts, seeds = zip(*selections.values())
-    records = enroll_batch(config.scheme, np.stack(bits), code, config.policy, salts,
-                           list(selections), seeds)
-    enrollments = {record.subject_id: Enrollment(record, key, r_a)
-                   for key, r_a, record in zip(keys, bits, records) if record is not None}
+    per_k = tuple(getattr(config, f) for f in _PER_K_FIELDS)
+    enrollments = enrolled.get(per_k)
+    if enrollments is None:
+        keys, bits, salts, seeds = zip(*selections.values())
+        records = enroll_batch(config.scheme, np.stack(bits), code, config.policy, salts,
+                               list(selections), seeds)
+        enrollments = enrolled[per_k] = MappingProxyType(
+            {record.subject_id: Enrollment(record, key, r_a)
+             for key, r_a, record in zip(keys, bits, records) if record is not None})
     return _Prepared(code, pop, fused, enrollments)
 
 
@@ -264,8 +284,12 @@ def _check_far_args(dataset: EmbeddingDataset, scenario: str, trials: int,
     _check_scenario(scenario)
     if impostor_bits not in ("uniform", "dataset"):
         raise ValueError(f"unknown impostor bit source {impostor_bits!r}")
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
+    try:
+        positive = not isinstance(trials, bool) and operator.index(trials) > 0
+    except TypeError:
+        positive = False
+    if not positive:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     if dataset.n_subjects < 2:
         raise InsufficientDataError("impostor trials need >= 2 subjects")
 
@@ -372,12 +396,12 @@ def run_gs_curve(dataset: EmbeddingDataset, config: PipelineConfig,
         _check_far_args(dataset, scenario, far_trials, "uniform")
     if config.seed is None:
         config = replace(config, seed=int(np.random.default_rng().integers(0, 2**63)))
-    fused, pop, selections = _fuse(dataset, config)
+    population = _fuse(dataset, config)
     points = []
     for k_symbols in k_list:
         cfg = config.with_k(int(k_symbols))
         security = cfg.k_symbols * cfg.m
-        prep = _prepare(fused, pop, selections, cfg)
+        prep = _prepare(*population, cfg)
         g = _gar_stats(prep, "heldout").rate
         fe = (_empirical_far(prep, scenario, far_trials, config.seed, "uniform")
               if far_trials is not None else None)

@@ -150,6 +150,11 @@ class TestEmpiricalFar:
         with pytest.raises(ValueError):
             empirical_far(small_dataset, SMALL_CFG, SCENARIO_STOLEN_KEY, 0, seed=1)
 
+    def test_numpy_integer_trials(self, small_dataset):
+        rate = empirical_far(small_dataset, SMALL_CFG, SCENARIO_STOLEN_KEY, 300, seed=1)
+        assert empirical_far(small_dataset, SMALL_CFG, SCENARIO_STOLEN_KEY,
+                             np.int64(300), seed=1) == rate
+
     def test_one_subject_rejected(self):
         ds = gen_population(1, 8, 16, 16, 1.0, 0.2, seed=4)
         with pytest.raises(InsufficientDataError):
@@ -283,18 +288,28 @@ def cold_memo(monkeypatch):
     monkeypatch.setattr(evaluate, "_fuse_memo", None)
 
 
-@pytest.fixture
-def fusions(monkeypatch, cold_memo):
-    """The ``fuse_dataset`` calls made from a cold memo."""
+def _count_calls(monkeypatch, name):
     calls = []
-    original = evaluate.fuse_dataset
+    original = getattr(evaluate, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(evaluate, "fuse_dataset", counted)
+    monkeypatch.setattr(evaluate, name, counted)
     return calls
+
+
+@pytest.fixture
+def fusions(monkeypatch, cold_memo):
+    """The ``fuse_dataset`` calls made from a cold memo."""
+    return _count_calls(monkeypatch, "fuse_dataset")
+
+
+@pytest.fixture
+def enrollments(monkeypatch, cold_memo):
+    """The ``enroll_batch`` calls made from a cold memo."""
+    return _count_calls(monkeypatch, "enroll_batch")
 
 
 class TestFusionCount:
@@ -317,8 +332,12 @@ class TestFusionCount:
         lambda ds: empirical_far(ds, SMALL_CFG, "replay", 100, seed=1),
         lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 2], scenario="replay"),
         lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 2], far_trials=0),
+        lambda ds: empirical_far(ds, SMALL_CFG, SCENARIO_STOLEN_KEY, 2.5, seed=1),
+        lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 2], far_trials=2.5),
+        lambda ds: empirical_far(ds, SMALL_CFG, SCENARIO_STOLEN_KEY, True, seed=1),
     ], ids=["sweep-scenario", "gar-probe-mode", "far-scenario",
-            "sweep-scenario-without-far", "sweep-zero-trials"])
+            "sweep-scenario-without-far", "sweep-zero-trials", "far-fractional-trials",
+            "sweep-fractional-trials", "far-bool-trials"])
     def test_bad_arguments_raise_before_fusion(self, small_dataset, fusions, call):
         with pytest.raises(ValueError):
             call(small_dataset)
@@ -362,7 +381,7 @@ class TestFuseMemo:
 
     def test_every_config_field_is_keyed_or_per_k(self):
         # A new PipelineConfig field fails here until it is classified.
-        per_k = {"k_symbols", "scheme", "policy"}
+        per_k = set(evaluate._PER_K_FIELDS)
         keyed = set(evaluate._FUSE_FIELDS)
         assert not keyed & per_k
         assert {f.name for f in dataclasses.fields(PipelineConfig)} == keyed | per_k
@@ -422,10 +441,93 @@ class TestFuseMemo:
         assert len(fusions) == 2
 
     def test_memoised_arrays_are_read_only(self, small_dataset, cold_memo):
-        fused, pop, selections = evaluate._fuse(small_dataset, SMALL_CFG)
+        fused, pop, selections, enrolled = evaluate._fuse(small_dataset, SMALL_CFG)
         arrays = [*fused.values(), pop.median, *(r_a for _, r_a, _, _ in selections.values())]
         assert not any(arr.flags.writeable for arr in arrays)
         assert all(mat.flags.writeable for mat in small_dataset.face.values())
+        gar_stats(small_dataset, SMALL_CFG)
+        gar_stats(small_dataset, SMALL_CFG.with_k(2))
+        assert len(enrolled) == 2
+        for table in enrolled.values():
+            with pytest.raises(TypeError):
+                table["intruder"] = None
+            for enr in table.values():
+                assert not enr.template_bits.flags.writeable
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    enr.record.salt = b""
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    enr.key = None
+
+
+class TestEnrollmentTable:
+    """The enrollments of each (K, scheme, policy) are kept with the
+    population: a repeated call enrolls nothing, and what it reads equals
+    what a fresh enrollment builds."""
+
+    def test_repeated_grid_enrolls_once_per_config(self, small_dataset, enrollments,
+                                                   monkeypatch):
+        # A far-mc round: every K of m = 3 under both schemes, three times.
+        grid = [dataclasses.replace(SMALL_CFG, k_symbols=k, scheme=scheme)
+                for k in (1, 2, 3) for scheme in ("secure-sketch", "fuzzy-commitment")]
+        rounds = [[empirical_far(small_dataset, cfg, SCENARIO_STOLEN_KEY, 100, seed=10 * r + j)
+                   for j, cfg in enumerate(grid)] for r in range(3)]
+        assert len(enrollments) == len(grid) == 6
+        monkeypatch.setattr(evaluate, "_fuse_memo", None)
+        assert [empirical_far(small_dataset, cfg, SCENARIO_STOLEN_KEY, 100, seed=20 + j)
+                for j, cfg in enumerate(grid)] == rounds[2]
+
+    @pytest.mark.parametrize("entry", sorted(MEMO_CALLS))
+    def test_same_k_warm_call_gives_the_cold_result(self, entry, small_dataset,
+                                                    enrollments, monkeypatch):
+        cold = MEMO_CALLS[entry](small_dataset, SMALL_CFG)
+        monkeypatch.setattr(evaluate, "_fuse_memo", None)
+        MEMO_CALLS[MEMO_WARMERS[entry]](small_dataset, SMALL_CFG)
+        warmed = len(enrollments)
+        assert MEMO_CALLS[entry](small_dataset, SMALL_CFG) == cold
+        # Only the sweep's K = 2 is missing from its warmer's table.
+        assert len(enrollments) - warmed == (entry == "run_gs_curve")
+
+    @pytest.mark.parametrize("entry", sorted(MEMO_CALLS))
+    def test_unseeded_calls_each_enroll(self, entry, small_dataset, enrollments):
+        unseeded = dataclasses.replace(SMALL_CFG, seed=None)
+        MEMO_CALLS[entry](small_dataset, unseeded)
+        enrolled = len(enrollments)
+        MEMO_CALLS[entry](small_dataset, unseeded)
+        assert len(enrollments) == 2 * enrolled > 0
+
+    @pytest.mark.parametrize("change", [
+        dict(fusion_mode="bla"), dict(out_dim=128), dict(m=4), dict(window_factor=1.5),
+        dict(seed=6),
+    ], ids=["fusion-mode", "out-dim", "m", "window-factor", "seed"])
+    def test_keyed_field_change_enrolls_again(self, small_dataset, enrollments, change):
+        gar_stats(small_dataset, SMALL_CFG)
+        gar_stats(small_dataset, dataclasses.replace(SMALL_CFG, **change))
+        assert len(enrollments) == 2
+        gar_stats(small_dataset, SMALL_CFG)
+        assert len(enrollments) == 3
+
+    def test_in_place_edit_enrolls_again(self, enrollments, monkeypatch):
+        ds = gen_population(6, 8, 16, 16, 1.0, 0.2, seed=42)
+        gar_stats(ds, SMALL_CFG)
+        ds.face[ds.subject_ids[1]][2, 4] -= 0.5
+        edited = gar_stats(ds, SMALL_CFG)
+        assert len(enrollments) == 2
+        monkeypatch.setattr(evaluate, "_fuse_memo", None)
+        assert gar_stats(ds, SMALL_CFG) == edited
+
+    def test_fail_deny_entry_leaves_out_unenrollable(self, enrollments):
+        # The pinned fail-deny population of TestGar, read from the table
+        # after the fallback policy's entry is added beside it.
+        ds = gen_population(12, 8, 16, 16, 1.0, 0.05, seed=42)
+        cfg = PipelineConfig(m=5, k_symbols=27, policy="fail-deny", out_dim=256, seed=9)
+        pinned = evaluate.GarResult(rate=0.03125, accepted=1, probed=32, enrolled=8,
+                                    unenrollable=4)
+        assert gar_stats(ds, cfg) == pinned
+        assert gar_stats(ds, dataclasses.replace(cfg, policy="fallback")).enrolled == 12
+        assert gar_stats(ds, cfg) == pinned
+        assert len(enrollments) == 2
+        table = evaluate._fuse_memo[1][3]
+        assert sorted(len(entry) for entry in table.values()) == [8, 12]
 
 
 class TestGoldenCurve:
