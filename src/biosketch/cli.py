@@ -29,18 +29,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import evaluate, gf, store, synth
 from .errors import BiosketchError, DuplicateSubjectError, ParameterMismatchError
-from .fusion import MODE_BLA, MODE_FCA, load_weights
-from .pipeline import (
-    PipelineConfig,
-    build_weights,
-    enroll_split,
-    enroll_vectors,
-    fuse_dataset,
-    population_from_fused,
-    probe_bits,
-)
+from .fusion import MODE_BLA, MODE_FCA, fuse_rows, load_weights
+from .pipeline import PipelineConfig, build_weights, enroll_split, enroll_vectors, probe_bits
+from .quantizer import population_stats
 from .rs import DecodePolicy
 from .sketch import SCHEME_FUZZY_COMMITMENT, SCHEME_SECURE_SKETCH, authenticate
 
@@ -169,7 +164,8 @@ def _check_agrees(args, pairs, what: str):
                 f"--{name.replace('_', '-')} {given} contradicts {what} ({stored})")
 
 
-def _load_pipeline_data(args, config: PipelineConfig):
+def _load_model(args, config: PipelineConfig):
+    """The dataset and the fusion weights of a pipeline command."""
     dataset = synth.read_embeddings(args.dataset)
     if args.weights:
         weights = load_weights(args.weights)
@@ -178,9 +174,24 @@ def _load_pipeline_data(args, config: PipelineConfig):
                       f"the weights file {args.weights}")
     else:
         weights = build_weights(config, dataset.d_face, dataset.d_iris)
-    fused = fuse_dataset(dataset, weights)
-    pop = population_from_fused(fused)
-    return fused, pop
+    # fuse_rows refuses a non-finite value only in the rows it fuses, and
+    # the commands fuse only some rows.
+    if not all(np.isfinite(mat).all() for mats in (dataset.face, dataset.iris)
+               for mat in mats.values()):
+        raise ValueError("embedding contains non-finite values")
+    return dataset, weights
+
+
+def _fuse_halves(dataset: synth.EmbeddingDataset, weights):
+    """Every subject's fused enrollment half, fused in one call, and the
+    population statistics over them; no other row is fused."""
+    cuts = {sid: enroll_split(dataset.n_samples(sid)) for sid in dataset.subject_ids}
+    fused = fuse_rows(np.concatenate([dataset.face[sid][:cut] for sid, cut in cuts.items()]),
+                      np.concatenate([dataset.iris[sid][:cut] for sid, cut in cuts.items()]),
+                      weights)
+    pop = population_stats(fused, [sid for sid, cut in cuts.items() for _ in range(cut)])
+    ends = np.cumsum(list(cuts.values()))
+    return dict(zip(cuts, np.split(fused, ends[:-1]))), pop
 
 
 def cmd_gen(args) -> int:
@@ -213,9 +224,9 @@ def cmd_params(args) -> int:
 
 def cmd_enroll(args) -> int:
     config = _pipeline_config(args, args.k_symbols)
-    fused, pop = _load_pipeline_data(args, config)
+    dataset, weights = _load_model(args, config)
     subject = args.subject
-    if subject not in fused:
+    if subject not in dataset.face:
         raise BiosketchError(f"subject {subject!r} not in dataset")
     db, ks = _stores(args)
     if not args.overwrite:
@@ -223,10 +234,8 @@ def cmd_enroll(args) -> int:
             if existing.exists(subject):
                 raise DuplicateSubjectError(
                     f"{subject!r} already stored in {existing.path}")
-    code = config.build_code()
-    mat = fused[subject]
-    enr = enroll_vectors(config, code, mat[: enroll_split(mat.shape[0])], pop,
-                         subject_id=subject)
+    halves, pop = _fuse_halves(dataset, weights)
+    enr = enroll_vectors(config, config.build_code(), halves[subject], pop, subject_id=subject)
     # Key first: a record on disk always has its key, so an interrupted
     # enroll leaves at most a stray key, which never authenticates.
     ks.save(subject, enr.key, overwrite=args.overwrite)
@@ -238,14 +247,13 @@ def cmd_enroll(args) -> int:
 
 def cmd_auth(args) -> int:
     config = _pipeline_config(args, args.k_symbols)
-    fused, pop = _load_pipeline_data(args, config)
+    dataset, weights = _load_model(args, config)
     subject = args.subject
     probe_subject = _default(args.probe_subject, subject)
     sample = _default(args.probe_sample, 0)
-    if probe_subject not in fused:
+    if probe_subject not in dataset.face:
         raise BiosketchError(f"subject {probe_subject!r} not in dataset")
-    mat = fused[probe_subject]
-    if not 0 <= sample < mat.shape[0]:
+    if not 0 <= sample < dataset.n_samples(probe_subject):
         raise BiosketchError(f"probe sample {sample} out of range")
     db, ks = _stores(args)
     record = db.load(subject)
@@ -253,7 +261,10 @@ def cmd_auth(args) -> int:
                          ("policy", config.policy.value, record.params.policy.value)),
                   f"the record of {subject!r}")
     key = ks.load(subject)
-    r_b = probe_bits(mat[sample], pop, key)
+    _, pop = _fuse_halves(dataset, weights)
+    probe = fuse_rows(dataset.face[probe_subject][sample:sample + 1],
+                      dataset.iris[probe_subject][sample:sample + 1], weights)[0]
+    r_b = probe_bits(probe, pop, key)
     decision = authenticate(r_b, record, config.build_code())
     if decision.accepted:
         print(f"ACCEPT ({decision.reason.value})")

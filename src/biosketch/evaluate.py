@@ -32,8 +32,9 @@ across calls, in one slot: ``gar_stats``, ``empirical_far`` and
 order; dtype, shape and bytes of every face and iris matrix) and of the
 config fields it reads (seed, fusion mode, out_dim, m, window factor) match
 the last seeded call. K, scheme and policy are not part of the key. A
-config without a seed never reuses it, since each such call draws fresh
-entropy. The slot keeps one population in memory after the call returns;
+config without a seed neither reuses nor replaces it, since each such call
+draws fresh entropy; that holds for a sweep too, although it draws a seed
+at its start. The slot keeps one population in memory after the call returns;
 its fused matrices, medians and enrolled bits are read-only.
 
 The slot's population also keeps a table of its enrollments, one read-only
@@ -395,8 +396,11 @@ def run_gs_curve(dataset: EmbeddingDataset, config: PipelineConfig,
     if far_trials is not None:
         _check_far_args(dataset, scenario, far_trials, "uniform")
     if config.seed is None:
+        # A seed drawn here is never named again: leave the memo slot alone.
         config = replace(config, seed=int(np.random.default_rng().integers(0, 2**63)))
-    population = _fuse(dataset, config)
+        population = *_fuse_uncached(dataset, config), {}
+    else:
+        population = _fuse(dataset, config)
     points = []
     for k_symbols in k_list:
         cfg = config.with_k(int(k_symbols))

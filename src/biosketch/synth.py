@@ -11,6 +11,10 @@ CSV schema, one row per (subject, sample, modality), no header row:
 
     subject_id,sample_id,modality,v0,v1,...
 
+A record ends at ``\n``, ``\r\n`` or ``\r``, and a blank one is skipped.
+Fields are split as the ``csv`` module's default dialect splits them, so a
+double-quoted field may hold commas, doubled quotes and line breaks.
+``sample_id`` is read with ``int()`` and each value with ``float()``.
 Floats are serialized with ``repr`` (shortest round-trip decimal), so a
 write/read cycle reproduces every value bit-exactly.
 """
@@ -18,6 +22,7 @@ write/read cycle reproduces every value bit-exactly.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,43 +124,114 @@ def write_embeddings(dataset: EmbeddingDataset, path):
                     writer.writerow(row)
 
 
+# ``np.fromstring`` and ``float()`` read a value made of these bytes alike:
+# both refuse it or both give the same float. ``np.fromstring`` also takes a
+# trailing comma, so its count is checked too.
+_PLAIN = b"0123456789.eE+-,"
+# Where ``str.splitlines`` ends a line and ``csv.reader`` does not.
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _records(text: str):
+    """(line number, fields) of each record, split as ``csv.reader`` splits
+    them; a blank record has no fields. From the fourth field on, the
+    values are one field: their text, or in a file with quotes their list."""
+    if '"' not in text and not any(c in text for c in _OTHER_BREAKS):
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            yield lineno, line.split(",", 3) if line else []
+        return
+    lineno = 0
+    try:
+        for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            yield lineno, row[:3] + [row[3:]] if len(row) > 3 else row
+    except csv.Error as exc:
+        raise ParseError(f"line {lineno + 1}: {exc}") from exc
+
+
+def _floats(lines: list[int], values: list, counts: list[int]) -> np.ndarray:
+    """The values of every record, in order, as ``float()`` reads them; a
+    value it refuses raises ``ParseError`` naming the first such line."""
+    texts = [v for v in values if isinstance(v, str)]
+    raw = ",".join(texts).encode("ascii", "replace")
+    if len(texts) == len(values) and not raw.translate(None, _PLAIN):
+        try:
+            flat = np.fromstring(raw, sep=",")
+        except ValueError:
+            pass
+        else:
+            if flat.size == sum(counts):
+                return flat
+    flat = []
+    for lineno, vals in zip(lines, values):
+        try:
+            flat.extend(map(float, vals.split(",") if isinstance(vals, str) else vals))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+    return np.array(flat, dtype=np.float64)
+
+
 def read_embeddings(path) -> EmbeddingDataset:
-    rows: dict[str, dict[int, dict[str, list[float]]]] = {}
-    dims: dict[str, int] = {}
+    """Read a dataset CSV (see the module docstring).
+
+    Records are split as ``csv.reader`` splits them and values are read as
+    ``float()`` reads them, but all values are converted in one call.
+    """
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) < 4:
-                raise ParseError(f"line {lineno}: expected subject,sample,modality,values")
-            sid, sample_str, modality = row[0], row[1], row[2]
-            if modality not in ("face", "iris"):
-                raise ParseError(f"line {lineno}: unknown modality {modality!r}")
-            try:
-                sample = int(sample_str)
-                values = [float(v) for v in row[3:]]
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            if modality in dims and len(values) != dims[modality]:
-                raise DimensionMismatchError(
-                    f"line {lineno}: {modality} vector has {len(values)} values, "
-                    f"expected {dims[modality]}"
-                )
-            dims.setdefault(modality, len(values))
-            slot = rows.setdefault(sid, {}).setdefault(sample, {})
-            if modality in slot:
-                raise ParseError(f"line {lineno}: duplicate {modality} row")
-            slot[modality] = values
-    if not rows:
+        text = fh.read()
+    lines: list[int] = []    # per kept record: line number,
+    values: list = []        # its values,
+    counts: list[int] = []   # and how many
+    at: dict[str, dict[int, dict[str, int]]] = {}  # sid -> sample -> modality -> record
+    dims: dict[str, int] = {}
+    fault = None
+    for lineno, row in _records(text):
+        if not row:
+            continue
+        if len(row) < 4:
+            fault = ParseError(f"line {lineno}: expected subject,sample,modality,values")
+            break
+        sid, sample_str, modality, vals = row
+        if modality not in ("face", "iris"):
+            fault = ParseError(f"line {lineno}: unknown modality {modality!r}")
+            break
+        try:
+            sample = int(sample_str)
+        except ValueError as exc:
+            fault = ParseError(f"line {lineno}: {exc}")
+            break
+        lines.append(lineno)
+        values.append(vals)
+        counts.append(vals.count(",") + 1 if isinstance(vals, str) else len(vals))
+        if modality in dims and counts[-1] != dims[modality]:
+            fault = DimensionMismatchError(
+                f"line {lineno}: {modality} vector has {counts[-1]} values, "
+                f"expected {dims[modality]}"
+            )
+            break
+        dims.setdefault(modality, counts[-1])
+        slot = at.setdefault(sid, {}).setdefault(sample, {})
+        if modality in slot:
+            fault = ParseError(f"line {lineno}: duplicate {modality} row")
+            break
+        slot[modality] = len(lines) - 1
+    # Refuse the file as a line-by-line reader would: it reads a record's
+    # values before checking its length and uniqueness, so a bad value in
+    # the records kept so far comes before the fault.
+    flat = _floats(lines, values, counts)
+    if fault is not None:
+        raise fault
+    if not at:
         raise ParseError("empty embeddings file")
 
+    starts = np.cumsum([0] + counts)
     face: dict[str, np.ndarray] = {}
     iris: dict[str, np.ndarray] = {}
-    for sid, samples in rows.items():
+    for sid, samples in at.items():
         ordered = sorted(samples)
         for sample in ordered:
             if set(samples[sample]) != {"face", "iris"}:
                 raise ParseError(f"subject {sid} sample {sample}: missing modality row")
-        face[sid] = np.asarray([samples[s]["face"] for s in ordered])
-        iris[sid] = np.asarray([samples[s]["iris"] for s in ordered])
+        for modality, out in (("face", face), ("iris", iris)):
+            first = starts[[samples[s][modality] for s in ordered]]
+            out[sid] = flat[first[:, None] + np.arange(dims[modality])]
     return EmbeddingDataset(face=face, iris=iris)

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written the slow, obvious way and shares no
 code with the package: polynomial arithmetic by shift-and-reduce, matrix
-products by explicit loops, decoding by exhaustive search.
+products by explicit loops, decoding by exhaustive search, a dataset CSV
+by ``csv.reader`` and one ``float()`` per value.
 """
 
+import csv
 import itertools
 import math
 
@@ -276,3 +278,56 @@ def slow_rs_decode(received, k: int, m: int, primitive_poly: int, fallback: bool
         return "failure", None, None, None
     message = tuple(word[:k])
     return "fallback", tuple(slow_rs_encode(message, m, primitive_poly)), message, None
+
+
+class ParseError(ValueError):
+    """The reference reader's refusal; tests compare it with the package's
+    error of the same name."""
+
+
+class DimensionMismatchError(ValueError):
+    """The reference reader's refusal of a vector of another length."""
+
+
+def slow_read_embeddings(path):
+    """A dataset CSV as ``(face, iris)``, one dict of (n_samples, d) matrices
+    per modality keyed by subject id in file order, read line by line."""
+    rows: dict[str, dict[int, dict[str, list[float]]]] = {}
+    dims: dict[str, int] = {}
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            if len(row) < 4:
+                raise ParseError(f"line {lineno}: expected subject,sample,modality,values")
+            sid, sample_str, modality = row[0], row[1], row[2]
+            if modality not in ("face", "iris"):
+                raise ParseError(f"line {lineno}: unknown modality {modality!r}")
+            try:
+                sample = int(sample_str)
+                values = [float(v) for v in row[3:]]
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
+            if modality in dims and len(values) != dims[modality]:
+                raise DimensionMismatchError(
+                    f"line {lineno}: {modality} vector has {len(values)} values, "
+                    f"expected {dims[modality]}"
+                )
+            dims.setdefault(modality, len(values))
+            slot = rows.setdefault(sid, {}).setdefault(sample, {})
+            if modality in slot:
+                raise ParseError(f"line {lineno}: duplicate {modality} row")
+            slot[modality] = values
+    if not rows:
+        raise ParseError("empty embeddings file")
+
+    face: dict[str, np.ndarray] = {}
+    iris: dict[str, np.ndarray] = {}
+    for sid, samples in rows.items():
+        ordered = sorted(samples)
+        for sample in ordered:
+            if set(samples[sample]) != {"face", "iris"}:
+                raise ParseError(f"subject {sid} sample {sample}: missing modality row")
+        face[sid] = np.asarray([samples[s]["face"] for s in ordered])
+        iris[sid] = np.asarray([samples[s]["iris"] for s in ordered])
+    return face, iris

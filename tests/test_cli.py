@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biosketch
-from biosketch import cli, fusion, pipeline, store
+from biosketch import cli, fusion, pipeline, store, synth
 
 from test_quantizer import BAD_INDEX_LINES
 from test_sketch import BAD_RECORD_LINES
@@ -357,14 +357,17 @@ def test_console_entrypoint_runs():
     assert "rate=0.1429" in proc.stdout
 
 
-def test_cli_never_imports_scipy(dataset_csv, tmp_path):
+def _loaded_by_enroll_and_auth(dataset_csv, tmp_path, package: str) -> bool:
+    """Whether ``package`` is loaded after an in-process enroll and genuine
+    auth in a fresh interpreter."""
     flags = pipeline_flags(dataset_csv, tmp_path)
     enroll = ["enroll", "--subject", "s0000"] + flags
     auth = ["auth", "--subject", "s0000", "--probe-sample", "1"] + flags
     script = (
         "import sys, biosketch, biosketch.cli\n"
         f"rc = biosketch.cli.main({enroll!r}) or biosketch.cli.main({auth!r})\n"
-        "print('scipy', any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
+        f"print('loaded', any(m == {package!r} or m.startswith({package + '.'!r})"
+        " for m in sys.modules))\n"
         "sys.exit(rc)\n"
     )
     src = str(Path(biosketch.__file__).resolve().parents[1])
@@ -374,7 +377,94 @@ def test_cli_never_imports_scipy(dataset_csv, tmp_path):
                           text=True, env=env)
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert "ACCEPT (hash-match)" in proc.stdout
-    assert "scipy False" in proc.stdout
+    return "loaded True" in proc.stdout
+
+
+def test_cli_never_imports_scipy(dataset_csv, tmp_path):
+    assert not _loaded_by_enroll_and_auth(dataset_csv, tmp_path, "scipy")
+
+
+def test_cli_never_imports_numpy_ma(dataset_csv, tmp_path):
+    # np.median imports numpy.ma on its first call, ~15 ms of a cold auth.
+    assert not _loaded_by_enroll_and_auth(dataset_csv, tmp_path, "numpy.ma")
+
+
+def _fused_rows(monkeypatch) -> list[int]:
+    """The row count of each ``fuse_rows`` call the CLI makes from now on."""
+    rows = []
+    original = cli.fuse_rows
+
+    def counted(face_rows, iris_rows, weights):
+        rows.append(len(face_rows))
+        return original(face_rows, iris_rows, weights)
+
+    monkeypatch.setattr(cli, "fuse_rows", counted)
+    return rows
+
+
+def test_enroll_and_auth_fuse_only_enrollment_halves_and_the_probe(
+        dataset_csv, tmp_path, monkeypatch, capsys):
+    dataset = synth.read_embeddings(dataset_csv)
+    halves = sum(pipeline.enroll_split(dataset.n_samples(sid)) for sid in dataset.subject_ids)
+    assert halves < dataset.total_pairs
+    rows = _fused_rows(monkeypatch)
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0001"] + flags) == cli.EXIT_OK
+    assert sum(rows) == halves
+    rows.clear()
+    assert cli.main(["auth", "--subject", "s0001", "--probe-sample", "6"] + flags) == cli.EXIT_OK
+    assert sum(rows) == halves + 1
+    assert "ACCEPT (hash-match)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("probe", [["--probe-subject", "nobody"], ["--probe-sample", "8"],
+                                   ["--probe-sample", "-1"]])
+def test_bad_probe_exits_3_before_any_fusion(dataset_csv, tmp_path, monkeypatch, capsys,
+                                             probe):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    rows = _fused_rows(monkeypatch)
+    assert cli.main(["auth", "--subject", "s0000"] + probe + flags) == cli.EXIT_RUNTIME
+    assert rows == []
+    assert re.search("not in dataset|out of range", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_held_out_row_of_another_subject_is_runtime_error(
+        dataset_csv, tmp_path, capsys, value):
+    # s0003's sample 6 is held out (8 samples, 4 enroll): enroll and auth fuse
+    # no row of it.
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    lines = dataset_csv.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("s0003,6,iris,"))
+    fields = lines[at].split(",")
+    fields[5] = value
+    lines[at] = ",".join(fields)
+    bad_csv = tmp_path / "embeddings.csv"
+    bad_csv.write_text("".join(lines))
+    bad_flags = pipeline_flags(bad_csv, tmp_path)
+    for command in (["enroll", "--subject", "s0001"],
+                    ["auth", "--subject", "s0000", "--probe-sample", "1"]):
+        capsys.readouterr()
+        assert cli.main(command + bad_flags) == cli.EXIT_RUNTIME
+        assert "embedding contains non-finite values" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "keys").iterdir()) == ["s0000.key"]
+
+
+@pytest.mark.parametrize("mode,out_dim", [("fca", 128), ("bla", 96), ("bla", 576)])
+def test_fused_halves_and_probe_equal_the_full_fusion(dataset_csv, mode, out_dim):
+    dataset = synth.read_embeddings(dataset_csv)
+    weights = fusion.random_weights(mode, dataset.d_face, dataset.d_iris, out_dim, seed=3)
+    assert (weights.P is None) == (mode == "fca" or out_dim == dataset.d_face * dataset.d_iris)
+    halves, pop = cli._fuse_halves(dataset, weights)
+    fused = pipeline.fuse_dataset(dataset, weights)
+    assert list(halves) == list(fused)
+    for sid, mat in fused.items():
+        assert halves[sid].tobytes() == mat[:pipeline.enroll_split(len(mat))].tobytes()
+        probe = fusion.fuse_rows(dataset.face[sid][5:6], dataset.iris[sid][5:6], weights)
+        assert probe[0].tobytes() == mat[5].tobytes()
+    assert pop.median.tobytes() == pipeline.population_from_fused(fused).median.tobytes()
 
 
 @pytest.mark.parametrize("option,value", [("--k-symbols", "3"), ("--k-symbols", "9"),

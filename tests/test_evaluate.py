@@ -428,6 +428,14 @@ class TestFuseMemo:
         MEMO_CALLS[entry](small_dataset, unseeded)
         assert len(fusions) == 2 * fused > 0
 
+    def test_unseeded_sweep_leaves_the_seeded_population(self, small_dataset, fusions,
+                                                         enrollments):
+        gar_stats(small_dataset, SMALL_CFG)
+        run_gs_curve(small_dataset, dataclasses.replace(SMALL_CFG, seed=None), [1, 2])
+        gar_stats(small_dataset, SMALL_CFG)
+        assert len(fusions) == 2
+        assert len(enrollments) == 1 + 2
+
     @pytest.mark.parametrize("change", [
         dict(fusion_mode="bla"), dict(out_dim=128), dict(m=4), dict(window_factor=1.5),
         dict(seed=6),

@@ -75,6 +75,26 @@ class TestPopulationStats:
         pop = make_pop([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
         assert pop.median[0] == 5.0
 
+    @pytest.mark.parametrize("rows", [2, 3, 4, 7, 10, 11, 500])
+    @pytest.mark.parametrize("kind", ["normal", "relu", "signed-zeros", "ties"])
+    def test_median_is_numpy_median_bit_for_bit(self, rows, kind):
+        rng = np.random.default_rng([rows, len(kind)])
+        mat = rng.normal(size=(rows, 64))
+        if kind == "relu":  # runs of +0.0 in each column
+            mat = np.maximum(mat - 0.5, 0.0)
+        elif kind == "signed-zeros":
+            mat = rng.choice([-0.0, 0.0, 0.0, -1.0, 1.0], size=mat.shape)
+        elif kind == "ties":
+            mat = rng.integers(-2, 3, size=mat.shape).astype(np.float64)
+        median = make_pop(mat).median
+        assert median.tobytes() == np.median(mat, axis=0).tobytes()
+        if kind == "signed-zeros":
+            # -0.0 sits in the middle of some columns, and np.median's mean
+            # turns it into +0.0; taking the middle element would not.
+            middle = np.sort(mat, axis=0)[(rows - 1) // 2]
+            assert np.signbit(middle[middle == 0.0]).any()
+            assert not np.signbit(median[median == 0.0]).any()
+
 
 class TestBinarize:
     def test_above_median_is_one(self):
