@@ -19,9 +19,9 @@ Exit codes: 0 success/accept, 1 deny, 2 usage error, 3 runtime error.
 A ``--config`` file holds ``key=value`` lines using the long option names
 without the leading dashes (e.g. ``m=5``); explicit flags win over the file.
 One file can serve every command: a key that another command takes is
-ignored, and a key that no command takes is a runtime error. A file cannot
-set ``config`` or ``overwrite``: it names no further file, and replacing an
-enrolled template is asked for on the command line of each run.
+ignored; a key that no command takes, or one set twice, is a runtime error.
+A file cannot set ``config`` or ``overwrite``: it names no further file, and
+replacing an enrolled template is asked for on the command line of each run.
 """
 
 from __future__ import annotations
@@ -102,7 +102,10 @@ def _read_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise BiosketchError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise BiosketchError(f"{path}:{lineno}: {key!r} is set twice")
+            values[key] = value.strip()
     return values
 
 
@@ -334,10 +337,7 @@ def main(argv=None) -> int:
     try:
         _cast_options(args)
         return args.func(args)
-    except BiosketchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (ValueError, OSError, ZeroDivisionError, MemoryError) as exc:
+    except (BiosketchError, ValueError, OSError, ZeroDivisionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

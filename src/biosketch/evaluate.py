@@ -129,10 +129,7 @@ def params_for_security(m: int, security_bits: int) -> ParamPlan:
 
 def far_analytic(security_bits: int) -> float:
     """2^(-k); underflows to 0.0 beyond the float range."""
-    try:
-        return math.ldexp(1.0, -security_bits)
-    except OverflowError:
-        return 0.0
+    return math.ldexp(1.0, -security_bits)
 
 
 @dataclass(frozen=True)
@@ -403,7 +400,7 @@ def run_gs_curve(dataset: EmbeddingDataset, config: PipelineConfig,
         population = _fuse(dataset, config)
     points = []
     for k_symbols in k_list:
-        cfg = config.with_k(int(k_symbols))
+        cfg = replace(config, k_symbols=int(k_symbols))
         security = cfg.k_symbols * cfg.m
         prep = _prepare(*population, cfg)
         g = _gar_stats(prep, "heldout").rate

@@ -89,15 +89,3 @@ class Field:
             exp[i] = exp[i - self.order]
         self.exp_table = exp
         self.log_table = log
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Field):
-            return NotImplemented
-        return self.m == other.m and self.primitive_poly == other.primitive_poly
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.primitive_poly))
-
-    def __repr__(self) -> str:
-        return f"Field(m={self.m}, primitive_poly=0x{self.primitive_poly:x})"
-

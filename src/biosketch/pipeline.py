@@ -24,7 +24,7 @@ sample vectors: user statistics, the enrolled bits and the genuine
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -82,9 +82,6 @@ class PipelineConfig:
 
     def build_code(self) -> RsCode:
         return RsCode(Field(self.m), self.k_symbols)
-
-    def with_k(self, k_symbols: int) -> "PipelineConfig":
-        return replace(self, k_symbols=k_symbols)
 
 
 def derive_rng(seed, *labels) -> np.random.Generator:

@@ -159,10 +159,7 @@ def select_reliable(scores, count: int, nonce: int,
     order = np.lexsort((tie_break, -sc))
     # Clamp in float: a huge finite factor overflows int(round(...)).
     window = order[: max(count, int(round(min(d, count * window_factor))))]
-    if window.size > count:
-        chosen = rng.choice(window, size=count, replace=False)
-    else:
-        chosen = window
+    chosen = rng.choice(window, size=count, replace=False)
     return ReliableKey(indices=np.sort(chosen), dimension=d, nonce=int(nonce))
 
 

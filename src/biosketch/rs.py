@@ -177,11 +177,6 @@ class RsCode:
         """Codeword length in bits, m * N."""
         return self.field.m * self.n_symbols
 
-    @property
-    def k_bits(self) -> int:
-        """Message (sketch) length in bits, m * K."""
-        return self.field.m * self.k_symbols
-
     def _build_generator(self) -> tuple[int, ...]:
         # g(x) = prod_{j=1..N-K} (x - alpha^j), coefficients highest degree
         # first, g[0] == 1.

@@ -285,13 +285,6 @@ def _resolve_code(record: EnrollmentRecord, code: RsCode | None) -> RsCode:
     return code
 
 
-def _single_probe(r_b) -> np.ndarray:
-    arr = np.asarray(r_b, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ParameterMismatchError(f"probe must be a bit vector, got shape {arr.shape}")
-    return arr[None]
-
-
 def auth_ss(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decision:
     """Secure-sketch authentication of probe bits against a record."""
     if record.scheme != SCHEME_SECURE_SKETCH:
@@ -308,7 +301,8 @@ def auth_fc(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decisi
 
 def authenticate(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decision:
     """Authentication of probe bits against a record: a batch of one."""
-    return authenticate_batch(_single_probe(r_b), [record], _ONE_OWNER, code).decision(0)
+    return authenticate_batch(np.asarray(r_b, dtype=np.uint8)[None], [record], _ONE_OWNER,
+                              code).decision(0)
 
 
 def authenticate_batch(probes, records, owner,
@@ -338,8 +332,6 @@ def authenticate_batch(probes, records, owner,
         raise ParameterMismatchError(
             f"probes have shape {arr.shape}, record expects {n_bits} bits per row"
         )
-    if arr.max(initial=0) > 1:
-        raise ValueError("probe entries must be 0 or 1")
     owner = np.asarray(owner)
     if owner.shape != (len(arr),) or (owner.size and (
             owner.dtype.kind not in "iu"
@@ -347,6 +339,8 @@ def authenticate_batch(probes, records, owner,
         raise ValueError(
             f"owner must be {len(arr)} record indices in 0..{len(records) - 1}"
         )
+    # An entry >= 2 stays >= 2 under the XOR with 0/1 offset bits, and
+    # bit_rows_to_symbols refuses it.
     arr = np.array([record.offset_bits() for record in records])[owner] ^ arr
     m = code.field.m
     batch = code.decode_batch(bit_rows_to_symbols(arr, m), first.params.policy)

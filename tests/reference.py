@@ -3,10 +3,12 @@
 Everything here is deliberately written the slow, obvious way and shares no
 code with the package: polynomial arithmetic by shift-and-reduce, matrix
 products by explicit loops, decoding by exhaustive search, a dataset CSV
-by ``csv.reader`` and one ``float()`` per value.
+by ``csv.reader`` and one ``float()`` per value, a digest by ``hashlib``
+over bits packed one shift at a time.
 """
 
 import csv
+import hashlib
 import itertools
 import math
 
@@ -278,6 +280,20 @@ def slow_rs_decode(received, k: int, m: int, primitive_poly: int, fallback: bool
         return "failure", None, None, None
     message = tuple(word[:k])
     return "fallback", tuple(slow_rs_encode(message, m, primitive_poly)), message, None
+
+
+def slow_digest(bits, salt: bytes) -> bytes:
+    """SHA-256 over salt || bit length as 64-bit little-endian || the bits
+    packed big-endian, eight to a byte, the last byte zero-padded."""
+    bits = [int(b) for b in bits]
+    packed = bytearray()
+    for start in range(0, len(bits), 8):
+        byte = 0
+        for i, bit in enumerate(bits[start:start + 8]):
+            byte |= bit << (7 - i)
+        packed.append(byte)
+    return hashlib.sha256(bytes(salt) + len(bits).to_bytes(8, "little")
+                          + bytes(packed)).digest()
 
 
 class ParseError(ValueError):

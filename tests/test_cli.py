@@ -429,6 +429,17 @@ def test_bad_probe_exits_3_before_any_fusion(dataset_csv, tmp_path, monkeypatch,
     assert re.search("not in dataset|out of range", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["enroll", "auth"])
+def test_subject_absent_from_dataset_exits_3_before_any_fusion(
+        dataset_csv, tmp_path, monkeypatch, capsys, command):
+    rows = _fused_rows(monkeypatch)
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main([command, "--subject", "nobody"] + flags) == cli.EXIT_RUNTIME
+    assert rows == []
+    assert "'nobody' not in dataset" in capsys.readouterr().err
+    assert not (tmp_path / "templates").exists() and not (tmp_path / "keys").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_held_out_row_of_another_subject_is_runtime_error(
         dataset_csv, tmp_path, capsys, value):
@@ -801,6 +812,21 @@ def test_config_key_of_another_command_is_ignored(tmp_path, capsys):
     cfg.write_text("m=5\nsecurity=100\ntrials=400\nout-dim=1024\n")
     assert cli.main(["params", "--config", str(cfg)]) == cli.EXIT_OK
     assert "K=20" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text,line", [
+    ("m=5\nm=6\n", 2),
+    ("m=5\n# out-dim comes twice\nout-dim=1024\n\nout_dim=512\n", 5),
+    ("m=5\nsecurity=100\nsecurity=100\n", 3),
+], ids=["m-twice", "out-dim-under-both-spellings", "same-value-twice"])
+def test_config_key_set_twice_is_runtime_error(tmp_path, capsys, text, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc = cli.main(["params", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert f"{cfg}:{line}:" in captured.err and "twice" in captured.err
+    assert captured.out == ""
 
 
 def test_revoked_subject_gets_another_index_set(dataset_csv, tmp_path, capsys):

@@ -80,6 +80,11 @@ class TestFarAnalytic:
     def test_underflow_documented(self):
         assert far_analytic(3000) == 0.0
 
+    def test_negative_bits_beyond_float_range_raise(self):
+        assert far_analytic(-1023) == 2.0 ** 1023
+        with pytest.raises(OverflowError):
+            far_analytic(-1024)
+
 
 class TestGar:
     def test_zero_noise_perfect(self):
@@ -335,9 +340,11 @@ class TestFusionCount:
         lambda ds: empirical_far(ds, SMALL_CFG, SCENARIO_STOLEN_KEY, 2.5, seed=1),
         lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 2], far_trials=2.5),
         lambda ds: empirical_far(ds, SMALL_CFG, SCENARIO_STOLEN_KEY, True, seed=1),
+        lambda ds: empirical_far(ds, SMALL_CFG, SCENARIO_STOLEN_KEY, 100, seed=1,
+                                 impostor_bits="zeros"),
     ], ids=["sweep-scenario", "gar-probe-mode", "far-scenario",
             "sweep-scenario-without-far", "sweep-zero-trials", "far-fractional-trials",
-            "sweep-fractional-trials", "far-bool-trials"])
+            "sweep-fractional-trials", "far-bool-trials", "far-impostor-bits"])
     def test_bad_arguments_raise_before_fusion(self, small_dataset, fusions, call):
         with pytest.raises(ValueError):
             call(small_dataset)
@@ -406,7 +413,7 @@ class TestFuseMemo:
     def test_warm_memo_gives_the_cold_result(self, entry, small_dataset, fusions, monkeypatch):
         cold = MEMO_CALLS[entry](small_dataset, SMALL_CFG)
         monkeypatch.setattr(evaluate, "_fuse_memo", None)
-        MEMO_CALLS[MEMO_WARMERS[entry]](small_dataset, SMALL_CFG.with_k(2))
+        MEMO_CALLS[MEMO_WARMERS[entry]](small_dataset, dataclasses.replace(SMALL_CFG, k_symbols=2))
         assert MEMO_CALLS[entry](small_dataset, SMALL_CFG) == cold
         assert len(fusions) == 2
 
@@ -454,7 +461,7 @@ class TestFuseMemo:
         assert not any(arr.flags.writeable for arr in arrays)
         assert all(mat.flags.writeable for mat in small_dataset.face.values())
         gar_stats(small_dataset, SMALL_CFG)
-        gar_stats(small_dataset, SMALL_CFG.with_k(2))
+        gar_stats(small_dataset, dataclasses.replace(SMALL_CFG, k_symbols=2))
         assert len(enrolled) == 2
         for table in enrolled.values():
             with pytest.raises(TypeError):

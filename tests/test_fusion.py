@@ -310,3 +310,25 @@ class TestWeightsFile:
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(ParseError):
             load_weights(path)
+
+
+# Refusals the pipeline never reaches, each with the class it raises.
+REFUSALS = {
+    "unknown-mode": (lambda: FusionWeights("sum", 2, 2, 4, "identity"), ValueError),
+    "unknown-activation": (
+        lambda: FusionWeights("fca", 2, 2, 4, "tanh", W=np.eye(4), b=np.zeros(4)),
+        ValueError),
+    "fca-given-bla-weights": (
+        lambda: fuse_fca(emb([1.0, 2.0], "face"), emb([3.0, 4.0], "iris"),
+                         random_weights("bla", 2, 2, 4, seed=1)), DimensionMismatchError),
+    "bla-given-fca-weights": (
+        lambda: fuse_bla(emb([1.0, 2.0], "face"), emb([3.0, 4.0], "iris"), identity_fca(2)),
+        DimensionMismatchError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_raises_its_class(case):
+    call, error = REFUSALS[case]
+    with pytest.raises(error):
+        call()

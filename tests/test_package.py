@@ -1,6 +1,8 @@
 """Each public name has one import path: the module that defines it."""
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +37,16 @@ def test_importing_sketch_loads_no_pipeline_or_cli_module():
     loaded = _loaded_after("biosketch.sketch")
     for name in ("evaluate", "pipeline", "fusion", "synth", "store", "cli"):
         assert f"biosketch.{name}" not in loaded
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_name_on_the_readme_module_line_exists():
+    line = next(ln for ln in README.read_text().splitlines() if ln.startswith("Modules: "))
+    listed = re.findall(r"`(\w+)` \(([^)]*)\)", line)
+    assert len(listed) == 9
+    for module, names in listed:
+        loaded = importlib.import_module(f"biosketch.{module}")
+        for name in re.findall(r"`(\w+)`", names):
+            assert hasattr(loaded, name), f"biosketch.{module}.{name}"

@@ -17,8 +17,10 @@ from biosketch.pipeline import (
     enroll_vectors,
     fuse_dataset,
     population_from_fused,
+    select_template,
 )
 from biosketch.quantizer import (
+    PopulationStats,
     ReliableKey,
     UserStats,
     binarize,
@@ -413,3 +415,37 @@ class TestEnrollmentDeterminism:
                                 policy=policy)
         assert (self.files_digest(dataset, config)
                 == self.PINNED_FC[m, k_symbols, out_dim, fusion_mode, policy])
+
+
+POP8 = PopulationStats(median=np.zeros(8))
+
+# Refusals the pipeline never reaches, each with the class it raises; the
+# last three are pipeline.py's checks in front of key selection.
+REFUSALS = {
+    "key-indices-matrix": (lambda: ReliableKey(((0, 1),), 4, 0), ValueError),
+    "population-vector": (lambda: population_stats(np.zeros(4), ["a", "b"]),
+                          DimensionMismatchError),
+    "population-ids-short": (lambda: population_stats(np.zeros((3, 2)), ["a", "b"]),
+                             DimensionMismatchError),
+    "population-nan": (lambda: population_stats([[np.nan, 0.0], [0.0, 0.0]], ["a", "b"]),
+                       ValueError),
+    "user-vector": (lambda: user_stats(np.zeros(3)), DimensionMismatchError),
+    "reliability-dimensions-differ": (lambda: reliability(user_stats(np.eye(3)), POP8),
+                                      DimensionMismatchError),
+    "scores-matrix": (lambda: select_reliable(np.zeros((2, 2)), 1, 0),
+                      DimensionMismatchError),
+    "pipeline-unknown-scheme": (lambda: PipelineConfig(m=3, scheme="hash-only"), ValueError),
+    "template-from-one-row": (
+        lambda: select_template(PipelineConfig(m=3, out_dim=8), np.zeros((1, 8)), POP8),
+        InsufficientDataError),
+    "template-dimension-below-G": (
+        lambda: select_template(PipelineConfig(m=3, out_dim=8), np.zeros((2, 8)), POP8),
+        ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_raises_its_class(case):
+    call, error = REFUSALS[case]
+    with pytest.raises(error):
+        call()

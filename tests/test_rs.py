@@ -50,7 +50,6 @@ class TestParameters:
         code = RsCode(gf8, 3)
         assert code.t == 2
         assert code.d_min == 5
-        assert code.k_bits == 9
 
     @pytest.mark.parametrize("k", [0, 8, -1])
     def test_invalid_k(self, gf8, k):
@@ -571,6 +570,11 @@ class TestBitPacking:
     def test_length_not_multiple(self):
         with pytest.raises(LengthMismatchError):
             bits_to_symbols([1, 0, 1, 1], 3)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 6), (1, 1, 3)])
+    def test_bit_array_is_a_length_mismatch(self, shape):
+        with pytest.raises(LengthMismatchError):
+            bits_to_symbols(np.zeros(shape, dtype=np.uint8), 3)
 
     def test_scalar_is_a_length_mismatch(self):
         with pytest.raises(LengthMismatchError):

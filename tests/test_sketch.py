@@ -25,6 +25,8 @@ from biosketch.sketch import (
     BatchDecision,
     Decision,
     DecisionReason,
+    EnrollmentRecord,
+    SketchParams,
     auth_fc,
     auth_ss,
     authenticate,
@@ -37,6 +39,7 @@ from biosketch.sketch import (
     record_to_text,
 )
 
+from reference import slow_digest, slow_rs_decode, slow_rs_encode
 from test_quantizer import ARABIC_INDIC
 from test_rs import FAR_FROM_RS75
 
@@ -100,6 +103,49 @@ class TestHashSketch:
         a = np.array([1, 0], dtype=np.uint8)
         b = np.array([1, 0, 0], dtype=np.uint8)  # same packed byte
         assert hash_sketch(a, SALT) != hash_sketch(b, SALT)
+
+
+def slow_symbol_bits(symbols, m):
+    return [(s >> (m - 1 - j)) & 1 for s in symbols for j in range(m)]
+
+
+class TestDigestReference:
+    """Digests against ``slow_digest``, built from the documented layout."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=300), st.binary(max_size=40))
+    def test_hash_sketch_is_the_documented_layout(self, bits, salt):
+        assert hash_sketch(np.array(bits, dtype=np.uint8), salt) == slow_digest(bits, salt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_secure_sketch_digest_is_that_of_the_decoded_message(self, data):
+        # Codewords with 0..N-K symbols overwritten: exact, corrected,
+        # fallback and failed decodes all occur.
+        m = data.draw(st.sampled_from([3, 4, 5]), label="m")
+        n_symbols = (1 << m) - 1
+        k = data.draw(st.integers(1, n_symbols - 1), label="k")
+        policy = data.draw(st.sampled_from([FB, FD]), label="policy")
+        code = RsCode(Field(m), k)
+        poly = code.field.primitive_poly
+        words = []
+        for _ in range(data.draw(st.integers(1, 5), label="rows")):
+            message = data.draw(st.lists(st.integers(0, n_symbols), min_size=k, max_size=k))
+            word = slow_rs_encode(message, m, poly)
+            for _ in range(data.draw(st.integers(0, n_symbols - k))):
+                word[data.draw(st.integers(0, n_symbols - 1))] = data.draw(
+                    st.integers(0, n_symbols))
+            words.append(word)
+        salts = [data.draw(st.binary(min_size=16, max_size=16)) for _ in words]
+        bits = np.array([slow_symbol_bits(word, m) for word in words], dtype=np.uint8)
+        records = enroll_batch(SCHEME_SECURE_SKETCH, bits, code, policy, salts,
+                               ["s"] * len(words))
+        for word, salt, record in zip(words, salts, records):
+            status, _, message, _ = slow_rs_decode(word, k, m, poly, policy == FB)
+            if status == "failure":
+                assert record is None
+            else:
+                assert record.digest == slow_digest(slow_symbol_bits(message, m), salt)
 
 
 class TestSecureSketch:
@@ -589,3 +635,53 @@ class TestAuthenticateBatch:
         for text in (str(batch), repr(batch)):
             for secret in secrets:
                 assert secret not in text
+
+
+def _record(scheme):
+    code = RsCode(Field(3), 1)
+    bits = random_bits(np.random.default_rng(1), code.n_bits)
+    if scheme == SCHEME_SECURE_SKETCH:
+        return enroll_ss(bits, code, FB, SALT)
+    return enroll_fc(bits, code, 4, SALT)
+
+
+PARAMS3 = SketchParams(3, 1, FB, 0b1011)
+
+# Refusals the pipeline never reaches, each with the class it raises.
+REFUSALS = {
+    "record-unknown-scheme": (
+        lambda: EnrollmentRecord("hash-only", "s", PARAMS3, SALT, bytes(32)), ValueError),
+    "secure-sketch-record-with-offset": (
+        lambda: EnrollmentRecord(SCHEME_SECURE_SKETCH, "s", PARAMS3, SALT, bytes(32),
+                                 offset=bytes(3)), ValueError),
+    "fuzzy-commitment-offset-too-short": (
+        lambda: EnrollmentRecord(SCHEME_FUZZY_COMMITMENT, "s", PARAMS3, SALT, bytes(32),
+                                 offset=bytes(2)), ValueError),
+    "fuzzy-commitment-without-offset": (
+        lambda: EnrollmentRecord(SCHEME_FUZZY_COMMITMENT, "s", PARAMS3, SALT, bytes(32)),
+        ValueError),
+    "hash-of-bit-matrix": (
+        lambda: hash_sketch(np.zeros((2, 4), dtype=np.uint8), SALT), LengthMismatchError),
+    "hash-of-entry-2": (lambda: hash_sketch([1, 2, 0], SALT), ValueError),
+    "auth-ss-on-fuzzy-commitment-record": (
+        lambda: auth_ss(np.zeros(21, dtype=np.uint8), _record(SCHEME_FUZZY_COMMITMENT)),
+        ParameterMismatchError),
+    "authenticate-probe-matrix": (
+        lambda: authenticate(np.zeros((1, 21), dtype=np.uint8),
+                             _record(SCHEME_SECURE_SKETCH)), ParameterMismatchError),
+    "authenticate-scalar-probe": (
+        lambda: authenticate(1, _record(SCHEME_SECURE_SKETCH)), ParameterMismatchError),
+    "batch-ss-probe-holding-2": (
+        lambda: authenticate_batch(np.full((1, 21), 2, dtype=np.uint8),
+                                   [_record(SCHEME_SECURE_SKETCH)], [0]), ValueError),
+    "batch-fc-probe-holding-2": (
+        lambda: authenticate_batch(np.full((1, 21), 2, dtype=np.uint8),
+                                   [_record(SCHEME_FUZZY_COMMITMENT)], [0]), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_raises_its_class(case):
+    call, error = REFUSALS[case]
+    with pytest.raises(error):
+        call()

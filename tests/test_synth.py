@@ -126,6 +126,23 @@ def test_dataset_validation():
         EmbeddingDataset(face={"a": np.ones((2, 3))}, iris={"a": np.ones((3, 3))})
 
 
+# Refusals the pipeline never reaches, each with the class it raises.
+REFUSALS = {
+    "no-subjects": (lambda: EmbeddingDataset(face={}, iris={}), ValueError),
+    "mixed-dimensions": (
+        lambda: EmbeddingDataset(face={"a": np.ones((2, 3)), "b": np.ones((2, 4))},
+                                 iris={"a": np.ones((2, 3)), "b": np.ones((2, 3))}),
+        DimensionMismatchError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_raises_its_class(case):
+    call, error = REFUSALS[case]
+    with pytest.raises(error):
+        call()
+
+
 # -- the one-call reader against the line-by-line reference -------------------
 
 def _outcome(read, path):
