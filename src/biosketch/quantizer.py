@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InsufficientDataError, ParseError
+from .rs import as_bits
 
 SIGMA_FLOOR = 1e-9
 
@@ -165,7 +166,7 @@ def select_reliable(scores, count: int, nonce: int,
 
 def extract(bits, key: ReliableKey) -> np.ndarray:
     """Gather the key's components from a bit vector or each row of a matrix."""
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = as_bits(bits)
     if arr.ndim not in (1, 2):
         raise DimensionMismatchError("bits must be a vector or a matrix of rows")
     if key.dimension != arr.shape[-1]:

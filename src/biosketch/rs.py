@@ -20,15 +20,18 @@ use, below):
   log of the power of alpha^(j+1) that array position i is weighted by.
 * ``chien_exponents``, N x (t+1): ``C[d, k] = -d*k mod N``, the log of
   (alpha^-d)^k.
+* ``omega_shear``, t x (t+1): ``j - k``, or t where k > j, the syndrome
+  column that term k of the error evaluator's coefficient j reads.
 * ``parity_logs``, (N-K) x K: the log of parity symbol j of the unit
   message at position i; encoding is linear, so parity is a sum over i.
 
-The three exponent tables are int16, since every entry is at most 2N; at
+The four index tables are int16, since every entry is at most 2N; at
 m = 10 they hold about 4 MB together.
 
 Each of syndromes, Chien search and parity is then one gather of
 ``exp_table`` at (row logs + table) and an XOR reduction, over all rows of
-a batch at once. ``decode_batch`` decodes a (B, N) array of words:
+a batch at once; the sums are at most 4N, so the gather indices stay int16.
+``decode_batch`` decodes a (B, N) array of words:
 
 1. syndromes of every row; rows with zero syndromes are exact codewords;
 2. Berlekamp-Massey for the error locator of every remaining row: with
@@ -37,11 +40,15 @@ a batch at once. ``decode_batch`` decodes a (B, N) array of words:
    fewer one-byte rows, row by row on polynomials packed into Python ints,
    where a sum is an XOR and a product with a symbol one
    ``bytes.translate`` through a 256-byte row of a multiplication table
-   the code builds on first use. Both give the same locator, and its
-   degree is read from its coefficients;
+   the code builds on first use; the two polynomials that change only with
+   the LFSR length are converted to bytes once per length change. Both
+   give the same locator, and its degree is read from its coefficients;
 3. Chien search of every locator of degree <= t over all N points;
 4. Forney for the error magnitudes, then a syndrome re-check of every
-   corrected row;
+   corrected row over its located errors only: syndromes are linear, so
+   the patched word's are the row's XOR those of the error pattern, one
+   gathered term per located error, and the row is corrected when they
+   cancel;
 5. the policy for the rest (below), which only labels rows: no parity is
    computed.
 
@@ -141,7 +148,8 @@ class RsCode:
 
     __slots__ = ("field", "n_symbols", "k_symbols", "num_parity", "t", "d_min",
                  "exp_table", "log_table", "syndrome_exponents",
-                 "chien_exponents", "generator_poly", "parity_logs", "_packed_tables")
+                 "chien_exponents", "omega_shear", "generator_poly", "parity_logs",
+                 "_packed_tables")
 
     def __init__(self, field: Field, k_symbols: int):
         n = field.order
@@ -165,10 +173,14 @@ class RsCode:
         self.syndrome_exponents = (np.outer(powers[1:self.num_parity + 1], powers[::-1])
                                    % n).astype(np.int16)
         self.chien_exponents = (np.outer(-powers, powers[:self.t + 1]) % n).astype(np.int16)
+        # Coefficient j of Omega sums S_(j-k+1) sigma_k over k <= j; a term
+        # with k > j reads column t, which ``_omega`` holds at zero.
+        shear = np.subtract.outer(np.arange(self.t), np.arange(self.t + 1))
+        self.omega_shear = np.where(shear < 0, self.t, shear).astype(np.int16)
         self.generator_poly = self._build_generator()
         self.parity_logs = self._build_parity_logs()
         for table in (exp, log, self.syndrome_exponents, self.chien_exponents,
-                      self.parity_logs):
+                      self.omega_shear, self.parity_logs):
             table.setflags(write=False)
         self._packed_tables = None
 
@@ -220,10 +232,13 @@ class RsCode:
 
     def _products(self, logs: np.ndarray, exps: np.ndarray) -> np.ndarray:
         """out[r, x] = XOR over l of exp_table[logs[r, l] + exps[x, l]]."""
+        # Every sum is at most 4N, so it fits int16, which adds faster than
+        # intp; ``take`` gathers with int16 indices faster than indexing.
+        logs = logs.astype(np.int16)
         out = np.empty((len(logs), len(exps)), dtype=self.exp_table.dtype)
         step = max(1, _CHUNK // max(1, exps.size))
         for lo in range(0, len(logs), step):
-            terms = self.exp_table[logs[lo:lo + step, None, :] + exps]
+            terms = self.exp_table.take(logs[lo:lo + step, None, :] + exps)
             out[lo:lo + step] = np.bitwise_xor.reduce(terms, axis=2)
         return out
 
@@ -316,7 +331,9 @@ class RsCode:
             degree = np.concatenate([p[1] for p in parts])
         else:
             sigma, degree = self._berlekamp_massey_packed(synd)
-        ok = degree <= t
+        # A locator of degree 0 locates no error, and the row's syndromes
+        # are not zero, so the re-check below would reject it.
+        ok = (0 < degree) & (degree <= t)
         rows = np.flatnonzero(ok)
         sigma_logs = log[sigma[rows, :t + 1]]
 
@@ -335,18 +352,42 @@ class RsCode:
         num = np.bitwise_xor.reduce(exp[omega_logs[row] + powers], axis=1)
         odd = np.bitwise_xor.reduce(
             exp[sigma_logs[row, 1::2] + self.chien_exponents[deg, 1::2]], axis=1)
-        magnitude = np.where(num != 0, exp[(log[num] - log[odd] - deg) % n], 0)
+        magnitude_logs = np.where(num != 0, (log[num] - log[odd] - deg) % n, log[0])
 
+        # Syndromes are linear, so the patched word's are the row's XOR
+        # those of the located errors: the row is corrected when they cancel.
+        at = n - 1 - deg
+        error_synd = self._error_syndromes(degree[rows], at, magnitude_logs)
+        ok[rows[(synd[rows] ^ error_synd).any(axis=1)]] = False
         fixed = words.copy()
-        patched = fixed[rows]
-        patched[row, n - 1 - deg] ^= magnitude.astype(exp.dtype)
-        clean = ~self._syndromes(patched).any(axis=1)
-        ok[rows[~clean]] = False
-        fixed[rows] = patched
+        fixed[rows[row], at] ^= exp[magnitude_logs]
         counts = np.zeros(len(words), dtype=np.int64)
-        counts[rows] = np.bincount(row, weights=magnitude != 0,
-                                   minlength=len(rows)).astype(np.int64)
+        counts[rows] = np.bincount(row, weights=num != 0, minlength=len(rows))
         return fixed, counts, ok
+
+    def _error_syndromes(self, located: np.ndarray, at: np.ndarray,
+                         magnitude_logs: np.ndarray) -> np.ndarray:
+        """(R, N-K) syndromes of R error patterns, each of at least one error.
+
+        Pattern r is the next ``located[r]`` entries of ``at`` (array
+        positions) and ``magnitude_logs``. An error of magnitude v at array
+        position i adds v * alpha^((j+1)(N-1-i)) to S_(j+1): one gathered
+        term per error and syndrome, XORed per pattern.
+        """
+        out = np.empty((len(located), self.num_parity), dtype=self.exp_table.dtype)
+        ends = np.cumsum(located)
+        starts = ends - located
+        magnitude_logs = magnitude_logs.astype(np.int16)
+        # Each pattern has at most t errors; chunks keep the index temporary
+        # near 2 MB.
+        step = max(1, _CHUNK // max(1, self.t * self.num_parity))
+        for lo in range(0, len(located), step):
+            first, last = starts[lo], ends[min(lo + step, len(located)) - 1]
+            terms = self.exp_table.take(magnitude_logs[first:last, None]
+                                        + self.syndrome_exponents[:, at[first:last]].T)
+            out[lo:lo + step] = np.bitwise_xor.reduceat(terms, starts[lo:lo + step] - first,
+                                                        axis=0)
+        return out
 
     def _berlekamp_massey_rows(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Error locators of every row of (B, N-K) syndromes, low to high.
@@ -437,14 +478,10 @@ class RsCode:
         deg(sigma) <= t, and when none does the re-check rejects the row
         whatever the magnitudes; so t coefficients decide the same words.
         """
-        t = self.t
+        t, shear = self.t, self.omega_shear
         zero_log = self.log_table[0]
         synd_logs = np.concatenate(
             [self.log_table[synd[:, :t]], np.full((len(synd), 1), zero_log)], axis=1)
-        # Coefficient j sums S_(j-k+1) sigma_k over k <= j; terms with k > j
-        # read the zero column appended at index t.
-        shear = np.subtract.outer(np.arange(t), np.arange(t + 1))
-        shear[shear < 0] = t
         out = np.empty((len(synd), t), dtype=self.exp_table.dtype)
         step = max(1, _CHUNK // max(1, shear.size))
         for lo in range(0, len(synd), step):
@@ -466,18 +503,17 @@ class _PackedTables(NamedTuple):
     rows: list[bytes]  # rows[c] maps byte p to the symbol c * p
 
 
-def _scale(rows: list[bytes], c: int, poly: int) -> int:
-    """c * poly for a packed polynomial, through row c of the table."""
-    data = poly.to_bytes((poly.bit_length() + 7) >> 3, "little")
-    return int.from_bytes(data.translate(rows[c]), "little")
+def _to_bytes(poly: int) -> bytes:
+    return poly.to_bytes((poly.bit_length() + 7) >> 3, "little")
 
 
 def _packed_locator(synd: int, npar: int, tables: _PackedTables) -> int:
     """Minimal error locator sigma(x) of the one-byte syndromes S_1 .. S_npar.
 
     A polynomial is packed into an int, coefficient i in byte i. Adding
-    two polynomials is then an XOR, multiplying by x^j a shift by 8j bits
-    and by a symbol ``_scale``.
+    two polynomials is then an XOR and multiplying by x^j a shift by 8j
+    bits. Multiplying by a symbol c is a ``bytes.translate`` through row c
+    of the multiplication table, so it takes the polynomial as bytes.
 
     Massey's algorithm carries the discrepancy series D = S sigma next to
     sigma, and E = S B next to B, which is sigma as of the last length
@@ -490,34 +526,55 @@ def _packed_locator(synd: int, npar: int, tables: _PackedTables) -> int:
       gap and n grow together until the next length change sets E to D.
       B = 1 enters at step -1 with gap 1, so E starts as x S.
 
+    Only sigma and D change at every step; B and E change only with the
+    length, so they are held as bytes and converted once per length change.
+
     Division by the last discrepancy b is a subtraction of logs, so sigma
     is Massey's own, not a scalar multiple of it.
     """
     exp, log, rows = tables
-    order = len(log) - 1
-    sigma = prev = 1
-    d, e = synd, synd << 8
+    from_bytes, order = int.from_bytes, len(log) - 1
+    sigma, d = 1, synd
+    prev, e = b"\x01", _to_bytes(synd << 8)
     length = gap = prev_log = 0
     for n in range(npar):
         gap += 1
         delta = d & 0xFF
         if delta:
             # sigma += (delta / b) x^gap B, and D += (delta / b) E with it.
-            coef = exp[log[delta] - prev_log + order]
-            updated = sigma ^ _scale(rows, coef, prev) << 8 * gap
+            row = rows[exp[log[delta] - prev_log + order]]
+            updated = sigma ^ from_bytes(prev.translate(row), "little") << 8 * gap
+            scaled = from_bytes(e.translate(row), "little")
             if 2 * length <= n:
-                prev, e, d = sigma, d, d ^ _scale(rows, coef, e)
+                prev, e = _to_bytes(sigma), _to_bytes(d)
                 length, prev_log, gap = n + 1 - length, log[delta], 0
-            else:
-                d ^= _scale(rows, coef, e)
+            d ^= scaled
             sigma = updated
         d >>= 8
     return sigma
 
 
+def as_bits(bits) -> np.ndarray:
+    """``bits`` as a uint8 array, refusing an entry that is not 0 or 1.
+
+    Any other dtype is checked before the cast, which would wrap 256 to 0
+    and read 0.7 as 0. A uint8 array is returned as it is and a bool array
+    viewed as uint8, without a pass: the callers' ``max() > 1`` checks, or
+    those of the layer they hand the bits to, cover them.
+    """
+    arr = np.asarray(bits)
+    if arr.dtype == np.uint8:
+        return arr
+    if arr.dtype == np.bool_:
+        return arr.view(np.uint8)
+    if arr.size and not ((arr == 0) | (arr == 1)).all():
+        raise ValueError("bit entries must be 0 or 1")
+    return arr.astype(np.uint8)
+
+
 def bits_to_symbols(bits, m: int) -> list[int]:
     """Pack a 0/1 sequence into symbols, big-endian within each symbol."""
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = as_bits(bits)
     if arr.ndim != 1:
         raise LengthMismatchError("bit vector must be one-dimensional")
     return bit_rows_to_symbols(arr, m).tolist()
@@ -525,7 +582,7 @@ def bits_to_symbols(bits, m: int) -> list[int]:
 
 def bit_rows_to_symbols(bits, m: int) -> np.ndarray:
     """Pack the last axis of a 0/1 array into symbols, big-endian per symbol."""
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = as_bits(bits)
     if arr.ndim == 0:
         raise LengthMismatchError("bits must be a vector or an array of rows")
     if arr.shape[-1] % m != 0:

@@ -56,6 +56,7 @@ from .rs import (
     DecodePolicy,
     DecodeStatus,
     RsCode,
+    as_bits,
     bit_rows_to_symbols,
     symbols_to_bits,
 )
@@ -179,7 +180,7 @@ class EnrollmentRecord:
 
 def hash_sketch(bits, salt: bytes) -> bytes:
     """Salted SHA-256 over the canonical encoding of a bit vector."""
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = as_bits(bits)
     if arr.ndim != 1:
         raise LengthMismatchError("bit vector must be 1-D")
     if arr.size and arr.max() > 1:
@@ -219,7 +220,7 @@ def enroll_batch(scheme: str, bits, code: RsCode, policy: DecodePolicy, salts,
     if scheme not in (SCHEME_SECURE_SKETCH, SCHEME_FUZZY_COMMITMENT):
         raise ValueError(f"unknown scheme {scheme!r}")
     policy, m = DecodePolicy(policy), code.field.m
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = as_bits(bits)
     if arr.ndim != 2 or arr.shape[1] != code.n_bits:
         raise LengthMismatchError(
             f"enrollment bits have shape {arr.shape}, code expects {code.n_bits} per row"
@@ -256,7 +257,7 @@ def enroll_ss(r_a, code: RsCode, policy: DecodePolicy, salt: bytes,
     Under FAIL_DENY an undecodable enrollment raises ``EnrollmentDecodeError``
     and the caller should re-acquire or re-enroll.
     """
-    record, = enroll_batch(SCHEME_SECURE_SKETCH, np.asarray(r_a, dtype=np.uint8)[None],
+    record, = enroll_batch(SCHEME_SECURE_SKETCH, as_bits(r_a)[None],
                            code, policy, [salt], [subject_id])
     if record is None:
         raise EnrollmentDecodeError(
@@ -269,7 +270,7 @@ def enroll_fc(r_a, code: RsCode, rng_seed, salt: bytes,
               subject_id: str = "",
               policy: DecodePolicy = DecodePolicy.FALLBACK_SYSTEMATIC) -> EnrollmentRecord:
     """Fuzzy-commitment enrollment: random codeword offset plus message hash."""
-    return enroll_batch(SCHEME_FUZZY_COMMITMENT, np.asarray(r_a, dtype=np.uint8)[None],
+    return enroll_batch(SCHEME_FUZZY_COMMITMENT, as_bits(r_a)[None],
                         code, policy, [salt], [subject_id], [rng_seed])[0]
 
 
@@ -301,7 +302,7 @@ def auth_fc(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decisi
 
 def authenticate(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decision:
     """Authentication of probe bits against a record: a batch of one."""
-    return authenticate_batch(np.asarray(r_b, dtype=np.uint8)[None], [record], _ONE_OWNER,
+    return authenticate_batch(as_bits(r_b)[None], [record], _ONE_OWNER,
                               code).decision(0)
 
 
@@ -326,7 +327,7 @@ def authenticate_batch(probes, records, owner,
                 "records of one batch must share scheme and parameters"
             )
     code = _resolve_code(first, code)
-    arr = np.asarray(probes, dtype=np.uint8)
+    arr = as_bits(probes)
     n_bits = first.params.n_bits
     if arr.ndim != 2 or arr.shape[1] != n_bits:
         raise ParameterMismatchError(

@@ -514,6 +514,93 @@ class TestLockstepBerlekampMassey:
             assert (code._packed_tables is not None) == (m <= 8)
 
 
+def single_syndrome_word(code):
+    """A word whose syndromes are (S_1, 0, .., 0) with S_1 != 0: the
+    coefficients of prod_(j=2..N-K) (x - alpha^j), which vanishes at
+    alpha^2 .. alpha^(N-K) and not at alpha. Its error locator is sigma = 1."""
+    m, poly = code.field.m, code.field.primitive_poly
+    g = [1]
+    for j in range(2, code.num_parity + 1):
+        root = slow_alpha_pow(j, poly, m)
+        g = [a ^ slow_gf_mul(b, root, poly, m) for a, b in zip(g + [0], [0] + g)]
+    return [0] * (code.n_symbols - len(g)) + g
+
+
+def expected_outcome(code, word, policy):
+    ref = reference_outcome(code, word, DecodePolicy.FALLBACK_SYSTEMATIC)
+    if policy is DecodePolicy.FAIL_DENY and ref[0] == "fallback":
+        return "failure", None, None, None
+    return ref
+
+
+class TestReCheck:
+    """The re-check after Forney compares the row's syndromes with those of
+    the located errors only; it must refuse exactly the rows the reference
+    refuses, including those whose locator passes the Chien split."""
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_uniform_words_equal_reference(self, m, monkeypatch):
+        field = Field(m)
+        rng = np.random.default_rng(6000 + m)
+        reached = []
+        original = RsCode._error_syndromes
+
+        def spy(self, located, at, magnitude_logs):
+            reached.append(len(located))
+            return original(self, located, at, magnitude_logs)
+
+        monkeypatch.setattr(RsCode, "_error_syndromes", spy)
+        refused = {"lockstep": 0, "packed": 0}
+        for k in range(1, field.order - 1):
+            code = RsCode(field, k)
+            words = rng.integers(0, field.size, (100, field.order))
+            for policy in DecodePolicy:
+                expected = [expected_outcome(code, w, policy) for w in words.tolist()]
+                del reached[:]
+                batch = code.decode_batch(words, policy)
+                corrected = BATCH_STATUSES.index(DecodeStatus.CORRECTED)
+                refused["lockstep"] += sum(reached) - int((batch.status == corrected).sum())
+                for i, (word, ref) in enumerate(zip(words, expected)):
+                    assert outcome_fields(code.outcome(batch, i)) == ref, (k, policy, word)
+                    del reached[:]
+                    out = code.decode(word, policy)
+                    assert outcome_fields(out) == ref, (k, policy, word)
+                    refused["packed"] += sum(reached) - (out.status is DecodeStatus.CORRECTED)
+        # Rows whose locator splits into distinct roots and are still refused.
+        assert min(refused.values()) > 0, refused
+
+    @pytest.mark.parametrize("m,k", [(3, 1), (3, 3), (4, 7), (5, 11), (8, 200), (9, 507)])
+    def test_degree_zero_locator_is_not_corrected(self, m, k):
+        """A pending row whose locator is sigma = 1 locates no error, alone
+        in a batch and beside corrected rows, under both Berlekamp-Massey
+        paths."""
+        code = RsCode(Field(m), k)
+        single = single_syndrome_word(code)
+        synd = code.syndromes(single)
+        assert synd[0] and not any(synd[1:])
+        locators = [code._berlekamp_massey_rows]
+        if code.exp_table.itemsize == 1:
+            locators.append(code._berlekamp_massey_packed)
+        for locator in locators:
+            assert locator(np.array([synd], dtype=code.exp_table.dtype))[1].tolist() == [0]
+        rng = np.random.default_rng(7000 + m)
+        near = []
+        for weight in (1, code.t, 1, code.t):
+            word = np.array(code.encode(rng.integers(0, code.field.size, k)))
+            pos = rng.choice(code.n_symbols, size=weight, replace=False)
+            word[pos] ^= rng.integers(1, code.field.size, size=weight)
+            near.append(word.tolist())
+        batches = [[single], [near[0], single, near[1]], [single] + near,
+                   near[:2] + [single] * 3 + near[2:], [single, near[0]] * _BM_LOCKSTEP]
+        for policy in DecodePolicy:
+            expected = {tuple(w): expected_outcome(code, w, policy) for w in [single] + near}
+            assert expected[tuple(single)][0] in ("fallback", "failure")
+            for words in batches:
+                batch = code.decode_batch(np.array(words), policy)
+                for i, word in enumerate(words):
+                    assert outcome_fields(code.outcome(batch, i)) == expected[tuple(word)]
+
+
 class TestDecodeBatch:
     def test_arrays_layout(self, rs_7_5):
         rows = np.array([rs_7_5.encode([1, 2, 3, 4, 5]), FAR_FROM_RS75])

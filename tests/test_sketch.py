@@ -12,10 +12,12 @@ from biosketch.errors import (
 )
 from biosketch.gf import Field
 from biosketch.pipeline import PipelineConfig, enroll_vectors, population_from_fused
+from biosketch.quantizer import ReliableKey, extract
 from biosketch.rs import (
     DecodePolicy,
     DecodeStatus,
     RsCode,
+    bit_rows_to_symbols,
     bits_to_symbols,
     symbols_to_bits,
 )
@@ -685,3 +687,47 @@ def test_refusal_raises_its_class(case):
     call, error = REFUSALS[case]
     with pytest.raises(error):
         call()
+
+
+# Bit vectors of the m=3, K=1 code (21 bits) whose entry 0 is not 0 or 1.
+# A uint8 cast would wrap 256 to 0 and 257 to 1, and read 0.7 as 0.
+BAD_BITS = {
+    "256": np.array([256] + [0] * 20),
+    "257": np.array([257] + [0] * 20),
+    "minus-1": np.array([-1] + [1] * 20),
+    "0.7": np.full(21, 0.7),
+    "list-holding-256": [256] + [0] * 20,
+}
+
+# Every entry point that reads bits, called on one such vector.
+BIT_READERS = {
+    "hash_sketch": lambda bits: hash_sketch(bits, SALT),
+    "enroll_batch": lambda bits: enroll_batch(SCHEME_SECURE_SKETCH, [bits], RsCode(Field(3), 1),
+                                              FB, [SALT], ["s"]),
+    "enroll_ss": lambda bits: enroll_ss(bits, RsCode(Field(3), 1), FB, SALT),
+    "enroll_fc": lambda bits: enroll_fc(bits, RsCode(Field(3), 1), 4, SALT),
+    "authenticate": lambda bits: authenticate(bits, _record(SCHEME_SECURE_SKETCH)),
+    "authenticate_batch": lambda bits: authenticate_batch(
+        [bits], [_record(SCHEME_FUZZY_COMMITMENT)], [0]),
+    "bits_to_symbols": lambda bits: bits_to_symbols(bits, 3),
+    "bit_rows_to_symbols": lambda bits: bit_rows_to_symbols([bits], 3),
+    "extract": lambda bits: extract(bits, ReliableKey(tuple(range(0, 21, 2)), 21, 0)),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_BITS))
+@pytest.mark.parametrize("reader", sorted(BIT_READERS))
+def test_non_bit_entry_is_refused(reader, bad):
+    with pytest.raises(ValueError, match="0 or 1"):
+        BIT_READERS[reader](BAD_BITS[bad])
+
+
+@pytest.mark.parametrize("reader", sorted(BIT_READERS))
+def test_bit_dtypes_read_alike(reader):
+    """0/1 entries give the same result as int64, float, bool or uint8."""
+    bits = random_bits(np.random.default_rng(8), 21)
+    results = [BIT_READERS[reader](bits.astype(dtype))
+               for dtype in (np.uint8, np.int64, np.float64, np.bool_)]
+    results.append(BIT_READERS[reader](bits.tolist()))
+    for result in results[1:]:
+        assert repr(result) == repr(results[0])
