@@ -16,21 +16,28 @@ use, below):
   ``log_table[0]`` is 2N and ``exp_table`` is 0 from index 2N on, so
   ``exp_table[log_table[a] + log_table[b]]`` is the product a*b for all
   symbols, zeros included, without a branch.
-* ``syndrome_exponents``, (N-K) x N: ``E[j, i] = (j+1)(N-1-i) mod N``, the
+* ``syndrome_exponents``, N x (N-K): ``E[i, j] = (j+1)(N-1-i) mod N``, the
   log of the power of alpha^(j+1) that array position i is weighted by.
-* ``chien_exponents``, N x (t+1): ``C[d, k] = -d*k mod N``, the log of
+* ``chien_exponents``, (t+1) x N: ``C[k, d] = -d*k mod N``, the log of
   (alpha^-d)^k.
-* ``omega_shear``, t x (t+1): ``j - k``, or t where k > j, the syndrome
-  column that term k of the error evaluator's coefficient j reads.
-* ``parity_logs``, (N-K) x K: the log of parity symbol j of the unit
+* ``omega_shear``, (t+1) x t: ``j - k``, or t where k > j, the syndrome
+  row that term k of the error evaluator's coefficient j reads.
+* ``parity_logs``, K x (N-K): the log of parity symbol j of the unit
   message at position i; encoding is linear, so parity is a sum over i.
 
 The four index tables are int16, since every entry is at most 2N; at
-m = 10 they hold about 4 MB together.
+m = 10 they hold about 4 MB together. Each holds the summed term on its
+first axis and is stored contiguous in the order the gathers read it.
 
 Each of syndromes, Chien search and parity is then one gather of
-``exp_table`` at (row logs + table) and an XOR reduction, over all rows of
-a batch at once; the sums are at most 4N, so the gather indices stay int16.
+``exp_table`` at (row logs + table), laid out (terms, rows, outputs), and
+an XOR reduction over its leading axis, over all rows of a batch at once;
+the sums are at most 4N, so the gather indices stay int16. XOR is exact,
+so the order of the reduction does not matter, and over the leading axis
+numpy XORs whole (rows, outputs) planes where a reduction over a short
+last axis would restart its inner loop for every output element. The
+error evaluator, the Forney sums and the lockstep Berlekamp-Massey reduce
+over their leading axis too.
 ``decode_batch`` decodes a (B, N) array of words:
 
 1. syndromes of every row; rows with zero syndromes are exact codewords;
@@ -58,7 +65,8 @@ the package is its one gather over a (B, K) message array, and ``encode``
 is a batch of one. Scalar ``decode`` is ``decode_batch`` of one row, and
 ``outcome`` re-encodes its message into the codeword of a ``DecodeOutcome``,
 so there is one decoder.
-Batched gathers go in row chunks that keep the index temporary near 2 MB.
+Batched gathers go in chunks that keep the index temporary near 2 MB: of
+rows, or for the Forney sums of located errors.
 A word within t symbol errors of a codeword is always decoded to that
 codeword. A word that is within t of a *different* codeword than the caller
 had in mind is miscorrected; that is inherent to bounded-distance decoding
@@ -170,12 +178,12 @@ class RsCode:
         self.exp_table = exp
         self.log_table = log
         powers = np.arange(n, dtype=np.int32)
-        self.syndrome_exponents = (np.outer(powers[1:self.num_parity + 1], powers[::-1])
+        self.syndrome_exponents = (np.outer(powers[::-1], powers[1:self.num_parity + 1])
                                    % n).astype(np.int16)
-        self.chien_exponents = (np.outer(-powers, powers[:self.t + 1]) % n).astype(np.int16)
+        self.chien_exponents = (np.outer(powers[:self.t + 1], -powers) % n).astype(np.int16)
         # Coefficient j of Omega sums S_(j-k+1) sigma_k over k <= j; a term
-        # with k > j reads column t, which ``_omega`` holds at zero.
-        shear = np.subtract.outer(np.arange(self.t), np.arange(self.t + 1))
+        # with k > j reads row t, which ``_omega`` holds at zero.
+        shear = np.arange(self.t) - np.arange(self.t + 1)[:, None]
         self.omega_shear = np.where(shear < 0, self.t, shear).astype(np.int16)
         self.generator_poly = self._build_generator()
         self.parity_logs = self._build_parity_logs()
@@ -216,7 +224,7 @@ class RsCode:
                 shifted = np.zeros_like(rem)
                 shifted[:-1] = rem[1:]
                 rem = shifted ^ exp[log[rem[0]] + low_logs]
-        return np.ascontiguousarray(log[rows[::-1]].T, dtype=np.int16)
+        return np.ascontiguousarray(log[rows[::-1]], dtype=np.int16)
 
     # -- validation and the batched gather ------------------------------------
 
@@ -231,24 +239,28 @@ class RsCode:
         return arr
 
     def _products(self, logs: np.ndarray, exps: np.ndarray) -> np.ndarray:
-        """out[r, x] = XOR over l of exp_table[logs[r, l] + exps[x, l]]."""
+        """out[r, x] = XOR over l of exp_table[logs[l, r] + exps[l, x]].
+
+        The gather is laid out (l, r, x) and reduced over its leading axis,
+        one XOR of whole (r, x) planes per term, not one short reduction
+        per output element.
+        """
         # Every sum is at most 4N, so it fits int16, which adds faster than
         # intp; ``take`` gathers with int16 indices faster than indexing.
-        logs = logs.astype(np.int16)
-        out = np.empty((len(logs), len(exps)), dtype=self.exp_table.dtype)
-        step = max(1, _CHUNK // max(1, exps.size))
-        for lo in range(0, len(logs), step):
-            terms = self.exp_table.take(logs[lo:lo + step, None, :] + exps)
-            out[lo:lo + step] = np.bitwise_xor.reduce(terms, axis=2)
+        logs = np.ascontiguousarray(logs, dtype=np.int16)
+        out = np.empty((logs.shape[1], exps.shape[1]), dtype=self.exp_table.dtype)
+        for part in _chunks(logs.shape[1], exps.size):
+            terms = self.exp_table.take(logs[:, part, None] + exps[:, None, :])
+            np.bitwise_xor.reduce(terms, axis=0, out=out[part])
         return out
 
     def _syndromes(self, words: np.ndarray) -> np.ndarray:
         """(B, N-K) syndromes S_1..S_(N-K) of checked (B, N) words."""
-        return self._products(self.log_table[words], self.syndrome_exponents)
+        return self._products(self.log_table[words.T], self.syndrome_exponents)
 
     def _parity(self, messages: np.ndarray) -> np.ndarray:
         """(B, N-K) parity symbols of checked (B, K) messages."""
-        return self._products(self.log_table[messages], self.parity_logs)
+        return self._products(self.log_table[messages.T], self.parity_logs)
 
     # -- public codec ----------------------------------------------------------
 
@@ -322,8 +334,8 @@ class RsCode:
         exp, log = self.exp_table, self.log_table
         if len(synd) >= _BM_LOCKSTEP or exp.itemsize > 1:
             # A numpy step costs the same for 1 row as for many, so lockstep
-            # pays from ``_BM_LOCKSTEP`` rows on. Row chunks keep each (rows,
-            # N-K+1) intp state array near 2 MB.
+            # pays from ``_BM_LOCKSTEP`` rows on. Row chunks keep each
+            # (N-K+1, rows) intp state array near 2 MB.
             step = max(_BM_LOCKSTEP, _CHUNK // synd.shape[1])
             parts = [self._berlekamp_massey_rows(synd[lo:lo + step])
                      for lo in range(0, len(synd), step)]
@@ -335,23 +347,29 @@ class RsCode:
         # are not zero, so the re-check below would reject it.
         ok = (0 < degree) & (degree <= t)
         rows = np.flatnonzero(ok)
-        sigma_logs = log[sigma[rows, :t + 1]]
+        # Term k of every row's sigma as logs, (t+1, rows).
+        sigma_logs = log.take(sigma[rows, :t + 1].T)
 
         # Chien search: roots alpha^-d of sigma mark errors at power x^d.
         roots = self._products(sigma_logs, self.chien_exponents) == 0
         split = roots.sum(axis=1) == degree[rows]
         ok[rows[~split]] = False
-        rows, sigma_logs, roots = rows[split], sigma_logs[split], roots[split]
+        rows, sigma_logs, roots = rows[split], sigma_logs.compress(split, axis=1), roots[split]
 
         # Forney: magnitude = Omega(X^-1) / sigma'(X^-1) at X = alpha^d. In
         # characteristic 2, X^-1 sigma'(X^-1) is the odd part of sigma at
-        # X^-1, so sigma'(X^-1) = odd * alpha^d.
+        # X^-1, so sigma'(X^-1) = odd * alpha^d. Each located error gathers
+        # t terms of each sum, so the errors go in chunks.
         omega_logs = log[self._omega(synd[rows], sigma_logs)]
         row, deg = np.nonzero(roots)
-        powers = self.chien_exponents[deg, :self.t]  # (alpha^-d)^j, j < t
-        num = np.bitwise_xor.reduce(exp[omega_logs[row] + powers], axis=1)
-        odd = np.bitwise_xor.reduce(
-            exp[sigma_logs[row, 1::2] + self.chien_exponents[deg, 1::2]], axis=1)
+        chien = self.chien_exponents  # chien[k, d]: (alpha^-d)^k
+        num = np.empty(len(row), dtype=exp.dtype)
+        odd = np.empty_like(num)
+        for part in _chunks(len(row), t):
+            r, d = row[part], deg[part]
+            np.bitwise_xor.reduce(exp[omega_logs[:, r] + chien[:t, d]], axis=0, out=num[part])
+            np.bitwise_xor.reduce(exp[sigma_logs[1::2, r] + chien[1::2, d]], axis=0,
+                                  out=odd[part])
         magnitude_logs = np.where(num != 0, (log[num] - log[odd] - deg) % n, log[0])
 
         # Syndromes are linear, so the patched word's are the row's XOR
@@ -378,15 +396,12 @@ class RsCode:
         ends = np.cumsum(located)
         starts = ends - located
         magnitude_logs = magnitude_logs.astype(np.int16)
-        # Each pattern has at most t errors; chunks keep the index temporary
-        # near 2 MB.
-        step = max(1, _CHUNK // max(1, self.t * self.num_parity))
-        for lo in range(0, len(located), step):
-            first, last = starts[lo], ends[min(lo + step, len(located)) - 1]
+        # Each pattern has at most t errors.
+        for part in _chunks(len(located), self.t * self.num_parity):
+            first, last = starts[part][0], ends[part][-1]
             terms = self.exp_table.take(magnitude_logs[first:last, None]
-                                        + self.syndrome_exponents[:, at[first:last]].T)
-            out[lo:lo + step] = np.bitwise_xor.reduceat(terms, starts[lo:lo + step] - first,
-                                                        axis=0)
+                                        + self.syndrome_exponents[at[first:last]])
+            np.bitwise_xor.reduceat(terms, starts[part] - first, axis=0, out=out[part])
         return out
 
     def _berlekamp_massey_rows(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,11 +409,14 @@ class RsCode:
 
         Massey's algorithm, as ``_packed_locator`` runs it, in lockstep
         over the rows: every step is the same gathers on every row, and a
-        row whose discrepancy is zero adds nothing. Division by the last
-        discrepancy b is a subtraction of logs, so sigma is Massey's own,
-        not a scalar multiple of it.
+        row whose discrepancy is zero adds nothing. The state is held
+        (coefficients, rows), so a step's discrepancies are one XOR
+        reduction over the leading axis. Division by the last discrepancy
+        b is a subtraction of logs, so sigma is Massey's own, not a scalar
+        multiple of it.
 
-        Returns the (B, N-K+1) coefficients and the degree of each row,
+        Returns the (B, N-K+1) coefficients, a transposed view of that
+        state, and the degree of each row,
         read from its highest nonzero coefficient. The LFSR length can
         exceed that degree on a row that no error pattern of weight <= t
         explains.
@@ -408,38 +426,37 @@ class RsCode:
         zero_log = log[0]
         rows, npar = synd.shape
         width = npar + 1
-        # Step n reads columns base .. base + w - 1 of both arrays below, with
-        # base = npar - 1 - n. synd_logs[:, c] = log S_(npar - c), so the
-        # window is S_(n+1), S_n, ...; the last column reads as zero.
-        synd_logs = np.full((rows, width), zero_log)
-        synd_logs[:, :npar] = log[synd[:, ::-1]]
+        # Step n reads rows base .. base + w - 1 of both arrays below, with
+        # base = npar - 1 - n. synd_logs[c] = log S_(npar - c), so the
+        # window is S_(n+1), S_n, ...; the last row reads as zero.
+        synd_logs = np.full((width, rows), zero_log)
+        synd_logs[:npar] = log[synd[:, ::-1].T]
         # Logs of x^gap * B(x): B is sigma as of the last length change and
         # gap the steps since; they start at B = 1, gap = 1. Lowering base
         # by one each step multiplies by x for free.
-        shifted_logs = np.full((rows, width), zero_log)
-        shifted_logs[:, npar] = 0
-        sigma = np.zeros((rows, width), dtype=exp.dtype)
-        sigma[:, 0] = 1
+        shifted_logs = np.full((width, rows), zero_log)
+        shifted_logs[npar] = 0
+        sigma = np.zeros((width, rows), dtype=exp.dtype)
+        sigma[0] = 1
         length = np.zeros(rows, dtype=np.intp)
         prev_delta_log = np.zeros(rows, dtype=np.intp)
         for n in range(npar):
             # At step n, deg sigma <= length <= n and deg x^gap B <= n + 1.
             base, w = npar - 1 - n, min(n + 2, width)
-            sigma_logs = log[sigma[:, :w]]
-            delta = np.bitwise_xor.reduce(
-                exp[sigma_logs + synd_logs[:, base:base + w]], axis=1)
+            sigma_logs = log[sigma[:w]]
+            delta = np.bitwise_xor.reduce(exp[sigma_logs + synd_logs[base:base + w]], axis=0)
             delta_log = log[delta]
             live = delta != 0
             # sigma += (delta / b) x^gap B; a zero delta adds nothing.
             coef = np.where(live, (delta_log - prev_delta_log) % n_order, zero_log)
-            shifted = shifted_logs[:, base:base + w]
-            sigma[:, :w] ^= exp[shifted + coef[:, None]]
+            shifted = shifted_logs[base:base + w]
+            sigma[:w] ^= exp[shifted + coef]
             change = live & (length <= n // 2)
-            np.copyto(shifted, sigma_logs, where=change[:, None])
+            np.copyto(shifted, sigma_logs, where=change)
             np.copyto(length, n + 1 - length, where=change)
             np.copyto(prev_delta_log, delta_log, where=change)
-        degree = npar - np.argmax(sigma[:, ::-1] != 0, axis=1)
-        return sigma, degree
+        degree = npar - np.argmax(sigma[::-1] != 0, axis=0)
+        return sigma.T, degree
 
     def _berlekamp_massey_packed(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Error locators of every row of (B, N-K) one-byte syndromes, one
@@ -470,29 +487,39 @@ class RsCode:
         return self._packed_tables
 
     def _omega(self, synd: np.ndarray, sigma_logs: np.ndarray) -> np.ndarray:
-        """Error evaluator (S * sigma) mod x^t, low to high, per row.
+        """Error evaluator (S * sigma) mod x^t of every row, (t, rows):
+        row j holds the coefficients of x^j.
 
-        Column j of ``synd`` is S_(j+1), the coefficient of x^j of S(x). The
-        classical evaluator is taken mod x^(N-K), but when an error pattern
-        on the roots of sigma matches the syndromes it has degree below
-        deg(sigma) <= t, and when none does the re-check rejects the row
-        whatever the magnitudes; so t coefficients decide the same words.
+        Column j of ``synd`` (rows, N-K) is S_(j+1), the coefficient of x^j
+        of S(x), and row k of ``sigma_logs`` (t+1, rows) the log of sigma's
+        x^k coefficient. The gather is laid out (k, j, rows) and reduced
+        over k, its leading axis.
+
+        The classical evaluator is taken mod x^(N-K), but when an error
+        pattern on the roots of sigma matches the syndromes it has degree
+        below deg(sigma) <= t, and when none does the re-check rejects the
+        row whatever the magnitudes; so t coefficients decide the same
+        words.
         """
         t, shear = self.t, self.omega_shear
-        zero_log = self.log_table[0]
-        synd_logs = np.concatenate(
-            [self.log_table[synd[:, :t]], np.full((len(synd), 1), zero_log)], axis=1)
-        out = np.empty((len(synd), t), dtype=self.exp_table.dtype)
-        step = max(1, _CHUNK // max(1, shear.size))
-        for lo in range(0, len(synd), step):
-            terms = self.exp_table[synd_logs[lo:lo + step, shear]
-                                   + sigma_logs[lo:lo + step, None, :]]
-            out[lo:lo + step] = np.bitwise_xor.reduce(terms, axis=2)
+        synd_logs = np.full((t + 1, len(synd)), self.log_table[0])
+        synd_logs[:t] = self.log_table[synd[:, :t].T]
+        out = np.empty((t, len(synd)), dtype=self.exp_table.dtype)
+        for part in _chunks(len(synd), shear.size):
+            terms = self.exp_table[synd_logs[:, part][shear] + sigma_logs[:, None, part]]
+            np.bitwise_xor.reduce(terms, axis=0, out=out[:, part])
         return out
 
     def __repr__(self) -> str:
         return (f"RsCode(m={self.field.m}, N={self.n_symbols}, "
                 f"K={self.k_symbols}, t={self.t})")
+
+
+def _chunks(count: int, per_item: int) -> list[slice]:
+    """Slices of ``count`` items whose gathers, ``per_item`` elements an
+    item, keep the index temporary near ``_CHUNK`` elements."""
+    step = max(1, _CHUNK // max(1, per_item))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 class _PackedTables(NamedTuple):

@@ -192,11 +192,18 @@ def _digests(bit_rows: np.ndarray, salts, owner) -> list[bytes]:
     """The digest of each 0/1 row under ``salts[owner[i]]``: SHA-256 over
     salt || 64-bit little-endian bit length || big-endian packed bits.
 
-    Every record digest, enrolled or probed, is made here."""
+    Every record digest, enrolled or probed, is made here. Each owner's
+    salted prefix is hashed once per call; a row's digest continues a copy
+    of that state with the row's packed bits."""
     length = bit_rows.shape[1].to_bytes(8, "little")
-    prefixes = [bytes(salt) + length for salt in salts]
-    return [hashlib.sha256(prefixes[j] + row.tobytes()).digest()
-            for j, row in zip(owner.tolist(), np.packbits(bit_rows, axis=1))]
+    owners = owner.tolist()
+    prefixes = {j: hashlib.sha256(bytes(salts[j]) + length) for j in set(owners)}
+    digests = []
+    for j, row in zip(owners, np.packbits(bit_rows, axis=1)):
+        state = prefixes[j].copy()
+        state.update(row)
+        digests.append(state.digest())
+    return digests
 
 
 def _per_row(values, rows: int, what: str) -> list:

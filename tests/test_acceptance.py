@@ -71,7 +71,7 @@ def test_criterion_3_rs_recovery_and_oracle_equivalence():
         codes = {}
         for _ in range(10_000):
             k = int(rng.integers(1, field.order + 1))
-            code = codes.setdefault(k, RsCode(field, k))
+            code = codes.get(k) or codes.setdefault(k, RsCode(field, k))
             msg = rng.integers(0, field.size, size=k).tolist()
             received = code.encode(msg)
             weight = int(rng.integers(0, code.t + 1))

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -455,6 +458,65 @@ class TestLockstepBerlekampMassey:
         assert calls == [chunk] * (pending // chunk) + [pending % chunk] * (pending % chunk > 0)
         for a, b in zip(whole, chunked):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("m,k", [(3, 1), (5, 11), (8, 200)])
+    def test_kernel_chunks_decode_and_encode_as_one_batch(self, m, k, monkeypatch):
+        """With ``_CHUNK`` shrunk to 2, 3 and 5 items of each gather kernel,
+        ``_products``, ``_omega``, the Forney sums of ``_correct`` and
+        ``_error_syndromes`` each split into 3 or more chunks with a ragged
+        last one, and every batch still equals the unchunked one and the
+        reference."""
+        code = RsCode(Field(m), k)
+        rng = np.random.default_rng(4100 + m)
+        words = np.array(differential_words(code, rng, 6))
+        messages = rng.integers(0, code.field.size, (20, k))
+        expected = {policy: [expected_outcome(code, w, policy) for w in words.tolist()]
+                    for policy in DecodePolicy}
+        whole = {policy: code.decode_batch(words, policy) for policy in DecodePolicy}
+        encoded = code.encode_batch(messages)
+        split = set()
+        original = rs._chunks
+
+        def spy(count, per_item):
+            parts = original(count, per_item)
+            sizes = [len(range(count)[part]) for part in parts]
+            if len(parts) >= 3 and sizes[-1] < sizes[0]:
+                split.add(sys._getframe(1).f_code.co_name)
+            return parts
+
+        monkeypatch.setattr(rs, "_chunks", spy)
+        n, npar, t = code.n_symbols, code.num_parity, code.t
+        for per_item in (n * npar, (t + 1) * n, k * npar, t * (t + 1), t, t * npar):
+            for step in (2, 3, 5):
+                monkeypatch.setattr(rs, "_CHUNK", per_item * step)
+                assert np.array_equal(code.encode_batch(messages), encoded)
+                for policy in DecodePolicy:
+                    batch = code.decode_batch(words, policy)
+                    for a, b in zip(whole[policy], batch):
+                        assert np.array_equal(a, b)
+                    for i, ref in enumerate(expected[policy]):
+                        assert outcome_fields(code.outcome(batch, i)) == ref
+        assert split == {"_products", "_omega", "_correct", "_error_syndromes"}
+
+    def test_forney_peak_memory_is_chunked(self):
+        """A batch of 400 m=8, K=32 words with 65 errors each decodes within
+        8 MB of traced peak memory: every gather goes in chunks."""
+        code = RsCode(Field(8), 32)
+        rng = np.random.default_rng(4200)
+        messages = rng.integers(0, 256, (400, 32))
+        words = code.encode_batch(messages).astype(np.int64)
+        for word in words:
+            word[rng.choice(255, size=65, replace=False)] ^= rng.integers(1, 256, size=65)
+        tracemalloc.start()
+        try:
+            batch = code.decode_batch(words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (batch.status == BATCH_STATUSES.index(DecodeStatus.CORRECTED)).all()
+        assert np.array_equal(batch.message, messages)
+        assert batch.error_count.tolist() == [65] * 400
+        assert peak <= 8 << 20, peak
 
     @pytest.mark.parametrize("m,k", [(3, 1), (3, 5), (3, 6), (5, 20), (6, 61), (8, 200),
                                      (8, 254), (2, 1), (4, 7), (7, 101), (9, 491), (10, 1003)])

@@ -559,16 +559,59 @@ class TestAuthenticateBatch:
                 decoded += 1
         assert len(pairs) < decoded // 5
 
-        hashed = []
+        # Each hashed pair continues a copy of its record's prefix state.
+        prefixes, pair_states = [], []
         sha256 = hashlib.sha256
-        monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+
+        class Prefix:
+            def __init__(self, data):
+                prefixes.append(data)
+                self.state = sha256(data)
+
+            def copy(self):
+                pair_states.append(self.state.copy())
+                return pair_states[-1]
+
+        monkeypatch.setattr(hashlib, "sha256", Prefix)
         batch = authenticate_batch(probes, records, owner, code)
         monkeypatch.undo()
-        assert len(hashed) == len(set(hashed)) == len(pairs)
+        assert len(prefixes) == len(set(prefixes)) <= len(records)
+        digests = [state.digest() for state in pair_states]
+        assert len(digests) == len(set(digests)) == len(pairs)
         decisions = [batch.decision(i) for i in range(len(probes))]
         assert decisions == [authenticate(row, records[j], code)
                              for row, j in zip(probes, owner)]
         assert 0 < batch.accepted.sum() < decoded
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_accepts_exactly_rows_whose_slow_digest_matches(self, data):
+        # Salts of 0..80 bytes put the prefix on both sides of SHA-256's
+        # 64-byte block.
+        k = data.draw(st.integers(1, 3), label="k")
+        code = RsCode(Field(3), k)
+        scheme = data.draw(st.sampled_from([SCHEME_SECURE_SKETCH, SCHEME_FUZZY_COMMITMENT]))
+        policy = data.draw(st.sampled_from([FB, FD]), label="policy")
+        salts = data.draw(st.lists(st.binary(max_size=80), min_size=2, max_size=6),
+                          label="salts")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        enrolled = symbols_to_bits(code.encode_batch(rng.integers(0, 8, (len(salts), k))), 3)
+        records = enroll_batch(scheme, enrolled, code, policy, salts,
+                               [f"s{j}" for j in range(len(salts))], range(len(salts)))
+        rows = data.draw(st.integers(50, 300), label="rows")
+        source = rng.integers(0, len(salts), rows)
+        probes = np.array([flip_symbols(rng, code, enrolled[j], int(w))
+                           for j, w in zip(source, rng.integers(0, 5, rows))])
+        owner = np.where(rng.random(rows) < 0.7, source, rng.integers(0, len(salts), rows))
+        batch = authenticate_batch(probes, records, owner, code)
+        expected = []
+        for row, j in zip(probes, owner.tolist()):
+            word = bits_to_symbols(row ^ records[j].offset_bits(), 3)
+            status, _, message, _ = slow_rs_decode(word, k, 3, code.field.primitive_poly,
+                                                   fallback=policy is FB)
+            expected.append(status != "failure" and slow_digest(
+                symbols_to_bits(np.array(message), 3), salts[j]) == records[j].digest)
+        assert batch.accepted.tolist() == expected
 
     def test_empty_and_wrong_width(self, rs_7_3):
         record = enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3, FB, SALT)
