@@ -36,8 +36,9 @@ the sums are at most 4N, so the gather indices stay int16. XOR is exact,
 so the order of the reduction does not matter, and over the leading axis
 numpy XORs whole (rows, outputs) planes where a reduction over a short
 last axis would restart its inner loop for every output element. The
-error evaluator, the Forney sums and the lockstep Berlekamp-Massey reduce
-over their leading axis too.
+error evaluator and the Forney sums gather the same way, with int16 sums
+and ``take``; the lockstep Berlekamp-Massey reduces over its leading axis
+too.
 ``decode_batch`` decodes a (B, N) array of words:
 
 1. syndromes of every row; rows with zero syndromes are exact codewords;
@@ -49,13 +50,17 @@ over their leading axis too.
    ``bytes.translate`` through a 256-byte row of a multiplication table
    the code builds on first use; the two polynomials that change only with
    the LFSR length are converted to bytes once per length change. Both
-   give the same locator, and its degree is read from its coefficients;
-3. Chien search of every locator of degree <= t over all N points;
-4. Forney for the error magnitudes, then a syndrome re-check of every
-   corrected row over its located errors only: syndromes are linear, so
-   the patched word's are the row's XOR those of the error pattern, one
-   gathered term per located error, and the row is corrected when they
-   cancel;
+   give the same locator and LFSR length, and the locator's degree is read
+   from its coefficients;
+3. Chien search over all N points of every locator whose degree equals
+   the LFSR length L of Berlekamp-Massey, with 0 < L <= t;
+4. Forney for the magnitudes of the located errors in message positions
+   only, since only the message is returned. A row is corrected when
+   Chien finds L roots: by Massey's theorem L is then the linear
+   complexity of the row's syndromes, so they are those of the error
+   pattern on the L roots with Forney's magnitudes, all nonzero, and no
+   syndrome re-check is needed. A row that a pattern of at most t errors
+   explains passes the same test. Its corrected-symbol count is L;
 5. the policy for the rest (below), which only labels rows: no parity is
    computed.
 
@@ -66,7 +71,7 @@ is a batch of one. Scalar ``decode`` is ``decode_batch`` of one row, and
 ``outcome`` re-encodes its message into the codeword of a ``DecodeOutcome``,
 so there is one decoder.
 Batched gathers go in chunks that keep the index temporary near 2 MB: of
-rows, or for the Forney sums of located errors.
+rows, or for the Forney sums of located errors in message positions.
 A word within t symbol errors of a codeword is always decoded to that
 codeword. A word that is within t of a *different* codeword than the caller
 had in mind is miscorrected; that is inherent to bounded-distance decoding
@@ -229,14 +234,23 @@ class RsCode:
     # -- validation and the batched gather ------------------------------------
 
     def _check(self, words, length: int, what: str, ndim: int = 1) -> np.ndarray:
-        arr = np.asarray(words, dtype=np.int64)
+        """``words`` as int64, refusing an entry that is not a symbol.
+
+        Any dtype but integer and bool is checked before the cast, which
+        would read 0.7 as 0, parse "1" as 1 and overflow on 2**64.
+        """
+        arr = np.asarray(words)
         if arr.ndim != ndim or arr.shape[-1] != length:
             raise LengthMismatchError(
                 f"{what} must be {length} symbols per row, got shape {arr.shape}"
             )
-        if arr.size and (arr.min() < 0 or arr.max() >= self.field.size):
+        if arr.dtype.kind not in "biu":
+            if arr.size and not np.isin(arr, np.arange(self.field.size)).all():
+                raise ValueError(f"symbol entries must be integers in "
+                                 f"0..{self.field.size - 1}")
+        elif arr.size and (arr.min() < 0 or arr.max() >= self.field.size):
             raise ValueError(f"symbol out of range for GF(2^{self.field.m})")
-        return arr
+        return arr.astype(np.int64, copy=False)
 
     def _products(self, logs: np.ndarray, exps: np.ndarray) -> np.ndarray:
         """out[r, x] = XOR over l of exp_table[logs[l, r] + exps[l, x]].
@@ -301,36 +315,37 @@ class RsCode:
         """Bounded-distance decode of every row of a (B, N) symbol array."""
         words = self._check(words, self.n_symbols, "received", ndim=2)
         policy = DecodePolicy(policy)
-        words = words.astype(self.exp_table.dtype)
+        message = words[:, :self.k_symbols].astype(self.exp_table.dtype)
         status = np.full(len(words), _EXACT, dtype=np.int8)
         error_count = np.zeros(len(words), dtype=np.int64)
 
         synd = self._syndromes(words)
         pending = np.flatnonzero(synd.any(axis=1))
         if pending.size:
-            fixed, counts, ok = self._correct(words[pending], synd[pending])
+            fixed, counts, ok = self._correct(message[pending], synd[pending])
             done, beyond = pending[ok], pending[~ok]
             status[done] = _CORRECTED
-            words[done] = fixed[ok]
+            message[done] = fixed[ok]
             error_count[done] = counts[ok]
             error_count[beyond] = -1
             if policy is DecodePolicy.FAIL_DENY:
                 status[beyond] = _FAILURE
-                words[beyond] = 0
+                message[beyond] = 0
             else:
                 # The received systematic symbols are the message as they stand.
                 status[beyond] = _FALLBACK
-        return BatchDecode(status, words[:, :self.k_symbols], error_count)
+        return BatchDecode(status, message, error_count)
 
     # -- decoding internals ---------------------------------------------------
 
-    def _correct(self, words: np.ndarray, synd: np.ndarray):
+    def _correct(self, message: np.ndarray, synd: np.ndarray):
         """Correct rows with nonzero syndromes where a codeword is within t.
 
-        Returns the corrected rows, the number of corrected symbols per row
-        and the mask of rows that were corrected.
+        Takes the (rows, K) message columns of the words and returns them
+        corrected, each row's locator degree, which on a corrected row is
+        its number of corrected symbols, and the mask of corrected rows.
         """
-        n, t = self.n_symbols, self.t
+        n, t, npar = self.n_symbols, self.t, self.num_parity
         exp, log = self.exp_table, self.log_table
         if len(synd) >= _BM_LOCKSTEP or exp.itemsize > 1:
             # A numpy step costs the same for 1 row as for many, so lockstep
@@ -339,16 +354,15 @@ class RsCode:
             step = max(_BM_LOCKSTEP, _CHUNK // synd.shape[1])
             parts = [self._berlekamp_massey_rows(synd[lo:lo + step])
                      for lo in range(0, len(synd), step)]
-            sigma = np.concatenate([p[0] for p in parts])
-            degree = np.concatenate([p[1] for p in parts])
+            sigma, degree, length = (np.concatenate(p) for p in zip(*parts))
         else:
-            sigma, degree = self._berlekamp_massey_packed(synd)
-        # A locator of degree 0 locates no error, and the row's syndromes
-        # are not zero, so the re-check below would reject it.
-        ok = (0 < degree) & (degree <= t)
+            sigma, degree, length = self._berlekamp_massey_packed(synd)
+        # A locator of degree 0 locates no error; one of degree below the
+        # LFSR length, or above t, is no error pattern's within t.
+        ok = (0 < degree) & (degree == length) & (degree <= t)
         rows = np.flatnonzero(ok)
         # Term k of every row's sigma as logs, (t+1, rows).
-        sigma_logs = log.take(sigma[rows, :t + 1].T)
+        sigma_logs = log.take(sigma[rows, :t + 1].T).astype(np.int16)
 
         # Chien search: roots alpha^-d of sigma mark errors at power x^d.
         roots = self._products(sigma_logs, self.chien_exponents) == 0
@@ -358,53 +372,26 @@ class RsCode:
 
         # Forney: magnitude = Omega(X^-1) / sigma'(X^-1) at X = alpha^d. In
         # characteristic 2, X^-1 sigma'(X^-1) is the odd part of sigma at
-        # X^-1, so sigma'(X^-1) = odd * alpha^d. Each located error gathers
-        # t terms of each sum, so the errors go in chunks.
-        omega_logs = log[self._omega(synd[rows], sigma_logs)]
-        row, deg = np.nonzero(roots)
+        # X^-1, so sigma'(X^-1) = odd * alpha^d. Only errors at powers
+        # d >= N-K, array positions N-1-d < K, are in the message. Each
+        # gathers t terms of each sum, so the errors go in chunks.
+        omega_logs = log.take(self._omega(synd[rows], sigma_logs)).astype(np.int16)
+        row, deg = np.nonzero(roots[:, npar:])
+        deg += npar
         chien = self.chien_exponents  # chien[k, d]: (alpha^-d)^k
         num = np.empty(len(row), dtype=exp.dtype)
         odd = np.empty_like(num)
         for part in _chunks(len(row), t):
             r, d = row[part], deg[part]
-            np.bitwise_xor.reduce(exp[omega_logs[:, r] + chien[:t, d]], axis=0, out=num[part])
-            np.bitwise_xor.reduce(exp[sigma_logs[1::2, r] + chien[1::2, d]], axis=0,
+            np.bitwise_xor.reduce(exp.take(omega_logs[:, r] + chien[:t, d]), axis=0,
+                                  out=num[part])
+            np.bitwise_xor.reduce(exp.take(sigma_logs[1::2, r] + chien[1::2, d]), axis=0,
                                   out=odd[part])
-        magnitude_logs = np.where(num != 0, (log[num] - log[odd] - deg) % n, log[0])
+        fixed = message.copy()
+        fixed[rows[row], n - 1 - deg] ^= exp[(log[num] - log[odd] - deg) % n]
+        return fixed, degree, ok
 
-        # Syndromes are linear, so the patched word's are the row's XOR
-        # those of the located errors: the row is corrected when they cancel.
-        at = n - 1 - deg
-        error_synd = self._error_syndromes(degree[rows], at, magnitude_logs)
-        ok[rows[(synd[rows] ^ error_synd).any(axis=1)]] = False
-        fixed = words.copy()
-        fixed[rows[row], at] ^= exp[magnitude_logs]
-        counts = np.zeros(len(words), dtype=np.int64)
-        counts[rows] = np.bincount(row, weights=num != 0, minlength=len(rows))
-        return fixed, counts, ok
-
-    def _error_syndromes(self, located: np.ndarray, at: np.ndarray,
-                         magnitude_logs: np.ndarray) -> np.ndarray:
-        """(R, N-K) syndromes of R error patterns, each of at least one error.
-
-        Pattern r is the next ``located[r]`` entries of ``at`` (array
-        positions) and ``magnitude_logs``. An error of magnitude v at array
-        position i adds v * alpha^((j+1)(N-1-i)) to S_(j+1): one gathered
-        term per error and syndrome, XORed per pattern.
-        """
-        out = np.empty((len(located), self.num_parity), dtype=self.exp_table.dtype)
-        ends = np.cumsum(located)
-        starts = ends - located
-        magnitude_logs = magnitude_logs.astype(np.int16)
-        # Each pattern has at most t errors.
-        for part in _chunks(len(located), self.t * self.num_parity):
-            first, last = starts[part][0], ends[part][-1]
-            terms = self.exp_table.take(magnitude_logs[first:last, None]
-                                        + self.syndrome_exponents[at[first:last]])
-            np.bitwise_xor.reduceat(terms, starts[part] - first, axis=0, out=out[part])
-        return out
-
-    def _berlekamp_massey_rows(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _berlekamp_massey_rows(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Error locators of every row of (B, N-K) syndromes, low to high.
 
         Massey's algorithm, as ``_packed_locator`` runs it, in lockstep
@@ -416,10 +403,9 @@ class RsCode:
         multiple of it.
 
         Returns the (B, N-K+1) coefficients, a transposed view of that
-        state, and the degree of each row,
-        read from its highest nonzero coefficient. The LFSR length can
-        exceed that degree on a row that no error pattern of weight <= t
-        explains.
+        state, the degree of each row, read from its highest nonzero
+        coefficient, and its LFSR length. The length exceeds the degree
+        only on a row that no error pattern of weight <= t explains.
         """
         n_order = self.n_symbols
         exp, log = self.exp_table, self.log_table
@@ -456,21 +442,23 @@ class RsCode:
             np.copyto(length, n + 1 - length, where=change)
             np.copyto(prev_delta_log, delta_log, where=change)
         degree = npar - np.argmax(sigma[::-1] != 0, axis=0)
-        return sigma.T, degree
+        return sigma.T, degree, length
 
-    def _berlekamp_massey_packed(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _berlekamp_massey_packed(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Error locators of every row of (B, N-K) one-byte syndromes, one
-        row at a time by ``_packed_locator``: the same coefficients and
-        degrees as ``_berlekamp_massey_rows``, without a numpy call per step."""
+        row at a time by ``_packed_locator``: the same coefficients, degrees
+        and LFSR lengths as ``_berlekamp_massey_rows``, without a numpy call
+        per step."""
         tables = self._packed_tables or self._build_packed_tables()
         rows, npar = synd.shape
         data = np.ascontiguousarray(synd, dtype=np.uint8).tobytes()
-        polys = [_packed_locator(int.from_bytes(data[lo:lo + npar], "little"), npar, tables)
-                 for lo in range(0, len(data), npar)]
+        polys, lengths = zip(*[
+            _packed_locator(int.from_bytes(data[lo:lo + npar], "little"), npar, tables)
+            for lo in range(0, len(data), npar)])
         sigma = np.frombuffer(b"".join(p.to_bytes(npar + 1, "little") for p in polys),
                               dtype=np.uint8).reshape(rows, npar + 1)
         degree = np.array([(p.bit_length() - 1) >> 3 for p in polys], dtype=np.intp)
-        return sigma, degree
+        return sigma, degree, np.array(lengths, dtype=np.intp)
 
     def _build_packed_tables(self) -> _PackedTables:
         """Build, once per code of m <= 8, what ``_packed_locator`` reads.
@@ -495,18 +483,19 @@ class RsCode:
         x^k coefficient. The gather is laid out (k, j, rows) and reduced
         over k, its leading axis.
 
-        The classical evaluator is taken mod x^(N-K), but when an error
-        pattern on the roots of sigma matches the syndromes it has degree
-        below deg(sigma) <= t, and when none does the re-check rejects the
-        row whatever the magnitudes; so t coefficients decide the same
-        words.
+        The classical evaluator is taken mod x^(N-K). ``_correct`` reads
+        it only on rows whose sigma has degree L, the LFSR length, at most
+        t and L distinct roots; their syndromes are those of an error
+        pattern on the roots, whose evaluator has degree below L <= t, so
+        its t low coefficients are all of it. ``sigma_logs`` is int16, and
+        so are the summed logs, at most 4N, as in ``_products``.
         """
         t, shear = self.t, self.omega_shear
-        synd_logs = np.full((t + 1, len(synd)), self.log_table[0])
+        synd_logs = np.full((t + 1, len(synd)), self.log_table[0], dtype=np.int16)
         synd_logs[:t] = self.log_table[synd[:, :t].T]
         out = np.empty((t, len(synd)), dtype=self.exp_table.dtype)
         for part in _chunks(len(synd), shear.size):
-            terms = self.exp_table[synd_logs[:, part][shear] + sigma_logs[:, None, part]]
+            terms = self.exp_table.take(synd_logs[:, part][shear] + sigma_logs[:, None, part])
             np.bitwise_xor.reduce(terms, axis=0, out=out[:, part])
         return out
 
@@ -534,8 +523,9 @@ def _to_bytes(poly: int) -> bytes:
     return poly.to_bytes((poly.bit_length() + 7) >> 3, "little")
 
 
-def _packed_locator(synd: int, npar: int, tables: _PackedTables) -> int:
-    """Minimal error locator sigma(x) of the one-byte syndromes S_1 .. S_npar.
+def _packed_locator(synd: int, npar: int, tables: _PackedTables) -> tuple[int, int]:
+    """Minimal error locator sigma(x) of the one-byte syndromes S_1 .. S_npar,
+    and its LFSR length.
 
     A polynomial is packed into an int, coefficient i in byte i. Adding
     two polynomials is then an XOR and multiplying by x^j a shift by 8j
@@ -578,7 +568,7 @@ def _packed_locator(synd: int, npar: int, tables: _PackedTables) -> int:
             d ^= scaled
             sigma = updated
         d >>= 8
-    return sigma
+    return sigma, length
 
 
 def as_bits(bits) -> np.ndarray:

@@ -188,6 +188,8 @@ def _slow_poly_eval(poly, x, primitive_poly, m):
 
 
 def _slow_berlekamp_massey(synd, primitive_poly, m):
+    """The minimal LFSR of the syndromes: its connection polynomial sigma,
+    low to high without trailing zeros, and its length."""
     def mul(a, b):
         return slow_gf_mul(a, b, primitive_poly, m)
 
@@ -221,7 +223,7 @@ def _slow_berlekamp_massey(synd, primitive_poly, m):
             gap += 1
     while len(cur) > 1 and cur[-1] == 0:
         cur.pop()
-    return cur
+    return cur, lenc
 
 
 def _slow_try_correct(word, synd, k, m, primitive_poly):
@@ -232,7 +234,7 @@ def _slow_try_correct(word, synd, k, m, primitive_poly):
     def mul(a, b):
         return slow_gf_mul(a, b, primitive_poly, m)
 
-    sigma = _slow_berlekamp_massey(synd, primitive_poly, m)
+    sigma, _ = _slow_berlekamp_massey(synd, primitive_poly, m)
     deg = len(sigma) - 1
     if deg > t:
         return None

@@ -20,6 +20,7 @@ from biosketch.rs import (
 )
 from reference import (
     _slow_berlekamp_massey,
+    _slow_poly_eval,
     all_codewords,
     brute_force_nearest,
     error_patterns,
@@ -462,10 +463,9 @@ class TestLockstepBerlekampMassey:
     @pytest.mark.parametrize("m,k", [(3, 1), (5, 11), (8, 200)])
     def test_kernel_chunks_decode_and_encode_as_one_batch(self, m, k, monkeypatch):
         """With ``_CHUNK`` shrunk to 2, 3 and 5 items of each gather kernel,
-        ``_products``, ``_omega``, the Forney sums of ``_correct`` and
-        ``_error_syndromes`` each split into 3 or more chunks with a ragged
-        last one, and every batch still equals the unchunked one and the
-        reference."""
+        ``_products``, ``_omega`` and the Forney sums of ``_correct`` each
+        split into 3 or more chunks with a ragged last one, and every batch
+        still equals the unchunked one and the reference."""
         code = RsCode(Field(m), k)
         rng = np.random.default_rng(4100 + m)
         words = np.array(differential_words(code, rng, 6))
@@ -486,7 +486,7 @@ class TestLockstepBerlekampMassey:
 
         monkeypatch.setattr(rs, "_chunks", spy)
         n, npar, t = code.n_symbols, code.num_parity, code.t
-        for per_item in (n * npar, (t + 1) * n, k * npar, t * (t + 1), t, t * npar):
+        for per_item in (n * npar, (t + 1) * n, k * npar, t * (t + 1), t):
             for step in (2, 3, 5):
                 monkeypatch.setattr(rs, "_CHUNK", per_item * step)
                 assert np.array_equal(code.encode_batch(messages), encoded)
@@ -496,7 +496,7 @@ class TestLockstepBerlekampMassey:
                         assert np.array_equal(a, b)
                     for i, ref in enumerate(expected[policy]):
                         assert outcome_fields(code.outcome(batch, i)) == ref
-        assert split == {"_products", "_omega", "_correct", "_error_syndromes"}
+        assert split == {"_products", "_omega", "_correct"}
 
     def test_forney_peak_memory_is_chunked(self):
         """A batch of 400 m=8, K=32 words with 65 errors each decodes within
@@ -521,12 +521,13 @@ class TestLockstepBerlekampMassey:
     @pytest.mark.parametrize("m,k", [(3, 1), (3, 5), (3, 6), (5, 20), (6, 61), (8, 200),
                                      (8, 254), (2, 1), (4, 7), (7, 101), (9, 491), (10, 1003)])
     def test_locators_equal_reference(self, m, k):
-        """sigma and its degree from the lockstep Berlekamp-Massey at every
-        m, and from the packed one at m <= 8 (m > 8 decodes in lockstep
-        only): uniform words, words within t and just beyond it, syndromes
-        with runs of zeros, and rows where the degree is below the LFSR
-        length: syndromes (s, 0, .., 0) leave sigma = 1 at length 1. Words
-        within t end in a run of zero discrepancies."""
+        """sigma, its degree and the LFSR length from the lockstep
+        Berlekamp-Massey at every m, and from the packed one at m <= 8
+        (m > 8 decodes in lockstep only): uniform words, words within t and
+        just beyond it, syndromes with runs of zeros, and rows where the
+        degree is below the LFSR length: syndromes (s, 0, .., 0) leave
+        sigma = 1 at length 1. Words within t end in a run of zero
+        discrepancies."""
         field = Field(m)
         code = RsCode(field, k)
         rng = np.random.default_rng(3000 + m + k)
@@ -554,13 +555,16 @@ class TestLockstepBerlekampMassey:
         if code.exp_table.itemsize == 1:
             paths.append(code._berlekamp_massey_packed)
         for locators in paths:
-            sigma, degree = locators(synd)
+            sigma, degree, length = locators(synd)
             assert sigma.shape == (len(synd), npar + 1)
-            for row, deg, ref in zip(sigma.tolist(), degree.tolist(), expected):
+            for row, deg, lfsr, (ref, ref_length) in zip(
+                    sigma.tolist(), degree.tolist(), length.tolist(), expected):
                 assert deg == len(ref) - 1
                 assert row == ref + [0] * (npar - deg)
+                assert lfsr == ref_length
             if npar > 1:  # the (s, 0, .., 0) row
                 assert degree[len(synd) - 2 * npar] == 0
+                assert length[len(synd) - 2 * npar] == 1
 
     def test_packed_tables_built_on_first_small_batch(self):
         """Only a correction of fewer than ``_BM_LOCKSTEP`` one-byte rows
@@ -596,40 +600,65 @@ def expected_outcome(code, word, policy):
 
 
 class TestReCheck:
-    """The re-check after Forney compares the row's syndromes with those of
-    the located errors only; it must refuse exactly the rows the reference
-    refuses, including those whose locator passes the Chien split."""
+    """A row is corrected when its locator's degree equals the LFSR length
+    L, with 0 < L <= t, and Chien finds L roots; there is no syndrome
+    re-check. The decoder must refuse exactly the rows the reference, which
+    re-checks the syndromes of its corrected word, refuses."""
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_uniform_words_equal_reference(self, m, monkeypatch):
+        """Uniform words decoded as one batch (lockstep Berlekamp-Massey)
+        and one by one (packed) include rows whose locator has degree
+        0 < deg <= t below L and deg distinct roots, which only the degree
+        test refuses; each is labelled as the reference labels it."""
         field = Field(m)
+        poly = field.primitive_poly
         rng = np.random.default_rng(6000 + m)
-        reached = []
-        original = RsCode._error_syndromes
+        located = []
+        for name in ("_berlekamp_massey_rows", "_berlekamp_massey_packed"):
+            def spy(self, synd, original=getattr(RsCode, name), name=name):
+                out = original(self, synd)
+                located.append((name, synd, *out))
+                return out
 
-        def spy(self, located, at, magnitude_logs):
-            reached.append(len(located))
-            return original(self, located, at, magnitude_logs)
+            monkeypatch.setattr(RsCode, name, spy)
 
-        monkeypatch.setattr(RsCode, "_error_syndromes", spy)
-        refused = {"lockstep": 0, "packed": 0}
+        def short_split(code):
+            """The syndromes of the rows each path found with a split
+            locator of degree below the LFSR length."""
+            found = {"_berlekamp_massey_rows": set(), "_berlekamp_massey_packed": set()}
+            for name, synd, sigma, degree, length in located:
+                for s, row, deg, lfsr in zip(synd.tolist(), sigma.tolist(),
+                                             degree.tolist(), length.tolist()):
+                    if not 0 < deg < lfsr or deg > code.t:
+                        continue
+                    roots = sum(_slow_poly_eval(row, slow_alpha_pow(-d, poly, m), poly, m) == 0
+                                for d in range(code.n_symbols))
+                    if roots == deg:
+                        found[name].add(tuple(s))
+            return found
+
+        seen = {"_berlekamp_massey_rows": 0, "_berlekamp_massey_packed": 0}
         for k in range(1, field.order - 1):
             code = RsCode(field, k)
             words = rng.integers(0, field.size, (100, field.order))
             for policy in DecodePolicy:
                 expected = [expected_outcome(code, w, policy) for w in words.tolist()]
-                del reached[:]
+                del located[:]
                 batch = code.decode_batch(words, policy)
-                corrected = BATCH_STATUSES.index(DecodeStatus.CORRECTED)
-                refused["lockstep"] += sum(reached) - int((batch.status == corrected).sum())
-                for i, (word, ref) in enumerate(zip(words, expected)):
+                outcomes = [code.decode(word, policy) for word in words]
+                assert located[0][0] == "_berlekamp_massey_rows"
+                assert {entry[0] for entry in located[1:]} <= {"_berlekamp_massey_packed"}
+                found = short_split(code)
+                for i, (word, ref) in enumerate(zip(words.tolist(), expected)):
                     assert outcome_fields(code.outcome(batch, i)) == ref, (k, policy, word)
-                    del reached[:]
-                    out = code.decode(word, policy)
-                    assert outcome_fields(out) == ref, (k, policy, word)
-                    refused["packed"] += sum(reached) - (out.status is DecodeStatus.CORRECTED)
-        # Rows whose locator splits into distinct roots and are still refused.
-        assert min(refused.values()) > 0, refused
+                    assert outcome_fields(outcomes[i]) == ref, (k, policy, word)
+                    synd = tuple(code.syndromes(word))
+                    for name, rows in found.items():
+                        if synd in rows:
+                            assert ref[0] in ("fallback", "failure"), (k, word)
+                            seen[name] += 1
+        assert min(seen.values()) > 0, seen
 
     @pytest.mark.parametrize("m,k", [(3, 1), (3, 3), (4, 7), (5, 11), (8, 200), (9, 507)])
     def test_degree_zero_locator_is_not_corrected(self, m, k):
@@ -661,6 +690,95 @@ class TestReCheck:
                 batch = code.decode_batch(np.array(words), policy)
                 for i, word in enumerate(words):
                     assert outcome_fields(code.outcome(batch, i)) == expected[tuple(word)]
+
+
+class TestForneyMessageOnly:
+    """Forney runs only for errors at message positions, and a corrected
+    row reports its locator's degree as the error count. Errors only in
+    parity, only in the message, and in both, e = 1..t, must give the
+    reference's status, message and count under both policies, as one row
+    (packed Berlekamp-Massey) and as a batch of at least ``_BM_LOCKSTEP``
+    rows (lockstep)."""
+
+    # (m, K, copies of each (placement, e) word)
+    CODES = [(3, 3, 4), (5, 11, 1), (8, 235, 1)]
+
+    @pytest.mark.parametrize("m,k,copies", CODES)
+    def test_error_placements_equal_reference(self, m, k, copies, monkeypatch):
+        field = Field(m)
+        code = RsCode(field, k)
+        n, t = code.n_symbols, code.t
+        rng = np.random.default_rng(8000 + m)
+        message_pos, parity_pos = np.arange(k), np.arange(k, n)
+        words = []
+        for e in range(1, t + 1):
+            placements = [rng.choice(parity_pos, e, replace=False),
+                          rng.choice(message_pos, e, replace=False)]
+            if e > 1:
+                split = int(rng.integers(1, e))
+                placements.append(np.concatenate([rng.choice(message_pos, split, replace=False),
+                                                  rng.choice(parity_pos, e - split,
+                                                             replace=False)]))
+            for pos in placements:
+                for _ in range(copies):
+                    word = np.array(code.encode(rng.integers(0, field.size, k)))
+                    word[pos] ^= rng.integers(1, field.size, size=e)
+                    words.append(word.tolist())
+        assert len(words) >= _BM_LOCKSTEP
+        calls = lockstep_spy(monkeypatch)
+        for policy in DecodePolicy:
+            expected = [expected_outcome(code, w, policy) for w in words]
+            assert {ref[0] for ref in expected} == {"corrected"}
+            del calls[:]
+            batch = code.decode_batch(np.array(words), policy)
+            assert calls == [len(words)]
+            singles = [code.decode_batch(np.array([w]), policy) for w in words]
+            assert calls == [len(words)]
+            for i, ref in enumerate(expected):
+                for out, j in ((batch, i), (singles[i], 0)):
+                    assert BATCH_STATUSES[out.status[j]].value == ref[0]
+                    assert tuple(out.message[j].tolist()) == ref[2]
+                    assert out.error_count[j] == ref[3]
+
+
+class TestSymbolRefusal:
+    """Every codec entry refuses, with ``ValueError``, an entry that is not
+    an integer symbol, before a cast could truncate, parse or overflow it;
+    integer, bool and integral float entries are read as they are."""
+
+    BAD = [0.7, 3.9, -0.5, float("nan"), "1", b"1", None, 2**64 + 1, -1, 8, 1.5j]
+    GOOD = [1, True, np.uint8(7), 3.0, np.int16(2)]
+
+    @staticmethod
+    def calls(code, entry):
+        msg = [entry] + [0] * (code.k_symbols - 1)
+        word = [entry] + [0] * (code.n_symbols - 1)
+        return {
+            "encode": lambda: code.encode(msg),
+            "encode_batch": lambda: code.encode_batch([msg, [0] * code.k_symbols]),
+            "syndromes": lambda: code.syndromes(word),
+            "decode": lambda: code.decode(word),
+            "decode_batch": lambda: code.decode_batch([[0] * code.n_symbols, word]),
+        }
+
+    @pytest.mark.parametrize("entry", BAD, ids=repr)
+    def test_refused(self, entry):
+        code = RsCode(Field(3), 1)
+        for name, call in self.calls(code, entry).items():
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("entry", GOOD, ids=repr)
+    def test_integers_read_as_they_are(self, entry):
+        code = RsCode(Field(3), 1)
+        value = int(entry)
+        got = self.calls(code, entry)
+        assert got["encode"]() == code.encode([value])
+        assert got["encode_batch"]()[0].tolist() == code.encode([value])
+        word = [value] + [0] * (code.n_symbols - 1)
+        assert got["syndromes"]() == code.syndromes(word)
+        assert got["decode"]() == code.decode(word)
+        assert got["decode_batch"]().message[1].tolist() == [code.decode(word).message[0]]
 
 
 class TestDecodeBatch:
