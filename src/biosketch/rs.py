@@ -20,8 +20,9 @@ use, below):
   log of the power of alpha^(j+1) that array position i is weighted by.
 * ``chien_exponents``, (t+1) x N: ``C[k, d] = -d*k mod N``, the log of
   (alpha^-d)^k.
-* ``omega_shear``, (t+1) x t: ``j - k``, or t where k > j, the syndrome
-  row that term k of the error evaluator's coefficient j reads.
+* ``omega_shear``, (t+1) x t: ``t + j - k`` where k > j, or t, the row of
+  the top t syndromes that term k of coefficient j of the high-order error
+  evaluator reads; row t is zero.
 * ``parity_logs``, K x (N-K): the log of parity symbol j of the unit
   message at position i; encoding is linear, so parity is a sum over i.
 
@@ -51,11 +52,16 @@ too.
    the code builds on first use; the two polynomials that change only with
    the LFSR length are converted to bytes once per length change. Both
    give the same locator and LFSR length, and the locator's degree is read
-   from its coefficients;
+   from its coefficients. The packed form ends with the high-order error
+   evaluator Omega^h, the coefficients N-K and up of S(x) sigma(x), in its
+   discrepancy register;
 3. Chien search over all N points of every locator whose degree equals
    the LFSR length L of Berlekamp-Massey, with 0 < L <= t;
 4. Forney for the magnitudes of the located errors in message positions
-   only, since only the message is returned. A row is corrected when
+   only, since only the message is returned, from Omega^h: e =
+   X^-(N-K) Omega^h(X^-1) / sigma'(X^-1). Packed rows take Omega^h from
+   the register; lockstep rows gather it from the top t syndromes
+   (``_omega``). A row is corrected when
    Chien finds L roots: by Massey's theorem L is then the linear
    complexity of the row's syndromes, so they are those of the error
    pattern on the L roots with Forney's magnitudes, all nonzero, and no
@@ -186,10 +192,11 @@ class RsCode:
         self.syndrome_exponents = (np.outer(powers[::-1], powers[1:self.num_parity + 1])
                                    % n).astype(np.int16)
         self.chien_exponents = (np.outer(powers[:self.t + 1], -powers) % n).astype(np.int16)
-        # Coefficient j of Omega sums S_(j-k+1) sigma_k over k <= j; a term
-        # with k > j reads row t, which ``_omega`` holds at zero.
+        # Coefficient j of Omega^h sums S_(N-K+j+1-k) sigma_k over k > j,
+        # which ``_omega`` holds in row t + j - k; a term with k <= j reads
+        # row t, held at zero.
         shear = np.arange(self.t) - np.arange(self.t + 1)[:, None]
-        self.omega_shear = np.where(shear < 0, self.t, shear).astype(np.int16)
+        self.omega_shear = np.where(shear < 0, shear + self.t, self.t).astype(np.int16)
         self.generator_poly = self._build_generator()
         self.parity_logs = self._build_parity_logs()
         for table in (exp, log, self.syndrome_exponents, self.chien_exponents,
@@ -347,7 +354,8 @@ class RsCode:
         """
         n, t, npar = self.n_symbols, self.t, self.num_parity
         exp, log = self.exp_table, self.log_table
-        if len(synd) >= _BM_LOCKSTEP or exp.itemsize > 1:
+        lockstep = len(synd) >= _BM_LOCKSTEP or exp.itemsize > 1
+        if lockstep:
             # A numpy step costs the same for 1 row as for many, so lockstep
             # pays from ``_BM_LOCKSTEP`` rows on. Row chunks keep each
             # (N-K+1, rows) intp state array near 2 MB.
@@ -356,7 +364,7 @@ class RsCode:
                      for lo in range(0, len(synd), step)]
             sigma, degree, length = (np.concatenate(p) for p in zip(*parts))
         else:
-            sigma, degree, length = self._berlekamp_massey_packed(synd)
+            sigma, degree, length, high = self._berlekamp_massey_packed(synd)
         # A locator of degree 0 locates no error; one of degree below the
         # LFSR length, or above t, is no error pattern's within t.
         ok = (0 < degree) & (degree == length) & (degree <= t)
@@ -370,12 +378,15 @@ class RsCode:
         ok[rows[~split]] = False
         rows, sigma_logs, roots = rows[split], sigma_logs.compress(split, axis=1), roots[split]
 
-        # Forney: magnitude = Omega(X^-1) / sigma'(X^-1) at X = alpha^d. In
-        # characteristic 2, X^-1 sigma'(X^-1) is the odd part of sigma at
-        # X^-1, so sigma'(X^-1) = odd * alpha^d. Only errors at powers
-        # d >= N-K, array positions N-1-d < K, are in the message. Each
-        # gathers t terms of each sum, so the errors go in chunks.
-        omega_logs = log.take(self._omega(synd[rows], sigma_logs)).astype(np.int16)
+        # Forney on the high-order evaluator Omega^h, the coefficients N-K
+        # and up of S(x) sigma(x): magnitude = X^-(N-K) Omega^h(X^-1) /
+        # sigma'(X^-1) at X = alpha^d. In characteristic 2, X^-1 sigma'(X^-1)
+        # is the odd part of sigma at X^-1, so sigma'(X^-1) = odd * alpha^d.
+        # Only errors at powers d >= N-K, array positions N-1-d < K, are in
+        # the message. Each gathers t terms of each sum, so the errors go in
+        # chunks.
+        high = self._omega(synd[rows], sigma_logs) if lockstep else high[rows].T
+        omega_logs = log.take(high).astype(np.int16)
         row, deg = np.nonzero(roots[:, npar:])
         deg += npar
         chien = self.chien_exponents  # chien[k, d]: (alpha^-d)^k
@@ -388,7 +399,7 @@ class RsCode:
             np.bitwise_xor.reduce(exp.take(sigma_logs[1::2, r] + chien[1::2, d]), axis=0,
                                   out=odd[part])
         fixed = message.copy()
-        fixed[rows[row], n - 1 - deg] ^= exp[(log[num] - log[odd] - deg) % n]
+        fixed[rows[row], n - 1 - deg] ^= exp[(log[num] - log[odd] - deg * (npar + 1)) % n]
         return fixed, degree, ok
 
     def _berlekamp_massey_rows(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -444,21 +455,30 @@ class RsCode:
         degree = npar - np.argmax(sigma[::-1] != 0, axis=0)
         return sigma.T, degree, length
 
-    def _berlekamp_massey_packed(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _berlekamp_massey_packed(self, synd: np.ndarray) -> tuple[np.ndarray, ...]:
         """Error locators of every row of (B, N-K) one-byte syndromes, one
         row at a time by ``_packed_locator``: the same coefficients, degrees
         and LFSR lengths as ``_berlekamp_massey_rows``, without a numpy call
-        per step."""
+        per step.
+
+        Also returns the (B, t) low coefficients of each row's high-order
+        evaluator Omega^h, the final discrepancy register. On a row whose
+        sigma has degree L, the LFSR length, with 0 < L <= t and L distinct
+        roots, deg Omega^h < L, so those t coefficients are all of it.
+        """
         tables = self._packed_tables or self._build_packed_tables()
         rows, npar = synd.shape
+        t = self.t
         data = np.ascontiguousarray(synd, dtype=np.uint8).tobytes()
-        polys, lengths = zip(*[
+        polys, lengths, highs = zip(*[
             _packed_locator(int.from_bytes(data[lo:lo + npar], "little"), npar, tables)
             for lo in range(0, len(data), npar)])
         sigma = np.frombuffer(b"".join(p.to_bytes(npar + 1, "little") for p in polys),
                               dtype=np.uint8).reshape(rows, npar + 1)
         degree = np.array([(p.bit_length() - 1) >> 3 for p in polys], dtype=np.intp)
-        return sigma, degree, np.array(lengths, dtype=np.intp)
+        high = np.frombuffer(b"".join(h.to_bytes(npar, "little")[:t] for h in highs),
+                             dtype=np.uint8).reshape(rows, t)
+        return sigma, degree, np.array(lengths, dtype=np.intp), high
 
     def _build_packed_tables(self) -> _PackedTables:
         """Build, once per code of m <= 8, what ``_packed_locator`` reads.
@@ -475,24 +495,27 @@ class RsCode:
         return self._packed_tables
 
     def _omega(self, synd: np.ndarray, sigma_logs: np.ndarray) -> np.ndarray:
-        """Error evaluator (S * sigma) mod x^t of every row, (t, rows):
-        row j holds the coefficients of x^j.
+        """High-order error evaluator Omega^h of lockstep rows, its t low
+        coefficients, (t, rows): row j holds the coefficient of x^(N-K+j)
+        of S(x) sigma(x). The packed Berlekamp-Massey ends with the same
+        coefficients in its discrepancy register.
 
         Column j of ``synd`` (rows, N-K) is S_(j+1), the coefficient of x^j
         of S(x), and row k of ``sigma_logs`` (t+1, rows) the log of sigma's
-        x^k coefficient. The gather is laid out (k, j, rows) and reduced
-        over k, its leading axis.
+        x^k coefficient. Term k of coefficient j is S_(N-K+j+1-k) sigma_k,
+        nonzero only for k > j, so only the top t syndromes are read. The
+        gather is laid out (k, j, rows) and reduced over k, its leading axis.
 
-        The classical evaluator is taken mod x^(N-K). ``_correct`` reads
-        it only on rows whose sigma has degree L, the LFSR length, at most
-        t and L distinct roots; their syndromes are those of an error
-        pattern on the roots, whose evaluator has degree below L <= t, so
-        its t low coefficients are all of it. ``sigma_logs`` is int16, and
-        so are the summed logs, at most 4N, as in ``_products``.
+        ``_correct`` reads Omega^h only on rows whose sigma has degree L,
+        the LFSR length, at most t and L distinct roots; their syndromes
+        are those of an error pattern on the roots, whose Omega^h has
+        degree below L <= t, so its t low coefficients are all of it.
+        ``sigma_logs`` is int16, and so are the summed logs, at most 4N, as
+        in ``_products``.
         """
         t, shear = self.t, self.omega_shear
         synd_logs = np.full((t + 1, len(synd)), self.log_table[0], dtype=np.int16)
-        synd_logs[:t] = self.log_table[synd[:, :t].T]
+        synd_logs[:t] = self.log_table[synd[:, synd.shape[1] - t:].T]
         out = np.empty((t, len(synd)), dtype=self.exp_table.dtype)
         for part in _chunks(len(synd), shear.size):
             terms = self.exp_table.take(synd_logs[:, part][shear] + sigma_logs[:, None, part])
@@ -523,9 +546,9 @@ def _to_bytes(poly: int) -> bytes:
     return poly.to_bytes((poly.bit_length() + 7) >> 3, "little")
 
 
-def _packed_locator(synd: int, npar: int, tables: _PackedTables) -> tuple[int, int]:
+def _packed_locator(synd: int, npar: int, tables: _PackedTables) -> tuple[int, int, int]:
     """Minimal error locator sigma(x) of the one-byte syndromes S_1 .. S_npar,
-    and its LFSR length.
+    its LFSR length and its high-order evaluator Omega^h.
 
     A polynomial is packed into an int, coefficient i in byte i. Adding
     two polynomials is then an XOR and multiplying by x^j a shift by 8j
@@ -545,6 +568,10 @@ def _packed_locator(synd: int, npar: int, tables: _PackedTables) -> tuple[int, i
 
     Only sigma and D change at every step; B and E change only with the
     length, so they are held as bytes and converted once per length change.
+
+    After the last step D holds coefficients npar and up of S(x) sigma(x):
+    that register is Omega^h, which Forney's formula takes in place of the
+    classical evaluator (S sigma) mod x^npar.
 
     Division by the last discrepancy b is a subtraction of logs, so sigma
     is Massey's own, not a scalar multiple of it.
@@ -568,7 +595,7 @@ def _packed_locator(synd: int, npar: int, tables: _PackedTables) -> tuple[int, i
             d ^= scaled
             sigma = updated
         d >>= 8
-    return sigma, length
+    return sigma, length, d
 
 
 def as_bits(bits) -> np.ndarray:

@@ -9,13 +9,14 @@ nothing on disk. A save writes a temporary file in the store directory,
 syncs it and renames it over the target, so a reader or a crash sees either
 the old file or the new one, never a partial write.
 
-A load re-reads the file every time and re-parses it only when its text
-differs from the text of the subject's last load through that store
-instance. The cache is keyed on the text, not on ``stat``: a parse depends
-on nothing else, so a revoked and re-enrolled key can never be served from
-a stale entry. It holds one entry per subject the instance has loaded:
-~94 KB of parsed key per m=8 subject plus its ~10 KB of text, ~2 KB per
-record.
+A load re-reads the file's bytes every time and decodes and re-parses them
+only when they differ from the bytes of the subject's last load through
+that store instance. The cache is keyed on the bytes, not on ``stat``: a
+parse depends on nothing else, so a revoked and re-enrolled key can never
+be served from a stale entry. It holds one entry per subject the instance
+has loaded: ~94 KB of parsed key per m=8 subject plus its ~10 KB of bytes,
+~2 KB per record. The bytes are decoded as UTF-8; line endings are left to
+the parsers, which split lines with ``str.splitlines``.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ class _FileStore:
 
     def __init__(self, path):
         self.path = Path(path)
-        # subject id -> (text, parsed value) of its last good load
-        self._parsed: dict[str, tuple[str, object]] = {}
+        # "<path>/": a load opens a plain string, not a Path built per call.
+        self._prefix = os.path.join(self.path, "")
+        # subject id -> (bytes, parsed value) of its last good load
+        self._parsed: dict[str, tuple[bytes, object]] = {}
 
     def _file(self, subject_id: str) -> Path:
         return self.path / f"{_check_subject_id(subject_id)}{self.suffix}"
@@ -75,18 +78,20 @@ class _FileStore:
             os.close(dir_fd)
 
     def _load(self, subject_id: str, parse):
-        """``parse`` of the subject's file text, reused while the text is unchanged.
+        """``parse`` of the subject's file text, reused while its bytes are unchanged.
 
-        A parse that raises caches nothing, so a bad file fails on every load.
+        A decode or parse that raises caches nothing, so a bad file fails on
+        every load.
         """
         try:
-            text = self._file(subject_id).read_text()
+            with open(f"{self._prefix}{_check_subject_id(subject_id)}{self.suffix}", "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             self._parsed.pop(subject_id, None)
             raise SubjectNotFoundError(f"{subject_id!r} not found in {self.path}") from None
         entry = self._parsed.get(subject_id)
-        if entry is None or entry[0] != text:
-            entry = self._parsed[subject_id] = (text, parse(text))
+        if entry is None or entry[0] != data:
+            entry = self._parsed[subject_id] = (data, parse(data.decode()))
         return entry[1]
 
     def exists(self, subject_id: str) -> bool:

@@ -226,6 +226,19 @@ def _slow_berlekamp_massey(synd, primitive_poly, m):
     return cur, lenc
 
 
+def slow_high_evaluator(synd, sigma, primitive_poly, m):
+    """The high-order error evaluator: coefficients N-K .. 2(N-K)-1 of
+    S(x) sigma(x), low to high, where S(x) = sum_j S_(j+1) x^j over the
+    N-K syndromes and sigma has degree at most N-K."""
+    npar = len(synd)
+    out = [0] * npar
+    for i, s in enumerate(synd):
+        for j, c in enumerate(sigma):
+            if i + j >= npar:
+                out[i + j - npar] ^= slow_gf_mul(s, c, primitive_poly, m)
+    return out
+
+
 def _slow_try_correct(word, synd, k, m, primitive_poly):
     n = (1 << m) - 1
     t = (n - k) // 2

@@ -211,6 +211,17 @@ def test_record_lines_record_to_text_never_writes_are_runtime_errors(
     assert "ACCEPT" not in captured.out
 
 
+def test_record_with_a_non_utf8_byte_is_runtime_error(dataset_csv, tmp_path, capsys):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0005"] + flags) == cli.EXIT_OK
+    path = tmp_path / "templates" / "s0005.rec"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+    rc = cli.main(["auth", "--subject", "s0005", "--probe-sample", "1"] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "ACCEPT" not in captured.out
+
+
 @pytest.mark.parametrize("factor", ["inf", "nan"])
 def test_enroll_with_non_finite_window_factor_is_runtime_error_and_writes_nothing(
         dataset_csv, tmp_path, capsys, factor):

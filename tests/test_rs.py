@@ -26,6 +26,7 @@ from reference import (
     error_patterns,
     slow_alpha_pow,
     slow_gf_mul,
+    slow_high_evaluator,
     slow_rs_decode,
     slow_rs_encode,
     slow_rs_generator,
@@ -555,13 +556,17 @@ class TestLockstepBerlekampMassey:
         if code.exp_table.itemsize == 1:
             paths.append(code._berlekamp_massey_packed)
         for locators in paths:
-            sigma, degree, length = locators(synd)
+            sigma, degree, length, *evaluator = locators(synd)
             assert sigma.shape == (len(synd), npar + 1)
             for row, deg, lfsr, (ref, ref_length) in zip(
                     sigma.tolist(), degree.tolist(), length.tolist(), expected):
                 assert deg == len(ref) - 1
                 assert row == ref + [0] * (npar - deg)
                 assert lfsr == ref_length
+            for high in evaluator:  # the packed form's final discrepancy register
+                assert high.tolist() == [
+                    slow_high_evaluator(s, ref, field.primitive_poly, m)[:code.t]
+                    for s, (ref, _) in zip(synd.tolist(), expected)]
             if npar > 1:  # the (s, 0, .., 0) row
                 assert degree[len(synd) - 2 * npar] == 0
                 assert length[len(synd) - 2 * npar] == 1
@@ -627,7 +632,7 @@ class TestReCheck:
             """The syndromes of the rows each path found with a split
             locator of degree below the LFSR length."""
             found = {"_berlekamp_massey_rows": set(), "_berlekamp_massey_packed": set()}
-            for name, synd, sigma, degree, length in located:
+            for name, synd, sigma, degree, length, *_ in located:
                 for s, row, deg, lfsr in zip(synd.tolist(), sigma.tolist(),
                                              degree.tolist(), length.tolist()):
                     if not 0 < deg < lfsr or deg > code.t:
@@ -649,6 +654,9 @@ class TestReCheck:
                 outcomes = [code.decode(word, policy) for word in words]
                 assert located[0][0] == "_berlekamp_massey_rows"
                 assert {entry[0] for entry in located[1:]} <= {"_berlekamp_massey_packed"}
+                for _, synd, sigma, _, _, high in located[1:]:
+                    assert high.tolist() == [slow_high_evaluator(s, row, poly, m)[:code.t]
+                                             for s, row in zip(synd.tolist(), sigma.tolist())]
                 found = short_split(code)
                 for i, (word, ref) in enumerate(zip(words.tolist(), expected)):
                     assert outcome_fields(code.outcome(batch, i)) == ref, (k, policy, word)
@@ -739,6 +747,42 @@ class TestForneyMessageOnly:
                     assert BATCH_STATUSES[out.status[j]].value == ref[0]
                     assert tuple(out.message[j].tolist()) == ref[2]
                     assert out.error_count[j] == ref[3]
+
+
+class TestHighEvaluator:
+    """Forney reads the high-order evaluator Omega^h, coefficients N-K and
+    up of S(x) sigma(x): on fewer than ``_BM_LOCKSTEP`` one-byte rows from
+    the packed Berlekamp-Massey's final discrepancy register, on lockstep
+    rows from ``_omega``. Both must equal the slow product on every row
+    with 0 < deg sigma = L <= t, from words with e = 1..t errors and
+    uniform words."""
+
+    @pytest.mark.parametrize("m,k", [(3, 1), (4, 5), (5, 11), (8, 200)])
+    def test_evaluators_equal_reference(self, m, k):
+        field = Field(m)
+        poly, t = field.primitive_poly, (field.order - k) // 2
+        code = RsCode(field, k)
+        rng = np.random.default_rng(9000 + m)
+        words = [rng.integers(0, field.size, field.order) for _ in range(20)]
+        for e in range(1, t + 1):
+            for _ in range(2):
+                word = np.array(code.encode(rng.integers(0, field.size, k)))
+                pos = rng.choice(field.order, size=e, replace=False)
+                word[pos] ^= rng.integers(1, field.size, size=e)
+                words.append(word)
+        synd = code._syndromes(np.array(words))
+        synd = synd[synd.any(axis=1)]
+        rows, expected = [], []
+        for i, s in enumerate(synd.tolist()):
+            sigma, length = _slow_berlekamp_massey(s, poly, m)
+            if 0 < len(sigma) - 1 == length <= t:
+                rows.append(i)
+                expected.append(slow_high_evaluator(s, sigma, poly, m)[:t])
+        assert len(rows) >= 2 * t
+        sigma = code._berlekamp_massey_rows(synd)[0][rows]
+        sigma_logs = code.log_table.take(sigma[:, :t + 1].T).astype(np.int16)
+        assert code._omega(synd[rows], sigma_logs).T.tolist() == expected
+        assert code._berlekamp_massey_packed(synd)[3][rows].tolist() == expected
 
 
 class TestSymbolRefusal:

@@ -55,6 +55,21 @@ def test_key_roundtrip(keystore, key):
     assert keystore.load("u1") == key
 
 
+def test_crlf_files_load_as_the_lf_files(tmp_path, record, key):
+    """A load reads the file's bytes with no newline translation; a record
+    and a key whose lines end in CRLF still load to what their LF files
+    load to."""
+    for store, value in ((TemplateDb(tmp_path / "lf" / "templates"), record),
+                         (KeyStore(tmp_path / "lf" / "keys"), key)):
+        store.save("u1", value)
+        data = store._file("u1").read_bytes()
+        assert b"\r" not in data
+        crlf = type(store)(tmp_path / "crlf" / store.path.name)
+        crlf.path.mkdir(parents=True)
+        crlf._file("u1").write_bytes(data.replace(b"\n", b"\r\n"))
+        assert crlf.load("u1") == store.load("u1") == value
+
+
 def test_load_unknown_subject(db, keystore):
     with pytest.raises(SubjectNotFoundError):
         db.load("ghost")
