@@ -1,18 +1,23 @@
 """The binary extension fields GF(2^m), 2 <= m <= 10.
 
 The Reed-Solomon layer works with symbols from these fields. A ``Field``
-checks that its polynomial is primitive and builds a discrete-log table and
-an anti-log table over the generator alpha (the class of x). The anti-log
-table is stored twice over, so a sum of two logs indexes it without a
-modular reduction. There is no scalar arithmetic here: ``RsCode`` extends
-these tables with a zero sentinel and computes every product as
-``exp_table[log_table[a] + log_table[b]]``.
+checks that its polynomial is primitive and builds, once and in numpy, a
+discrete-log table and an anti-log table over the generator alpha (the
+class of x). They carry a zero sentinel: ``log_table[0]`` is 2N, for
+N = 2^m - 1, and ``exp_table`` holds alpha^i at every i < 2N and zero from
+2N to 4N. A sum of two logs then indexes ``exp_table`` without a modular
+reduction, and ``exp_table[log_table[a] + log_table[b]]`` is the product
+a*b for all symbols, zeros included, without a branch. There is no scalar
+arithmetic here: ``RsCode`` computes with these tables as they are.
+``exp_table`` is uint8 for m <= 8 and uint16 above, and ``log_table`` intp.
 
-A ``Field`` is immutable after construction, so instances can be shared
-freely across threads.
+A ``Field`` is immutable after construction (its tables are read-only), so
+instances can be shared freely across threads.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import NonPrimitivePolynomialError, UnsupportedSymbolSizeError
 
@@ -43,7 +48,7 @@ def check_symbol_size(m: int) -> None:
 
 
 class Field:
-    """GF(2^m) with exp/log tables over the generator alpha.
+    """GF(2^m) with zero-sentinel exp/log tables over the generator alpha.
 
     Construction verifies primitivity directly: alpha must enumerate all
     2^m - 1 nonzero elements before cycling back to 1, otherwise
@@ -66,8 +71,7 @@ class Field:
         self.order = self.size - 1  # order of the multiplicative group
         self.primitive_poly = primitive_poly
 
-        exp = [0] * (2 * self.order)
-        log = [0] * self.size
+        powers = []
         seen = bytearray(self.size)
         x = 1
         for i in range(self.order):
@@ -76,8 +80,7 @@ class Field:
                     f"0b{primitive_poly:b} is not primitive: alpha has order {i}"
                 )
             seen[x] = 1
-            exp[i] = x
-            log[x] = i
+            powers.append(x)
             x <<= 1
             if x & self.size:
                 x ^= primitive_poly
@@ -85,7 +88,12 @@ class Field:
             raise NonPrimitivePolynomialError(
                 f"0b{primitive_poly:b} is not primitive: alpha^{self.order} != 1"
             )
-        for i in range(self.order, 2 * self.order):
-            exp[i] = exp[i - self.order]
+        zero_log = 2 * self.order
+        exp = np.zeros(2 * zero_log + 1, dtype=np.uint8 if m <= 8 else np.uint16)
+        exp[:self.order] = exp[self.order:zero_log] = powers
+        log = np.full(self.size, zero_log, dtype=np.intp)
+        log[powers] = np.arange(self.order)
+        for table in (exp, log):
+            table.setflags(write=False)
         self.exp_table = exp
         self.log_table = log

@@ -8,25 +8,20 @@ verbatim at positions 0..K-1 of the codeword array and the N-K parity
 symbols follow. Position i of the array carries the coefficient of
 x^(N-1-i), so position 0 is the highest-degree term.
 
-Every codec operation runs on integer tables that the code builds once, in
-numpy, at construction (the packed Berlekamp-Massey's are built on first
-use, below):
+Every codec operation runs on integer tables built once, in numpy. The
+field's own ``exp_table`` / ``log_table`` carry a zero sentinel (see
+``gf``), so ``exp_table[log_table[a] + log_table[b]]`` is the product a*b
+for all symbols, zeros included, without a branch. The code builds these
+at construction (the packed Berlekamp-Massey's on first use, below):
 
-* ``exp_table`` / ``log_table``: anti-log and log with a zero sentinel.
-  ``log_table[0]`` is 2N and ``exp_table`` is 0 from index 2N on, so
-  ``exp_table[log_table[a] + log_table[b]]`` is the product a*b for all
-  symbols, zeros included, without a branch.
 * ``syndrome_exponents``, N x (N-K): ``E[i, j] = (j+1)(N-1-i) mod N``, the
   log of the power of alpha^(j+1) that array position i is weighted by.
 * ``chien_exponents``, (t+1) x N: ``C[k, d] = -d*k mod N``, the log of
   (alpha^-d)^k.
-* ``omega_shear``, (t+1) x t: ``t + j - k`` where k > j, or t, the row of
-  the top t syndromes that term k of coefficient j of the high-order error
-  evaluator reads; row t is zero.
 * ``parity_logs``, K x (N-K): the log of parity symbol j of the unit
   message at position i; encoding is linear, so parity is a sum over i.
 
-The four index tables are int16, since every entry is at most 2N; at
+The three index tables are int16, since every entry is at most 2N; at
 m = 10 they hold about 4 MB together. Each holds the summed term on its
 first axis and is stored contiguous in the order the gathers read it.
 
@@ -37,9 +32,8 @@ the sums are at most 4N, so the gather indices stay int16. XOR is exact,
 so the order of the reduction does not matter, and over the leading axis
 numpy XORs whole (rows, outputs) planes where a reduction over a short
 last axis would restart its inner loop for every output element. The
-error evaluator and the Forney sums gather the same way, with int16 sums
-and ``take``; the lockstep Berlekamp-Massey reduces over its leading axis
-too.
+Forney sums gather the same way, with int16 sums and ``take``; the
+lockstep Berlekamp-Massey reduces over its leading axis too.
 ``decode_batch`` decodes a (B, N) array of words:
 
 1. syndromes of every row; rows with zero syndromes are exact codewords;
@@ -51,17 +45,17 @@ too.
    ``bytes.translate`` through a 256-byte row of a multiplication table
    the code builds on first use; the two polynomials that change only with
    the LFSR length are converted to bytes once per length change. Both
-   give the same locator and LFSR length, and the locator's degree is read
-   from its coefficients. The packed form ends with the high-order error
-   evaluator Omega^h, the coefficients N-K and up of S(x) sigma(x), in its
-   discrepancy register;
+   return the same four values: the locator, its degree, read from its
+   coefficients, the LFSR length, and the t low coefficients of the
+   high-order error evaluator Omega^h, the coefficients N-K and up of
+   S(x) sigma(x). The packed form ends with Omega^h in its discrepancy
+   register; the lockstep form sums it from the syndromes and the final
+   locator;
 3. Chien search over all N points of every locator whose degree equals
    the LFSR length L of Berlekamp-Massey, with 0 < L <= t;
 4. Forney for the magnitudes of the located errors in message positions
    only, since only the message is returned, from Omega^h: e =
-   X^-(N-K) Omega^h(X^-1) / sigma'(X^-1). Packed rows take Omega^h from
-   the register; lockstep rows gather it from the top t syndromes
-   (``_omega``). A row is corrected when
+   X^-(N-K) Omega^h(X^-1) / sigma'(X^-1). A row is corrected when
    Chien finds L roots: by Massey's theorem L is then the linear
    complexity of the row's syndromes, so they are those of the error
    pattern on the L roots with Forney's magnitudes, all nonzero, and no
@@ -109,8 +103,10 @@ from .gf import Field
 _CHUNK = 1 << 18
 
 # Pending rows from which Berlekamp-Massey runs in lockstep over the batch;
-# below it the packed per-row BM is faster. The crossover, measured at
-# N-K = 2..223, did not move with N-K. The packed BM takes one-byte symbols
+# below it the packed per-row BM is faster. At 16 rows packed is faster at
+# every N-K measured, but the crossover moves up with N-K: at m = 8 lockstep
+# is ahead from 64 rows at N-K = 11 and from 128 at N-K = 55, and still
+# behind at 256 rows at N-K = 223. The packed BM takes one-byte symbols
 # only, so m > 8 runs in lockstep at every row count.
 _BM_LOCKSTEP = 16
 
@@ -167,7 +163,7 @@ class RsCode:
 
     __slots__ = ("field", "n_symbols", "k_symbols", "num_parity", "t", "d_min",
                  "exp_table", "log_table", "syndrome_exponents",
-                 "chien_exponents", "omega_shear", "generator_poly", "parity_logs",
+                 "chien_exponents", "generator_poly", "parity_logs",
                  "_packed_tables")
 
     def __init__(self, field: Field, k_symbols: int):
@@ -181,26 +177,15 @@ class RsCode:
         self.t = (n - k_symbols) // 2
         self.d_min = n - k_symbols + 1
 
-        zero_log = 2 * n
-        exp = np.zeros(2 * zero_log + 1, dtype=np.uint8 if field.m <= 8 else np.uint16)
-        exp[: 2 * n] = field.exp_table
-        log = np.asarray(field.log_table, dtype=np.intp)
-        log[0] = zero_log
-        self.exp_table = exp
-        self.log_table = log
+        self.exp_table = field.exp_table
+        self.log_table = field.log_table
         powers = np.arange(n, dtype=np.int32)
         self.syndrome_exponents = (np.outer(powers[::-1], powers[1:self.num_parity + 1])
                                    % n).astype(np.int16)
         self.chien_exponents = (np.outer(powers[:self.t + 1], -powers) % n).astype(np.int16)
-        # Coefficient j of Omega^h sums S_(N-K+j+1-k) sigma_k over k > j,
-        # which ``_omega`` holds in row t + j - k; a term with k <= j reads
-        # row t, held at zero.
-        shear = np.arange(self.t) - np.arange(self.t + 1)[:, None]
-        self.omega_shear = np.where(shear < 0, shear + self.t, self.t).astype(np.int16)
         self.generator_poly = self._build_generator()
         self.parity_logs = self._build_parity_logs()
-        for table in (exp, log, self.syndrome_exponents, self.chien_exponents,
-                      self.omega_shear, self.parity_logs):
+        for table in (self.syndrome_exponents, self.chien_exponents, self.parity_logs):
             table.setflags(write=False)
         self._packed_tables = None
 
@@ -354,15 +339,14 @@ class RsCode:
         """
         n, t, npar = self.n_symbols, self.t, self.num_parity
         exp, log = self.exp_table, self.log_table
-        lockstep = len(synd) >= _BM_LOCKSTEP or exp.itemsize > 1
-        if lockstep:
+        if len(synd) >= _BM_LOCKSTEP or exp.itemsize > 1:
             # A numpy step costs the same for 1 row as for many, so lockstep
             # pays from ``_BM_LOCKSTEP`` rows on. Row chunks keep each
             # (N-K+1, rows) intp state array near 2 MB.
             step = max(_BM_LOCKSTEP, _CHUNK // synd.shape[1])
             parts = [self._berlekamp_massey_rows(synd[lo:lo + step])
                      for lo in range(0, len(synd), step)]
-            sigma, degree, length = (np.concatenate(p) for p in zip(*parts))
+            sigma, degree, length, high = (np.concatenate(p) for p in zip(*parts))
         else:
             sigma, degree, length, high = self._berlekamp_massey_packed(synd)
         # A locator of degree 0 locates no error; one of degree below the
@@ -385,8 +369,7 @@ class RsCode:
         # Only errors at powers d >= N-K, array positions N-1-d < K, are in
         # the message. Each gathers t terms of each sum, so the errors go in
         # chunks.
-        high = self._omega(synd[rows], sigma_logs) if lockstep else high[rows].T
-        omega_logs = log.take(high).astype(np.int16)
+        omega_logs = log.take(high[rows].T).astype(np.int16)
         row, deg = np.nonzero(roots[:, npar:])
         deg += npar
         chien = self.chien_exponents  # chien[k, d]: (alpha^-d)^k
@@ -402,7 +385,7 @@ class RsCode:
         fixed[rows[row], n - 1 - deg] ^= exp[(log[num] - log[odd] - deg * (npar + 1)) % n]
         return fixed, degree, ok
 
-    def _berlekamp_massey_rows(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _berlekamp_massey_rows(self, synd: np.ndarray) -> tuple[np.ndarray, ...]:
         """Error locators of every row of (B, N-K) syndromes, low to high.
 
         Massey's algorithm, as ``_packed_locator`` runs it, in lockstep
@@ -415,8 +398,10 @@ class RsCode:
 
         Returns the (B, N-K+1) coefficients, a transposed view of that
         state, the degree of each row, read from its highest nonzero
-        coefficient, and its LFSR length. The length exceeds the degree
-        only on a row that no error pattern of weight <= t explains.
+        coefficient, its LFSR length, and the (B, t) low coefficients of its
+        high-order evaluator Omega^h, as ``_berlekamp_massey_packed`` does.
+        The length exceeds the degree only on a row that no error pattern of
+        weight <= t explains.
         """
         n_order = self.n_symbols
         exp, log = self.exp_table, self.log_table
@@ -453,18 +438,25 @@ class RsCode:
             np.copyto(length, n + 1 - length, where=change)
             np.copyto(prev_delta_log, delta_log, where=change)
         degree = npar - np.argmax(sigma[::-1] != 0, axis=0)
-        return sigma.T, degree, length
+        # Coefficient j of Omega^h, that of x^(npar + j) in S(x) sigma(x),
+        # sums S_(npar - i) sigma_(j + 1 + i) over i >= 0: synd_logs[i] is the
+        # log of that syndrome, so each is one shifted gather and reduction.
+        sigma_logs = log[sigma]
+        high = np.empty((self.t, rows), dtype=exp.dtype)
+        for j in range(self.t):
+            np.bitwise_xor.reduce(exp[synd_logs[:npar - j] + sigma_logs[j + 1:]], axis=0,
+                                  out=high[j])
+        return sigma.T, degree, length, high.T
 
     def _berlekamp_massey_packed(self, synd: np.ndarray) -> tuple[np.ndarray, ...]:
         """Error locators of every row of (B, N-K) one-byte syndromes, one
-        row at a time by ``_packed_locator``: the same coefficients, degrees
-        and LFSR lengths as ``_berlekamp_massey_rows``, without a numpy call
-        per step.
+        row at a time by ``_packed_locator``: the same four values as
+        ``_berlekamp_massey_rows``, without a numpy call per step. Omega^h
+        is the final discrepancy register.
 
-        Also returns the (B, t) low coefficients of each row's high-order
-        evaluator Omega^h, the final discrepancy register. On a row whose
-        sigma has degree L, the LFSR length, with 0 < L <= t and L distinct
-        roots, deg Omega^h < L, so those t coefficients are all of it.
+        On a row whose sigma has degree L, the LFSR length, with 0 < L <= t
+        and L distinct roots, deg Omega^h < L, so its t low coefficients are
+        all of it.
         """
         tables = self._packed_tables or self._build_packed_tables()
         rows, npar = synd.shape
@@ -493,34 +485,6 @@ class RsCode:
         self._packed_tables = _PackedTables(exp.tolist(), log.tolist(),
                                             [row.tobytes() for row in product])
         return self._packed_tables
-
-    def _omega(self, synd: np.ndarray, sigma_logs: np.ndarray) -> np.ndarray:
-        """High-order error evaluator Omega^h of lockstep rows, its t low
-        coefficients, (t, rows): row j holds the coefficient of x^(N-K+j)
-        of S(x) sigma(x). The packed Berlekamp-Massey ends with the same
-        coefficients in its discrepancy register.
-
-        Column j of ``synd`` (rows, N-K) is S_(j+1), the coefficient of x^j
-        of S(x), and row k of ``sigma_logs`` (t+1, rows) the log of sigma's
-        x^k coefficient. Term k of coefficient j is S_(N-K+j+1-k) sigma_k,
-        nonzero only for k > j, so only the top t syndromes are read. The
-        gather is laid out (k, j, rows) and reduced over k, its leading axis.
-
-        ``_correct`` reads Omega^h only on rows whose sigma has degree L,
-        the LFSR length, at most t and L distinct roots; their syndromes
-        are those of an error pattern on the roots, whose Omega^h has
-        degree below L <= t, so its t low coefficients are all of it.
-        ``sigma_logs`` is int16, and so are the summed logs, at most 4N, as
-        in ``_products``.
-        """
-        t, shear = self.t, self.omega_shear
-        synd_logs = np.full((t + 1, len(synd)), self.log_table[0], dtype=np.int16)
-        synd_logs[:t] = self.log_table[synd[:, synd.shape[1] - t:].T]
-        out = np.empty((t, len(synd)), dtype=self.exp_table.dtype)
-        for part in _chunks(len(synd), shear.size):
-            terms = self.exp_table.take(synd_logs[:, part][shear] + sigma_logs[:, None, part])
-            np.bitwise_xor.reduce(terms, axis=0, out=out[:, part])
-        return out
 
     def __repr__(self) -> str:
         return (f"RsCode(m={self.field.m}, N={self.n_symbols}, "
@@ -601,16 +565,17 @@ def _packed_locator(synd: int, npar: int, tables: _PackedTables) -> tuple[int, i
 def as_bits(bits) -> np.ndarray:
     """``bits`` as a uint8 array, refusing an entry that is not 0 or 1.
 
-    Any other dtype is checked before the cast, which would wrap 256 to 0
-    and read 0.7 as 0. A uint8 array is returned as it is and a bool array
-    viewed as uint8, without a pass: the callers' ``max() > 1`` checks, or
-    those of the layer they hand the bits to, cover them.
+    A bool array is viewed as uint8, and a uint8 array returned as it is
+    after one ``max()`` check. Any other dtype is checked before the cast,
+    which would wrap 256 to 0 and read 0.7 as 0.
     """
     arr = np.asarray(bits)
-    if arr.dtype == np.uint8:
-        return arr
     if arr.dtype == np.bool_:
         return arr.view(np.uint8)
+    if arr.dtype == np.uint8:
+        if arr.size and arr.max() > 1:
+            raise ValueError("bit entries must be 0 or 1")
+        return arr
     if arr.size and not ((arr == 0) | (arr == 1)).all():
         raise ValueError("bit entries must be 0 or 1")
     return arr.astype(np.uint8)
@@ -633,8 +598,6 @@ def bit_rows_to_symbols(bits, m: int) -> np.ndarray:
         raise LengthMismatchError(
             f"bit length {arr.shape[-1]} is not a multiple of m={m}"
         )
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit vector entries must be 0 or 1")
     weights = 1 << np.arange(m - 1, -1, -1)
     return arr.reshape(*arr.shape[:-1], arr.shape[-1] // m, m) @ weights
 

@@ -183,8 +183,6 @@ def hash_sketch(bits, salt: bytes) -> bytes:
     arr = as_bits(bits)
     if arr.ndim != 1:
         raise LengthMismatchError("bit vector must be 1-D")
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit vector entries must be 0 or 1")
     return _digests(arr[None], [salt], _ONE_OWNER)[0]
 
 
@@ -232,8 +230,6 @@ def enroll_batch(scheme: str, bits, code: RsCode, policy: DecodePolicy, salts,
         raise LengthMismatchError(
             f"enrollment bits have shape {arr.shape}, code expects {code.n_bits} per row"
         )
-    if arr.max(initial=0) > 1:
-        raise ValueError("enrollment bit entries must be 0 or 1")
     salts = _per_row(salts, len(arr), "salt")
     subject_ids = _per_row(subject_ids, len(arr), "subject id")
     offsets = [None] * len(arr)
@@ -264,7 +260,7 @@ def enroll_ss(r_a, code: RsCode, policy: DecodePolicy, salt: bytes,
     Under FAIL_DENY an undecodable enrollment raises ``EnrollmentDecodeError``
     and the caller should re-acquire or re-enroll.
     """
-    record, = enroll_batch(SCHEME_SECURE_SKETCH, as_bits(r_a)[None],
+    record, = enroll_batch(SCHEME_SECURE_SKETCH, np.asarray(r_a)[None],
                            code, policy, [salt], [subject_id])
     if record is None:
         raise EnrollmentDecodeError(
@@ -277,7 +273,7 @@ def enroll_fc(r_a, code: RsCode, rng_seed, salt: bytes,
               subject_id: str = "",
               policy: DecodePolicy = DecodePolicy.FALLBACK_SYSTEMATIC) -> EnrollmentRecord:
     """Fuzzy-commitment enrollment: random codeword offset plus message hash."""
-    return enroll_batch(SCHEME_FUZZY_COMMITMENT, as_bits(r_a)[None],
+    return enroll_batch(SCHEME_FUZZY_COMMITMENT, np.asarray(r_a)[None],
                         code, policy, [salt], [subject_id], [rng_seed])[0]
 
 
@@ -309,7 +305,7 @@ def auth_fc(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decisi
 
 def authenticate(r_b, record: EnrollmentRecord, code: RsCode | None = None) -> Decision:
     """Authentication of probe bits against a record: a batch of one."""
-    return authenticate_batch(as_bits(r_b)[None], [record], _ONE_OWNER,
+    return authenticate_batch(np.asarray(r_b)[None], [record], _ONE_OWNER,
                               code).decision(0)
 
 
@@ -347,8 +343,6 @@ def authenticate_batch(probes, records, owner,
         raise ValueError(
             f"owner must be {len(arr)} record indices in 0..{len(records) - 1}"
         )
-    # An entry >= 2 stays >= 2 under the XOR with 0/1 offset bits, and
-    # bit_rows_to_symbols refuses it.
     arr = np.array([record.offset_bits() for record in records])[owner] ^ arr
     m = code.field.m
     batch = code.decode_batch(bit_rows_to_symbols(arr, m), first.params.policy)

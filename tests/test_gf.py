@@ -69,10 +69,30 @@ def test_exp_table_period_and_log_inverse(m):
 
 
 def codec_product(m):
-    """The codec's branch-free product on its zero-sentinel tables."""
-    code = RsCode(Field(m), 1)
-    exp, log = code.exp_table, code.log_table
+    """The codec's branch-free product on the field's zero-sentinel tables."""
+    field = Field(m)
+    exp, log = field.exp_table, field.log_table
     return lambda a, b: exp[log[a] + log[b]]
+
+
+@pytest.mark.parametrize("m", ALL_M)
+def test_field_owns_read_only_sentinel_tables(m):
+    """``log_table[0]`` is 2N and ``exp_table`` is alpha^i below 2N and zero
+    from 2N to 4N; both are read-only, and a code computes with the field's
+    own arrays, not copies."""
+    field = Field(m)
+    exp, log, order = field.exp_table, field.log_table, field.order
+    assert log[0] == 2 * order
+    assert exp.shape == (4 * order + 1,)
+    assert exp.dtype == (np.uint8 if m <= 8 else np.uint16)
+    assert not exp[2 * order:].any()
+    assert np.array_equal(exp[:order], exp[order:2 * order])
+    for table in (exp, log):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0
+    code = RsCode(field, 1)
+    assert code.exp_table is exp and code.log_table is log
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -96,8 +116,8 @@ def test_mul_identity_and_alpha_powers():
 def test_inverse_everywhere():
     # Forney divides in log form: a / b = alpha^(log a - log b mod N).
     for m in ALL_M:
-        code = RsCode(Field(m), 1)
-        exp, log, order = code.exp_table, code.log_table, code.n_symbols
+        field = Field(m)
+        exp, log, order = field.exp_table, field.log_table, field.order
         nonzero = np.arange(1, 1 << m)
         inverse = exp[(order - log[nonzero]) % order]
         assert np.all(exp[log[nonzero] + log[inverse]] == 1)

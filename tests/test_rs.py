@@ -464,7 +464,7 @@ class TestLockstepBerlekampMassey:
     @pytest.mark.parametrize("m,k", [(3, 1), (5, 11), (8, 200)])
     def test_kernel_chunks_decode_and_encode_as_one_batch(self, m, k, monkeypatch):
         """With ``_CHUNK`` shrunk to 2, 3 and 5 items of each gather kernel,
-        ``_products``, ``_omega`` and the Forney sums of ``_correct`` each
+        ``_products`` and the Forney sums of ``_correct`` each
         split into 3 or more chunks with a ragged last one, and every batch
         still equals the unchunked one and the reference."""
         code = RsCode(Field(m), k)
@@ -487,7 +487,7 @@ class TestLockstepBerlekampMassey:
 
         monkeypatch.setattr(rs, "_chunks", spy)
         n, npar, t = code.n_symbols, code.num_parity, code.t
-        for per_item in (n * npar, (t + 1) * n, k * npar, t * (t + 1), t):
+        for per_item in (n * npar, (t + 1) * n, k * npar, t):
             for step in (2, 3, 5):
                 monkeypatch.setattr(rs, "_CHUNK", per_item * step)
                 assert np.array_equal(code.encode_batch(messages), encoded)
@@ -497,7 +497,7 @@ class TestLockstepBerlekampMassey:
                         assert np.array_equal(a, b)
                     for i, ref in enumerate(expected[policy]):
                         assert outcome_fields(code.outcome(batch, i)) == ref
-        assert split == {"_products", "_omega", "_correct"}
+        assert split == {"_products", "_correct"}
 
     def test_forney_peak_memory_is_chunked(self):
         """A batch of 400 m=8, K=32 words with 65 errors each decodes within
@@ -563,7 +563,7 @@ class TestLockstepBerlekampMassey:
                 assert deg == len(ref) - 1
                 assert row == ref + [0] * (npar - deg)
                 assert lfsr == ref_length
-            for high in evaluator:  # the packed form's final discrepancy register
+            for high in evaluator:  # Omega^h, the fourth value of both paths
                 assert high.tolist() == [
                     slow_high_evaluator(s, ref, field.primitive_poly, m)[:code.t]
                     for s, (ref, _) in zip(synd.tolist(), expected)]
@@ -751,13 +751,13 @@ class TestForneyMessageOnly:
 
 class TestHighEvaluator:
     """Forney reads the high-order evaluator Omega^h, coefficients N-K and
-    up of S(x) sigma(x): on fewer than ``_BM_LOCKSTEP`` one-byte rows from
-    the packed Berlekamp-Massey's final discrepancy register, on lockstep
-    rows from ``_omega``. Both must equal the slow product on every row
-    with 0 < deg sigma = L <= t, from words with e = 1..t errors and
-    uniform words."""
+    up of S(x) sigma(x), which both Berlekamp-Massey paths return as their
+    fourth value: the packed one (m <= 8) from its final discrepancy
+    register, the lockstep one summed from the syndromes and its final
+    locator. Both must equal the slow product on every row, from words
+    with e = 1..t errors and uniform words."""
 
-    @pytest.mark.parametrize("m,k", [(3, 1), (4, 5), (5, 11), (8, 200)])
+    @pytest.mark.parametrize("m,k", [(3, 1), (4, 5), (5, 11), (8, 200), (9, 491)])
     def test_evaluators_equal_reference(self, m, k):
         field = Field(m)
         poly, t = field.primitive_poly, (field.order - k) // 2
@@ -772,17 +772,17 @@ class TestHighEvaluator:
                 words.append(word)
         synd = code._syndromes(np.array(words))
         synd = synd[synd.any(axis=1)]
-        rows, expected = [], []
-        for i, s in enumerate(synd.tolist()):
+        expected, located = [], 0
+        for s in synd.tolist():
             sigma, length = _slow_berlekamp_massey(s, poly, m)
-            if 0 < len(sigma) - 1 == length <= t:
-                rows.append(i)
-                expected.append(slow_high_evaluator(s, sigma, poly, m)[:t])
-        assert len(rows) >= 2 * t
-        sigma = code._berlekamp_massey_rows(synd)[0][rows]
-        sigma_logs = code.log_table.take(sigma[:, :t + 1].T).astype(np.int16)
-        assert code._omega(synd[rows], sigma_logs).T.tolist() == expected
-        assert code._berlekamp_massey_packed(synd)[3][rows].tolist() == expected
+            expected.append(slow_high_evaluator(s, sigma, poly, m)[:t])
+            located += 0 < len(sigma) - 1 == length <= t
+        assert located >= 2 * t
+        paths = [code._berlekamp_massey_rows]
+        if code.exp_table.itemsize == 1:
+            paths.append(code._berlekamp_massey_packed)
+        for locators in paths:
+            assert locators(synd)[3].tolist() == expected
 
 
 class TestSymbolRefusal:

@@ -733,8 +733,11 @@ def test_refusal_raises_its_class(case):
 
 
 # Bit vectors of the m=3, K=1 code (21 bits) whose entry 0 is not 0 or 1.
-# A uint8 cast would wrap 256 to 0 and 257 to 1, and read 0.7 as 0.
+# A uint8 cast would wrap 256 to 0 and 257 to 1, and read 0.7 as 0; a uint8
+# array is read without a cast, so a reader that packs nothing (extract)
+# must still refuse its 2.
 BAD_BITS = {
+    "uint8-2": np.array([2] + [0] * 20, dtype=np.uint8),
     "256": np.array([256] + [0] * 20),
     "257": np.array([257] + [0] * 20),
     "minus-1": np.array([-1] + [1] * 20),
