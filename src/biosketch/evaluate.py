@@ -37,14 +37,15 @@ draws fresh entropy; that holds for a sweep too, although it draws a seed
 at its start. The slot keeps one population in memory after the call returns;
 its fused matrices, medians and enrolled bits are read-only.
 
-The slot's population also keeps a table of its enrollments, one read-only
-mapping per (K, scheme, policy) asked for, so a repeated call builds only
-the code and decides; the first call at a (K, scheme, policy) runs the one
-``enroll_batch``. The records depend only on the population and on those
-three fields, so a reused entry equals a fresh one. An entry costs one
-record per enrolled subject (salt, digest and, for fuzzy commitment, n
-offset bits); codes are not kept, since their tables outweigh the records.
-The table goes with the population when the slot is replaced.
+The slot's population also keeps a table of what each (K, scheme, policy)
+asked for needs: its RS code and a read-only mapping of its enrollments,
+so a repeated call only decides; the first call at a (K, scheme, policy)
+builds the code and runs the one ``enroll_batch``. The code and records
+depend only on the population and on those three fields, so a reused
+entry equals a fresh one. An entry costs one code (0.1-0.3 MB of tables
+at m = 8, 2-3 MB at m = 10, by K) and one record per enrolled subject
+(salt, digest and, for fuzzy commitment, n offset bits). The table goes
+with the population when the slot is replaced.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class _Prepared:
 
 
 # The PipelineConfig fields _fuse reads. The others only matter per K: they
-# key the population's table of enrollments, which _prepare fills.
+# key the population's table of codes and enrollments, which _prepare fills.
 _FUSE_FIELDS = ("seed", "fusion_mode", "out_dim", "m", "window_factor")
 _PER_K_FIELDS = ("k_symbols", "scheme", "policy")
 
@@ -170,7 +171,7 @@ def _fuse_key(dataset: EmbeddingDataset, config: PipelineConfig) -> bytes:
 
 
 def _fuse(dataset: EmbeddingDataset, config: PipelineConfig):
-    """``_fuse_uncached`` plus an empty table of per-K enrollments for
+    """``_fuse_uncached`` plus an empty table of per-K codes and enrollments for
     ``_prepare``, both reused while the dataset content and the config's
     ``_FUSE_FIELDS`` match the last seeded call."""
     global _fuse_memo
@@ -197,22 +198,22 @@ def _fuse_uncached(dataset: EmbeddingDataset, config: PipelineConfig):
     return fused, pop, selections
 
 
-def _prepare(fused: dict[str, np.ndarray], pop, selections, enrolled: dict,
+def _prepare(fused: dict[str, np.ndarray], pop, selections, prepared: dict,
              config: PipelineConfig) -> _Prepared:
-    """Per-K work: the code, and every subject's enrollment under it from the
-    table ``enrolled``, which one ``enroll_batch`` fills on a miss. Codes are
-    rebuilt per call: they hold far more memory than the records."""
-    code = config.build_code()
+    """Per-K work: the code, and every subject's enrollment under it, kept
+    in the table ``prepared``; a miss builds the code and runs one
+    ``enroll_batch``."""
     per_k = tuple(getattr(config, f) for f in _PER_K_FIELDS)
-    enrollments = enrolled.get(per_k)
-    if enrollments is None:
+    prep = prepared.get(per_k)
+    if prep is None:
+        code = config.build_code()
         keys, bits, salts, seeds = zip(*selections.values())
         records = enroll_batch(config.scheme, np.stack(bits), code, config.policy, salts,
                                list(selections), seeds)
-        enrollments = enrolled[per_k] = MappingProxyType(
+        prep = prepared[per_k] = _Prepared(code, pop, fused, MappingProxyType(
             {record.subject_id: Enrollment(record, key, r_a)
-             for key, r_a, record in zip(keys, bits, records) if record is not None})
-    return _Prepared(code, pop, fused, enrollments)
+             for key, r_a, record in zip(keys, bits, records) if record is not None}))
+    return prep
 
 
 def _check_probe_mode(probe_mode: str) -> None:

@@ -351,10 +351,14 @@ def authenticate_batch(probes, records, owner,
     inverse = slice(None)
     if len(pairs) > 1:
         # Probes repeat (owner, message) pairs: hash each distinct pair once.
-        # Grouping the rows' raw bytes is ~3x faster than np.unique(axis=0).
-        row_bytes = pairs.view(np.dtype((np.void, pairs.itemsize * pairs.shape[1])))
-        _, distinct, inverse = np.unique(row_bytes.ravel(), return_index=True,
-                                         return_inverse=True)
+        # A pair that fits 63 bits is keyed as one int64, the owner above the
+        # message's m-bit symbols; a wider one by its row's raw bytes.
+        width = m * first.params.k_symbols
+        if (len(records) - 1).bit_length() + width <= 63:
+            groups = pairs.astype(np.int64) @ (1 << np.arange(width, -1, -m, dtype=np.int64))
+        else:
+            groups = pairs.view(np.dtype((np.void, pairs.itemsize * pairs.shape[1]))).ravel()
+        _, distinct, inverse = np.unique(groups, return_index=True, return_inverse=True)
         pairs = pairs[distinct]
     owners = pairs[:, 0]
     digests = _digests(symbols_to_bits(pairs[:, 1:], m),

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -456,14 +458,14 @@ class TestFuseMemo:
         assert len(fusions) == 2
 
     def test_memoised_arrays_are_read_only(self, small_dataset, cold_memo):
-        fused, pop, selections, enrolled = evaluate._fuse(small_dataset, SMALL_CFG)
+        fused, pop, selections, prepared = evaluate._fuse(small_dataset, SMALL_CFG)
         arrays = [*fused.values(), pop.median, *(r_a for _, r_a, _, _ in selections.values())]
         assert not any(arr.flags.writeable for arr in arrays)
         assert all(mat.flags.writeable for mat in small_dataset.face.values())
         gar_stats(small_dataset, SMALL_CFG)
         gar_stats(small_dataset, dataclasses.replace(SMALL_CFG, k_symbols=2))
-        assert len(enrolled) == 2
-        for table in enrolled.values():
+        assert len(prepared) == 2
+        for table in (entry.enrollments for entry in prepared.values()):
             with pytest.raises(TypeError):
                 table["intruder"] = None
             for enr in table.values():
@@ -542,7 +544,71 @@ class TestEnrollmentTable:
         assert gar_stats(ds, cfg) == pinned
         assert len(enrollments) == 2
         table = evaluate._fuse_memo[1][3]
-        assert sorted(len(entry) for entry in table.values()) == [8, 12]
+        assert sorted(len(entry.enrollments) for entry in table.values()) == [8, 12]
+
+
+@pytest.fixture
+def code_builds(monkeypatch, cold_memo):
+    """The RS codes built from a cold memo."""
+    codes = []
+    original = PipelineConfig.build_code
+
+    def counted(self):
+        codes.append(original(self))
+        return codes[-1]
+
+    monkeypatch.setattr(PipelineConfig, "build_code", counted)
+    return codes
+
+
+class TestCodeTable:
+    """Each (K, scheme, policy) entry keeps the code its enrollments were
+    made with: a repeated call builds no code, and the codes leave with the
+    population."""
+
+    GRID = [dataclasses.replace(SMALL_CFG, k_symbols=k, scheme=scheme)
+            for k in (1, 2, 3) for scheme in ("secure-sketch", "fuzzy-commitment")]
+
+    def test_far_rounds_build_each_code_once(self, small_dataset, code_builds):
+        # Three far-mc rounds: the cold one builds one code per entry.
+        for r in range(3):
+            for j, cfg in enumerate(self.GRID):
+                empirical_far(small_dataset, cfg, SCENARIO_STOLEN_KEY, 100, seed=10 * r + j)
+            assert len(code_builds) == len(self.GRID) == 6
+        entries = evaluate._fuse_memo[1][3]
+        assert [entry.code for entry in entries.values()] == code_builds
+        assert [(code.field.m, code.k_symbols) for code in code_builds] == [
+            (cfg.m, cfg.k_symbols) for cfg in self.GRID]
+
+    def test_keyed_field_change_builds_again(self, small_dataset, code_builds):
+        gar_stats(small_dataset, SMALL_CFG)
+        gar_stats(small_dataset, SMALL_CFG)
+        assert len(code_builds) == 1
+        gar_stats(small_dataset, dataclasses.replace(SMALL_CFG, seed=6))
+        assert len(code_builds) == 2
+        gar_stats(small_dataset, SMALL_CFG)
+        assert len(code_builds) == 3
+
+    @pytest.mark.parametrize("entry", sorted(MEMO_CALLS))
+    def test_unseeded_calls_each_build(self, entry, small_dataset, code_builds):
+        unseeded = dataclasses.replace(SMALL_CFG, seed=None)
+        MEMO_CALLS[entry](small_dataset, unseeded)
+        built = len(code_builds)
+        MEMO_CALLS[entry](small_dataset, unseeded)
+        assert len(code_builds) == 2 * built > 0
+
+    def test_replaced_memo_frees_its_codes(self, small_dataset, code_builds):
+        for cfg in self.GRID[:2]:
+            gar_stats(small_dataset, cfg)
+        # RsCode has no weak-reference slot; its parity table lives and
+        # dies with it.
+        tables = [weakref.ref(code.parity_logs) for code in code_builds]
+        entries = [weakref.ref(entry) for entry in evaluate._fuse_memo[1][3].values()]
+        code_builds.clear()
+        gar_stats(small_dataset, dataclasses.replace(SMALL_CFG, seed=6))
+        gc.collect()
+        assert len(tables) == len(entries) == 2
+        assert all(ref() is None for ref in tables + entries)
 
 
 class TestGoldenCurve:

@@ -488,6 +488,32 @@ class TestEnrollBatch:
                          [SALT], ["a"])
 
 
+def _assert_hashed_once(monkeypatch, probes, records, owner, code, pairs):
+    """``authenticate_batch`` with SHA-256 watched: each record's salted
+    prefix is hashed at most once, and each of the distinct (record,
+    message) ``pairs`` continues one copy of its prefix state. Undoes every
+    patch of ``monkeypatch`` before it returns the batch."""
+    prefixes, pair_states = [], []
+    sha256 = hashlib.sha256
+
+    class Prefix:
+        def __init__(self, data):
+            prefixes.append(data)
+            self.state = sha256(data)
+
+        def copy(self):
+            pair_states.append(self.state.copy())
+            return pair_states[-1]
+
+    monkeypatch.setattr(hashlib, "sha256", Prefix)
+    batch = authenticate_batch(probes, records, owner, code)
+    monkeypatch.undo()
+    assert len(prefixes) == len(set(prefixes)) <= len(records)
+    digests = [state.digest() for state in pair_states]
+    assert len(digests) == len(set(digests)) == len(pairs)
+    return batch
+
+
 class TestAuthenticateBatch:
     @staticmethod
     def _probes(rng, code, enrolled):
@@ -559,29 +585,56 @@ class TestAuthenticateBatch:
                 decoded += 1
         assert len(pairs) < decoded // 5
 
-        # Each hashed pair continues a copy of its record's prefix state.
-        prefixes, pair_states = [], []
-        sha256 = hashlib.sha256
-
-        class Prefix:
-            def __init__(self, data):
-                prefixes.append(data)
-                self.state = sha256(data)
-
-            def copy(self):
-                pair_states.append(self.state.copy())
-                return pair_states[-1]
-
-        monkeypatch.setattr(hashlib, "sha256", Prefix)
-        batch = authenticate_batch(probes, records, owner, code)
-        monkeypatch.undo()
-        assert len(prefixes) == len(set(prefixes)) <= len(records)
-        digests = [state.digest() for state in pair_states]
-        assert len(digests) == len(set(digests)) == len(pairs)
+        batch = _assert_hashed_once(monkeypatch, probes, records, owner, code, pairs)
         decisions = [batch.decision(i) for i in range(len(probes))]
         assert decisions == [authenticate(row, records[j], code)
                              for row, j in zip(probes, owner)]
         assert 0 < batch.accepted.sum() < decoded
+
+    @pytest.mark.parametrize("m,k,n_records,key_kind", [
+        (5, 11, 3, "i"), (5, 12, 8, "i"), (5, 12, 9, "V"), (5, 13, 3, "V"),
+    ], ids=["57-bit", "63-bit", "64-bit", "67-bit"])
+    @pytest.mark.parametrize("owner_dtype", [np.intp, np.int32, np.uint8, np.uint64],
+                             ids=["intp", "int32", "uint8", "uint64"])
+    def test_pair_keys_on_both_sides_of_63_bits(self, m, k, n_records, key_kind,
+                                                 owner_dtype, monkeypatch):
+        # A pair takes bit_length(records - 1) + m * K bits: up to 63 it is
+        # keyed as one int64, beyond that by its raw bytes. Secure sketch
+        # decodes a probe to one message whatever its owner, so every
+        # message of the batch is held by several owners; the probes are
+        # correctable, so they repeat (record, message) pairs. The enrolled
+        # messages differ only in their last symbol, record j's being j, so
+        # a key that let owner and message overlap would merge pairs.
+        code = RsCode(Field(m), k)
+        rng = np.random.default_rng(m * k + n_records)
+        messages = np.tile(rng.integers(0, 1 << m, k), (n_records, 1))
+        messages[:, -1] = np.arange(n_records)
+        enrolled = symbols_to_bits(code.encode_batch(messages), m)
+        salts = [bytes([j]) * 16 for j in range(n_records)]
+        source = np.repeat(np.arange(n_records), 12)
+        probes = np.array([flip_symbols(rng, code, enrolled[j], int(w))
+                           for j, w in zip(source, rng.integers(0, code.t + 1, len(source)))])
+        owner = np.where(rng.random(len(source)) < 0.5, source,
+                         rng.integers(0, n_records, len(source))).astype(owner_dtype)
+        for records in ([enroll_ss(r_a, code, FB, salt) for r_a, salt in zip(enrolled, salts)],
+                        [enroll_fc(r_a, code, 7 + j, salts[j]) for j, r_a in enumerate(enrolled)]):
+            pairs = set()
+            for row, j in zip(probes, owner.tolist()):
+                word = bits_to_symbols(row ^ records[j].offset_bits(), m)
+                pairs.add((j, code.decode(word, FB).message))
+            assert len(pairs) <= len(probes) // 2
+            keys, unique = [], np.unique
+
+            def spy(values, **kwargs):
+                keys.append(values.dtype.kind)
+                return unique(values, **kwargs)
+
+            monkeypatch.setattr(np, "unique", spy)
+            batch = _assert_hashed_once(monkeypatch, probes, records, owner, code, pairs)
+            assert keys == [key_kind]
+            assert [batch.decision(i) for i in range(len(probes))] == [
+                authenticate(row, records[j], code) for row, j in zip(probes, owner)]
+            assert 0 < batch.accepted.sum() < len(probes)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
