@@ -5,7 +5,8 @@ Subcommands: ``gen`` (synthetic dataset), ``params`` (code planning),
 ``_OPTIONS`` states once, for each option, its cast, the commands that take
 it, the commands that require it and its help; a command takes only the
 options its row names, and any other flag is a usage error. With no
-``--seed``, enrollment randomness comes from OS entropy.
+``--seed``, enrollment randomness comes from OS entropy; ``auth`` then needs
+``--weights`` unless the fusion draws no weights (bla without a projection).
 
 ``--out-dim`` is required because at its smallest legal value, G, the key
 selects every component, so a revoked subject would be re-issued the same
@@ -251,6 +252,10 @@ def cmd_enroll(args) -> int:
 def cmd_auth(args) -> int:
     config = _pipeline_config(args, args.k_symbols)
     dataset, weights = _load_model(args, config)
+    if args.seed is None and not args.weights and (weights.W is not None
+                                                   or weights.P is not None):
+        raise BiosketchError("auth needs --seed or --weights: fusion weights drawn "
+                             "from OS entropy match no enrollment")
     subject = args.subject
     probe_subject = _default(args.probe_subject, subject)
     sample = _default(args.probe_sample, 0)
@@ -260,7 +265,9 @@ def cmd_auth(args) -> int:
         raise BiosketchError(f"probe sample {sample} out of range")
     db, ks = _stores(args)
     record = db.load(subject)
-    _check_agrees(args, (("scheme", config.scheme, record.scheme),
+    _check_agrees(args, (("m", config.m, record.params.m),
+                         ("k_symbols", config.k_symbols, record.params.k_symbols),
+                         ("scheme", config.scheme, record.scheme),
                          ("policy", config.policy.value, record.params.policy.value)),
                   f"the record of {subject!r}")
     key = ks.load(subject)

@@ -124,10 +124,6 @@ def write_embeddings(dataset: EmbeddingDataset, path):
                     writer.writerow(row)
 
 
-# ``np.fromstring`` and ``float()`` read a value made of these bytes alike:
-# both refuse it or both give the same float. ``np.fromstring`` also takes a
-# trailing comma, so its count is checked too.
-_PLAIN = b"0123456789.eE+-,"
 # Where ``str.splitlines`` ends a line and ``csv.reader`` does not.
 _OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -148,82 +144,47 @@ def _records(text: str):
         raise ParseError(f"line {lineno + 1}: {exc}") from exc
 
 
-def _floats(lines: list[int], values: list, counts: list[int]) -> np.ndarray:
-    """The values of every record, in order, as ``float()`` reads them; a
-    value it refuses raises ``ParseError`` naming the first such line."""
-    texts = [v for v in values if isinstance(v, str)]
-    raw = ",".join(texts).encode("ascii", "replace")
-    if len(texts) == len(values) and not raw.translate(None, _PLAIN):
-        try:
-            flat = np.fromstring(raw, sep=",")
-        except ValueError:
-            pass
-        else:
-            if flat.size == sum(counts):
-                return flat
-    flat = []
-    for lineno, vals in zip(lines, values):
-        try:
-            flat.extend(map(float, vals.split(",") if isinstance(vals, str) else vals))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-    return np.array(flat, dtype=np.float64)
-
-
 def read_embeddings(path) -> EmbeddingDataset:
     """Read a dataset CSV (see the module docstring).
 
-    Records are split as ``csv.reader`` splits them and values are read as
-    ``float()`` reads them, but all values are converted in one call.
+    Records are split as ``csv.reader`` splits them, and each record's
+    values are read with ``float()`` as the record is read, so a fault is
+    raised at the first line that has one.
     """
     with open(path, newline="") as fh:
         text = fh.read()
-    lines: list[int] = []    # per kept record: line number,
-    values: list = []        # its values,
-    counts: list[int] = []   # and how many
-    at: dict[str, dict[int, dict[str, int]]] = {}  # sid -> sample -> modality -> record
+    flat: list[float] = []  # every record's values, in file order
+    at: dict[str, dict[int, dict[str, int]]] = {}  # sid -> sample -> modality -> first offset
     dims: dict[str, int] = {}
-    fault = None
     for lineno, row in _records(text):
         if not row:
             continue
         if len(row) < 4:
-            fault = ParseError(f"line {lineno}: expected subject,sample,modality,values")
-            break
+            raise ParseError(f"line {lineno}: expected subject,sample,modality,values")
         sid, sample_str, modality, vals = row
         if modality not in ("face", "iris"):
-            fault = ParseError(f"line {lineno}: unknown modality {modality!r}")
-            break
+            raise ParseError(f"line {lineno}: unknown modality {modality!r}")
+        offset = len(flat)
         try:
             sample = int(sample_str)
+            flat.extend(map(float, vals.split(",") if isinstance(vals, str) else vals))
         except ValueError as exc:
-            fault = ParseError(f"line {lineno}: {exc}")
-            break
-        lines.append(lineno)
-        values.append(vals)
-        counts.append(vals.count(",") + 1 if isinstance(vals, str) else len(vals))
-        if modality in dims and counts[-1] != dims[modality]:
-            fault = DimensionMismatchError(
-                f"line {lineno}: {modality} vector has {counts[-1]} values, "
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        count = len(flat) - offset
+        if modality in dims and count != dims[modality]:
+            raise DimensionMismatchError(
+                f"line {lineno}: {modality} vector has {count} values, "
                 f"expected {dims[modality]}"
             )
-            break
-        dims.setdefault(modality, counts[-1])
+        dims.setdefault(modality, count)
         slot = at.setdefault(sid, {}).setdefault(sample, {})
         if modality in slot:
-            fault = ParseError(f"line {lineno}: duplicate {modality} row")
-            break
-        slot[modality] = len(lines) - 1
-    # Refuse the file as a line-by-line reader would: it reads a record's
-    # values before checking its length and uniqueness, so a bad value in
-    # the records kept so far comes before the fault.
-    flat = _floats(lines, values, counts)
-    if fault is not None:
-        raise fault
+            raise ParseError(f"line {lineno}: duplicate {modality} row")
+        slot[modality] = offset
     if not at:
         raise ParseError("empty embeddings file")
 
-    starts = np.cumsum([0] + counts)
+    values = np.array(flat, dtype=np.float64)
     face: dict[str, np.ndarray] = {}
     iris: dict[str, np.ndarray] = {}
     for sid, samples in at.items():
@@ -232,6 +193,6 @@ def read_embeddings(path) -> EmbeddingDataset:
             if set(samples[sample]) != {"face", "iris"}:
                 raise ParseError(f"subject {sid} sample {sample}: missing modality row")
         for modality, out in (("face", face), ("iris", iris)):
-            first = starts[[samples[s][modality] for s in ordered]]
-            out[sid] = flat[first[:, None] + np.arange(dims[modality])]
+            first = np.array([samples[s][modality] for s in ordered])
+            out[sid] = values[first[:, None] + np.arange(dims[modality])]
     return EmbeddingDataset(face=face, iris=iris)

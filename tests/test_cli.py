@@ -500,7 +500,38 @@ def test_auth_code_flags_contradicting_record_are_runtime_error(
     captured = capsys.readouterr()
     assert rc == cli.EXIT_RUNTIME
     assert "ACCEPT" not in captured.out
-    assert "error:" in captured.err
+    assert f"{option} {value} contradicts the record of 's0000'" in captured.err
+
+
+def unseeded_flags(dataset_csv, tmp_path, fusion_mode, out_dim):
+    flags = pipeline_flags(dataset_csv, tmp_path) + ["--fusion", fusion_mode]
+    flags[flags.index("--out-dim") + 1] = str(out_dim)
+    seed_at = flags.index("--seed")
+    return flags[:seed_at] + flags[seed_at + 2:]
+
+
+@pytest.mark.parametrize("fusion_mode,out_dim", [("fca", 128), ("bla", 96)])
+def test_unseeded_auth_without_weights_file_is_runtime_error(
+        dataset_csv, tmp_path, capsys, fusion_mode, out_dim):
+    # Weights drawn from OS entropy match no enrollment, so every probe
+    # would be denied; auth refuses to draw them.
+    flags = unseeded_flags(dataset_csv, tmp_path, fusion_mode, out_dim)
+    assert cli.main(["enroll", "--subject", "s0000", "--seed", "7"] + flags) == cli.EXIT_OK
+    rc = cli.main(["auth", "--subject", "s0000", "--probe-sample", "1"] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "ACCEPT" not in captured.out and "DENY" not in captured.out
+    assert "--seed or --weights" in captured.err
+
+
+def test_unseeded_bla_without_projection_draws_nothing_and_accepts(
+        dataset_csv, tmp_path, capsys):
+    # bla at out_dim = d_face * d_iris (24 * 24) has no random weights.
+    flags = unseeded_flags(dataset_csv, tmp_path, "bla", 576)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    rc = cli.main(["auth", "--subject", "s0000", "--probe-sample", "1"] + flags)
+    assert rc == cli.EXIT_OK
+    assert "ACCEPT" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("extra", [["--scheme", "fc"], ["--policy", "fail-deny"],
