@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import biosketch.synth as synth
 from biosketch.errors import DimensionMismatchError, ParseError
 from biosketch.synth import (
     EmbeddingDataset,
@@ -236,6 +237,22 @@ class TestReaderDifferential:
         path = tmp_path / "data.csv"
         path.write_text(text, encoding="utf-8", newline="")
         assert assert_readers_agree(path)[0] == error
+
+    def test_written_file_is_converted_in_one_call(self, tmp_path, monkeypatch):
+        """Each value of a written file goes through one float() call, in one
+        pass over the records, and reads back exactly."""
+        ds = gen_population(4, 3, 5, 7, 1.0, 0.4, seed=9)
+        path = tmp_path / "data.csv"
+        write_embeddings(ds, path)
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return float(value)
+
+        monkeypatch.setattr(synth, "float", counted, raising=False)
+        assert read_embeddings(path).equals(ds)
+        assert len(calls) == ds.total_pairs * (ds.d_face + ds.d_iris)
 
 
 # Bytes a mutation may insert: values at the edges of float()'s grammar,
