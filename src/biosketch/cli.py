@@ -23,20 +23,29 @@ One file can serve every command: a key that another command takes is
 ignored; a key that no command takes, or one set twice, is a runtime error.
 A file cannot set ``config`` or ``overwrite``: it names no further file, and
 replacing an enrolled template is asked for on the command line of each run.
+
+``run()`` is the process entry (``python -m biosketch.cli`` and the installed
+``biosketch`` command). It calls ``gc.freeze()`` once the imports are done,
+so the collector's last pass at interpreter exit skips numpy's import-time
+objects. ``main()`` never freezes: tests and benchmarks call it in-process,
+where a freeze would outlive the call. ``evaluate`` is imported only by
+``params`` and ``eval``, the commands that use it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 import numpy as np
 
-from . import evaluate, gf, store, synth
-from .errors import BiosketchError, DuplicateSubjectError, ParameterMismatchError
+from . import gf, store, synth
+from .errors import (BiosketchError, DimensionMismatchError, DuplicateSubjectError,
+                     ParameterMismatchError)
 from .fusion import MODE_BLA, MODE_FCA, fuse_rows, load_weights
-from .pipeline import PipelineConfig, build_weights, enroll_split, enroll_vectors, probe_bits
-from .quantizer import population_stats
+from .pipeline import PipelineConfig, build_weights, enroll_split, enroll_vectors
+from .quantizer import binarize, population_stats
 from .rs import DecodePolicy
 from .sketch import SCHEME_FUZZY_COMMITMENT, SCHEME_SECURE_SKETCH, authenticate
 
@@ -51,7 +60,9 @@ _POLICIES = {
     "fallback": DecodePolicy.FALLBACK_SYSTEMATIC,
 }
 _FUSIONS = {mode: mode for mode in (MODE_FCA, MODE_BLA)}
-_SCENARIOS = {s: s for s in (evaluate.SCENARIO_ZERO_EFFORT, evaluate.SCENARIO_STOLEN_KEY)}
+# evaluate's SCENARIO_ZERO_EFFORT and SCENARIO_STOLEN_KEY, named here so that
+# building the parser does not import evaluate.
+_SCENARIOS = {s: s for s in ("zero-effort", "stolen-key")}
 _PIPELINE = "enroll auth eval"
 
 # One row per option: flag, cast, the commands that take it, the commands
@@ -186,14 +197,25 @@ def _load_model(args, config: PipelineConfig):
     return dataset, weights
 
 
-def _fuse_halves(dataset: synth.EmbeddingDataset, weights):
+def _fuse_halves(dataset: synth.EmbeddingDataset, weights, key=None):
     """Every subject's fused enrollment half, fused in one call, and the
-    population statistics over them; no other row is fused."""
+    population statistics over them; no other row is fused. Given a ``key``,
+    the statistics cover only its columns, which are all a probe reads."""
     cuts = {sid: enroll_split(dataset.n_samples(sid)) for sid in dataset.subject_ids}
     fused = fuse_rows(np.concatenate([dataset.face[sid][:cut] for sid, cut in cuts.items()]),
                       np.concatenate([dataset.iris[sid][:cut] for sid, cut in cuts.items()]),
                       weights)
-    pop = population_stats(fused, [sid for sid, cut in cuts.items() for _ in range(cut)])
+    ranked = fused
+    if key is not None:
+        # population_stats refuses a non-finite value only in the columns it
+        # ranks, and the gather needs extract's check of the key's dimension.
+        if not np.isfinite(fused).all():
+            raise ValueError("non-finite values in population vectors")
+        if key.dimension != fused.shape[1]:
+            raise DimensionMismatchError(
+                f"key is for {key.dimension} dimensions, got {fused.shape[1]} bits")
+        ranked = fused[:, key.index_array]
+    pop = population_stats(ranked, [sid for sid, cut in cuts.items() for _ in range(cut)])
     ends = np.cumsum(list(cuts.values()))
     return dict(zip(cuts, np.split(fused, ends[:-1]))), pop
 
@@ -215,6 +237,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_params(args) -> int:
+    from . import evaluate
+
     gf.check_symbol_size(args.m)
     n_symbols = (1 << args.m) - 1
     print(f"m={args.m} N={n_symbols} n={args.m * n_symbols}")
@@ -271,10 +295,12 @@ def cmd_auth(args) -> int:
                          ("policy", config.policy.value, record.params.policy.value)),
                   f"the record of {subject!r}")
     key = ks.load(subject)
-    _, pop = _fuse_halves(dataset, weights)
+    # Fusion stays full width: W[idx] @ x may round differently from
+    # (W @ x)[idx], and only the latter is what enroll ranked.
+    _, pop = _fuse_halves(dataset, weights, key)
     probe = fuse_rows(dataset.face[probe_subject][sample:sample + 1],
                       dataset.iris[probe_subject][sample:sample + 1], weights)[0]
-    r_b = probe_bits(probe, pop, key)
+    r_b = binarize(probe[key.index_array], pop)
     decision = authenticate(r_b, record, config.build_code())
     if decision.accepted:
         print(f"ACCEPT ({decision.reason.value})")
@@ -291,6 +317,8 @@ def cmd_revoke(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluate
+
     k_list = [int(v) for v in args.k_list.split(",") if v]
     if not k_list:
         raise BiosketchError("--k-list names no K")
@@ -349,5 +377,11 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
 
 
+def run() -> int:
+    """Process entry: freeze the import-time heap, then ``main()``."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

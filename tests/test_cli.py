@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import os
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biosketch
-from biosketch import cli, fusion, pipeline, store, synth
+from biosketch import cli, evaluate, fusion, pipeline, quantizer, sketch, store, synth
 
 from test_quantizer import BAD_INDEX_LINES
 from test_sketch import BAD_RECORD_LINES
@@ -166,6 +167,19 @@ def test_auth_with_other_dimension_than_key_is_runtime_error(dataset_csv, tmp_pa
     captured = capsys.readouterr()
     assert rc == cli.EXIT_RUNTIME
     assert "key is for 128 dimensions" in captured.err
+
+
+def test_auth_with_more_dimensions_than_key_is_runtime_error(dataset_csv, tmp_path, capsys):
+    # Every index of a 64-dimension key is in range of a 128-column fusion.
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    flags[flags.index("--out-dim") + 1] = "64"
+    assert cli.main(["enroll", "--subject", "s0004"] + flags) == cli.EXIT_OK
+    flags[flags.index("--out-dim") + 1] = "128"
+    rc = cli.main(["auth", "--subject", "s0004", "--probe-sample", "1"] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "ACCEPT" not in captured.out and "DENY" not in captured.out
+    assert "key is for 64 dimensions, got 128 bits" in captured.err
 
 
 def test_key_index_beyond_dimension_is_runtime_error(dataset_csv, tmp_path, capsys):
@@ -327,6 +341,16 @@ def test_unseeded_eval_runs_every_k_under_one_seed(dataset_csv, tmp_path, capsys
     assert first == second
 
 
+def test_scenario_choices_are_evaluates_scenarios(dataset_csv, capsys):
+    assert set(cli._SCENARIOS) == {evaluate.SCENARIO_ZERO_EFFORT,
+                                   evaluate.SCENARIO_STOLEN_KEY}
+    with pytest.raises(SystemExit) as err:
+        cli.main(["eval", "--dataset", str(dataset_csv), "--m", "3", "--k-list", "1",
+                  "--out-dim", "64", "--scenario", "replay"])
+    assert err.value.code == cli.EXIT_USAGE
+    assert "invalid choice: 'replay'" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     for command in ("no-such-command", "oracle"):
         with pytest.raises(SystemExit) as err:
@@ -368,6 +392,44 @@ def test_console_entrypoint_runs():
     assert "rate=0.1429" in proc.stdout
 
 
+def _cli_env() -> dict:
+    src = str(Path(biosketch.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cold_auth_process_accepts_genuine_and_denies_stolen_key_impostor(
+        dataset_csv, tmp_path):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0001"] + flags) == cli.EXIT_OK
+    for probe, rc, last in ((["--probe-sample", "6"], cli.EXIT_OK, "ACCEPT (hash-match)"),
+                            (["--probe-subject", "s0004", "--probe-sample", "2"],
+                             cli.EXIT_DENY, "DENY (")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "biosketch.cli", "auth", "--subject", "s0001"]
+            + probe + flags, capture_output=True, text=True, env=_cli_env())
+        assert proc.returncode == rc, proc.stderr
+        assert proc.stdout.splitlines()[-1].startswith(last)
+
+
+def test_run_freezes_once_before_main_and_returns_its_code(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or cli.EXIT_DENY)
+    assert cli.run() == cli.EXIT_DENY
+    assert calls == ["freeze", "main"]
+
+
+def test_in_process_main_never_freezes(dataset_csv, tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    assert cli.main(["auth", "--subject", "s0000", "--probe-sample", "1"] + flags) == 0
+    assert cli.main(["params", "--m", "5", "--security", "100"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
 def _loaded_by_enroll_and_auth(dataset_csv, tmp_path, package: str) -> bool:
     """Whether ``package`` is loaded after an in-process enroll and genuine
     auth in a fresh interpreter."""
@@ -381,11 +443,8 @@ def _loaded_by_enroll_and_auth(dataset_csv, tmp_path, package: str) -> bool:
         " for m in sys.modules))\n"
         "sys.exit(rc)\n"
     )
-    src = str(Path(biosketch.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=_cli_env())
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert "ACCEPT (hash-match)" in proc.stdout
     return "loaded True" in proc.stdout
@@ -486,7 +545,85 @@ def test_fused_halves_and_probe_equal_the_full_fusion(dataset_csv, mode, out_dim
         assert halves[sid].tobytes() == mat[:pipeline.enroll_split(len(mat))].tobytes()
         probe = fusion.fuse_rows(dataset.face[sid][5:6], dataset.iris[sid][5:6], weights)
         assert probe[0].tobytes() == mat[5].tobytes()
-    assert pop.median.tobytes() == pipeline.population_from_fused(fused).median.tobytes()
+    full = pipeline.population_from_fused(fused)
+    assert pop.median.tobytes() == full.median.tobytes()
+    # auth's medians: the key's columns only, and its probe bits from them.
+    for g in (21, 62):
+        idx = np.random.default_rng(g).choice(out_dim, g, replace=False)
+        key = quantizer.ReliableKey(indices=np.sort(idx), dimension=out_dim, nonce=0)
+        key_halves, key_pop = cli._fuse_halves(dataset, weights, key)
+        assert key_pop.median.tobytes() == full.median[key.index_array].tobytes()
+        for sid, mat in fused.items():
+            assert key_halves[sid].tobytes() == halves[sid].tobytes()
+            for row in mat:
+                bits = quantizer.binarize(row[key.index_array], key_pop)
+                assert bits.tobytes() == pipeline.probe_bits(row, full, key).tobytes()
+
+
+@pytest.mark.parametrize("fusion_mode,out_dim", [("fca", 128), ("bla", 96)])
+def test_auth_decides_as_the_library_on_full_medians(
+        dataset_csv, tmp_path, capsys, fusion_mode, out_dim):
+    flags = pipeline_flags(dataset_csv, tmp_path) + ["--fusion", fusion_mode]
+    flags[flags.index("--out-dim") + 1] = str(out_dim)
+    dataset = synth.read_embeddings(dataset_csv)
+    config = pipeline.PipelineConfig(m=3, k_symbols=2, out_dim=out_dim, seed=7,
+                                     fusion_mode=fusion_mode)
+    fused = pipeline.fuse_dataset(dataset, pipeline.build_weights(config, 24, 24))
+    pop = pipeline.population_from_fused(fused)
+    code = config.build_code()
+    enrolled = ("s0000", "s0001", "s0002")
+    for subject in enrolled:
+        assert cli.main(["enroll", "--subject", subject] + flags) == cli.EXIT_OK
+    lines = set()
+    for subject in enrolled:
+        record = store.TemplateDb(tmp_path / "templates").load(subject)
+        key = store.KeyStore(tmp_path / "keys").load(subject)
+        for owner in dataset.subject_ids:
+            for sample in (0, 5, 7):
+                decision = sketch.authenticate(
+                    pipeline.probe_bits(fused[owner][sample], pop, key), record, code)
+                capsys.readouterr()
+                rc = cli.main(["auth", "--subject", subject, "--probe-subject", owner,
+                               "--probe-sample", str(sample)] + flags)
+                word = "ACCEPT" if decision.accepted else "DENY"
+                assert rc == (cli.EXIT_OK if decision.accepted else cli.EXIT_DENY)
+                assert capsys.readouterr().out == f"{word} ({decision.reason.value})\n"
+                lines.add((word, owner == subject))
+    assert {("ACCEPT", True), ("DENY", False)} <= lines
+
+
+def test_auth_refuses_a_fused_inf_outside_the_key(dataset_csv, tmp_path, capsys,
+                                                  weights_file):
+    # One output row of W overflows on one large finite input of an
+    # enrollment half (s0003's sample 0); the key does not select that row.
+    flags = pipeline_flags(dataset_csv, tmp_path) + ["--weights", str(weights_file)]
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    key = store.KeyStore(tmp_path / "keys").load("s0000")
+    row = next(j for j in range(key.dimension) if j not in key.indices)
+    weights = fusion.load_weights(weights_file)
+    weights.W[row, 0] = 1e10
+    path = tmp_path / "overflow.fusw"
+    fusion.save_weights(weights, path)
+    lines = dataset_csv.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("s0003,0,face,"))
+    fields = lines[at].split(",")
+    fields[3] = "1e300"
+    lines[at] = ",".join(fields)
+    big_csv = tmp_path / "embeddings.csv"
+    big_csv.write_text("".join(lines))
+    dataset = synth.read_embeddings(big_csv)
+    with np.errstate(over="ignore"):
+        fused = fusion.fuse_rows(dataset.face["s0003"][:1], dataset.iris["s0003"][:1],
+                                 weights)[0]
+    assert np.flatnonzero(~np.isfinite(fused)).tolist() == [row]
+    flags = pipeline_flags(big_csv, tmp_path) + ["--weights", str(path)]
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        rc = cli.main(["auth", "--subject", "s0000", "--probe-sample", "1"] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "ACCEPT" not in captured.out and "DENY" not in captured.out
+    assert "non-finite values in population vectors" in captured.err
 
 
 @pytest.mark.parametrize("option,value", [("--k-symbols", "3"), ("--k-symbols", "9"),

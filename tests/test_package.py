@@ -39,6 +39,12 @@ def test_importing_sketch_loads_no_pipeline_or_cli_module():
         assert f"biosketch.{name}" not in loaded
 
 
+def test_importing_the_cli_loads_what_auth_uses_and_not_evaluate():
+    assert _loaded_after("biosketch.cli") == {f"biosketch{name}" for name in (
+        "", ".cli", ".errors", ".fusion", ".gf", ".pipeline", ".quantizer", ".rs",
+        ".sketch", ".store", ".synth")}
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
