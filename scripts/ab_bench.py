@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, summarised per metric.
+
+    python scripts/ab_bench.py PARENT CHANGE --workload far-mc --seeds 1,2 --pairs 3
+
+runs ``<checkout>/benchmarks/run.py --trace 0`` once for each checkout per
+pair, the parent first in even pairs and the change first in odd ones, so
+that a drift of the machine's speed falls on both sides. For every seed,
+and for all seeds together, it prints one line per end-to-end metric: the
+parent's and the change's medians, their ratio, the pairs in which the
+change was better, and the interquartile range of the parent's runs. A
+change is resolved on a metric when it wins nearly every pair and its
+median moves by more than that range. Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def directions(path: Path = BENCHMARK) -> dict[str, str]:
+    """Metric name -> "lower" or "higher", from the end-to-end metrics."""
+    return {m["name"]: m["better"] for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def schedule(seeds: list[int], pairs: int) -> list[tuple[int, tuple[str, str]]]:
+    """(seed, run order) of every pair: parent first in even pairs."""
+    orders = (("parent", "change"), ("change", "parent"))
+    return [(seed, orders[i % 2]) for seed in seeds for i in range(pairs)]
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one ``run.py`` run of ``checkout``."""
+    proc = subprocess.run(
+        [sys.executable, str(checkout / "benchmarks" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
+    """One row per metric of (parent, change) result lines taken in pairs."""
+    rows = []
+    for name, direction in better.items():
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        sign = 1 if direction == "lower" else -1
+        rows.append({
+            "metric": name,
+            "parent": statistics.median(parent),
+            "change": statistics.median(change),
+            "ratio": statistics.median(change) / statistics.median(parent),
+            "wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            "pairs": len(pairs),
+            "parent_iqr": _iqr(parent),
+        })
+    return rows
+
+
+def format_rows(rows: list[dict], failed: tuple[int, int]) -> str:
+    lines = [f"  {'metric':<16} {'parent':>10} {'change':>10} {'ratio':>7} "
+             f"{'wins':>6} {'parent IQR':>11}"]
+    for r in rows:
+        lines.append(f"  {r['metric']:<16} {r['parent']:>10.4g} {r['change']:>10.4g} "
+                     f"{r['ratio']:>7.3f} {r['wins']:>3}/{r['pairs']:<2} "
+                     f"{r['parent_iqr']:>11.4g}")
+    lines.append(f"  failed ops: parent {failed[0]}, change {failed[1]}")
+    return "\n".join(lines)
+
+
+def report(results: list[tuple[int, dict, dict]], better: dict[str, str]) -> str:
+    """Tables per seed, then over all seeds when there are several."""
+    seeds = sorted({seed for seed, _, _ in results})
+    groups = [(f"seed {s}", [(p, c) for seed, p, c in results if seed == s]) for s in seeds]
+    if len(seeds) > 1:
+        groups.append(("all seeds", [(p, c) for _, p, c in results]))
+    blocks = []
+    for title, pairs in groups:
+        failed = (sum(p["failed"] for p, _ in pairs), sum(c["failed"] for _, c in pairs))
+        blocks.append(f"{title}, {len(pairs)} pairs\n"
+                      + format_rows(summarize(pairs, better), failed))
+    return "\n".join(blocks)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", default="1,2", help="comma-separated seeds")
+    parser.add_argument("--pairs", type=int, default=3, help="pairs per seed")
+    parser.add_argument("--seconds", type=float, default=20)
+    args = parser.parse_args(argv)
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    results = []
+    for seed, order in schedule([int(s) for s in args.seeds.split(",")], args.pairs):
+        run = {side: run_once(checkouts[side], args.workload, seed, args.seconds)
+               for side in order}
+        print(f"seed {seed} ({order[0]} first): op_p50_ref_ms "
+              f"{run['parent']['metrics']['op_p50_ref_ms']['value']:.4g} -> "
+              f"{run['change']['metrics']['op_p50_ref_ms']['value']:.4g}",
+              file=sys.stderr, flush=True)
+        results.append((seed, run["parent"], run["change"]))
+    print(f"workload {args.workload}, {args.seconds:g} s per run")
+    print(report(results, directions()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

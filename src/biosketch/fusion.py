@@ -119,14 +119,17 @@ def fuse_rows(face_rows, iris_rows, weights: FusionWeights) -> np.ndarray:
         )
     if not (np.isfinite(face).all() and np.isfinite(iris).all()):
         raise ValueError("embedding contains non-finite values")
-    if weights.mode == MODE_FCA:
-        x = np.concatenate([face, iris], axis=1)
-        z = (weights.W @ x[:, :, None])[:, :, 0] + weights.b
-    else:
-        z = (face[:, :, None] * iris[:, None, :]).reshape(face.shape[0], -1)
-        if weights.P is not None:
-            z = (weights.P @ z[:, :, None])[:, :, 0]
-    return np.maximum(z, 0.0) if weights.activation == ACT_RELU else z
+    # Finite inputs can still overflow to inf or nan. That is no warning:
+    # callers refuse non-finite fused values where they read them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if weights.mode == MODE_FCA:
+            x = np.concatenate([face, iris], axis=1)
+            z = (weights.W @ x[:, :, None])[:, :, 0] + weights.b
+        else:
+            z = (face[:, :, None] * iris[:, None, :]).reshape(face.shape[0], -1)
+            if weights.P is not None:
+                z = (weights.P @ z[:, :, None])[:, :, 0]
+        return np.maximum(z, 0.0) if weights.activation == ACT_RELU else z
 
 
 def fuse(face: Embedding, iris: Embedding, weights: FusionWeights) -> np.ndarray:

@@ -9,7 +9,9 @@ N = 2^m - 1, and ``exp_table`` holds alpha^i at every i < 2N and zero from
 reduction, and ``exp_table[log_table[a] + log_table[b]]`` is the product
 a*b for all symbols, zeros included, without a branch. There is no scalar
 arithmetic here: ``RsCode`` computes with these tables as they are.
-``exp_table`` is uint8 for m <= 8 and uint16 above, and ``log_table`` intp.
+``exp_table`` is uint8 for m <= 8 and uint16 above, and ``log_table``
+int16: every log is at most 2N and every sum of two at most 4N, so gathers
+take int16 indices.
 
 A ``Field`` is immutable after construction (its tables are read-only), so
 instances can be shared freely across threads.
@@ -91,7 +93,7 @@ class Field:
         zero_log = 2 * self.order
         exp = np.zeros(2 * zero_log + 1, dtype=np.uint8 if m <= 8 else np.uint16)
         exp[:self.order] = exp[self.order:zero_log] = powers
-        log = np.full(self.size, zero_log, dtype=np.intp)
+        log = np.full(self.size, zero_log, dtype=np.int16)
         log[powers] = np.arange(self.order)
         for table in (exp, log):
             table.setflags(write=False)

@@ -116,6 +116,9 @@ def binarize(vectors, pop: PopulationStats) -> np.ndarray:
         raise DimensionMismatchError(
             f"vectors have shape {vec.shape}, expected (..., {pop.dimension})"
         )
+    # A comparison would read nan as 0 and inf as 1.
+    if not np.isfinite(vec).all():
+        raise ValueError("non-finite values in vectors to binarize")
     return (vec > pop.median).astype(np.uint8)
 
 

@@ -20,20 +20,27 @@ at construction (the packed Berlekamp-Massey's on first use, below):
   (alpha^-d)^k.
 * ``parity_logs``, K x (N-K): the log of parity symbol j of the unit
   message at position i; encoding is linear, so parity is a sum over i.
+* ``quotient_logs``, 3N+1 entries: entry a - b + N is (a - b) mod N, the
+  log of alpha^a / alpha^b, for logs a, b < N, and the zero log 2N where
+  a is the zero log.
 
-The three index tables are int16, since every entry is at most 2N; at
-m = 10 they hold about 4 MB together. Each holds the summed term on its
-first axis and is stored contiguous in the order the gathers read it.
+The index tables are int16, since every entry is at most 2N; at m = 10
+they hold about 4 MB together. Each of the first three holds the summed
+term on its first axis and is stored contiguous in the order the gathers
+read it.
 
 Each of syndromes, Chien search and parity is then one gather of
 ``exp_table`` at (row logs + table), laid out (terms, rows, outputs), and
-an XOR reduction over its leading axis, over all rows of a batch at once;
-the sums are at most 4N, so the gather indices stay int16. XOR is exact,
-so the order of the reduction does not matter, and over the leading axis
-numpy XORs whole (rows, outputs) planes where a reduction over a short
-last axis would restart its inner loop for every output element. The
-Forney sums gather the same way, with int16 sums and ``take``; the
-lockstep Berlekamp-Massey reduces over its leading axis too.
+an XOR reduction over its leading axis, over all rows of a batch at once.
+XOR is exact, so the order of the reduction does not matter, and over the
+leading axis numpy XORs whole (rows, outputs) planes where a reduction over
+a short last axis would restart its inner loop for every output element.
+The field's ``log_table`` is int16 and a sum of two logs is at most 4N,
+so each gather of ``exp_table`` at such sums, the Forney sums' too, is a
+``take`` on int16 indices. The lockstep Berlekamp-Massey reduces over its
+leading axis too; it holds its whole state in int16 logs, and divides by
+the last discrepancy with one ``take`` from ``quotient_logs``, which also
+sends a zero discrepancy to the zero log.
 ``decode_batch`` decodes a (B, N) array of words:
 
 1. syndromes of every row; rows with zero syndromes are exact codewords;
@@ -52,7 +59,8 @@ lockstep Berlekamp-Massey reduces over its leading axis too.
    register; the lockstep form sums it from the syndromes and the final
    locator;
 3. Chien search over all N points of every locator whose degree equals
-   the LFSR length L of Berlekamp-Massey, with 0 < L <= t;
+   the LFSR length L of Berlekamp-Massey, with 0 < L <= t; it and Forney
+   gather the terms up to the largest such L in the batch, not up to t;
 4. Forney for the magnitudes of the located errors in message positions
    only, since only the message is returned, from Omega^h: e =
    X^-(N-K) Omega^h(X^-1) / sigma'(X^-1). A row is corrected when
@@ -104,10 +112,14 @@ _CHUNK = 1 << 18
 
 # Pending rows from which Berlekamp-Massey runs in lockstep over the batch;
 # below it the packed per-row BM is faster. At 16 rows packed is faster at
-# every N-K measured, but the crossover moves up with N-K: at m = 8 lockstep
-# is ahead from 64 rows at N-K = 11 and from 128 at N-K = 55, and still
-# behind at 256 rows at N-K = 223. The packed BM takes one-byte symbols
-# only, so m > 8 runs in lockstep at every row count.
+# every code measured (m = 3, 5, 8; N-K = 6 to 223). On uniform words,
+# every row beyond t, lockstep is ahead from 24 rows at N-K <= 11 and from
+# 32 at N-K = 20 to 223. On words with 0.6t errors, whose discrepancies are
+# zero after 2L steps, which the packed BM skips, the crossover moves up
+# with N-K: lockstep is ahead from 32 rows at N-K = 6, from 48 at N-K = 11
+# and 20, even at 48 and ahead from 64 at N-K = 55, and ahead from 128 at
+# N-K = 223. The packed BM takes one-byte symbols only, so m > 8 runs in
+# lockstep at every row count.
 _BM_LOCKSTEP = 16
 
 
@@ -164,7 +176,7 @@ class RsCode:
     __slots__ = ("field", "n_symbols", "k_symbols", "num_parity", "t", "d_min",
                  "exp_table", "log_table", "syndrome_exponents",
                  "chien_exponents", "generator_poly", "parity_logs",
-                 "_packed_tables")
+                 "quotient_logs", "_packed_tables")
 
     def __init__(self, field: Field, k_symbols: int):
         n = field.order
@@ -185,7 +197,14 @@ class RsCode:
         self.chien_exponents = (np.outer(powers[:self.t + 1], -powers) % n).astype(np.int16)
         self.generator_poly = self._build_generator()
         self.parity_logs = self._build_parity_logs()
-        for table in (self.syndrome_exponents, self.chien_exponents, self.parity_logs):
+        # Entry a - b + N is the log of alpha^a / alpha^b, (a - b) mod N, for
+        # logs a, b < N; a zero dividend (a = 2N) gives the zero log.
+        zero_log = 2 * n
+        quotient = np.arange(-n, zero_log + 1, dtype=np.int16) % n
+        quotient[zero_log + 1:] = zero_log
+        self.quotient_logs = quotient
+        for table in (self.syndrome_exponents, self.chien_exponents, self.parity_logs,
+                      self.quotient_logs):
             table.setflags(write=False)
         self._packed_tables = None
 
@@ -214,14 +233,14 @@ class RsCode:
         exp, log = self.exp_table, self.log_table
         rows = np.zeros((k, npar), dtype=exp.dtype)
         if npar:
-            low_logs = log[np.asarray(self.generator_poly[1:])]
-            rem = exp[low_logs]
+            low_logs = log.take(self.generator_poly[1:])
+            rem = exp.take(low_logs)
             for r in range(k):
                 rows[r] = rem
                 shifted = np.zeros_like(rem)
                 shifted[:-1] = rem[1:]
-                rem = shifted ^ exp[log[rem[0]] + low_logs]
-        return np.ascontiguousarray(log[rows[::-1]], dtype=np.int16)
+                rem = shifted ^ exp.take(log[rem[0]] + low_logs)
+        return log.take(rows[::-1])
 
     # -- validation and the batched gather ------------------------------------
 
@@ -247,13 +266,12 @@ class RsCode:
     def _products(self, logs: np.ndarray, exps: np.ndarray) -> np.ndarray:
         """out[r, x] = XOR over l of exp_table[logs[l, r] + exps[l, x]].
 
-        The gather is laid out (l, r, x) and reduced over its leading axis,
-        one XOR of whole (r, x) planes per term, not one short reduction
-        per output element.
+        Both are int16 logs. The gather is laid out (l, r, x) and reduced
+        over its leading axis, one XOR of whole (r, x) planes per term, not
+        one short reduction per output element.
         """
         # Every sum is at most 4N, so it fits int16, which adds faster than
         # intp; ``take`` gathers with int16 indices faster than indexing.
-        logs = np.ascontiguousarray(logs, dtype=np.int16)
         out = np.empty((logs.shape[1], exps.shape[1]), dtype=self.exp_table.dtype)
         for part in _chunks(logs.shape[1], exps.size):
             terms = self.exp_table.take(logs[:, part, None] + exps[:, None, :])
@@ -262,11 +280,11 @@ class RsCode:
 
     def _syndromes(self, words: np.ndarray) -> np.ndarray:
         """(B, N-K) syndromes S_1..S_(N-K) of checked (B, N) words."""
-        return self._products(self.log_table[words.T], self.syndrome_exponents)
+        return self._products(self.log_table.take(words.T), self.syndrome_exponents)
 
     def _parity(self, messages: np.ndarray) -> np.ndarray:
         """(B, N-K) parity symbols of checked (B, K) messages."""
-        return self._products(self.log_table[messages.T], self.parity_logs)
+        return self._products(self.log_table.take(messages.T), self.parity_logs)
 
     # -- public codec ----------------------------------------------------------
 
@@ -342,7 +360,7 @@ class RsCode:
         if len(synd) >= _BM_LOCKSTEP or exp.itemsize > 1:
             # A numpy step costs the same for 1 row as for many, so lockstep
             # pays from ``_BM_LOCKSTEP`` rows on. Row chunks keep each
-            # (N-K+1, rows) intp state array near 2 MB.
+            # (N-K+1, rows) gather of a step near ``_CHUNK`` elements.
             step = max(_BM_LOCKSTEP, _CHUNK // synd.shape[1])
             parts = [self._berlekamp_massey_rows(synd[lo:lo + step])
                      for lo in range(0, len(synd), step)]
@@ -353,11 +371,13 @@ class RsCode:
         # LFSR length, or above t, is no error pattern's within t.
         ok = (0 < degree) & (degree == length) & (degree <= t)
         rows = np.flatnonzero(ok)
-        # Term k of every row's sigma as logs, (t+1, rows).
-        sigma_logs = log.take(sigma[rows, :t + 1].T).astype(np.int16)
+        # Term k of every row's sigma as logs, (terms, rows). Terms above the
+        # batch's largest degree are zero on every row, so they are left out.
+        terms = int(degree[rows].max(initial=0)) + 1
+        sigma_logs = log.take(sigma[rows, :terms].T)
 
         # Chien search: roots alpha^-d of sigma mark errors at power x^d.
-        roots = self._products(sigma_logs, self.chien_exponents) == 0
+        roots = self._products(sigma_logs, self.chien_exponents[:terms]) == 0
         split = roots.sum(axis=1) == degree[rows]
         ok[rows[~split]] = False
         rows, sigma_logs, roots = rows[split], sigma_logs.compress(split, axis=1), roots[split]
@@ -367,9 +387,10 @@ class RsCode:
         # sigma'(X^-1) at X = alpha^d. In characteristic 2, X^-1 sigma'(X^-1)
         # is the odd part of sigma at X^-1, so sigma'(X^-1) = odd * alpha^d.
         # Only errors at powers d >= N-K, array positions N-1-d < K, are in
-        # the message. Each gathers t terms of each sum, so the errors go in
-        # chunks.
-        omega_logs = log.take(high[rows].T).astype(np.int16)
+        # the message. deg Omega^h < L, so terms - 1 of its coefficients are
+        # all of it on every row. Each gathers up to t terms of each sum, so
+        # the errors go in chunks.
+        omega_logs = log.take(high[rows, :terms - 1].T)
         row, deg = np.nonzero(roots[:, npar:])
         deg += npar
         chien = self.chien_exponents  # chien[k, d]: (alpha^-d)^k
@@ -377,9 +398,9 @@ class RsCode:
         odd = np.empty_like(num)
         for part in _chunks(len(row), t):
             r, d = row[part], deg[part]
-            np.bitwise_xor.reduce(exp.take(omega_logs[:, r] + chien[:t, d]), axis=0,
+            np.bitwise_xor.reduce(exp.take(omega_logs[:, r] + chien[:terms - 1, d]), axis=0,
                                   out=num[part])
-            np.bitwise_xor.reduce(exp.take(sigma_logs[1::2, r] + chien[1::2, d]), axis=0,
+            np.bitwise_xor.reduce(exp.take(sigma_logs[1::2, r] + chien[1:terms:2, d]), axis=0,
                                   out=odd[part])
         fixed = message.copy()
         fixed[rows[row], n - 1 - deg] ^= exp[(log[num] - log[odd] - deg * (npar + 1)) % n]
@@ -394,7 +415,9 @@ class RsCode:
         (coefficients, rows), so a step's discrepancies are one XOR
         reduction over the leading axis. Division by the last discrepancy
         b is a subtraction of logs, so sigma is Massey's own, not a scalar
-        multiple of it.
+        multiple of it. Every log of the state is int16 and every gather a
+        ``take``; the quotient's log is one ``take`` from ``quotient_logs``,
+        which also sends a zero discrepancy to the zero log.
 
         Returns the (B, N-K+1) coefficients, a transposed view of that
         state, the degree of each row, read from its highest nonzero
@@ -404,7 +427,7 @@ class RsCode:
         weight <= t explains.
         """
         n_order = self.n_symbols
-        exp, log = self.exp_table, self.log_table
+        exp, log, quotient = self.exp_table, self.log_table, self.quotient_logs
         zero_log = log[0]
         rows, npar = synd.shape
         width = npar + 1
@@ -412,7 +435,7 @@ class RsCode:
         # base = npar - 1 - n. synd_logs[c] = log S_(npar - c), so the
         # window is S_(n+1), S_n, ...; the last row reads as zero.
         synd_logs = np.full((width, rows), zero_log)
-        synd_logs[:npar] = log[synd[:, ::-1].T]
+        synd_logs[:npar] = log.take(synd[:, ::-1].T)
         # Logs of x^gap * B(x): B is sigma as of the last length change and
         # gap the steps since; they start at B = 1, gap = 1. Lowering base
         # by one each step multiplies by x for free.
@@ -420,31 +443,33 @@ class RsCode:
         shifted_logs[npar] = 0
         sigma = np.zeros((width, rows), dtype=exp.dtype)
         sigma[0] = 1
-        length = np.zeros(rows, dtype=np.intp)
-        prev_delta_log = np.zeros(rows, dtype=np.intp)
+        length = np.zeros(rows, dtype=np.int16)
+        # The log of the last discrepancy b, less N: delta_log - prev_delta_log
+        # is then the index log(delta) - log(b) + N into ``quotient``.
+        prev_delta_log = np.full(rows, -n_order, dtype=np.int16)
         for n in range(npar):
             # At step n, deg sigma <= length <= n and deg x^gap B <= n + 1.
             base, w = npar - 1 - n, min(n + 2, width)
-            sigma_logs = log[sigma[:w]]
-            delta = np.bitwise_xor.reduce(exp[sigma_logs + synd_logs[base:base + w]], axis=0)
-            delta_log = log[delta]
-            live = delta != 0
+            sigma_logs = log.take(sigma[:w])
+            delta = np.bitwise_xor.reduce(exp.take(sigma_logs + synd_logs[base:base + w]),
+                                          axis=0)
+            delta_log = log.take(delta)
             # sigma += (delta / b) x^gap B; a zero delta adds nothing.
-            coef = np.where(live, (delta_log - prev_delta_log) % n_order, zero_log)
+            coef = quotient.take(delta_log - prev_delta_log)
             shifted = shifted_logs[base:base + w]
-            sigma[:w] ^= exp[shifted + coef]
-            change = live & (length <= n // 2)
+            sigma[:w] ^= exp.take(shifted + coef)
+            change = (delta != 0) & (length <= n // 2)
             np.copyto(shifted, sigma_logs, where=change)
             np.copyto(length, n + 1 - length, where=change)
-            np.copyto(prev_delta_log, delta_log, where=change)
+            np.copyto(prev_delta_log, delta_log - n_order, where=change)
         degree = npar - np.argmax(sigma[::-1] != 0, axis=0)
         # Coefficient j of Omega^h, that of x^(npar + j) in S(x) sigma(x),
         # sums S_(npar - i) sigma_(j + 1 + i) over i >= 0: synd_logs[i] is the
         # log of that syndrome, so each is one shifted gather and reduction.
-        sigma_logs = log[sigma]
+        sigma_logs = log.take(sigma)
         high = np.empty((self.t, rows), dtype=exp.dtype)
         for j in range(self.t):
-            np.bitwise_xor.reduce(exp[synd_logs[:npar - j] + sigma_logs[j + 1:]], axis=0,
+            np.bitwise_xor.reduce(exp.take(synd_logs[:npar - j] + sigma_logs[j + 1:]), axis=0,
                                   out=high[j])
         return sigma.T, degree, length, high.T
 

@@ -626,6 +626,36 @@ def test_auth_refuses_a_fused_inf_outside_the_key(dataset_csv, tmp_path, capsys,
     assert "non-finite values in population vectors" in captured.err
 
 
+def test_auth_refuses_a_probe_that_overflows_in_the_key_without_a_warning(
+        dataset_csv, tmp_path, capsys, weights_file):
+    # One output row of W that the key selects overflows on one large finite
+    # input of the held-out probe sample (s0000's sample 5); the enrollment
+    # halves stay finite, so only the probe's check can refuse.
+    flags = pipeline_flags(dataset_csv, tmp_path) + ["--weights", str(weights_file)]
+    assert cli.main(["enroll", "--subject", "s0000"] + flags) == cli.EXIT_OK
+    row = int(store.KeyStore(tmp_path / "keys").load("s0000").indices[0])
+    weights = fusion.load_weights(weights_file)
+    weights.W[row, 0] = 1e10
+    path = tmp_path / "overflow.fusw"
+    fusion.save_weights(weights, path)
+    lines = dataset_csv.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("s0000,5,face,"))
+    fields = lines[at].split(",")
+    fields[3] = "1e300"
+    lines[at] = ",".join(fields)
+    big_csv = tmp_path / "embeddings.csv"
+    big_csv.write_text("".join(lines))
+    flags = pipeline_flags(big_csv, tmp_path) + ["--weights", str(path)]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["auth", "--subject", "s0000", "--probe-sample", "5"] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "ACCEPT" not in captured.out and "DENY" not in captured.out
+    assert "non-finite" in captured.err and "RuntimeWarning" not in captured.err
+
+
 @pytest.mark.parametrize("option,value", [("--k-symbols", "3"), ("--k-symbols", "9"),
                                           ("--m", "4")])
 def test_auth_code_flags_contradicting_record_are_runtime_error(

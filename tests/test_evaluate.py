@@ -236,6 +236,8 @@ class TestFarDeterminism:
         (1, "fuzzy-commitment", "fail-deny"): (0.003, 0.0, 0.0705),
         (2, "secure-sketch", "fallback"): (0.013, 0.0, 0.0705),
         (2, "fuzzy-commitment", "fail-deny"): (0.0005, 0.0, 0.0),
+        (3, "secure-sketch", "fallback"): (0.0005, 0.0, 0.0705),
+        (3, "fuzzy-commitment", "fallback"): (0.0015, 0.0, 0.0),
     }
 
     @pytest.mark.parametrize("k,scheme,policy", sorted(EXPECTED))

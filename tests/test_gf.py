@@ -78,13 +78,14 @@ def codec_product(m):
 @pytest.mark.parametrize("m", ALL_M)
 def test_field_owns_read_only_sentinel_tables(m):
     """``log_table[0]`` is 2N and ``exp_table`` is alpha^i below 2N and zero
-    from 2N to 4N; both are read-only, and a code computes with the field's
-    own arrays, not copies."""
+    from 2N to 4N; both are read-only, ``log_table`` is int16, and a code
+    computes with the field's own arrays, not copies."""
     field = Field(m)
     exp, log, order = field.exp_table, field.log_table, field.order
     assert log[0] == 2 * order
     assert exp.shape == (4 * order + 1,)
     assert exp.dtype == (np.uint8 if m <= 8 else np.uint16)
+    assert log.dtype == np.int16
     assert not exp[2 * order:].any()
     assert np.array_equal(exp[:order], exp[order:2 * order])
     for table in (exp, log):

@@ -129,6 +129,14 @@ class TestBinarize:
         with pytest.raises(DimensionMismatchError):
             binarize(np.zeros((1, 4, 2)), pop)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_vectors_are_refused(self, bad):
+        pop = make_pop([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            binarize([bad, 0.0], pop)
+        with pytest.raises(ValueError, match="non-finite"):
+            binarize([[0.0, 1.0], [1.0, bad]], pop)
+
 
 def assert_same_order_and_ties_as_ndtr(z):
     # Ranking reads only order and ties, so values may differ by an ulp.

@@ -854,6 +854,22 @@ class TestDecodeBatch:
         with pytest.raises(ValueError):
             rs_7_3.syndrome_exponents[0, 0] = 1
 
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_quotient_logs_divide_and_keep_the_zero_log(self, m):
+        """Entry a - b + N of ``quotient_logs`` is (a - b) mod N, the log of
+        alpha^a / alpha^b, for every pair of logs a, b < N; a zero dividend,
+        log 2N, gives the zero log 2N. The table is int16 and read-only."""
+        code = RsCode(Field(m), 1)
+        n, table = code.n_symbols, code.quotient_logs
+        assert table.shape == (3 * n + 1,) and table.dtype == np.int16
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+        logs = np.arange(n)
+        quotient = table[logs[:, None] - logs[None, :] + n]
+        assert np.array_equal(quotient, (logs[:, None] - logs[None, :]) % n)
+        assert (table[2 * n - logs + n] == 2 * n).all()
+
     def test_zero_sentinel_multiplies_without_branch(self, gf8, rs_7_3):
         exp, log = rs_7_3.exp_table, rs_7_3.log_table
         for a in range(8):

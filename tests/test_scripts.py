@@ -95,3 +95,34 @@ def test_code_lines_counts_code_only(tmp_path):
         "     6 mod.py",
         "     6 total",
     ]
+
+
+def _result_line(op_ms, ops_per_s, failed=0):
+    """A ``benchmarks/run.py`` result line with two metrics."""
+    return {"correct": not failed, "attempted": 10, "failed": failed, "metrics": {
+        "op_p50_ref_ms": {"value": op_ms, "unit": "ms"},
+        "ops_per_ref_s": {"value": ops_per_s, "unit": "1/s"}}}
+
+
+def test_ab_bench_summarizes_pairs_without_running_them():
+    ab = runpy.run_path(str(ROOT / "scripts" / "ab_bench.py"))
+    assert ab["schedule"]([1, 2], 3) == [
+        (seed, order) for seed in (1, 2) for order in (
+            ("parent", "change"), ("change", "parent"), ("parent", "change"))]
+    better = {"op_p50_ref_ms": "lower", "ops_per_ref_s": "higher"}
+    pairs = [(_result_line(p, 1000 / p), _result_line(c, 1000 / c, failed=f))
+             for p, c, f in [(10.0, 9.0, 0), (12.0, 9.5, 0), (11.0, 11.5, 1), (14.0, 10.0, 0)]]
+    rows = {row["metric"]: row for row in ab["summarize"](pairs, better)}
+    op = rows["op_p50_ref_ms"]
+    assert (op["parent"], op["change"], op["wins"], op["pairs"]) == (11.5, 9.75, 3, 4)
+    assert op["ratio"] == 9.75 / 11.5
+    assert op["parent_iqr"] == 12.5 - 10.75
+    assert rows["ops_per_ref_s"]["wins"] == 3
+    text = ab["report"]([(1, p, c) for p, c in pairs[:2]] + [(2, p, c) for p, c in pairs[2:]],
+                        better)
+    titles = [line for line in text.splitlines() if not line.startswith(" ")]
+    assert titles == ["seed 1, 2 pairs", "seed 2, 2 pairs", "all seeds, 4 pairs"]
+    assert text.splitlines()[-1] == "  failed ops: parent 0, change 1"
+    assert "0.848" in text  # the pooled op_p50_ref_ms ratio
+    assert set(ab["directions"]()) == {"setup_s", "op_p50_ref_ms", "ops_per_ref_s",
+                                       "peak_rss_mb"}
