@@ -22,6 +22,8 @@ defines it.
   ``far_analytic``, ``params_for_security``
 - ``synth``: ``EmbeddingDataset``, ``gen_population``, ``read_embeddings``,
   ``write_embeddings``
+- ``textfile``: ``to_text``, ``from_text``, the line grammar of the record
+  and key files
 - ``errors``: ``BiosketchError`` and its subclasses
 - ``cli``: the ``biosketch`` command
 """

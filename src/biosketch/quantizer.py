@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InsufficientDataError, ParseError
 from .rs import as_bits
+from .textfile import from_text, parse_plain_int, to_text
 
 SIGMA_FLOOR = 1e-9
 
@@ -181,7 +182,7 @@ def extract(bits, key: ReliableKey) -> np.ndarray:
 
 # -- key file format ----------------------------------------------------------
 #
-# Line-oriented text:
+# The grammar of ``textfile``, with the indices as the body:
 #   biosketch-key v1
 #   d=<dimension>
 #   G=<count>
@@ -189,55 +190,28 @@ def extract(bits, key: ReliableKey) -> np.ndarray:
 #   <index>        (one decimal index per line, ascending)
 
 _KEY_HEADER = "biosketch-key v1"
+_KEY_CASTS = {"d": parse_plain_int, "G": parse_plain_int, "nonce": parse_plain_int}
 
-# Integers as ``key_to_text`` and ``sketch.record_to_text`` write them:
-# ASCII decimals without a plus sign or leading zero. The index lines are
-# each stripped and ended by a newline; at most 18 digits keeps every index
-# inside int64.
-_PLAIN_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+# Index lines as ``key_to_text`` writes them, each stripped and ended by a
+# newline: ASCII decimals without a sign or leading zero. At most 18 digits
+# keeps every index inside int64.
 _INDEX_LINES = re.compile(r"(?:(?:0|[1-9][0-9]{0,17})\n)*")
 
 
-def parse_plain_int(text: str) -> int:
-    """An int header value as the file writers print it; ``ValueError`` for
-    any other form ``int`` takes, such as ``+3``, ``0_1`` or ``04``."""
-    if not _PLAIN_INT.fullmatch(text):
-        raise ValueError(f"{text!r} is not a plain decimal")
-    return int(text)
-
-
-def parse_plain_hex(text: str) -> bytes:
-    """Bytes as ``bytes.hex`` writes them; ``ValueError`` for the other forms
-    ``bytes.fromhex`` takes, such as upper case or spaces."""
-    value = bytes.fromhex(text)
-    if value.hex() != text:
-        raise ValueError(f"{text!r} is not plain lower-case hex")
-    return value
-
-
 def key_to_text(key: ReliableKey) -> str:
-    lines = [_KEY_HEADER, f"d={key.dimension}", f"G={key.count}",
-             f"nonce={key.nonce}"]
-    lines.extend(str(i) for i in key.indices)
-    return "\n".join(lines) + "\n"
+    return to_text(_KEY_HEADER, {"d": key.dimension, "G": key.count, "nonce": key.nonce},
+                   (str(i) for i in key.indices))
 
 
 def key_from_text(text: str) -> ReliableKey:
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    if not lines or lines[0] != _KEY_HEADER:
-        raise ParseError("not a reliable-key file")
-    try:
-        fields = dict(ln.split("=", 1) for ln in lines[1:4])
-        d, count, nonce = (parse_plain_int(fields[name]) for name in ("d", "G", "nonce"))
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"malformed key file: {exc}") from exc
-    block = "\n".join(lines[4:] + [""])
+    fields, body = from_text(text, _KEY_HEADER, _KEY_CASTS, "key file")
+    block = "\n".join(body + [""])
     if not _INDEX_LINES.fullmatch(block):
         raise ParseError("malformed key file: an index line is not a plain decimal")
     indices = np.fromstring(block, dtype=np.int64, sep="\n")
-    if len(indices) != count:
-        raise ParseError(f"key file lists {len(indices)} indices, header says {count}")
+    if len(indices) != fields["G"]:
+        raise ParseError(f"key file lists {len(indices)} indices, header says {fields['G']}")
     try:
-        return ReliableKey(indices=indices, dimension=d, nonce=nonce)
+        return ReliableKey(indices=indices, dimension=fields["d"], nonce=fields["nonce"])
     except (IndexError, ValueError) as exc:
         raise ParseError(f"invalid key file: {exc}") from exc

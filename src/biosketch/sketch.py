@@ -50,7 +50,6 @@ from .errors import (
     ParseError,
 )
 from .gf import Field, check_symbol_size
-from .quantizer import parse_plain_hex, parse_plain_int
 from .rs import (
     BATCH_STATUSES,
     DecodePolicy,
@@ -60,6 +59,7 @@ from .rs import (
     bit_rows_to_symbols,
     symbols_to_bits,
 )
+from .textfile import from_text, parse_plain_hex, parse_plain_int, to_text
 
 SCHEME_SECURE_SKETCH = "secure-sketch"
 SCHEME_FUZZY_COMMITMENT = "fuzzy-commitment"
@@ -372,7 +372,7 @@ def authenticate_batch(probes, records, owner,
 
 # -- record file format -------------------------------------------------------
 #
-# Line-oriented text, hex-encoded binary fields:
+# The grammar of ``textfile``, hex-encoded binary fields and no body:
 #   biosketch-record v1
 #   subject_id=<id>
 #   scheme=secure-sketch | fuzzy-commitment
@@ -385,52 +385,33 @@ def authenticate_batch(probes, records, owner,
 #   offset=<hex>             (fuzzy commitment only)
 
 _RECORD_HEADER = "biosketch-record v1"
-_RECORD_FIELDS = frozenset({"subject_id", "scheme", "m", "k_symbols", "policy",
-                            "primitive_poly", "salt", "digest", "offset"})
+# Each field is read into the ``EnrollmentRecord`` or ``SketchParams`` field
+# of its name.
+_PARAMS_FIELDS = ("m", "k_symbols", "policy", "primitive_poly")
+_RECORD_CASTS = {"subject_id": str, "scheme": str, "m": parse_plain_int,
+                 "k_symbols": parse_plain_int, "policy": DecodePolicy,
+                 "primitive_poly": parse_plain_int, "salt": parse_plain_hex,
+                 "digest": parse_plain_hex, "offset": parse_plain_hex}
 
 
 def record_to_text(record: EnrollmentRecord) -> str:
-    lines = [
-        _RECORD_HEADER,
-        f"subject_id={record.subject_id}",
-        f"scheme={record.scheme}",
-        f"m={record.params.m}",
-        f"k_symbols={record.params.k_symbols}",
-        f"policy={record.params.policy.value}",
-        f"primitive_poly={record.params.primitive_poly}",
-        f"salt={record.salt.hex()}",
-        f"digest={record.digest.hex()}",
-    ]
+    params = record.params
+    fields = {"subject_id": record.subject_id, "scheme": record.scheme, "m": params.m,
+              "k_symbols": params.k_symbols, "policy": params.policy.value,
+              "primitive_poly": params.primitive_poly, "salt": record.salt.hex(),
+              "digest": record.digest.hex()}
     if record.offset is not None:
-        lines.append(f"offset={record.offset.hex()}")
-    return "\n".join(lines) + "\n"
+        fields["offset"] = record.offset.hex()
+    return to_text(_RECORD_HEADER, fields)
 
 
 def record_from_text(text: str) -> EnrollmentRecord:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != _RECORD_HEADER:
-        raise ParseError("not an enrollment record")
+    fields, body = from_text(text, _RECORD_HEADER, _RECORD_CASTS, "enrollment record",
+                             optional=("offset",))
     try:
-        pairs = [ln.split("=", 1) for ln in lines[1:]]
-        fields = dict(pairs)
-        if len(fields) != len(pairs):
-            raise ValueError("a field is repeated")
-        if not fields.keys() <= _RECORD_FIELDS:
-            raise ValueError(f"unknown fields {sorted(fields.keys() - _RECORD_FIELDS)}")
-        params = SketchParams(
-            m=parse_plain_int(fields["m"]),
-            k_symbols=parse_plain_int(fields["k_symbols"]),
-            policy=DecodePolicy(fields["policy"]),
-            primitive_poly=parse_plain_int(fields["primitive_poly"]),
-        )
-        offset = parse_plain_hex(fields["offset"]) if "offset" in fields else None
-        return EnrollmentRecord(
-            scheme=fields["scheme"],
-            subject_id=fields["subject_id"],
-            params=params,
-            salt=parse_plain_hex(fields["salt"]),
-            digest=parse_plain_hex(fields["digest"]),
-            offset=offset,
-        )
-    except (KeyError, ValueError) as exc:
+        if body:
+            raise ValueError("a line after the fields is not a field")
+        params = SketchParams(**{name: fields.pop(name) for name in _PARAMS_FIELDS})
+        return EnrollmentRecord(params=params, **fields)
+    except ValueError as exc:
         raise ParseError(f"malformed enrollment record: {exc}") from exc

@@ -15,8 +15,7 @@ that store instance. The cache is keyed on the bytes, not on ``stat``: a
 parse depends on nothing else, so a revoked and re-enrolled key can never
 be served from a stale entry. It holds one entry per subject the instance
 has loaded: ~94 KB of parsed key per m=8 subject plus its ~10 KB of bytes,
-~2 KB per record. The bytes are decoded as UTF-8; line endings are left to
-the parsers, which split lines with ``str.splitlines``.
+~2 KB per record. The bytes are decoded as UTF-8 and parsed as they are.
 """
 
 from __future__ import annotations
@@ -79,6 +78,10 @@ class _FileStore:
 
     def _load(self, subject_id: str, parse):
         """``parse`` of the subject's file text, reused while its bytes are unchanged.
+
+        The text is the file's bytes decoded as UTF-8, line endings and all:
+        line handling lives in ``textfile.from_text``, which splits lines
+        with ``str.splitlines``.
 
         A decode or parse that raises caches nothing, so a bad file fails on
         every load.
@@ -143,7 +146,11 @@ class KeyStore(_FileStore):
 
 
 def revoke(db: TemplateDb, keystore: KeyStore, subject_id: str):
-    """Delete a subject's record, then its key; re-enrollment needs a fresh nonce.
+    """Delete a subject's record, then its key.
+
+    An unseeded re-enrollment draws a fresh nonce and so a new key. A seeded
+    one derives the nonce from the seed and the subject id, and so reissues
+    the revoked key and record.
 
     Whichever of the two exists is deleted, so a stray key or record left by
     an interrupted enroll or revoke can be cleared. Only a subject with

@@ -210,6 +210,19 @@ def test_key_index_lines_key_to_text_never_writes_are_runtime_errors(
     assert "ACCEPT" not in captured.out
 
 
+def test_key_with_an_unknown_field_is_runtime_error(dataset_csv, tmp_path, capsys):
+    flags = pipeline_flags(dataset_csv, tmp_path)
+    assert cli.main(["enroll", "--subject", "s0005"] + flags) == cli.EXIT_OK
+    path = tmp_path / "keys" / "s0005.key"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:4] + ["x=1"] + lines[4:]) + "\n")
+    rc = cli.main(["auth", "--subject", "s0005", "--probe-sample", "1"] + flags)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RUNTIME
+    assert "malformed key file: unknown fields ['x']" in captured.err
+    assert "ACCEPT" not in captured.out
+
+
 @pytest.mark.parametrize("edit", ["plus-sign", "repeated-field", "unknown-field",
                                   "upper-case-digest", "spaced-salt"])
 def test_record_lines_record_to_text_never_writes_are_runtime_errors(

@@ -35,14 +35,14 @@ def test_importing_the_codec_loads_only_what_it_needs():
 
 def test_importing_sketch_loads_no_pipeline_or_cli_module():
     loaded = _loaded_after("biosketch.sketch")
-    for name in ("evaluate", "pipeline", "fusion", "synth", "store", "cli"):
+    for name in ("evaluate", "pipeline", "fusion", "quantizer", "synth", "store", "cli"):
         assert f"biosketch.{name}" not in loaded
 
 
 def test_importing_the_cli_loads_what_auth_uses_and_not_evaluate():
     assert _loaded_after("biosketch.cli") == {f"biosketch{name}" for name in (
         "", ".cli", ".errors", ".fusion", ".gf", ".pipeline", ".quantizer", ".rs",
-        ".sketch", ".store", ".synth")}
+        ".sketch", ".store", ".synth", ".textfile")}
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -344,6 +345,23 @@ class TestKeyFile:
         lines[line] = bad
         with pytest.raises(ParseError):
             key_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: lines[:2] + lines[1:], "repeated field 'd'"),
+        (lambda lines: lines[:4] + ["x=1"] + lines[4:], "unknown fields ['x']"),
+        (lambda lines: lines[:3] + lines[4:], "missing fields ['nonce']"),
+    ], ids=["repeated", "unknown", "missing"])
+    def test_header_field_faults_are_named(self, edit, message):
+        lines = edit(key_to_text(ReliableKey(indices=(1, 5), dimension=16,
+                                             nonce=3)).splitlines())
+        with pytest.raises(ParseError, match=re.escape(f"malformed key file: {message}")):
+            key_from_text("\n".join(lines) + "\n")
+
+    def test_header_fields_in_any_order_accepted(self):
+        key = ReliableKey(indices=(1, 5), dimension=16, nonce=3)
+        lines = key_to_text(key).splitlines()
+        lines[1:4] = lines[3:0:-1]
+        assert key_from_text("\n".join(lines) + "\n") == key
 
     def test_blank_lines_and_surrounding_whitespace_accepted(self):
         key = ReliableKey(indices=(0, 5, 9, 15), dimension=16, nonce=3)

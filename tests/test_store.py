@@ -12,7 +12,7 @@ from biosketch.errors import (
 )
 from biosketch.quantizer import ReliableKey
 from biosketch.rs import DecodePolicy
-from biosketch.sketch import enroll_fc, enroll_ss
+from biosketch.sketch import enroll_fc, enroll_ss, record_to_text
 from biosketch.store import KeyStore, TemplateDb, revoke
 
 
@@ -48,6 +48,18 @@ def test_fc_record_roundtrip(db, rs_7_3):
                        bytes(16), subject_id="u2")
     db.save("u2", record)
     assert db.load("u2") == record
+
+
+@pytest.mark.parametrize("subject_id", ["x ", "a\nb", "p\x0bq"])
+def test_record_that_would_not_read_back_is_refused_and_not_written(db, rs_7_3,
+                                                                    subject_id):
+    record = enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3,
+                       DecodePolicy.FALLBACK_SYSTEMATIC, bytes(16), subject_id=subject_id)
+    with pytest.raises(ValueError, match="would not read back"):
+        record_to_text(record)
+    with pytest.raises(ValueError, match="would not read back"):
+        db.save("u1", record)
+    assert not db.path.exists()
 
 
 def test_key_roundtrip(keystore, key):
