@@ -21,31 +21,24 @@ how the trials are drawn.
 Security is counted in message bits k = K * m; sweeping K at fixed m yields
 the GAR-security trade-off curve, written as CSV with the header
 ``m,K,security_bits,rate,gar,far_analytic,far_empirical,scheme,policy,scenario``.
-A sweep fuses the population, takes its medians and selects every
-subject's key and enrolled bits once, then enrolls every K in one
-``enroll_batch`` and decides it; a sweep without a seed runs every K, and
-its FAR, under one seed drawn at its start.
+A sweep without a seed runs every K, and its FAR, under one seed drawn at
+its start. Every entry point refuses a K that is not an integer in
+1..2^m - 1, with ``RsCode``'s message, before any work.
 
-That K-invariant half (fused rows, medians, selections) is also kept
-across calls, in one slot: ``gar_stats``, ``empirical_far`` and
-``run_gs_curve`` reuse it when the SHA-256 of the dataset (subject ids in
-order; dtype, shape and bytes of every face and iris matrix) and of the
-config fields it reads (seed, fusion mode, out_dim, m, window factor) match
-the last seeded call. K, scheme and policy are not part of the key. A
-config without a seed neither reuses nor replaces it, since each such call
-draws fresh entropy; that holds for a sweep too, although it draws a seed
-at its start. The slot keeps one population in memory after the call returns;
-its fused matrices, medians and enrolled bits are read-only.
+``gar_stats``, ``empirical_far`` and ``run_gs_curve`` run on a
+``_Population``: the K-invariant half of evaluation (fused rows, medians,
+every subject's key and enrolled bits, read-only), built once, and a table
+filled by ``enrolled(config)`` with what each (K, scheme, policy) adds: its
+RS code and a read-only mapping of its enrollments, made by one
+``enroll_batch``. A repeated call only decides. An entry costs one code
+(0.1-0.3 MB of tables at m = 8, 2-3 MB at m = 10, by K) and one record per
+enrolled subject, and holds no K-invariant array.
 
-The slot's population also keeps a table of what each (K, scheme, policy)
-asked for needs: its RS code and a read-only mapping of its enrollments,
-so a repeated call only decides; the first call at a (K, scheme, policy)
-builds the code and runs the one ``enroll_batch``. The code and records
-depend only on the population and on those three fields, so a reused
-entry equals a fresh one. An entry costs one code (0.1-0.3 MB of tables
-at m = 8, 2-3 MB at m = 10, by K) and one record per enrolled subject
-(salt, digest and, for fuzzy commitment, n offset bits). The table goes
-with the population when the slot is replaced.
+One population is kept across calls, in the slot ``_fuse_memo``, while the
+SHA-256 of the dataset (subject ids in order; dtype, shape and bytes of
+every face and iris matrix) and of the config's ``_FUSE_FIELDS`` match the
+last seeded call. A call without a seed, a sweep included, draws fresh
+entropy: it gets a fresh population and leaves the slot alone.
 """
 
 from __future__ import annotations
@@ -142,21 +135,44 @@ class GarResult:
     unenrollable: int
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    code: object
-    pop: object
-    fused: dict[str, np.ndarray]
-    enrollments: Mapping[str, Enrollment]  # subjects missing here are unenrollable
-
-
-# The PipelineConfig fields _fuse reads. The others only matter per K: they
-# key the population's table of codes and enrollments, which _prepare fills.
+# The PipelineConfig fields a _Population reads. The others only matter per
+# K: they key its table of codes and enrollments.
 _FUSE_FIELDS = ("seed", "fusion_mode", "out_dim", "m", "window_factor")
 _PER_K_FIELDS = ("k_symbols", "scheme", "policy")
 
-# (key, _fuse result) of the last seeded _fuse call.
+# (key, population) of the last seeded _population call.
 _fuse_memo = None
+
+
+class _Population:
+    """The K-invariant work on a dataset: every subject's fused samples, the
+    population stats and every subject's ``select_template``, with read-only
+    arrays; and a table of what each (K, scheme, policy) adds to it."""
+
+    def __init__(self, dataset: EmbeddingDataset, config: PipelineConfig):
+        fused = fuse_dataset(dataset, build_weights(config, dataset.d_face, dataset.d_iris))
+        pop = population_from_fused(fused)
+        selections = {sid: select_template(config, mat[:enroll_split(mat.shape[0])], pop, sid)
+                      for sid, mat in fused.items()}
+        for arr in [*fused.values(), pop.median, *(r_a for _, r_a, _, _ in selections.values())]:
+            arr.flags.writeable = False
+        self.fused, self.pop, self.selections = fused, pop, selections
+        self.table = {}  # _PER_K_FIELDS values -> enrolled()
+
+    def enrolled(self, config: PipelineConfig) -> tuple[object, Mapping[str, Enrollment]]:
+        """The config's code and a read-only mapping of the enrolled subjects'
+        enrollments under it; subjects missing there are unenrollable. A
+        miss builds the code and runs one ``enroll_batch``."""
+        per_k = tuple(getattr(config, f) for f in _PER_K_FIELDS)
+        if per_k not in self.table:
+            code = config.build_code()
+            keys, bits, salts, seeds = zip(*self.selections.values())
+            records = enroll_batch(config.scheme, np.stack(bits), code, config.policy, salts,
+                                   list(self.selections), seeds)
+            self.table[per_k] = code, MappingProxyType(
+                {record.subject_id: Enrollment(record, key, r_a)
+                 for key, r_a, record in zip(keys, bits, records) if record is not None})
+        return self.table[per_k]
 
 
 def _fuse_key(dataset: EmbeddingDataset, config: PipelineConfig) -> bytes:
@@ -170,55 +186,35 @@ def _fuse_key(dataset: EmbeddingDataset, config: PipelineConfig) -> bytes:
     return digest.digest()
 
 
-def _fuse(dataset: EmbeddingDataset, config: PipelineConfig):
-    """``_fuse_uncached`` plus an empty table of per-K codes and enrollments for
-    ``_prepare``, both reused while the dataset content and the config's
-    ``_FUSE_FIELDS`` match the last seeded call."""
+def _population(dataset: EmbeddingDataset, config: PipelineConfig) -> _Population:
+    """The dataset's ``_Population`` under the config, reused while the
+    dataset content and the config's ``_FUSE_FIELDS`` match the last seeded
+    call; an unseeded call gets a fresh one and leaves the slot alone."""
     global _fuse_memo
     if config.seed is None:
-        return *_fuse_uncached(dataset, config), {}
-    key, memo = _fuse_key(dataset, config), _fuse_memo
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    _fuse_memo = memo = None  # free the old population before building the next
-    population = *_fuse_uncached(dataset, config), {}
-    _fuse_memo = key, population
-    return population
+        return _Population(dataset, config)
+    key = _fuse_key(dataset, config)
+    if _fuse_memo is None or _fuse_memo[0] != key:
+        _fuse_memo = None  # free the old population before building the next
+        _fuse_memo = key, _Population(dataset, config)
+    return _fuse_memo[1]
 
 
-def _fuse_uncached(dataset: EmbeddingDataset, config: PipelineConfig):
-    """K-invariant work: every subject's fused samples, the population stats
-    and every subject's ``select_template``, with read-only arrays."""
-    fused = fuse_dataset(dataset, build_weights(config, dataset.d_face, dataset.d_iris))
-    pop = population_from_fused(fused)
-    selections = {sid: select_template(config, mat[:enroll_split(mat.shape[0])], pop, sid)
-                  for sid, mat in fused.items()}
-    for arr in [*fused.values(), pop.median, *(r_a for _, r_a, _, _ in selections.values())]:
-        arr.flags.writeable = False
-    return fused, pop, selections
+def _check_count(value, most: float, message: str) -> int:
+    """``value`` as an int if it is an integer in 1..``most``; a bool is not.
+    Anything else raises ``ValueError(message)``."""
+    try:
+        if not isinstance(value, bool) and 1 <= operator.index(value) <= most:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(message)
 
 
-def _prepare(fused: dict[str, np.ndarray], pop, selections, prepared: dict,
-             config: PipelineConfig) -> _Prepared:
-    """Per-K work: the code, and every subject's enrollment under it, kept
-    in the table ``prepared``; a miss builds the code and runs one
-    ``enroll_batch``."""
-    per_k = tuple(getattr(config, f) for f in _PER_K_FIELDS)
-    prep = prepared.get(per_k)
-    if prep is None:
-        code = config.build_code()
-        keys, bits, salts, seeds = zip(*selections.values())
-        records = enroll_batch(config.scheme, np.stack(bits), code, config.policy, salts,
-                               list(selections), seeds)
-        prep = prepared[per_k] = _Prepared(code, pop, fused, MappingProxyType(
-            {record.subject_id: Enrollment(record, key, r_a)
-             for key, r_a, record in zip(keys, bits, records) if record is not None}))
-    return prep
-
-
-def _check_probe_mode(probe_mode: str) -> None:
-    if probe_mode not in ("heldout", "enroll"):
-        raise ValueError(f"unknown probe mode {probe_mode!r}")
+def _check_k(m: int, k_symbols) -> int:
+    """``k_symbols`` as an int in 1..2^m - 1, refused with ``RsCode``'s message."""
+    n = (1 << m) - 1
+    return _check_count(k_symbols, n, f"K must be in 1..{n}, got {k_symbols}")
 
 
 def gar_stats(dataset: EmbeddingDataset, config: PipelineConfig,
@@ -228,29 +224,32 @@ def gar_stats(dataset: EmbeddingDataset, config: PipelineConfig,
     ``heldout`` probes each subject with its held-out samples;
     ``enroll`` probes with the enrollment representative itself.
     """
-    _check_probe_mode(probe_mode)
-    return _gar_stats(_prepare(*_fuse(dataset, config), config), probe_mode)
+    if probe_mode not in ("heldout", "enroll"):
+        raise ValueError(f"unknown probe mode {probe_mode!r}")
+    _check_k(config.m, config.k_symbols)
+    return _gar_stats(_population(dataset, config), config, probe_mode)
 
 
-def _gar_stats(prep: _Prepared, probe_mode: str) -> GarResult:
-    if not prep.enrollments:
+def _gar_stats(population: _Population, config: PipelineConfig, probe_mode: str) -> GarResult:
+    code, enrollments = population.enrolled(config)
+    if not enrollments:
         raise InsufficientDataError("no subject could be enrolled")
     records, probes, owner = [], [], []
-    for sid, enr in prep.enrollments.items():
-        mat = prep.fused[sid]
+    for sid, enr in enrollments.items():
+        mat = population.fused[sid]
         cut = enroll_split(mat.shape[0])
         rows = mat[:cut].mean(axis=0, keepdims=True) if probe_mode == "enroll" else mat[cut:]
         owner.append(np.full(len(rows), len(records)))
         records.append(enr.record)
-        probes.append(probe_bits(rows, prep.pop, enr.key))
+        probes.append(probe_bits(rows, population.pop, enr.key))
     bits = np.concatenate(probes)
     if not len(bits):
         raise InsufficientDataError("no probe samples; need more than the enrollment half")
-    batch = authenticate_batch(bits, records, np.concatenate(owner), prep.code)
+    batch = authenticate_batch(bits, records, np.concatenate(owner), code)
     accepted, probed = int(batch.accepted.sum()), len(bits)
     return GarResult(rate=accepted / probed, accepted=accepted, probed=probed,
-                     enrolled=len(prep.enrollments),
-                     unenrollable=len(prep.fused) - len(prep.enrollments))
+                     enrolled=len(enrollments),
+                     unenrollable=len(population.fused) - len(enrollments))
 
 
 def gar(dataset: EmbeddingDataset, config: PipelineConfig,
@@ -283,12 +282,7 @@ def _check_far_args(dataset: EmbeddingDataset, scenario: str, trials: int,
     _check_scenario(scenario)
     if impostor_bits not in ("uniform", "dataset"):
         raise ValueError(f"unknown impostor bit source {impostor_bits!r}")
-    try:
-        positive = not isinstance(trials, bool) and operator.index(trials) > 0
-    except TypeError:
-        positive = False
-    if not positive:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    _check_count(trials, math.inf, f"trials must be a positive integer, got {trials!r}")
     if dataset.n_subjects < 2:
         raise InsufficientDataError("impostor trials need >= 2 subjects")
 
@@ -310,32 +304,35 @@ def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
     per trial.
     """
     _check_far_args(dataset, scenario, trials, impostor_bits)
-    return _empirical_far(_prepare(*_fuse(dataset, config), config),
+    _check_k(config.m, config.k_symbols)
+    return _empirical_far(_population(dataset, config), config,
                           scenario, trials, seed, impostor_bits)
 
 
-def _empirical_far(prep: _Prepared, scenario: str, trials: int, seed,
-                   impostor_bits: str) -> float:
-    sids = list(prep.enrollments)
+def _empirical_far(population: _Population, config: PipelineConfig, scenario: str,
+                   trials: int, seed, impostor_bits: str) -> float:
+    code, enrollments = population.enrolled(config)
+    sids = list(enrollments)
     if len(sids) < 2:
         raise InsufficientDataError("need >= 2 enrolled subjects")
     rng = derive_rng(seed, "far", scenario, impostor_bits)
     if scenario == SCENARIO_STOLEN_KEY and impostor_bits == "uniform":
         def draw(victims: np.ndarray) -> np.ndarray:
-            return _uniform_bit_rows(rng, len(victims), prep.code.n_bits)
+            return _uniform_bit_rows(rng, len(victims), code.n_bits)
     else:
-        draw = _dataset_probes(prep, sids, rng, scenario == SCENARIO_STOLEN_KEY)
-    records = [prep.enrollments[sid].record for sid in sids]
+        draw = _dataset_probes(population, code, enrollments, sids, rng,
+                               scenario == SCENARIO_STOLEN_KEY)
+    records = [enrollments[sid].record for sid in sids]
     accepts = 0
     for lo in range(0, trials, _FAR_BLOCK):
         victims = np.arange(lo, min(trials, lo + _FAR_BLOCK)) % len(sids)
         accepts += int(authenticate_batch(draw(victims), records, victims,
-                                          prep.code).accepted.sum())
+                                          code).accepted.sum())
     return accepts / trials
 
 
-def _dataset_probes(prep: _Prepared, sids: list[str], rng: np.random.Generator,
-                    stolen_key: bool):
+def _dataset_probes(population: _Population, code, enrollments: Mapping[str, Enrollment],
+                    sids: list[str], rng: np.random.Generator, stolen_key: bool):
     """A function from a block's victims to its dataset-impostor probes.
 
     Each trial draws, in trial order, its impostor (the j-th subject other
@@ -344,10 +341,10 @@ def _dataset_probes(prep: _Prepared, sids: list[str], rng: np.random.Generator,
     owner's rows (the victim's under a stolen key, else the impostor's)
     under that owner's key.
     """
-    counts = [prep.fused[sid].shape[0] for sid in sids]
+    counts = [population.fused[sid].shape[0] for sid in sids]
     starts = np.cumsum([0] + counts).tolist()
-    bits = binarize(np.concatenate([prep.fused[sid] for sid in sids]), prep.pop)
-    keys = [prep.enrollments[sid].key.index_array for sid in sids]
+    bits = binarize(np.concatenate([population.fused[sid] for sid in sids]), population.pop)
+    keys = [enrollments[sid].key.index_array for sid in sids]
 
     def draw(victims: np.ndarray) -> np.ndarray:
         rows, key_owner = [], []
@@ -357,7 +354,7 @@ def _dataset_probes(prep: _Prepared, sids: list[str], rng: np.random.Generator,
             rows.append(starts[impostor] + int(rng.integers(counts[impostor])))
             key_owner.append(v if stolen_key else impostor)
         rows, key_owner = np.array(rows), np.array(key_owner)
-        probes = np.empty((len(rows), prep.code.n_bits), dtype=np.uint8)
+        probes = np.empty((len(rows), code.n_bits), dtype=np.uint8)
         for owner in np.unique(key_owner):
             at = np.flatnonzero(key_owner == owner)
             probes[at] = bits[np.ix_(rows[at], keys[owner])]
@@ -393,26 +390,23 @@ def run_gs_curve(dataset: EmbeddingDataset, config: PipelineConfig,
     _check_scenario(scenario)
     if far_trials is not None:
         _check_far_args(dataset, scenario, far_trials, "uniform")
+    k_list = [_check_k(config.m, k_symbols) for k_symbols in k_list]
     if config.seed is None:
         # A seed drawn here is never named again: leave the memo slot alone.
         config = replace(config, seed=int(np.random.default_rng().integers(0, 2**63)))
-        population = *_fuse_uncached(dataset, config), {}
+        population = _Population(dataset, config)
     else:
-        population = _fuse(dataset, config)
+        population = _population(dataset, config)
     points = []
     for k_symbols in k_list:
-        cfg = replace(config, k_symbols=int(k_symbols))
-        security = cfg.k_symbols * cfg.m
-        prep = _prepare(*population, cfg)
-        g = _gar_stats(prep, "heldout").rate
-        fe = (_empirical_far(prep, scenario, far_trials, config.seed, "uniform")
-              if far_trials is not None else None)
+        cfg = replace(config, k_symbols=k_symbols)
+        security = k_symbols * cfg.m
         points.append(GsCurvePoint(
-            m=cfg.m, k_symbols=cfg.k_symbols, security_bits=security,
-            rate=security / cfg.n_bits, gar=g,
-            far_analytic=far_analytic(security), far_empirical=fe,
-            scheme=cfg.scheme, policy=cfg.policy.value, scenario=scenario,
-        ))
+            m=cfg.m, k_symbols=k_symbols, security_bits=security, rate=security / cfg.n_bits,
+            gar=_gar_stats(population, cfg, "heldout").rate, far_analytic=far_analytic(security),
+            far_empirical=None if far_trials is None else _empirical_far(
+                population, cfg, scenario, far_trials, config.seed, "uniform"),
+            scheme=cfg.scheme, policy=cfg.policy.value, scenario=scenario))
     return points
 
 

@@ -40,6 +40,15 @@ def _check_subject_id(subject_id: str) -> str:
     return subject_id
 
 
+def _owned(subject_id: str, record: EnrollmentRecord) -> EnrollmentRecord:
+    """``record``, refused unless it was enrolled for ``subject_id``."""
+    if record.subject_id != subject_id:
+        raise ParameterMismatchError(
+            f"record stored as {subject_id!r} was enrolled for {record.subject_id!r}"
+        )
+    return record
+
+
 class _FileStore:
     suffix = ""
 
@@ -118,19 +127,15 @@ class TemplateDb(_FileStore):
     suffix = ".rec"
 
     def save(self, subject_id: str, record: EnrollmentRecord, overwrite: bool = False):
-        self._save_text(subject_id, record_to_text(record), overwrite)
+        """Store the record as the subject's. A record enrolled for another id
+        is refused, as ``load`` would refuse it, and nothing is written."""
+        text = record_to_text(record)
+        _owned(_check_subject_id(subject_id), record)
+        self._save_text(subject_id, text, overwrite)
 
     def load(self, subject_id: str) -> EnrollmentRecord:
         """The subject's record; a record enrolled for another id is refused."""
-        def parse(text: str) -> EnrollmentRecord:
-            record = record_from_text(text)
-            if record.subject_id != subject_id:
-                raise ParameterMismatchError(
-                    f"record stored as {subject_id!r} was enrolled for {record.subject_id!r}"
-                )
-            return record
-
-        return self._load(subject_id, parse)
+        return self._load(subject_id, lambda text: _owned(subject_id, record_from_text(text)))
 
 
 class KeyStore(_FileStore):

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -346,13 +347,34 @@ class TestFusionCount:
         lambda ds: empirical_far(ds, SMALL_CFG, SCENARIO_STOLEN_KEY, True, seed=1),
         lambda ds: empirical_far(ds, SMALL_CFG, SCENARIO_STOLEN_KEY, 100, seed=1,
                                  impostor_bits="zeros"),
+        lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 99]),
+        lambda ds: run_gs_curve(ds, SMALL_CFG, [1.5]),
     ], ids=["sweep-scenario", "gar-probe-mode", "far-scenario",
             "sweep-scenario-without-far", "sweep-zero-trials", "far-fractional-trials",
-            "sweep-fractional-trials", "far-bool-trials", "far-impostor-bits"])
+            "sweep-fractional-trials", "far-bool-trials", "far-impostor-bits",
+            "sweep-k-out-of-range", "sweep-fractional-k"])
     def test_bad_arguments_raise_before_fusion(self, small_dataset, fusions, call):
         with pytest.raises(ValueError):
             call(small_dataset)
         assert fusions == []
+
+    @pytest.mark.parametrize("k", [0, 8, -1, 1.5, 2.0, True, "2", None])
+    def test_bad_k_raises_the_rs_code_message_before_fusion(self, small_dataset, fusions, k):
+        # Every entry point refuses a K that RsCode would refuse at m = 3,
+        # and a K that is not an integer, before any fusion.
+        bad = dataclasses.replace(SMALL_CFG, k_symbols=k)
+        calls = [lambda: run_gs_curve(small_dataset, SMALL_CFG, [1, k], far_trials=100),
+                 lambda: gar_stats(small_dataset, bad),
+                 lambda: empirical_far(small_dataset, bad, SCENARIO_STOLEN_KEY, 100, seed=1)]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"K must be in 1..7, got {k}")):
+                call()
+        assert fusions == []
+
+    def test_numpy_integer_k_gives_the_int_points(self, small_dataset):
+        points = run_gs_curve(small_dataset, SMALL_CFG, np.array([1, 2]), far_trials=100)
+        assert points == run_gs_curve(small_dataset, SMALL_CFG, [1, 2], far_trials=100)
+        assert [type(p.k_symbols) for p in points] == [int, int]
 
 
 class TestSelectionCount:
@@ -388,7 +410,7 @@ MEMO_WARMERS = {"gar_stats": "run_gs_curve", "empirical_far": "gar_stats",
 
 class TestFuseMemo:
     """The K-invariant population is reused across calls exactly when the
-    dataset content and the config fields ``_fuse`` reads are unchanged."""
+    dataset content and the config fields a ``_Population`` reads are unchanged."""
 
     def test_every_config_field_is_keyed_or_per_k(self):
         # A new PipelineConfig field fails here until it is classified.
@@ -401,9 +423,10 @@ class TestFuseMemo:
         dict(k_symbols=7), dict(scheme="fuzzy-commitment"), dict(policy="fail-deny"),
     ], ids=["k", "scheme", "policy"])
     def test_per_k_fields_do_not_change_the_population(self, small_dataset, change):
-        base = evaluate._fuse_uncached(small_dataset, SMALL_CFG)
-        other = evaluate._fuse_uncached(small_dataset, dataclasses.replace(SMALL_CFG, **change))
-        (fused, pop, selections), (fused2, pop2, selections2) = base, other
+        base = evaluate._Population(small_dataset, SMALL_CFG)
+        other = evaluate._Population(small_dataset, dataclasses.replace(SMALL_CFG, **change))
+        fused, pop, selections = base.fused, base.pop, base.selections
+        fused2, pop2, selections2 = other.fused, other.pop, other.selections
         assert list(fused) == list(fused2)
         assert all(np.array_equal(fused[sid], fused2[sid]) for sid in fused)
         assert np.array_equal(pop.median, pop2.median)
@@ -460,14 +483,16 @@ class TestFuseMemo:
         assert len(fusions) == 2
 
     def test_memoised_arrays_are_read_only(self, small_dataset, cold_memo):
-        fused, pop, selections, prepared = evaluate._fuse(small_dataset, SMALL_CFG)
+        population = evaluate._population(small_dataset, SMALL_CFG)
+        fused, pop, selections = population.fused, population.pop, population.selections
+        prepared = population.table
         arrays = [*fused.values(), pop.median, *(r_a for _, r_a, _, _ in selections.values())]
         assert not any(arr.flags.writeable for arr in arrays)
         assert all(mat.flags.writeable for mat in small_dataset.face.values())
         gar_stats(small_dataset, SMALL_CFG)
         gar_stats(small_dataset, dataclasses.replace(SMALL_CFG, k_symbols=2))
         assert len(prepared) == 2
-        for table in (entry.enrollments for entry in prepared.values()):
+        for table in (enrollments for _, enrollments in prepared.values()):
             with pytest.raises(TypeError):
                 table["intruder"] = None
             for enr in table.values():
@@ -545,8 +570,8 @@ class TestEnrollmentTable:
         assert gar_stats(ds, dataclasses.replace(cfg, policy="fallback")).enrolled == 12
         assert gar_stats(ds, cfg) == pinned
         assert len(enrollments) == 2
-        table = evaluate._fuse_memo[1][3]
-        assert sorted(len(entry.enrollments) for entry in table.values()) == [8, 12]
+        table = evaluate._fuse_memo[1].table
+        assert sorted(len(enrollments) for _, enrollments in table.values()) == [8, 12]
 
 
 @pytest.fixture
@@ -577,8 +602,8 @@ class TestCodeTable:
             for j, cfg in enumerate(self.GRID):
                 empirical_far(small_dataset, cfg, SCENARIO_STOLEN_KEY, 100, seed=10 * r + j)
             assert len(code_builds) == len(self.GRID) == 6
-        entries = evaluate._fuse_memo[1][3]
-        assert [entry.code for entry in entries.values()] == code_builds
+        entries = evaluate._fuse_memo[1].table
+        assert [code for code, _ in entries.values()] == code_builds
         assert [(code.field.m, code.k_symbols) for code in code_builds] == [
             (cfg.m, cfg.k_symbols) for cfg in self.GRID]
 
@@ -602,15 +627,20 @@ class TestCodeTable:
     def test_replaced_memo_frees_its_codes(self, small_dataset, code_builds):
         for cfg in self.GRID[:2]:
             gar_stats(small_dataset, cfg)
-        # RsCode has no weak-reference slot; its parity table lives and
-        # dies with it.
+        # RsCode has no weak-reference slot, and an entry is a (code,
+        # enrollments) pair: the parity table and the first enrollment of
+        # each entry live and die with it.
         tables = [weakref.ref(code.parity_logs) for code in code_builds]
-        entries = [weakref.ref(entry) for entry in evaluate._fuse_memo[1][3].values()]
+        population = evaluate._fuse_memo[1]
+        entries = [weakref.ref(next(iter(enrollments.values())))
+                   for _, enrollments in population.table.values()]
+        population = weakref.ref(population)
         code_builds.clear()
         gar_stats(small_dataset, dataclasses.replace(SMALL_CFG, seed=6))
         gc.collect()
         assert len(tables) == len(entries) == 2
         assert all(ref() is None for ref in tables + entries)
+        assert population() is None
 
 
 class TestGoldenCurve:

@@ -135,10 +135,30 @@ def test_subject_id_validation(db, record):
             db.save(bad, record)
 
 
-def test_subject_listing(db, record):
-    db.save("bob", record)
-    db.save("alice", record)
+def _zero_record(code, subject_id):
+    return enroll_ss(np.zeros(21, dtype=np.uint8), code, DecodePolicy.FALLBACK_SYSTEMATIC,
+                     bytes(16), subject_id=subject_id)
+
+
+def test_subject_listing(db, rs_7_3):
+    db.save("bob", _zero_record(rs_7_3, "bob"))
+    db.save("alice", _zero_record(rs_7_3, "alice"))
     assert db.subjects() == ["alice", "bob"]
+
+
+def test_record_for_another_id_is_refused_and_not_written(db, record, rs_7_3):
+    # The load of such a file would be refused: the save refuses it first.
+    with pytest.raises(ParameterMismatchError,
+                       match="record stored as 'u2' was enrolled for 'u1'"):
+        db.save("u2", record)
+    assert not db.path.exists()
+    own = _zero_record(rs_7_3, "u2")
+    db.save("u2", own)
+    with pytest.raises(ParameterMismatchError):
+        db.save("u2", record, overwrite=True)
+    assert db.subjects() == ["u2"]
+    assert db.load("u2") == own
+    assert sorted(p.name for p in db.path.iterdir()) == ["u2.rec"]
 
 
 @pytest.mark.parametrize("store_class", [TemplateDb, KeyStore])
