@@ -1,16 +1,26 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two checkouts, summarised per metric.
 
-    python scripts/ab_bench.py PARENT CHANGE --workload far-mc --seeds 1,2 --pairs 3
+    python scripts/ab_bench.py PARENT CHANGE --workload far-mc --seeds 1,2 --pairs 5
 
 runs ``<checkout>/benchmarks/run.py --trace 0`` once for each checkout per
 pair, the parent first in even pairs and the change first in odd ones, so
 that a drift of the machine's speed falls on both sides. For every seed,
 and for all seeds together, it prints one line per end-to-end metric: the
 parent's and the change's medians, their ratio, the pairs in which the
-change was better, and the interquartile range of the parent's runs. A
-change is resolved on a metric when it wins nearly every pair and its
-median moves by more than that range. Only the standard library is used.
+change was better, the interquartile range of the parent's runs, and a
+verdict, with the metric's direction and relative bound read from
+BENCHMARK.json:
+
+* ``gain``: the change wins at least 9 pairs in 10 and its median is
+  better by more than the parent's interquartile range;
+* ``worse``: the change's median is worse by more than the bound;
+* ``unresolved``: the parent's interquartile range is wider than the bound
+  and not every change run beats every parent run;
+* ``flat``: none of these.
+
+The defaults, two seeds of 5 pairs, give the 10 pairs a gain needs. Only
+the standard library is used.
 """
 
 from __future__ import annotations
@@ -25,9 +35,11 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
-def directions(path: Path = BENCHMARK) -> dict[str, str]:
-    """Metric name -> "lower" or "higher", from the end-to-end metrics."""
-    return {m["name"]: m["better"] for m in json.loads(path.read_text())["end_to_end"]}
+def end_to_end(path: Path = BENCHMARK) -> dict[str, tuple[str, float]]:
+    """Metric name -> ("lower" or "higher", relative bound), from the
+    end-to-end metrics."""
+    return {m["name"]: (m["better"], m["bound"])
+            for m in json.loads(path.read_text())["end_to_end"]}
 
 
 def schedule(seeds: list[int], pairs: int) -> list[tuple[int, tuple[str, str]]]:
@@ -52,37 +64,60 @@ def _iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
+def _wins(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs in which the change beats the parent."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``flat`` for paired runs of
+    one metric, by the rules in the module docstring."""
+    sign = 1 if better == "lower" else -1
+    base, moved = statistics.median(parent), statistics.median(change)
+    iqr = _iqr(parent)
+    if 10 * _wins(parent, change, better) >= 9 * len(parent) and sign * (base - moved) > iqr:
+        return "gain"
+    if sign * (moved - base) > bound * base:
+        return "worse"
+    if iqr > bound * base and not all(sign * (c - p) < 0 for c in change for p in parent):
+        return "unresolved"
+    return "flat"
+
+
+def summarize(pairs: list[tuple[dict, dict]],
+              metrics: dict[str, tuple[str, float]]) -> list[dict]:
     """One row per metric of (parent, change) result lines taken in pairs."""
     rows = []
-    for name, direction in better.items():
+    for name, (better, bound) in metrics.items():
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
-        sign = 1 if direction == "lower" else -1
         rows.append({
             "metric": name,
             "parent": statistics.median(parent),
             "change": statistics.median(change),
             "ratio": statistics.median(change) / statistics.median(parent),
-            "wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            "wins": _wins(parent, change, better),
             "pairs": len(pairs),
             "parent_iqr": _iqr(parent),
+            "verdict": verdict(parent, change, better, bound),
         })
     return rows
 
 
 def format_rows(rows: list[dict], failed: tuple[int, int]) -> str:
     lines = [f"  {'metric':<16} {'parent':>10} {'change':>10} {'ratio':>7} "
-             f"{'wins':>6} {'parent IQR':>11}"]
+             f"{'wins':>6} {'parent IQR':>11}  verdict"]
     for r in rows:
         lines.append(f"  {r['metric']:<16} {r['parent']:>10.4g} {r['change']:>10.4g} "
                      f"{r['ratio']:>7.3f} {r['wins']:>3}/{r['pairs']:<2} "
-                     f"{r['parent_iqr']:>11.4g}")
+                     f"{r['parent_iqr']:>11.4g}  {r['verdict']}")
     lines.append(f"  failed ops: parent {failed[0]}, change {failed[1]}")
     return "\n".join(lines)
 
 
-def report(results: list[tuple[int, dict, dict]], better: dict[str, str]) -> str:
+def report(results: list[tuple[int, dict, dict]],
+           metrics: dict[str, tuple[str, float]]) -> str:
     """Tables per seed, then over all seeds when there are several."""
     seeds = sorted({seed for seed, _, _ in results})
     groups = [(f"seed {s}", [(p, c) for seed, p, c in results if seed == s]) for s in seeds]
@@ -92,7 +127,7 @@ def report(results: list[tuple[int, dict, dict]], better: dict[str, str]) -> str
     for title, pairs in groups:
         failed = (sum(p["failed"] for p, _ in pairs), sum(c["failed"] for _, c in pairs))
         blocks.append(f"{title}, {len(pairs)} pairs\n"
-                      + format_rows(summarize(pairs, better), failed))
+                      + format_rows(summarize(pairs, metrics), failed))
     return "\n".join(blocks)
 
 
@@ -103,7 +138,7 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", default="1,2", help="comma-separated seeds")
-    parser.add_argument("--pairs", type=int, default=3, help="pairs per seed")
+    parser.add_argument("--pairs", type=int, default=5, help="pairs per seed")
     parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
 
@@ -118,7 +153,7 @@ def main(argv=None) -> int:
               file=sys.stderr, flush=True)
         results.append((seed, run["parent"], run["change"]))
     print(f"workload {args.workload}, {args.seconds:g} s per run")
-    print(report(results, directions()))
+    print(report(results, end_to_end()))
     return 0
 
 

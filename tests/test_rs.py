@@ -1,3 +1,5 @@
+import itertools
+import math
 import sys
 import tracemalloc
 
@@ -377,6 +379,14 @@ class TestDifferential:
                 code, word, policy)
 
 
+@pytest.fixture
+def algebraic(monkeypatch):
+    """Codes built under this fixture decode by Berlekamp-Massey, Chien and
+    Forney: ``_LOOKUP_BITS`` is patched below every code's key width before
+    they are built, so none builds a syndrome lookup."""
+    monkeypatch.setattr(rs, "_LOOKUP_BITS", -1)
+
+
 def lockstep_spy(monkeypatch):
     """Record the row count of every lockstep Berlekamp-Massey call."""
     calls = []
@@ -395,7 +405,9 @@ class TestLockstepBerlekampMassey:
     any at m > 8, runs Berlekamp-Massey in lockstep over them; with fewer
     one-byte rows, packed per row. Both must give, row by row, what
     ``decode`` (a batch of one) and the slow reference give, for every
-    status mixed in one batch."""
+    status mixed in one batch. The tests that follow a batch down these
+    paths build their codes under ``algebraic``, since the small ones
+    would otherwise decode by syndrome lookup."""
 
     # (k, per_class); K = N - 1 has t = 0 and K = N - 2 has t = 1. RS(255, 32)
     # is checked against ``decode`` only: its reference decode takes ~0.2 s
@@ -409,6 +421,7 @@ class TestLockstepBerlekampMassey:
         10: [(1013, 2)],
     }
 
+    @pytest.mark.usefixtures("algebraic")
     @pytest.mark.parametrize("m", sorted(CODES))
     def test_batches_equal_decode_and_reference(self, m, monkeypatch):
         field = Field(m)
@@ -461,6 +474,7 @@ class TestLockstepBerlekampMassey:
         for a, b in zip(whole, chunked):
             assert np.array_equal(a, b)
 
+    @pytest.mark.usefixtures("algebraic")
     @pytest.mark.parametrize("m,k", [(3, 1), (5, 11), (8, 200)])
     def test_kernel_chunks_decode_and_encode_as_one_batch(self, m, k, monkeypatch):
         """With ``_CHUNK`` shrunk to 2, 3 and 5 items of each gather kernel,
@@ -608,8 +622,10 @@ class TestReCheck:
     """A row is corrected when its locator's degree equals the LFSR length
     L, with 0 < L <= t, and Chien finds L roots; there is no syndrome
     re-check. The decoder must refuse exactly the rows the reference, which
-    re-checks the syndromes of its corrected word, refuses."""
+    re-checks the syndromes of its corrected word, refuses. The uniform-word
+    test builds its codes under ``algebraic``."""
 
+    @pytest.mark.usefixtures("algebraic")
     @pytest.mark.parametrize("m", [3, 4])
     def test_uniform_words_equal_reference(self, m, monkeypatch):
         """Uniform words decoded as one batch (lockstep Berlekamp-Massey)
@@ -706,11 +722,12 @@ class TestForneyMessageOnly:
     parity, only in the message, and in both, e = 1..t, must give the
     reference's status, message and count under both policies, as one row
     (packed Berlekamp-Massey) and as a batch of at least ``_BM_LOCKSTEP``
-    rows (lockstep)."""
+    rows (lockstep), with every code built under ``algebraic``."""
 
     # (m, K, copies of each (placement, e) word)
     CODES = [(3, 3, 4), (5, 11, 1), (8, 235, 1)]
 
+    @pytest.mark.usefixtures("algebraic")
     @pytest.mark.parametrize("m,k,copies", CODES)
     def test_error_placements_equal_reference(self, m, k, copies, monkeypatch):
         field = Field(m)
@@ -785,6 +802,151 @@ class TestHighEvaluator:
             assert locators(synd)[3].tolist() == expected
 
 
+def lookup_words(code, rng, per_class=30):
+    """Uniform words, then exact codewords and words with 1 .. t + 1 errors."""
+    field, n, t = code.field, code.n_symbols, code.t
+    messages = rng.integers(0, field.size, ((t + 2) * per_class, code.k_symbols))
+    words = code.encode_batch(messages).astype(np.int64).reshape(t + 2, per_class, n)
+    for weight, block in enumerate(words[1:], start=1):
+        for word in block:
+            pos = rng.choice(n, size=min(weight, n), replace=False)
+            word[pos] ^= rng.integers(1, field.size, size=len(pos))
+    return np.concatenate([rng.integers(0, field.size, (2 * per_class, n)),
+                           words.reshape(-1, n)])
+
+
+def assert_same_batches(got, want, rows=slice(None)):
+    """Two ``BatchDecode`` results agree array by array, dtypes included;
+    ``rows`` picks the rows of ``want`` that ``got`` decoded."""
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b[rows])
+
+
+class TestSyndromeLookup:
+    """A code whose key, its m(N-K) syndrome bits packed into one integer,
+    is at most ``_LOOKUP_BITS`` wide decodes by one lookup of the error
+    pattern of weight <= t with that key. It must decode every word as
+    Berlekamp-Massey, Chien and Forney and the slow reference do."""
+
+    # The K of every such code, m = 2..10.
+    CODES = {m: [k for k in range(1, 1 << m) if m * ((1 << m) - 1 - k) <= rs._LOOKUP_BITS]
+             for m in range(2, 11)}
+
+    def test_eligible_codes(self):
+        assert {m: ks[0] for m, ks in self.CODES.items()} == {
+            2: 1, 3: 1, 4: 11, 5: 28, 6: 60, 7: 125, 8: 253, 9: 509, 10: 1022}
+        assert all(ks == list(range(ks[0], 1 << m)) for m, ks in self.CODES.items())
+        assert RsCode(Field(3), 1)._lookup is not None
+        for m, k in ((8, 32), (5, 20), (4, 10), (8, 252), (10, 1021)):
+            assert RsCode(Field(m), k)._lookup is None
+
+    @pytest.mark.parametrize("m", sorted(CODES))
+    def test_batches_equal_algebraic_decoder(self, m, monkeypatch):
+        """Under both policies, a batch and single rows of it decode to the
+        same arrays and dtypes with the lookup and without it. At m = 10
+        every such code has t = 0, so none corrects."""
+        field = Field(m)
+        rng = np.random.default_rng(11000 + m)
+        seen = set()
+        for k in self.CODES[m]:
+            code = RsCode(field, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(rs, "_LOOKUP_BITS", -1)
+                algebraic = RsCode(field, k)
+            assert code._lookup is not None and algebraic._lookup is None
+            words = lookup_words(code, rng)
+            for policy in DecodePolicy:
+                want = algebraic.decode_batch(words, policy)
+                assert_same_batches(code.decode_batch(words, policy), want)
+                for i in rng.choice(len(words), size=8, replace=False):
+                    assert_same_batches(code.decode_batch(words[i:i + 1], policy), want,
+                                        slice(i, i + 1))
+                seen.update(BATCH_STATUSES[s] for s in want.status)
+        assert seen == set(DecodeStatus) - ({DecodeStatus.CORRECTED} if m == 10 else set())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_word_equals_reference_at_m2(self, k):
+        code = RsCode(Field(2), k)
+        words = np.array(list(itertools.product(range(4), repeat=3)))
+        for policy in DecodePolicy:
+            batch = code.decode_batch(words, policy)
+            for i, word in enumerate(words.tolist()):
+                assert outcome_fields(code.outcome(batch, i)) == expected_outcome(
+                    code, word, policy), (k, policy, word)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_sample_equals_reference_at_m3(self, k):
+        code = RsCode(Field(3), k)
+        words = lookup_words(code, np.random.default_rng(12000 + k), per_class=15)
+        for policy in DecodePolicy:
+            batch = code.decode_batch(words, policy)
+            for i, word in enumerate(words.tolist()):
+                assert outcome_fields(code.outcome(batch, i)) == expected_outcome(
+                    code, word, policy), (k, policy, word)
+
+    @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (3, 4), (4, 11), (5, 28), (6, 60),
+                                     (10, 1022)])
+    def test_every_pattern_has_its_own_key(self, m, k):
+        """The lookup holds every error pattern of weight <= t once, and each
+        such pattern, as a word, decodes to the zero message with its weight
+        as the count."""
+        code = RsCode(Field(m), k)
+        lookup, n = code._lookup, code.n_symbols
+        patterns = sum(math.comb(n, w) * n ** w for w in range(code.t + 1))
+        assert lookup.weight.shape == (patterns + 1,) and lookup.weight[-1] == -1
+        assert np.count_nonzero(lookup.index != patterns) == patterns
+        words = np.zeros((patterns, n + 1), dtype=np.int64)
+        rows = np.arange(patterns)[:, None]
+        words[rows, lookup.positions[:-1]] = lookup.values[:-1]  # unused slots write column N
+        batch = code.decode_batch(words[:, :n], DecodePolicy.FAIL_DENY)
+        assert not batch.message.any()
+        assert np.array_equal(batch.error_count, lookup.weight[:-1])
+        assert np.array_equal(np.count_nonzero(words[:, :n], axis=1), lookup.weight[:-1])
+        assert np.array_equal(batch.status, np.where(lookup.weight[:-1] > 0, 1, 0))
+
+    def test_lookup_sizes(self):
+        """At m <= 8 every lookup holds at most 1 MB; weights are int8."""
+        for m in range(2, 9):
+            for k in self.CODES[m]:
+                lookup = RsCode(Field(m), k)._lookup
+                assert sum(table.nbytes for table in lookup) <= 1_000_000, (m, k)
+                assert lookup.weight.dtype == np.int8
+
+    def test_lookup_codes_run_no_algebra(self, monkeypatch):
+        """``decode_batch`` of a code with a lookup computes no syndromes
+        and runs no Berlekamp-Massey, Chien or Forney."""
+        def refuse(*args):
+            raise AssertionError("the algebraic decoder ran")
+
+        rng = np.random.default_rng(13000)
+        codes = [RsCode(Field(m), k) for m, k in ((2, 1), (3, 1), (3, 5), (4, 11), (8, 253))]
+        for name in ("_syndromes", "_correct"):
+            monkeypatch.setattr(RsCode, name, refuse)
+        for code in codes:
+            words = lookup_words(code, rng, per_class=4)
+            for policy in DecodePolicy:
+                code.decode_batch(words, policy)
+                code.decode(words[-1], policy)
+
+    def test_row_chunks_decode_as_one_batch(self, monkeypatch):
+        code = RsCode(Field(3), 1)
+        words = lookup_words(code, np.random.default_rng(14000))
+        whole = {policy: code.decode_batch(words, policy) for policy in DecodePolicy}
+        calls = []
+        original = rs._chunks
+
+        def spy(count, per_item):
+            calls.append(len(original(count, per_item)))
+            return original(count, per_item)
+
+        monkeypatch.setattr(rs, "_chunks", spy)
+        monkeypatch.setattr(rs, "_CHUNK", 7 * code.n_symbols)
+        for policy in DecodePolicy:
+            assert_same_batches(code.decode_batch(words, policy), whole[policy])
+        assert calls == [-(-len(words) // 7)] * 2
+
+
 class TestSymbolRefusal:
     """Every codec entry refuses, with ``ValueError``, an entry that is not
     an integer symbol, before a cast could truncate, parse or overflow it;
@@ -853,6 +1015,9 @@ class TestDecodeBatch:
     def test_tables_are_read_only(self, rs_7_3):
         with pytest.raises(ValueError):
             rs_7_3.syndrome_exponents[0, 0] = 1
+        for table in rs_7_3._lookup:
+            with pytest.raises(ValueError):
+                table[0] = 0
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_quotient_logs_divide_and_keep_the_zero_log(self, m):

@@ -109,7 +109,7 @@ def test_ab_bench_summarizes_pairs_without_running_them():
     assert ab["schedule"]([1, 2], 3) == [
         (seed, order) for seed in (1, 2) for order in (
             ("parent", "change"), ("change", "parent"), ("parent", "change"))]
-    better = {"op_p50_ref_ms": "lower", "ops_per_ref_s": "higher"}
+    better = {"op_p50_ref_ms": ("lower", 0.25), "ops_per_ref_s": ("higher", 0.25)}
     pairs = [(_result_line(p, 1000 / p), _result_line(c, 1000 / c, failed=f))
              for p, c, f in [(10.0, 9.0, 0), (12.0, 9.5, 0), (11.0, 11.5, 1), (14.0, 10.0, 0)]]
     rows = {row["metric"]: row for row in ab["summarize"](pairs, better)}
@@ -118,11 +118,39 @@ def test_ab_bench_summarizes_pairs_without_running_them():
     assert op["ratio"] == 9.75 / 11.5
     assert op["parent_iqr"] == 12.5 - 10.75
     assert rows["ops_per_ref_s"]["wins"] == 3
+    # 3 wins in 4 pairs is short of 9 in 10, and the parent's spread is
+    # within the bound.
+    assert op["verdict"] == rows["ops_per_ref_s"]["verdict"] == "flat"
     text = ab["report"]([(1, p, c) for p, c in pairs[:2]] + [(2, p, c) for p, c in pairs[2:]],
                         better)
     titles = [line for line in text.splitlines() if not line.startswith(" ")]
     assert titles == ["seed 1, 2 pairs", "seed 2, 2 pairs", "all seeds, 4 pairs"]
     assert text.splitlines()[-1] == "  failed ops: parent 0, change 1"
     assert "0.848" in text  # the pooled op_p50_ref_ms ratio
-    assert set(ab["directions"]()) == {"setup_s", "op_p50_ref_ms", "ops_per_ref_s",
-                                       "peak_rss_mb"}
+    metrics = ab["end_to_end"]()
+    assert set(metrics) == {"setup_s", "op_p50_ref_ms", "ops_per_ref_s", "peak_rss_mb"}
+    assert metrics["op_p50_ref_ms"] == ("lower", 0.25)
+    assert metrics["peak_rss_mb"] == ("lower", 0.1)
+    assert "--pairs 5" in ab["__doc__"]
+
+
+def test_ab_bench_verdicts():
+    """gain needs 9 wins in 10 and a median moved by more than the parent's
+    interquartile range; worse a median moved the wrong way by more than
+    the bound; unresolved a parent spread wider than the bound that the
+    change runs do not clear."""
+    verdict = runpy.run_path(str(ROOT / "scripts" / "ab_bench.py"))["verdict"]
+    parent = [10.0, 10.2, 9.9, 10.1, 10.0, 10.3, 9.8, 10.0, 10.1, 9.9]
+    gain = [9.0, 9.1, 8.9, 9.2, 9.0, 10.4, 9.1, 8.8, 9.0, 9.1]
+    assert verdict(parent, gain, "lower", 0.25) == "gain"
+    assert verdict(gain, parent, "higher", 0.25) == "gain"
+    assert verdict(parent, gain[:8] + [10.5, 10.6], "lower", 0.25) == "flat"  # 8 wins
+    assert verdict(parent, [p * 1.3 for p in parent], "lower", 0.25) == "worse"
+    assert verdict(parent, [p * 1.2 for p in parent], "lower", 0.25) == "flat"
+    assert verdict(parent, [p * 0.7 for p in parent], "higher", 0.25) == "worse"
+    wide = [10.0, 14.0, 7.0, 13.0, 8.0, 12.0, 6.0, 15.0, 9.0, 11.0]
+    assert verdict(wide, [p * 0.99 for p in wide], "lower", 0.25) == "unresolved"
+    assert verdict(wide, [5.0] * 10, "lower", 0.25) == "gain"
+    assert verdict(wide, [5.9] * 9 + [6.5], "lower", 0.25) == "gain"
+    assert verdict(wide, [5.5] * 10, "higher", 0.25) == "worse"
+    assert verdict(wide, [6.5] * 8 + [16.0] * 2, "lower", 0.25) == "unresolved"
