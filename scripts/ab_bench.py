@@ -19,6 +19,8 @@ BENCHMARK.json:
   and not every change run beats every parent run;
 * ``flat``: none of these.
 
+Each table ends with the failed and attempted operations of each side.
+
 The defaults, two seeds of 5 pairs, give the 10 pairs a gain needs. Only
 the standard library is used.
 """
@@ -105,14 +107,20 @@ def summarize(pairs: list[tuple[dict, dict]],
     return rows
 
 
-def format_rows(rows: list[dict], failed: tuple[int, int]) -> str:
+def _failed(runs: list[dict]) -> str:
+    """failed/attempted operations over result lines: runs of the same
+    length attempt different counts, so the share is what compares."""
+    return f"{sum(r['failed'] for r in runs)}/{sum(r['attempted'] for r in runs)}"
+
+
+def format_rows(rows: list[dict], failed: tuple[str, str]) -> str:
     lines = [f"  {'metric':<16} {'parent':>10} {'change':>10} {'ratio':>7} "
              f"{'wins':>6} {'parent IQR':>11}  verdict"]
     for r in rows:
         lines.append(f"  {r['metric']:<16} {r['parent']:>10.4g} {r['change']:>10.4g} "
                      f"{r['ratio']:>7.3f} {r['wins']:>3}/{r['pairs']:<2} "
                      f"{r['parent_iqr']:>11.4g}  {r['verdict']}")
-    lines.append(f"  failed ops: parent {failed[0]}, change {failed[1]}")
+    lines.append(f"  failed/attempted ops: parent {failed[0]}, change {failed[1]}")
     return "\n".join(lines)
 
 
@@ -125,7 +133,7 @@ def report(results: list[tuple[int, dict, dict]],
         groups.append(("all seeds", [(p, c) for _, p, c in results]))
     blocks = []
     for title, pairs in groups:
-        failed = (sum(p["failed"] for p, _ in pairs), sum(c["failed"] for _, c in pairs))
+        failed = (_failed([p for p, _ in pairs]), _failed([c for _, c in pairs]))
         blocks.append(f"{title}, {len(pairs)} pairs\n"
                       + format_rows(summarize(pairs, metrics), failed))
     return "\n".join(blocks)

@@ -67,6 +67,7 @@ from .pipeline import (
     select_template,
 )
 from .quantizer import binarize
+from .rs import _check_k
 from .sketch import authenticate_batch, enroll_batch
 from .synth import EmbeddingDataset
 
@@ -209,12 +210,6 @@ def _check_count(value, most: float, message: str) -> int:
     except TypeError:
         pass
     raise ValueError(message)
-
-
-def _check_k(m: int, k_symbols) -> int:
-    """``k_symbols`` as an int in 1..2^m - 1, refused with ``RsCode``'s message."""
-    n = (1 << m) - 1
-    return _check_count(k_symbols, n, f"K must be in 1..{n}, got {k_symbols}")
 
 
 def gar_stats(dataset: EmbeddingDataset, config: PipelineConfig,

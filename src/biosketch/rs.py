@@ -42,22 +42,29 @@ leading axis too; it holds its whole state in int16 logs, and divides by
 the last discrepancy with one ``take`` from ``quotient_logs``, which also
 sends a zero discrepancy to the zero log.
 
-A code whose key, its N-K syndromes packed into one m(N-K)-bit integer,
-is at most ``_LOOKUP_BITS`` = 18 bits wide decodes by syndrome lookup
-instead: every K at m = 2 and 3, and K >= 11, 28, 60, 125, 253, 509 and
-1022 at m = 4 .. 10. Since 2t < d, every error pattern of weight <= t has
-a key of its own, so a table from key to pattern decodes exactly the words
-bounded-distance decoding does (standard-array decoding; Lin & Costello,
-*Error Control Coding*, 2nd ed., section 3.5). At construction the code
-builds ``_Lookup``: the key of every symbol alone at every position, the
-key of every pattern of weight <= t as the XOR of its errors' keys, and
-per pattern its at most t (position, value) pairs and its int8 weight.
-``decode_batch`` then gets each row's key from one gather and XOR
-reduction, its pattern from one ``take``, and XORs the pattern's errors in
-message positions into the message; weight -1 marks a key that no such
-pattern has. It returns what the steps below would, array for array. The
-largest table at each m, that of the smallest such K, holds (build time
-on one core of a Xeon VM, numpy 2.4):
+``decode_batch`` is one skeleton around two correctors. It checks the
+(B, N) words, copies their K message columns, and hands both to the code's
+corrector, which corrects the message in place and returns every row's
+number of corrected symbols, or -1 for a row that no codeword within t
+explains. The count alone then sets the status: EXACT_CODEWORD for 0,
+CORRECTED above 0, and the policy's status (below) for -1.
+
+The syndrome-lookup corrector serves a code with t >= 1, so N-K >= 2,
+whose key, its N-K syndromes packed into one m(N-K)-bit integer, is at
+most ``_LOOKUP_BITS`` = 18 bits wide. Since
+2t < d, every error pattern of weight <= t has a key of its own, so a
+table from key to pattern decodes exactly the words bounded-distance
+decoding does (standard-array decoding; Lin & Costello, *Error Control
+Coding*, 2nd ed., section 3.5). At construction the code builds
+``_Lookup``: the key of every symbol alone at every position, the key of
+every pattern of weight <= t as the XOR of its errors' keys, and per
+pattern its at most t (position, value) pairs and its int8 weight. The
+corrector gets each row's key from one gather and XOR reduction, its
+pattern from one ``take``, and XORs the pattern's errors in message
+positions into the message; the pattern's weight is the count, and weight
+-1 marks a key that no such pattern has. The largest table at each m, that
+of the smallest such K, holds (build time on one core of a Xeon VM,
+numpy 2.4):
 
   =====  ====  =  ========  =======  =======
   m      K     t  patterns  bytes    build
@@ -70,11 +77,10 @@ on one core of a Xeon VM, numpy 2.4):
   7      125   1    16 130   131 KB  0.37 ms
   8      253   1    65 026   524 KB   1.6 ms
   9      509   1   261 122   3.4 MB    15 ms
-  10     1022  0         1   2.1 MB   2.9 ms
   =====  ====  =  ========  =======  =======
 
-For every other code, RS(255, 32) and RS(31, 20) among them,
-``decode_batch`` decodes a (B, N) array of words in these steps:
+Every other code, RS(255, 32), RS(31, 20), every code with t = 0 and every
+code at m = 10 among them, runs the algebraic corrector:
 
 1. syndromes of every row; rows with zero syndromes are exact codewords;
 2. Berlekamp-Massey for the error locator of every remaining row: with
@@ -101,18 +107,20 @@ For every other code, RS(255, 32) and RS(31, 20) among them,
    complexity of the row's syndromes, so they are those of the error
    pattern on the L roots with Forney's magnitudes, all nonzero, and no
    syndrome re-check is needed. A row that a pattern of at most t errors
-   explains passes the same test. Its corrected-symbol count is L;
-5. the policy for the rest (below), which only labels rows: no parity is
-   computed.
+   explains passes the same test. Its count is L, and every other row
+   with nonzero syndromes counts -1. A code with t = 0 thus counts -1 for
+   every such row, with no table.
 
-It returns each row's status, message and corrected-symbol count, which is
+The policy only labels rows: no parity is computed. ``decode_batch``
+returns each row's status, message and corrected-symbol count, which is
 all its callers read. ``encode_batch`` is the one encoder: every parity in
 the package is its one gather over a (B, K) message array, and ``encode``
 is a batch of one. Scalar ``decode`` is ``decode_batch`` of one row, and
 ``outcome`` re-encodes its message into the codeword of a ``DecodeOutcome``,
 so there is one decoder.
 Batched gathers go in chunks that keep the index temporary near 2 MB: of
-rows, or for the Forney sums of located errors in message positions.
+rows, of lockstep Berlekamp-Massey rows, or for the Forney sums of located
+errors in message positions.
 A word within t symbol errors of a codeword is always decoded to that
 codeword. A word that is within t of a *different* codeword than the caller
 had in mind is miscorrected; that is inherent to bounded-distance decoding
@@ -159,8 +167,8 @@ _CHUNK = 1 << 18
 # with ``_LOOKUP_BITS`` lowered.
 _BM_LOCKSTEP = 16
 
-# Widest packed syndrome, m(N-K) bits, of a code that decodes by syndrome
-# lookup: its table then has at most 2^18 entries.
+# Widest packed syndrome, m(N-K) bits, of a code with t >= 1 that decodes by
+# syndrome lookup: its table then has at most 2^18 entries.
 _LOOKUP_BITS = 18
 
 
@@ -221,8 +229,7 @@ class RsCode:
 
     def __init__(self, field: Field, k_symbols: int):
         n = field.order
-        if not 1 <= k_symbols <= n:
-            raise ValueError(f"K must be in 1..{n}, got {k_symbols}")
+        k_symbols = _check_k(field.m, k_symbols)
         self.field = field
         self.n_symbols = n
         self.k_symbols = k_symbols
@@ -248,8 +255,8 @@ class RsCode:
                       self.quotient_logs):
             table.setflags(write=False)
         self._packed_tables = None
-        self._lookup = (self._build_lookup() if self.field.m * self.num_parity <= _LOOKUP_BITS
-                        else None)
+        self._lookup = (self._build_lookup()
+                        if 0 < self.t and field.m * self.num_parity <= _LOOKUP_BITS else None)
 
     @property
     def n_bits(self) -> int:
@@ -286,7 +293,7 @@ class RsCode:
         return log.take(rows[::-1])
 
     def _build_lookup(self) -> _Lookup:
-        """The syndrome lookup of a code whose key is at most
+        """The syndrome lookup of a code with t >= 1 whose key is at most
         ``_LOOKUP_BITS`` wide.
 
         A word's key is its syndromes packed into one integer, S_(j+1) in
@@ -407,71 +414,64 @@ class RsCode:
                              count if count >= 0 else None)
 
     def decode_batch(self, words, policy: DecodePolicy = DecodePolicy.FALLBACK_SYSTEMATIC) -> BatchDecode:
-        """Bounded-distance decode of every row of a (B, N) symbol array."""
-        words = self._check(words, self.n_symbols, "received", ndim=2)
-        policy = DecodePolicy(policy)
-        message = words[:, :self.k_symbols].astype(self.exp_table.dtype)
-        if self._lookup is not None:
-            return self._decode_by_lookup(words, message, policy)
-        status = np.full(len(words), _EXACT, dtype=np.int8)
-        error_count = np.zeros(len(words), dtype=np.int64)
+        """Bounded-distance decode of every row of a (B, N) symbol array.
 
-        synd = self._syndromes(words)
-        pending = np.flatnonzero(synd.any(axis=1))
-        if pending.size:
-            fixed, counts, ok = self._correct(message[pending], synd[pending])
-            done, beyond = pending[ok], pending[~ok]
-            status[done] = _CORRECTED
-            message[done] = fixed[ok]
-            error_count[done] = counts[ok]
-            error_count[beyond] = -1
-            _label_beyond(policy, status, message, beyond)
+        The code's corrector fixes the message columns in place and counts
+        each row's corrected symbols, -1 on a row beyond t; the counts set
+        the statuses, and the policy labels the rows beyond t.
+        """
+        words = self._check(words, self.n_symbols, "received", ndim=2)
+        deny = DecodePolicy(policy) is DecodePolicy.FAIL_DENY
+        message = words[:, :self.k_symbols].astype(self.exp_table.dtype)
+        correct = self._correct if self._lookup is None else self._correct_by_lookup
+        error_count = correct(words, message)
+        # The sign of the count picks the status: beyond t, exact, corrected.
+        status = np.array([_FAILURE if deny else _FALLBACK, _EXACT, _CORRECTED], dtype=np.int8)
+        status = status.take(np.sign(error_count) + 1)
+        # Beyond t, the fallback message is the received systematic symbols
+        # as they stand, and FAIL_DENY zeroes it.
+        if deny:
+            message[error_count < 0] = 0
         return BatchDecode(status, message, error_count)
 
     # -- decoding internals ---------------------------------------------------
 
-    def _decode_by_lookup(self, words: np.ndarray, message: np.ndarray,
-                          policy: DecodePolicy) -> BatchDecode:
-        """``decode_batch`` by syndrome lookup: the key of every row is one
-        gather of per-symbol keys and an XOR reduction, the key indexes the
-        row's error pattern, and its errors in message positions are XORed
-        into ``message``. A key no pattern of weight <= t has points to
-        weight -1."""
+    def _correct_by_lookup(self, words: np.ndarray, message: np.ndarray) -> np.ndarray:
+        """The syndrome-lookup corrector: the key of every row is one gather
+        of per-symbol keys and an XOR reduction, the key indexes the row's
+        error pattern, and its errors in message positions are XORed into
+        ``message``. A key no pattern of weight <= t has points to weight
+        -1, the count of a row beyond t."""
         lookup = self._lookup
         key = np.empty(len(words), dtype=lookup.keys.dtype)
         for part in _chunks(len(words), self.n_symbols):
             np.bitwise_xor.reduce(lookup.keys.take(words[part].T + lookup.offsets), axis=0,
                                   out=key[part])
         pattern = lookup.index.take(key)
-        error_count = lookup.weight.take(pattern).astype(np.int64)
-        status = np.full(len(words), _EXACT, dtype=np.int8)
-        rows = np.flatnonzero(error_count > 0)
-        if rows.size:
-            status[rows] = _CORRECTED
-            found = pattern[rows]
-            pos = lookup.positions[found]
-            # Distinct in a row, so no element is XORed twice in one scatter.
-            row, slot = np.nonzero(pos < self.k_symbols)
-            message[rows[row], pos[row, slot]] ^= lookup.values[found[row], slot]
-        _label_beyond(policy, status, message, np.flatnonzero(error_count < 0))
-        return BatchDecode(status, message, error_count)
+        pos = lookup.positions.take(pattern, axis=0)
+        # Distinct in a row, so no element is XORed twice in one scatter.
+        row, slot = np.nonzero(pos < self.k_symbols)
+        message[row, pos[row, slot]] ^= lookup.values[pattern[row], slot]
+        return lookup.weight.take(pattern).astype(np.int64)
 
-    def _correct(self, message: np.ndarray, synd: np.ndarray):
-        """Correct rows with nonzero syndromes where a codeword is within t.
-
-        Takes the (rows, K) message columns of the words and returns them
-        corrected, each row's locator degree, which on a corrected row is
-        its number of corrected symbols, and the mask of corrected rows.
-        """
+    def _correct(self, words: np.ndarray, message: np.ndarray) -> np.ndarray:
+        """The algebraic corrector: Berlekamp-Massey, Chien and Forney on
+        every row with nonzero syndromes, its errors in message positions
+        XORed into ``message``. Returns each row's corrected-symbol count,
+        its locator degree, or -1 where no codeword within t explains it."""
         n, t, npar = self.n_symbols, self.t, self.num_parity
         exp, log = self.exp_table, self.log_table
+        error_count = np.zeros(len(words), dtype=np.int64)
+        synd = self._syndromes(words)
+        pending = np.flatnonzero(synd.any(axis=1))
+        if not pending.size:
+            return error_count
+        synd = synd[pending]
         if len(synd) >= _BM_LOCKSTEP or exp.itemsize > 1:
             # A numpy step costs the same for 1 row as for many, so lockstep
             # pays from ``_BM_LOCKSTEP`` rows on. Row chunks keep each
             # (N-K+1, rows) gather of a step near ``_CHUNK`` elements.
-            step = max(_BM_LOCKSTEP, _CHUNK // synd.shape[1])
-            parts = [self._berlekamp_massey_rows(synd[lo:lo + step])
-                     for lo in range(0, len(synd), step)]
+            parts = [self._berlekamp_massey_rows(synd[part]) for part in _chunks(len(synd), npar)]
             sigma, degree, length, high = (np.concatenate(p) for p in zip(*parts))
         else:
             sigma, degree, length, high = self._berlekamp_massey_packed(synd)
@@ -489,6 +489,7 @@ class RsCode:
         split = roots.sum(axis=1) == degree[rows]
         ok[rows[~split]] = False
         rows, sigma_logs, roots = rows[split], sigma_logs.compress(split, axis=1), roots[split]
+        error_count[pending] = np.where(ok, degree, -1)
 
         # Forney on the high-order evaluator Omega^h, the coefficients N-K
         # and up of S(x) sigma(x): magnitude = X^-(N-K) Omega^h(X^-1) /
@@ -510,9 +511,9 @@ class RsCode:
                                   out=num[part])
             np.bitwise_xor.reduce(exp.take(sigma_logs[1::2, r] + chien[1:terms:2, d]), axis=0,
                                   out=odd[part])
-        fixed = message.copy()
-        fixed[rows[row], n - 1 - deg] ^= exp[(log[num] - log[odd] - deg * (npar + 1)) % n]
-        return fixed, degree, ok
+        magnitude = exp[(log[num] - log[odd] - deg * (npar + 1)) % n]
+        message[pending[rows[row]], n - 1 - deg] ^= magnitude
+        return error_count
 
     def _berlekamp_massey_rows(self, synd: np.ndarray) -> tuple[np.ndarray, ...]:
         """Error locators of every row of (B, N-K) syndromes, low to high.
@@ -624,15 +625,14 @@ class RsCode:
                 f"K={self.k_symbols}, t={self.t})")
 
 
-def _label_beyond(policy: DecodePolicy, status: np.ndarray, message: np.ndarray,
-                  beyond: np.ndarray) -> None:
-    """Label the rows that no codeword within t explains, as the policy says."""
-    if policy is DecodePolicy.FAIL_DENY:
-        status[beyond] = _FAILURE
-        message[beyond] = 0
-    else:
-        # The received systematic symbols are the message as they stand.
-        status[beyond] = _FALLBACK
+def _check_k(m: int, k_symbols) -> int:
+    """``k_symbols`` as an int, if it is an integer in 1..2^m - 1; a bool
+    is not. Anything else raises ``ValueError``."""
+    n = (1 << m) - 1
+    if (isinstance(k_symbols, (int, np.integer)) and not isinstance(k_symbols, bool)
+            and 1 <= k_symbols <= n):
+        return int(k_symbols)
+    raise ValueError(f"K must be in 1..{n}, got {k_symbols}")
 
 
 def _index_dtype(entries: int) -> type:
@@ -648,7 +648,7 @@ def _chunks(count: int, per_item: int) -> list[slice]:
 
 
 class _Lookup(NamedTuple):
-    """A code's syndrome lookup, as ``RsCode._decode_by_lookup`` reads it.
+    """A code's syndrome lookup, as ``RsCode._correct_by_lookup`` reads it.
     Its P patterns are every error pattern of weight <= t; row P of the
     pattern arrays is the one a key outside them indexes."""
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 
@@ -62,6 +63,18 @@ class TestParameters:
     def test_invalid_k(self, gf8, k):
         with pytest.raises(ValueError):
             RsCode(gf8, k)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, np.float64(2), True, False, "2", None], ids=repr)
+    def test_k_must_be_an_integer_in_range(self, gf8, k):
+        """K is an integer in 1..N and not a bool, refused with one message
+        before any table is built."""
+        with pytest.raises(ValueError, match=re.escape(f"K must be in 1..7, got {k}")):
+            RsCode(gf8, k)
+
+    def test_numpy_integer_k_is_stored_as_int(self, gf8):
+        code = RsCode(gf8, np.int64(3))
+        assert type(code.k_symbols) is int and code.k_symbols == 3
+        assert code.encode([1, 2, 3]) == RsCode(gf8, 3).encode([1, 2, 3])
 
     def test_generator_has_prescribed_roots(self, rs_7_3):
         exp, log = rs_7_3.exp_table, rs_7_3.log_table
@@ -815,6 +828,19 @@ def lookup_words(code, rng, per_class=30):
                            words.reshape(-1, n)])
 
 
+def beyond_word(code):
+    """A word of a code with N-K = 2 whose key no error pattern of weight
+    <= 1 has: zero but in its last two positions. Any two positions of the
+    parity-check matrix are independent, so those words take every key."""
+    lookup, n, size = code._lookup, code.n_symbols, code.field.size
+    keys = lookup.keys.reshape(n, size)
+    tail = keys[n - 2, :, None] ^ keys[n - 1, None, :]
+    first, last = np.argwhere(lookup.weight[lookup.index[tail]] < 0)[0]
+    word = np.zeros(n, dtype=np.int64)
+    word[n - 2:] = first, last
+    return word
+
+
 def assert_same_batches(got, want, rows=slice(None)):
     """Two ``BatchDecode`` results agree array by array, dtypes included;
     ``rows`` picks the rows of ``want`` that ``got`` decoded."""
@@ -824,28 +850,31 @@ def assert_same_batches(got, want, rows=slice(None)):
 
 
 class TestSyndromeLookup:
-    """A code whose key, its m(N-K) syndrome bits packed into one integer,
-    is at most ``_LOOKUP_BITS`` wide decodes by one lookup of the error
-    pattern of weight <= t with that key. It must decode every word as
-    Berlekamp-Massey, Chien and Forney and the slow reference do."""
+    """A code that corrects at least one error and whose key, its m(N-K)
+    syndrome bits packed into one integer, is at most ``_LOOKUP_BITS`` wide
+    decodes by one lookup of the error pattern of weight <= t with that key.
+    It must decode every word as Berlekamp-Massey, Chien and Forney and the
+    slow reference do."""
 
-    # The K of every such code, m = 2..10.
-    CODES = {m: [k for k in range(1, 1 << m) if m * ((1 << m) - 1 - k) <= rs._LOOKUP_BITS]
-             for m in range(2, 11)}
+    # The K of every such code: N-K >= 2, so t >= 1. At m = 10 there is none.
+    CODES = {m: [k for k in range(1, (1 << m) - 2) if m * ((1 << m) - 1 - k) <= rs._LOOKUP_BITS]
+             for m in range(2, 10)}
 
     def test_eligible_codes(self):
         assert {m: ks[0] for m, ks in self.CODES.items()} == {
-            2: 1, 3: 1, 4: 11, 5: 28, 6: 60, 7: 125, 8: 253, 9: 509, 10: 1022}
-        assert all(ks == list(range(ks[0], 1 << m)) for m, ks in self.CODES.items())
+            2: 1, 3: 1, 4: 11, 5: 28, 6: 60, 7: 125, 8: 253, 9: 509}
+        assert all(ks == list(range(ks[0], (1 << m) - 2)) for m, ks in self.CODES.items())
         assert RsCode(Field(3), 1)._lookup is not None
-        for m, k in ((8, 32), (5, 20), (4, 10), (8, 252), (10, 1021)):
+        for m, k in ((8, 32), (5, 20), (4, 10), (8, 252), (10, 1021),
+                     (2, 2), (3, 6), (8, 254), (9, 510), (10, 1022)):
             assert RsCode(Field(m), k)._lookup is None
 
     @pytest.mark.parametrize("m", sorted(CODES))
     def test_batches_equal_algebraic_decoder(self, m, monkeypatch):
         """Under both policies, a batch and single rows of it decode to the
-        same arrays and dtypes with the lookup and without it. At m = 10
-        every such code has t = 0, so none corrects."""
+        same arrays and dtypes with the lookup and without it. A code with
+        N-K = 2 also decodes a word whose key no pattern has, since at m = 8
+        the t = 1 spheres cover ~99% of all words."""
         field = Field(m)
         rng = np.random.default_rng(11000 + m)
         seen = set()
@@ -856,6 +885,8 @@ class TestSyndromeLookup:
                 algebraic = RsCode(field, k)
             assert code._lookup is not None and algebraic._lookup is None
             words = lookup_words(code, rng)
+            if code.num_parity == 2:
+                words = np.vstack([words, beyond_word(code)])
             for policy in DecodePolicy:
                 want = algebraic.decode_batch(words, policy)
                 assert_same_batches(code.decode_batch(words, policy), want)
@@ -863,7 +894,7 @@ class TestSyndromeLookup:
                     assert_same_batches(code.decode_batch(words[i:i + 1], policy), want,
                                         slice(i, i + 1))
                 seen.update(BATCH_STATUSES[s] for s in want.status)
-        assert seen == set(DecodeStatus) - ({DecodeStatus.CORRECTED} if m == 10 else set())
+        assert seen == set(DecodeStatus)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_every_word_equals_reference_at_m2(self, k):
@@ -886,7 +917,7 @@ class TestSyndromeLookup:
                     code, word, policy), (k, policy, word)
 
     @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (3, 4), (4, 11), (5, 28), (6, 60),
-                                     (10, 1022)])
+                                     (7, 125)])
     def test_every_pattern_has_its_own_key(self, m, k):
         """The lookup holds every error pattern of weight <= t once, and each
         such pattern, as a word, decodes to the zero message with its weight
@@ -1001,6 +1032,20 @@ class TestDecodeBatch:
     def test_empty_batch(self, rs_7_3):
         batch = rs_7_3.decode_batch(np.zeros((0, 7), dtype=np.int64))
         assert batch.status.shape == (0,) and batch.message.shape == (0, 3)
+
+    @pytest.mark.parametrize("m,k", [(3, 1), (5, 20), (3, 6), (10, 1013)])
+    def test_zero_rows(self, m, k):
+        """A (0, N) batch decodes to (0,) int8 statuses, a (0, K) message in
+        ``exp_table.dtype`` and (0,) int64 counts, under both policies: by
+        the syndrome lookup (m = 3, K = 1) and by the algebraic corrector
+        (RS(31, 20), the t = 0 RS(7, 6) and an m = 10 code)."""
+        code = RsCode(Field(m), k)
+        assert (code._lookup is not None) == ((m, k) == (3, 1))
+        for policy in DecodePolicy:
+            batch = code.decode_batch(np.zeros((0, code.n_symbols), dtype=np.int64), policy)
+            assert (batch.status.shape, batch.status.dtype) == ((0,), np.int8)
+            assert (batch.message.shape, batch.message.dtype) == ((0, k), code.exp_table.dtype)
+            assert (batch.error_count.shape, batch.error_count.dtype) == ((0,), np.int64)
 
     def test_validation(self, rs_7_3):
         with pytest.raises(LengthMismatchError):

@@ -125,7 +125,8 @@ def test_ab_bench_summarizes_pairs_without_running_them():
                         better)
     titles = [line for line in text.splitlines() if not line.startswith(" ")]
     assert titles == ["seed 1, 2 pairs", "seed 2, 2 pairs", "all seeds, 4 pairs"]
-    assert text.splitlines()[-1] == "  failed ops: parent 0, change 1"
+    assert text.splitlines()[-1] == "  failed/attempted ops: parent 0/40, change 1/40"
+    assert "  failed/attempted ops: parent 0/20, change 0/20" in text.splitlines()  # seed 1
     assert "0.848" in text  # the pooled op_p50_ref_ms ratio
     metrics = ab["end_to_end"]()
     assert set(metrics) == {"setup_s", "op_p50_ref_ms", "ops_per_ref_s", "peak_rss_mb"}
