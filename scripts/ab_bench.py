@@ -2,15 +2,19 @@
 """Paired benchmark runs of two checkouts, summarised per metric.
 
     python scripts/ab_bench.py PARENT CHANGE --workload far-mc --seeds 1,2 --pairs 5
+    python scripts/ab_bench.py PARENT CHANGE --workload far-mc,matcher-m8,cli-auth
 
 runs ``<checkout>/benchmarks/run.py --trace 0`` once for each checkout per
-pair, the parent first in even pairs and the change first in odd ones, so
-that a drift of the machine's speed falls on both sides. For every seed,
-and for all seeds together, it prints one line per end-to-end metric: the
-parent's and the change's medians, their ratio, the pairs in which the
-change was better, the interquartile range of the parent's runs, and a
-verdict, with the metric's direction and relative bound read from
-BENCHMARK.json:
+pair and workload, the parent first in even pairs and the change first in
+odd ones, so that a drift of the machine's speed falls on both sides.
+``--workload`` takes one workload, a comma-separated list, or ``all`` for
+every workload BENCHMARK.json declares; each pair runs every listed
+workload, one ``run.py`` process per side and workload. For each workload,
+and within it for every seed and for all seeds together, it prints one
+line per end-to-end metric: the parent's and the change's medians, their
+ratio, the pairs in which the change was better, the interquartile range
+of the parent's runs, and a verdict, with the metric's direction and
+relative bound read from BENCHMARK.json:
 
 * ``gain``: the change wins at least 9 pairs in 10 and its median is
   better by more than the parent's interquartile range;
@@ -42,6 +46,14 @@ def end_to_end(path: Path = BENCHMARK) -> dict[str, tuple[str, float]]:
     end-to-end metrics."""
     return {m["name"]: (m["better"], m["bound"])
             for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def workloads(value: str, path: Path = BENCHMARK) -> list[str]:
+    """The workloads a ``--workload`` value names: ``all`` is every workload
+    of BENCHMARK.json, anything else a comma-separated list."""
+    if value == "all":
+        return [w["name"] for w in json.loads(path.read_text())["workloads"]]
+    return value.split(",")
 
 
 def schedule(seeds: list[int], pairs: int) -> list[tuple[int, tuple[str, str]]]:
@@ -144,24 +156,29 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, a comma-separated list of them, or all")
     parser.add_argument("--seeds", default="1,2", help="comma-separated seeds")
     parser.add_argument("--pairs", type=int, default=5, help="pairs per seed")
     parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    results = []
+    names = workloads(args.workload)
+    results = {name: [] for name in names}
     for seed, order in schedule([int(s) for s in args.seeds.split(",")], args.pairs):
-        run = {side: run_once(checkouts[side], args.workload, seed, args.seconds)
-               for side in order}
-        print(f"seed {seed} ({order[0]} first): op_p50_ref_ms "
-              f"{run['parent']['metrics']['op_p50_ref_ms']['value']:.4g} -> "
-              f"{run['change']['metrics']['op_p50_ref_ms']['value']:.4g}",
-              file=sys.stderr, flush=True)
-        results.append((seed, run["parent"], run["change"]))
-    print(f"workload {args.workload}, {args.seconds:g} s per run")
-    print(report(results, end_to_end()))
+        for name in names:
+            run = {side: run_once(checkouts[side], name, seed, args.seconds)
+                   for side in order}
+            print(f"{name} seed {seed} ({order[0]} first): op_p50_ref_ms "
+                  f"{run['parent']['metrics']['op_p50_ref_ms']['value']:.4g} -> "
+                  f"{run['change']['metrics']['op_p50_ref_ms']['value']:.4g}",
+                  file=sys.stderr, flush=True)
+            results[name].append((seed, run["parent"], run["change"]))
+    metrics = end_to_end()
+    for name in names:
+        print(f"workload {name}, {args.seconds:g} s per run")
+        print(report(results[name], metrics))
     return 0
 
 

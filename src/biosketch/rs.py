@@ -134,7 +134,8 @@ Words beyond every decoding sphere are resolved by an explicit policy:
   codeword is that message re-encoded.
 
 Bit/symbol packing is big-endian within each symbol: the first of m bits is
-the most significant bit of symbol 0.
+the most significant bit of symbol 0. The packers take m in 2..10, as
+``Field`` does, and raise ``UnsupportedSymbolSizeError`` for any other m.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LengthMismatchError
-from .gf import Field
+from .gf import Field, check_symbol_size
 
 # Elements per batched gather: bounds the intp index temporary to ~2 MB.
 _CHUNK = 1 << 18
@@ -752,7 +753,9 @@ def bits_to_symbols(bits, m: int) -> list[int]:
 
 
 def bit_rows_to_symbols(bits, m: int) -> np.ndarray:
-    """Pack the last axis of a 0/1 array into symbols, big-endian per symbol."""
+    """Pack the last axis of a 0/1 array into int64 symbols, big-endian per
+    symbol."""
+    check_symbol_size(m)
     arr = as_bits(bits)
     if arr.ndim == 0:
         raise LengthMismatchError("bits must be a vector or an array of rows")
@@ -765,12 +768,16 @@ def bit_rows_to_symbols(bits, m: int) -> np.ndarray:
 
 
 def symbols_to_bits(symbols, m: int) -> np.ndarray:
-    """Unpack symbols on the last axis to 0/1 uint8, big-endian per symbol."""
+    """Unpack symbols on the last axis to 0/1 uint8, big-endian per symbol.
+
+    Each symbol is unpacked from its big-endian uint16 bytes, of which the
+    low m bits are kept; m is at most 10.
+    """
+    check_symbol_size(m)
     arr = np.asarray(symbols, dtype=np.int64)
     if arr.ndim == 0:
         raise LengthMismatchError("symbols must be a vector or an array of rows")
     if arr.size and (arr.min() < 0 or arr.max() >= (1 << m)):
         raise ValueError(f"symbol out of range for m={m}")
-    shifts = np.arange(m - 1, -1, -1)
-    bits = (arr[..., None] >> shifts) & 1
-    return bits.astype(np.uint8).reshape(*arr.shape[:-1], arr.shape[-1] * m)
+    bits = np.unpackbits(arr.astype(">u2").view(np.uint8)).reshape(*arr.shape, 16)
+    return bits[..., 16 - m:].reshape(*arr.shape[:-1], arr.shape[-1] * m)

@@ -27,6 +27,13 @@ one, and ``auth_ss`` and ``auth_fc`` check the scheme first. Every
 ``Decision`` carries the decode status and the number of corrected symbols
 next to its reason.
 
+``authenticate_batch`` hashes each distinct (record, message) pair of a
+batch once. It groups the rows with one ``np.unique`` and hashes any row of
+a group, since every row of it holds the same pair. It then compares all
+digests at once, one XOR of the computed digests with the stored ones and
+an OR over each digest's four 64-bit words, with no early exit: a
+verdict's time does not depend on where two digests first differ.
+
 Records never contain the biometric bits, the key indices, or the plain
 sketch. The hash is SHA-256 over salt || 64-bit little-endian bit length ||
 big-endian packed bits; enrolled and probed messages are hashed by one
@@ -35,7 +42,6 @@ helper, and ``hash_sketch`` is the same hash of a single bit vector.
 
 from __future__ import annotations
 
-import hmac
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
@@ -337,34 +343,43 @@ def authenticate_batch(probes, records, owner,
             f"probes have shape {arr.shape}, record expects {n_bits} bits per row"
         )
     owner = np.asarray(owner)
-    if owner.shape != (len(arr),) or (owner.size and (
-            owner.dtype.kind not in "iu"
-            or owner.min() < 0 or owner.max() >= len(records))):
+    if owner.shape != (len(arr),) or owner.dtype.kind not in "iu" or (owner.size and (
+            owner.min() < 0 or owner.max() >= len(records))):
         raise ValueError(
             f"owner must be {len(arr)} record indices in 0..{len(records) - 1}"
         )
-    arr = np.array([record.offset_bits() for record in records])[owner] ^ arr
+    arr = np.array([record.offset_bits() for record in records]).take(owner, axis=0) ^ arr
     m = code.field.m
     batch = code.decode_batch(bit_rows_to_symbols(arr, m), first.params.policy)
     rows = np.flatnonzero(batch.status != _FAILURE)
-    pairs = np.column_stack([owner[rows], batch.message[rows]])
+    pairs = np.column_stack([owner.take(rows), batch.message.take(rows, axis=0)])
     inverse = slice(None)
     if len(pairs) > 1:
         # Probes repeat (owner, message) pairs: hash each distinct pair once.
         # A pair that fits 63 bits is keyed as one int64, the owner above the
-        # message's m-bit symbols; a wider one by its row's raw bytes.
+        # message's m-bit symbols; a wider one by its row's raw bytes. Every
+        # row of a group holds the same pair, so whichever row the scatter
+        # leaves represents it, and the sort need not be stable.
         width = m * first.params.k_symbols
         if (len(records) - 1).bit_length() + width <= 63:
-            groups = pairs.astype(np.int64) @ (1 << np.arange(width, -1, -m, dtype=np.int64))
+            weights = 1 << np.arange(width, -1, -m, dtype=np.int64)
+            groups = pairs.astype(np.int64, copy=False) @ weights
         else:
             groups = pairs.view(np.dtype((np.void, pairs.itemsize * pairs.shape[1]))).ravel()
-        _, distinct, inverse = np.unique(groups, return_index=True, return_inverse=True)
-        pairs = pairs[distinct]
+        distinct, inverse = np.unique(groups, return_inverse=True)
+        representative = np.empty(len(distinct), dtype=np.intp)
+        representative[inverse] = np.arange(len(pairs))
+        pairs = pairs.take(representative, axis=0)
     owners = pairs[:, 0]
     digests = _digests(symbols_to_bits(pairs[:, 1:], m),
                        [record.salt for record in records], owners)
-    matches = np.array([hmac.compare_digest(digest, records[j].digest)
-                        for j, digest in zip(owners.tolist(), digests)], dtype=bool)
+    # All digests are compared at once, as rows of four 64-bit words, with
+    # no early exit: a verdict's time does not depend on where its digest
+    # first differs from the stored one.
+    stored = np.frombuffer(b"".join(r.digest for r in records), dtype=np.uint64).reshape(-1, 4)
+    computed = np.frombuffer(b"".join(digests), dtype=np.uint64).reshape(-1, 4)
+    differ = computed ^ stored.take(owners, axis=0)
+    matches = (differ[:, 0] | differ[:, 1] | differ[:, 2] | differ[:, 3]) == 0
     accepted = np.zeros(len(arr), dtype=bool)
     accepted[rows] = matches[inverse]
     return BatchDecision(accepted, batch.status, batch.error_count)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biosketch import rs
-from biosketch.errors import LengthMismatchError
+from biosketch.errors import LengthMismatchError, UnsupportedSymbolSizeError
 from biosketch.gf import Field
 from biosketch.rs import (
     _BM_LOCKSTEP,
@@ -1099,6 +1099,42 @@ class TestBitPacking:
         rng = np.random.default_rng(m)
         bits = rng.integers(0, 2, size=m * 40, dtype=np.uint8)
         assert np.array_equal(symbols_to_bits(bits_to_symbols(bits, m), m), bits)
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    @pytest.mark.parametrize("shape", [(9,), (3, 5), (2, 3, 4), (0, 5), (3, 0), (2, 0, 3)],
+                             ids=["1-d", "2-d", "3-d", "zero-rows", "zero-symbols", "3-d-empty"])
+    def test_roundtrip_every_symbol_size(self, m, shape):
+        # The first symbol of every row is 0 and the last 2^m - 1; m = 9 and
+        # 10 make symbols wider than a byte.
+        rng = np.random.default_rng(m)
+        symbols = rng.integers(0, 1 << m, size=shape)
+        if shape[-1]:
+            symbols[..., 0], symbols[..., -1] = 0, (1 << m) - 1
+        rows = symbols.reshape(math.prod(shape[:-1]), shape[-1]).tolist()
+        expected = np.array([[(s >> (m - 1 - j)) & 1 for s in row for j in range(m)]
+                             for row in rows], dtype=np.uint8).reshape(len(rows), shape[-1] * m)
+        for given_symbols in (symbols, symbols.astype(Field(m).exp_table.dtype)):
+            bits = symbols_to_bits(given_symbols, m)
+            assert bits.dtype == np.uint8
+            assert bits.shape == (*shape[:-1], shape[-1] * m)
+            assert np.array_equal(bits.reshape(expected.shape), expected)
+        packed = bit_rows_to_symbols(bits, m)
+        assert packed.dtype == np.int64
+        assert packed.shape == shape and np.array_equal(packed, symbols)
+        if len(shape) == 1:
+            assert bits_to_symbols(bits, m) == symbols.tolist()
+
+    @pytest.mark.parametrize("m", [0, 1, 11, -1, True], ids=["0", "1", "11", "-1", "True"])
+    def test_symbol_size_outside_2_to_10_raises(self, m):
+        # 66 bits are a whole number of 1-, 2-, 3- and 11-bit symbols.
+        assert issubclass(UnsupportedSymbolSizeError, ValueError)
+        bits = [1, 0] * 33
+        with pytest.raises(UnsupportedSymbolSizeError):
+            bits_to_symbols(bits, m)
+        with pytest.raises(UnsupportedSymbolSizeError):
+            bit_rows_to_symbols(np.array([bits, bits]), m)
+        with pytest.raises(UnsupportedSymbolSizeError):
+            symbols_to_bits([0], m)
 
     @given(st.lists(st.integers(0, 7), min_size=0, max_size=30))
     def test_roundtrip_symbols_hypothesis(self, symbols):

@@ -135,6 +135,54 @@ def test_ab_bench_summarizes_pairs_without_running_them():
     assert "--pairs 5" in ab["__doc__"]
 
 
+# A stand-in for ``benchmarks/run.py``: it logs each call and prints a
+# result line whose op_p50_ref_ms is its workload's base, 10% less in the
+# checkout named "change".
+FAKE_RUN = """import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+checkout = Path(__file__).resolve().parents[1]
+with open(checkout.parent / "calls.txt", "a") as log:
+    log.write(f"{checkout.name} {args['--workload']} {args['--seed']}\\n")
+ms = {"far-mc": 7.0, "cli-auth": 300.0}[args["--workload"]]
+ms *= 0.9 if checkout.name == "change" else 1.0
+values = {"setup_s": 0.5, "op_p50_ref_ms": ms, "ops_per_ref_s": 1000 / ms,
+          "peak_rss_mb": 40.0}
+print("workload", args["--workload"])
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
+    name: {"value": value, "unit": "-"} for name, value in values.items()}}))
+"""
+
+
+def test_ab_bench_runs_every_workload_of_a_list_in_each_pair(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "benchmarks").mkdir(parents=True)
+        (tmp_path / side / "benchmarks" / "run.py").write_text(FAKE_RUN)
+    proc = run_script("ab_bench.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+                      "--workload", "far-mc,cli-auth", "--seeds", "1,2", "--pairs", "2",
+                      "--seconds", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    calls = (tmp_path / "calls.txt").read_text().splitlines()
+    first = {"parent": ("parent", "change"), "change": ("change", "parent")}
+    assert calls == [f"{side} {workload} {seed}"
+                     for seed in (1, 2) for order in (first["parent"], first["change"])
+                     for workload in ("far-mc", "cli-auth") for side in order]
+    assert len(proc.stderr.splitlines()) == 8
+    assert proc.stderr.splitlines()[0] == "far-mc seed 1 (parent first): op_p50_ref_ms 7 -> 6.3"
+    lines = proc.stdout.splitlines()
+    titles = [line for line in lines if not line.startswith(" ")]
+    assert titles == [title for workload in ("far-mc", "cli-auth") for title in (
+        f"workload {workload}, 1 s per run",
+        "seed 1, 2 pairs", "seed 2, 2 pairs", "all seeds, 4 pairs")]
+    op_rows = [line.split() for line in lines if line.startswith("  op_p50_ref_ms")]
+    assert [row[1:4] for row in op_rows] == [["7", "6.3", "0.900"]] * 3 + [
+        ["300", "270", "0.900"]] * 3
+    assert [row[-1] for row in op_rows] == ["gain"] * 6
+    ab = runpy.run_path(str(ROOT / "scripts" / "ab_bench.py"))
+    assert ab["workloads"]("far-mc,cli-auth") == ["far-mc", "cli-auth"]
+    assert ab["workloads"]("all") == ["far-mc", "matcher-m8", "cli-auth"]
+
+
 def test_ab_bench_verdicts():
     """gain needs 9 wins in 10 and a median moved by more than the parent's
     interquartile range; worse a median moved the wrong way by more than

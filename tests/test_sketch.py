@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -514,6 +515,21 @@ def _assert_hashed_once(monkeypatch, probes, records, owner, code, pairs):
     return batch
 
 
+def _slow_verdicts(probes, records, owner, code):
+    """Each row's verdict by the reference decoder and ``slow_digest``: its
+    decode does not fail and the digest of its message under its record's
+    salt is the record's digest."""
+    m, k, poly = code.field.m, code.k_symbols, code.field.primitive_poly
+    fallback = records[0].params.policy is FB
+    verdicts = []
+    for row, j in zip(probes, np.asarray(owner).tolist()):
+        word = bits_to_symbols(row ^ records[j].offset_bits(), m)
+        status, _, message, _ = slow_rs_decode(word, k, m, poly, fallback=fallback)
+        verdicts.append(status != "failure" and slow_digest(
+            slow_symbol_bits(message, m), records[j].salt) == records[j].digest)
+    return verdicts
+
+
 class TestAuthenticateBatch:
     @staticmethod
     def _probes(rng, code, enrolled):
@@ -666,6 +682,70 @@ class TestAuthenticateBatch:
                 symbols_to_bits(np.array(message), 3), salts[j]) == records[j].digest)
         assert batch.accepted.tolist() == expected
 
+    @pytest.mark.parametrize("scheme", [SCHEME_SECURE_SKETCH, SCHEME_FUZZY_COMMITMENT])
+    @pytest.mark.parametrize("policy", [FB, FD])
+    def test_wide_pair_keys_accept_exactly_rows_whose_slow_digest_matches(self, scheme,
+                                                                          policy):
+        # bit_length(4 - 1) + 5 * 13 = 67 bits: every pair is keyed by its
+        # raw bytes. Probes lie within t, just beyond it and far from every
+        # codeword, against their own record or another.
+        code = RsCode(Field(5), 13)
+        rng = np.random.default_rng(67)
+        salts = [bytes([j]) * (8 * j) for j in range(4)]
+        enrolled = symbols_to_bits(code.encode_batch(rng.integers(0, 32, (4, 13))), 5)
+        records = enroll_batch(scheme, enrolled, code, policy, salts,
+                               [f"s{j}" for j in range(4)], range(4))
+        source = rng.integers(0, 4, 60)
+        probes = np.array([flip_symbols(rng, code, enrolled[j], int(w))
+                           for j, w in zip(source, rng.integers(0, code.t + 3, 60))]
+                          + [random_bits(rng, code.n_bits) for _ in range(10)])
+        owner = np.concatenate([np.where(rng.random(60) < 0.7, source,
+                                         rng.integers(0, 4, 60)), rng.integers(0, 4, 10)])
+        batch = authenticate_batch(probes, records, owner, code)
+        expected = _slow_verdicts(probes, records, owner, code)
+        assert batch.accepted.tolist() == expected
+        assert 0 < sum(expected) < len(probes)
+
+    @pytest.mark.parametrize("scheme", [SCHEME_SECURE_SKETCH, SCHEME_FUZZY_COMMITMENT])
+    def test_digest_compare_sees_the_first_and_the_last_byte(self, scheme, monkeypatch):
+        # Records 1 and 2 are record 0 with only the first or only the last
+        # byte of its digest flipped: a probe of the enrolled vector matches
+        # record 0 exactly and each other record in all bytes but one.
+        code = RsCode(Field(3), 2)
+        rng = np.random.default_rng(5)
+        r_a = random_bits(rng, code.n_bits)
+        if scheme == SCHEME_SECURE_SKETCH:
+            exact = enroll_ss(r_a, code, FB, SALT)
+        else:
+            exact = enroll_fc(r_a, code, 7, SALT)
+
+        def flipped(i):
+            digest = bytearray(exact.digest)
+            digest[i] ^= 0x80
+            return dataclasses.replace(exact, digest=bytes(digest))
+
+        records = [exact, flipped(0), flipped(-1)]
+        probes = np.array([r_a] * 6 + [flip_symbols(rng, code, r_a, int(w))
+                                       for w in rng.integers(0, code.t + 2, 30)])
+        owner = np.concatenate([[0, 1, 2, 2, 1, 0], rng.integers(0, 3, 30)])
+        batch = authenticate_batch(probes, records, owner, code)
+        assert batch.accepted.tolist() == _slow_verdicts(probes, records, owner, code)
+        assert batch.accepted[:6].tolist() == [True, False, False, False, False, True]
+        assert not batch.accepted[owner != 0].any()
+        # A batch of one, against each record.
+        for j in range(3):
+            one = authenticate_batch(r_a[None], records, [j], code)
+            assert one.accepted.tolist() == [j == 0]
+            assert authenticate(r_a, records[j], code).accepted == (j == 0)
+        # Every row repeats one (record, message) pair: it is hashed once and
+        # its verdict goes to every row.
+        message = tuple(code.decode(bits_to_symbols(r_a ^ exact.offset_bits(), 3)).message)
+        for j in range(3):
+            owner = np.full(25, j)
+            batch = _assert_hashed_once(monkeypatch, np.tile(r_a, (25, 1)), records, owner,
+                                        code, {(j, message)})
+            assert batch.accepted.tolist() == [j == 0] * 25
+
     def test_empty_and_wrong_width(self, rs_7_3):
         record = enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3, FB, SALT)
         empty = authenticate_batch(np.zeros((0, 21), dtype=np.uint8), [record],
@@ -675,6 +755,11 @@ class TestAuthenticateBatch:
         with pytest.raises(ParameterMismatchError):
             authenticate_batch(np.zeros((2, 20), dtype=np.uint8), [record],
                                np.zeros(2, dtype=np.intp), rs_7_3)
+
+    def test_empty_batch_needs_integer_owner(self, rs_7_3):
+        record = enroll_ss(np.zeros(21, dtype=np.uint8), rs_7_3, FB, SALT)
+        with pytest.raises(ValueError):
+            authenticate_batch(np.zeros((0, 21), dtype=np.uint8), [record], [])
 
     def test_mixed_scheme_or_params_raise(self, rs_7_3, rs_7_5):
         r_a = np.zeros(21, dtype=np.uint8)
