@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer-argument rule, shared across the package."""
+
+from numbers import Integral
 
 
 class BiosketchError(Exception):
@@ -43,3 +45,11 @@ class SubjectNotFoundError(BiosketchError, KeyError):
 
 class DuplicateSubjectError(BiosketchError):
     """Subject already has a stored record or key and overwrite was not set."""
+
+
+def check_int(value, low: int, high: float, message: str) -> int:
+    """``value`` as an int if it is an integer in ``low``..``high``; a bool is
+    not. Anything else raises ``ValueError(message)``."""
+    if isinstance(value, Integral) and not isinstance(value, bool) and low <= value <= high:
+        return int(value)
+    raise ValueError(message)

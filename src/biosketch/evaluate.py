@@ -1,8 +1,8 @@
 """Evaluation harness: GAR, empirical FAR, GAR-security sweeps, privacy.
 
 The genuine accept rate enrolls every subject on its enrollment-half
-samples and probes with the held-out half (or with the enrollment
-representative itself, which by construction reproduces the enrolled bits).
+samples and probes with the held-out half (or with the enrolled bits r_a,
+the enrollment representative's bits under the subject's key).
 Subjects whose enrollment fails under the fail-deny policy are reported and
 excluded from the probe denominator. The probes of every enrolled subject
 are stacked and decided in one ``authenticate_batch``, each row against its
@@ -23,16 +23,25 @@ the GAR-security trade-off curve, written as CSV with the header
 ``m,K,security_bits,rate,gar,far_analytic,far_empirical,scheme,policy,scenario``.
 A sweep without a seed runs every K, and its FAR, under one seed drawn at
 its start. Every entry point refuses a K that is not an integer in
-1..2^m - 1, with ``RsCode``'s message, before any work.
+1..2^m - 1, with ``RsCode``'s message, and a seed that is neither None nor
+a non-negative integer, before any work.
 
 ``gar_stats``, ``empirical_far`` and ``run_gs_curve`` run on a
-``_Population``: the K-invariant half of evaluation (fused rows, medians,
-every subject's key and enrolled bits, read-only), built once, and a table
+``_Population``: the K-invariant half of evaluation, built once, and a table
 filled by ``enrolled(config)`` with what each (K, scheme, policy) adds: its
 RS code and a read-only mapping of its enrollments, made by one
 ``enroll_batch``. A repeated call only decides. An entry costs one code
 (0.1-0.3 MB of tables at m = 8, 2-3 MB at m = 10, by K) and one record per
 enrolled subject, and holds no K-invariant array.
+
+The K-invariant half is read-only: the medians, every subject's key and
+enrolled bits, and the bits of every sample, binarized once per population
+(not per call), with each subject's row range. It holds no fused floats.
+Every probe taken from the dataset is one gather of sample rows' bits, each
+row under its key owner's key: a held-out sample under its own subject's
+key, a dataset impostor's sample under the victim's key (stolen key) or its
+own (zero effort). ``_accepts`` decides blocks of probes, one
+``authenticate_batch`` a block, and sums the accepts.
 
 One population is kept across calls, in the slot ``_fuse_memo``, while the
 SHA-256 of the dataset (subject ids in order; dtype, shape and bytes of
@@ -46,24 +55,23 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, check_int
 from .gf import check_symbol_size
 from .pipeline import (
     Enrollment,
     PipelineConfig,
     build_weights,
+    check_seed,
     derive_rng,
     enroll_split,
     fuse_dataset,
     population_from_fused,
-    probe_bits,
     select_template,
 )
 from .quantizer import binarize
@@ -146,19 +154,36 @@ _fuse_memo = None
 
 
 class _Population:
-    """The K-invariant work on a dataset: every subject's fused samples, the
-    population stats and every subject's ``select_template``, with read-only
-    arrays; and a table of what each (K, scheme, policy) adds to it."""
+    """The K-invariant work on a dataset: the bits of every sample (``bits``,
+    subject ``sid``'s samples in rows ``rows[sid]``), the population stats
+    and every subject's ``select_template``, with read-only arrays; and a
+    table of what each (K, scheme, policy) adds to it."""
 
     def __init__(self, dataset: EmbeddingDataset, config: PipelineConfig):
         fused = fuse_dataset(dataset, build_weights(config, dataset.d_face, dataset.d_iris))
         pop = population_from_fused(fused)
         selections = {sid: select_template(config, mat[:enroll_split(mat.shape[0])], pop, sid)
                       for sid, mat in fused.items()}
-        for arr in [*fused.values(), pop.median, *(r_a for _, r_a, _, _ in selections.values())]:
+        # Subject by subject: one binarize of every sample would hold a
+        # float copy of the whole population at once.
+        bits = [binarize(mat, pop) for mat in fused.values()]
+        ends = np.cumsum([len(b) for b in bits]).tolist()
+        self.rows = {sid: range(end - len(b), end) for sid, b, end in zip(fused, bits, ends)}
+        self.bits = np.concatenate(bits)
+        for arr in [self.bits, pop.median, *(r_a for _, r_a, _, _ in selections.values())]:
             arr.flags.writeable = False
-        self.fused, self.pop, self.selections = fused, pop, selections
+        self.pop, self.selections = pop, selections
         self.table = {}  # _PER_K_FIELDS values -> enrolled()
+
+    def probes(self, rows: np.ndarray, owners: np.ndarray, enrollments: Mapping) -> np.ndarray:
+        """The bits of sample ``rows``, row i under the key of the
+        ``owners[i]``-th enrolled subject."""
+        keys = [enr.key.index_array for enr in enrollments.values()]
+        probes = np.empty((len(rows), len(keys[0])), dtype=np.uint8)
+        for owner in set(owners.tolist()):
+            at = np.flatnonzero(owners == owner)
+            probes[at] = self.bits[np.ix_(rows[at], keys[owner])]
+        return probes
 
     def enrolled(self, config: PipelineConfig) -> tuple[object, Mapping[str, Enrollment]]:
         """The config's code and a read-only mapping of the enrolled subjects'
@@ -201,23 +226,12 @@ def _population(dataset: EmbeddingDataset, config: PipelineConfig) -> _Populatio
     return _fuse_memo[1]
 
 
-def _check_count(value, most: float, message: str) -> int:
-    """``value`` as an int if it is an integer in 1..``most``; a bool is not.
-    Anything else raises ``ValueError(message)``."""
-    try:
-        if not isinstance(value, bool) and 1 <= operator.index(value) <= most:
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ValueError(message)
-
-
 def gar_stats(dataset: EmbeddingDataset, config: PipelineConfig,
               probe_mode: str = "heldout") -> GarResult:
     """Genuine accept rate over enrolled subjects.
 
     ``heldout`` probes each subject with its held-out samples;
-    ``enroll`` probes with the enrollment representative itself.
+    ``enroll`` probes with its enrolled bits r_a.
     """
     if probe_mode not in ("heldout", "enroll"):
         raise ValueError(f"unknown probe mode {probe_mode!r}")
@@ -229,22 +243,29 @@ def _gar_stats(population: _Population, config: PipelineConfig, probe_mode: str)
     code, enrollments = population.enrolled(config)
     if not enrollments:
         raise InsufficientDataError("no subject could be enrolled")
-    records, probes, owner = [], [], []
-    for sid, enr in enrollments.items():
-        mat = population.fused[sid]
-        cut = enroll_split(mat.shape[0])
-        rows = mat[:cut].mean(axis=0, keepdims=True) if probe_mode == "enroll" else mat[cut:]
-        owner.append(np.full(len(rows), len(records)))
-        records.append(enr.record)
-        probes.append(probe_bits(rows, population.pop, enr.key))
-    bits = np.concatenate(probes)
+    if probe_mode == "enroll":
+        bits = np.stack([enr.template_bits for enr in enrollments.values()])
+        owner = np.arange(len(enrollments))
+    else:
+        held = [rows[enroll_split(len(rows)):] for rows in map(population.rows.get, enrollments)]
+        owner = np.repeat(np.arange(len(held)), [len(rows) for rows in held])
+        bits = population.probes(np.array([row for rows in held for row in rows], dtype=np.intp),
+                                 owner, enrollments)
     if not len(bits):
         raise InsufficientDataError("no probe samples; need more than the enrollment half")
-    batch = authenticate_batch(bits, records, np.concatenate(owner), code)
-    accepted, probed = int(batch.accepted.sum()), len(bits)
+    accepted, probed = _accepts(code, enrollments, [(bits, owner)]), len(bits)
     return GarResult(rate=accepted / probed, accepted=accepted, probed=probed,
                      enrolled=len(enrollments),
-                     unenrollable=len(population.fused) - len(enrollments))
+                     unenrollable=len(population.selections) - len(enrollments))
+
+
+def _accepts(code, enrollments: Mapping[str, Enrollment], blocks) -> int:
+    """Accepted probes over ``(probes, owner)`` blocks: each block is one
+    ``authenticate_batch``, row i against the record of the ``owner[i]``-th
+    enrolled subject."""
+    records = [enr.record for enr in enrollments.values()]
+    return sum(int(authenticate_batch(probes, records, owner, code).accepted.sum())
+               for probes, owner in blocks)
 
 
 def gar(dataset: EmbeddingDataset, config: PipelineConfig,
@@ -272,12 +293,13 @@ def _check_scenario(scenario: str) -> None:
         raise ValueError(f"unknown scenario {scenario!r}")
 
 
-def _check_far_args(dataset: EmbeddingDataset, scenario: str, trials: int,
+def _check_far_args(dataset: EmbeddingDataset, scenario: str, trials: int, seed,
                     impostor_bits: str) -> None:
     _check_scenario(scenario)
     if impostor_bits not in ("uniform", "dataset"):
         raise ValueError(f"unknown impostor bit source {impostor_bits!r}")
-    _check_count(trials, math.inf, f"trials must be a positive integer, got {trials!r}")
+    check_int(trials, 1, math.inf, f"trials must be a positive integer, got {trials!r}")
+    check_seed(seed)
     if dataset.n_subjects < 2:
         raise InsufficientDataError("impostor trials need >= 2 subjects")
 
@@ -298,7 +320,7 @@ def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
     generator state of one ``rng.integers(0, 2, size=n_bits, dtype=np.uint8)``
     per trial.
     """
-    _check_far_args(dataset, scenario, trials, impostor_bits)
+    _check_far_args(dataset, scenario, trials, seed, impostor_bits)
     _check_k(config.m, config.k_symbols)
     return _empirical_far(_population(dataset, config), config,
                           scenario, trials, seed, impostor_bits)
@@ -307,53 +329,38 @@ def empirical_far(dataset: EmbeddingDataset, config: PipelineConfig,
 def _empirical_far(population: _Population, config: PipelineConfig, scenario: str,
                    trials: int, seed, impostor_bits: str) -> float:
     code, enrollments = population.enrolled(config)
-    sids = list(enrollments)
-    if len(sids) < 2:
+    if len(enrollments) < 2:
         raise InsufficientDataError("need >= 2 enrolled subjects")
     rng = derive_rng(seed, "far", scenario, impostor_bits)
     if scenario == SCENARIO_STOLEN_KEY and impostor_bits == "uniform":
         def draw(victims: np.ndarray) -> np.ndarray:
             return _uniform_bit_rows(rng, len(victims), code.n_bits)
     else:
-        draw = _dataset_probes(population, code, enrollments, sids, rng,
-                               scenario == SCENARIO_STOLEN_KEY)
-    records = [enrollments[sid].record for sid in sids]
-    accepts = 0
-    for lo in range(0, trials, _FAR_BLOCK):
-        victims = np.arange(lo, min(trials, lo + _FAR_BLOCK)) % len(sids)
-        accepts += int(authenticate_batch(draw(victims), records, victims,
-                                          code).accepted.sum())
-    return accepts / trials
+        draw = _dataset_probes(population, enrollments, rng, scenario == SCENARIO_STOLEN_KEY)
+    blocks = (np.arange(lo, min(trials, lo + _FAR_BLOCK)) % len(enrollments)
+              for lo in range(0, trials, _FAR_BLOCK))
+    return _accepts(code, enrollments, ((draw(victims), victims) for victims in blocks)) / trials
 
 
-def _dataset_probes(population: _Population, code, enrollments: Mapping[str, Enrollment],
-                    sids: list[str], rng: np.random.Generator, stolen_key: bool):
+def _dataset_probes(population: _Population, enrollments: Mapping[str, Enrollment],
+                    rng: np.random.Generator, stolen_key: bool):
     """A function from a block's victims to its dataset-impostor probes.
 
-    Each trial draws, in trial order, its impostor (the j-th subject other
-    than the victim) and then one of the impostor's samples. The samples of
-    every subject are binarized once, up front; a block gathers each key
-    owner's rows (the victim's under a stolen key, else the impostor's)
-    under that owner's key.
+    Each trial draws, in trial order, its impostor (the j-th enrolled
+    subject other than the victim) and then one of the impostor's samples,
+    whose bits are gathered under its key owner's key: the victim's under a
+    stolen key, else the impostor's.
     """
-    counts = [population.fused[sid].shape[0] for sid in sids]
-    starts = np.cumsum([0] + counts).tolist()
-    bits = binarize(np.concatenate([population.fused[sid] for sid in sids]), population.pop)
-    keys = [enrollments[sid].key.index_array for sid in sids]
+    rows = [population.rows[sid] for sid in enrollments]
 
     def draw(victims: np.ndarray) -> np.ndarray:
-        rows, key_owner = [], []
+        samples, key_owner = [], []
         for v in victims.tolist():
-            j = int(rng.integers(len(sids) - 1))
+            j = int(rng.integers(len(rows) - 1))
             impostor = j + (j >= v)
-            rows.append(starts[impostor] + int(rng.integers(counts[impostor])))
+            samples.append(rows[impostor][int(rng.integers(len(rows[impostor])))])
             key_owner.append(v if stolen_key else impostor)
-        rows, key_owner = np.array(rows), np.array(key_owner)
-        probes = np.empty((len(rows), code.n_bits), dtype=np.uint8)
-        for owner in np.unique(key_owner):
-            at = np.flatnonzero(key_owner == owner)
-            probes[at] = bits[np.ix_(rows[at], keys[owner])]
-        return probes
+        return population.probes(np.array(samples), np.array(key_owner), enrollments)
 
     return draw
 
@@ -384,7 +391,7 @@ def run_gs_curve(dataset: EmbeddingDataset, config: PipelineConfig,
     """
     _check_scenario(scenario)
     if far_trials is not None:
-        _check_far_args(dataset, scenario, far_trials, "uniform")
+        _check_far_args(dataset, scenario, far_trials, config.seed, "uniform")
     k_list = [_check_k(config.m, k_symbols) for k_symbols in k_list]
     if config.seed is None:
         # A seed drawn here is never named again: leave the memo slot alone.

@@ -1,9 +1,10 @@
 """End-to-end assembly: embeddings -> fused vector -> bits -> record.
 
 ``PipelineConfig`` pins everything a run needs: code parameters, scheme,
-decode policy, fusion mode and the master seed. The number of reliable
-components is always tied to the code, G = m * (2^m - 1) = n, and the
-fusion output dimension must be at least G.
+decode policy, fusion mode and the master seed, which is None or a
+non-negative integer; anything else is refused when the config is built.
+The number of reliable components is always tied to the code,
+G = m * (2^m - 1) = n, and the fusion output dimension must be at least G.
 
 Per-subject randomness (selection nonce, record salt, fuzzy-commitment
 message) derives from the master seed and the subject id, so a fixed seed
@@ -24,11 +25,12 @@ sample vectors: user statistics, the enrolled bits and the genuine
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, check_int
 from .fusion import FusionWeights, fuse_rows, random_weights
 from .gf import Field, check_symbol_size
 from .quantizer import (
@@ -70,6 +72,7 @@ class PipelineConfig:
         if self.scheme not in (SCHEME_SECURE_SKETCH, SCHEME_FUZZY_COMMITMENT):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         object.__setattr__(self, "policy", DecodePolicy(self.policy))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     @property
     def n_bits(self) -> int:
@@ -82,6 +85,13 @@ class PipelineConfig:
 
     def build_code(self) -> RsCode:
         return RsCode(Field(self.m), self.k_symbols)
+
+
+def check_seed(seed) -> int | None:
+    """``seed`` as an int, or None; anything but None or a non-negative
+    integer (a bool is not one) raises ``ValueError``."""
+    return None if seed is None else check_int(
+        seed, 0, math.inf, f"seed must be None or a non-negative integer, got {seed!r}")
 
 
 def derive_rng(seed, *labels) -> np.random.Generator:

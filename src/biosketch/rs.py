@@ -148,7 +148,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LengthMismatchError
+from .errors import LengthMismatchError, check_int
 from .gf import Field, check_symbol_size
 
 # Elements per batched gather: bounds the intp index temporary to ~2 MB.
@@ -627,13 +627,9 @@ class RsCode:
 
 
 def _check_k(m: int, k_symbols) -> int:
-    """``k_symbols`` as an int, if it is an integer in 1..2^m - 1; a bool
-    is not. Anything else raises ``ValueError``."""
+    """``k_symbols`` as an int, if it is an integer in 1..2^m - 1."""
     n = (1 << m) - 1
-    if (isinstance(k_symbols, (int, np.integer)) and not isinstance(k_symbols, bool)
-            and 1 <= k_symbols <= n):
-        return int(k_symbols)
-    raise ValueError(f"K must be in 1..{n}, got {k_symbols}")
+    return check_int(k_symbols, 1, n, f"K must be in 1..{n}, got {k_symbols}")
 
 
 def _index_dtype(entries: int) -> type:

@@ -512,6 +512,23 @@ def test_bad_probe_exits_3_before_any_fusion(dataset_csv, tmp_path, monkeypatch,
     assert re.search("not in dataset|out of range", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["enroll", "auth", "eval"])
+def test_negative_seed_exits_3_naming_the_seed(dataset_csv, tmp_path, monkeypatch, capsys,
+                                               command):
+    rows = _fused_rows(monkeypatch)
+    if command == "eval":
+        extra = ["--k-list", "1,2", "--out", str(tmp_path / "curve.csv")]
+    else:
+        extra = ["--subject", "s0000", "--k-symbols", "2", "--templates-dir",
+                 str(tmp_path / "templates"), "--keys-dir", str(tmp_path / "keys")]
+    argv = [command, "--dataset", str(dataset_csv), "--m", "3", "--out-dim", "128",
+            "--seed", "-5"] + extra
+    assert cli.main(argv) == cli.EXIT_RUNTIME
+    assert rows == []
+    assert "seed must be None or a non-negative integer, got -5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["enroll", "auth"])
 def test_subject_absent_from_dataset_exits_3_before_any_fusion(
         dataset_csv, tmp_path, monkeypatch, capsys, command):

@@ -349,10 +349,18 @@ class TestFusionCount:
                                  impostor_bits="zeros"),
         lambda ds: run_gs_curve(ds, SMALL_CFG, [1, 99]),
         lambda ds: run_gs_curve(ds, SMALL_CFG, [1.5]),
+        lambda ds: empirical_far(ds, SMALL_CFG, SCENARIO_STOLEN_KEY, 100, seed=2.9),
+        lambda ds: empirical_far(ds, SMALL_CFG, SCENARIO_STOLEN_KEY, 100, seed="7"),
+        lambda ds: empirical_far(ds, SMALL_CFG, SCENARIO_STOLEN_KEY, 100, seed=True),
+        lambda ds: empirical_far(ds, SMALL_CFG, SCENARIO_STOLEN_KEY, 100, seed=-5),
+        lambda ds: gar_stats(ds, dataclasses.replace(SMALL_CFG, seed=2.9)),
+        lambda ds: run_gs_curve(ds, dataclasses.replace(SMALL_CFG, seed=-5), [1]),
     ], ids=["sweep-scenario", "gar-probe-mode", "far-scenario",
             "sweep-scenario-without-far", "sweep-zero-trials", "far-fractional-trials",
             "sweep-fractional-trials", "far-bool-trials", "far-impostor-bits",
-            "sweep-k-out-of-range", "sweep-fractional-k"])
+            "sweep-k-out-of-range", "sweep-fractional-k", "far-fractional-seed",
+            "far-string-seed", "far-bool-seed", "far-negative-seed", "gar-fractional-seed",
+            "sweep-negative-seed"])
     def test_bad_arguments_raise_before_fusion(self, small_dataset, fusions, call):
         with pytest.raises(ValueError):
             call(small_dataset)
@@ -375,6 +383,74 @@ class TestFusionCount:
         points = run_gs_curve(small_dataset, SMALL_CFG, np.array([1, 2]), far_trials=100)
         assert points == run_gs_curve(small_dataset, SMALL_CFG, [1, 2], far_trials=100)
         assert [type(p.k_symbols) for p in points] == [int, int]
+
+
+class TestSeed:
+    """A seed is None or a non-negative integer: nothing else is truncated,
+    parsed or left for numpy to refuse."""
+
+    @pytest.mark.parametrize("seed", [2.9, "7", True, False, -5, np.float64(3.0), np.int64(-1)])
+    def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be None or a non-negative integer, got {seed!r}")):
+            PipelineConfig(seed=seed)
+
+    def test_numpy_integer_seed_is_the_int_seed(self, small_dataset):
+        cfg = dataclasses.replace(SMALL_CFG, seed=np.uint32(5))
+        assert type(cfg.seed) is int and cfg == SMALL_CFG
+        assert gar_stats(small_dataset, cfg) == gar_stats(small_dataset, SMALL_CFG)
+        assert (empirical_far(small_dataset, SMALL_CFG, SCENARIO_STOLEN_KEY, 300, seed=np.int64(3))
+                == empirical_far(small_dataset, SMALL_CFG, SCENARIO_STOLEN_KEY, 300, seed=3))
+
+
+class TestProbeGather:
+    """The population's one gather, against ``probe_bits`` on rows of
+    ``fuse_dataset`` under ``population_from_fused`` medians; and its r_a,
+    the ``enroll``-mode probe, against ``probe_bits`` of the enrollment-half
+    mean."""
+
+    @pytest.fixture(params=[(3, "fca"), (3, "bla"), (5, "fca"), (5, "bla")],
+                    ids=["m3-fca", "m3-bla", "m5-fca", "m5-bla"])
+    def world(self, request, small_dataset):
+        m, mode = request.param
+        cfg = PipelineConfig(m=m, k_symbols=2, fusion_mode=mode, out_dim=192, seed=9)
+        population = evaluate._Population(small_dataset, cfg)
+        fused = pipeline.fuse_dataset(
+            small_dataset, pipeline.build_weights(cfg, small_dataset.d_face, small_dataset.d_iris))
+        pop = pipeline.population_from_fused(fused)
+        assert np.array_equal(population.pop.median, pop.median)
+        return population, population.enrolled(cfg)[1], fused, pop
+
+    def test_held_out_rows_gather_as_probe_bits(self, world):
+        population, enrollments, fused, pop = world
+        rows, owners, expected = [], [], []
+        for owner, (sid, enr) in enumerate(enrollments.items()):
+            cut = pipeline.enroll_split(len(fused[sid]))
+            rows.extend(population.rows[sid][cut:])
+            owners.extend([owner] * (len(fused[sid]) - cut))
+            expected.append(pipeline.probe_bits(fused[sid][cut:], pop, enr.key))
+        got = population.probes(np.array(rows), np.array(owners), enrollments)
+        assert np.array_equal(got, np.concatenate(expected))
+
+    def test_mixed_owner_gather_as_probe_bits(self, world):
+        population, enrollments, fused, pop = world
+        keys = [enr.key for enr in enrollments.values()]
+        sample_of = {row: (sid, i) for sid, rows in population.rows.items()
+                     for i, row in enumerate(rows)}
+        rng = np.random.default_rng(4)
+        rows = rng.integers(len(population.bits), size=200)
+        owners = rng.integers(len(keys), size=200)
+        expected = [pipeline.probe_bits(fused[sid][i], pop, keys[owner])
+                    for (sid, i), owner in zip(map(sample_of.get, rows.tolist()), owners)]
+        assert np.array_equal(population.probes(rows, owners, enrollments), np.array(expected))
+
+    def test_r_a_is_probe_bits_of_the_enrollment_mean(self, world):
+        population, enrollments, fused, pop = world
+        for sid, (key, r_a, _, _) in population.selections.items():
+            half = fused[sid][:pipeline.enroll_split(len(fused[sid]))]
+            assert np.array_equal(r_a, pipeline.probe_bits(half.mean(axis=0), pop, key))
+        assert all(enr.template_bits is population.selections[sid][1]
+                   for sid, enr in enrollments.items())
 
 
 class TestSelectionCount:
@@ -425,10 +501,9 @@ class TestFuseMemo:
     def test_per_k_fields_do_not_change_the_population(self, small_dataset, change):
         base = evaluate._Population(small_dataset, SMALL_CFG)
         other = evaluate._Population(small_dataset, dataclasses.replace(SMALL_CFG, **change))
-        fused, pop, selections = base.fused, base.pop, base.selections
-        fused2, pop2, selections2 = other.fused, other.pop, other.selections
-        assert list(fused) == list(fused2)
-        assert all(np.array_equal(fused[sid], fused2[sid]) for sid in fused)
+        pop, selections, pop2, selections2 = base.pop, base.selections, other.pop, other.selections
+        assert list(base.rows.items()) == list(other.rows.items())
+        assert np.array_equal(base.bits, other.bits)
         assert np.array_equal(pop.median, pop2.median)
         assert list(selections) == list(selections2)
         for (key, r_a, salt, seed), (key2, r_a2, salt2, seed2) in zip(
@@ -484,9 +559,9 @@ class TestFuseMemo:
 
     def test_memoised_arrays_are_read_only(self, small_dataset, cold_memo):
         population = evaluate._population(small_dataset, SMALL_CFG)
-        fused, pop, selections = population.fused, population.pop, population.selections
+        pop, selections = population.pop, population.selections
         prepared = population.table
-        arrays = [*fused.values(), pop.median, *(r_a for _, r_a, _, _ in selections.values())]
+        arrays = [population.bits, pop.median, *(r_a for _, r_a, _, _ in selections.values())]
         assert not any(arr.flags.writeable for arr in arrays)
         assert all(mat.flags.writeable for mat in small_dataset.face.values())
         gar_stats(small_dataset, SMALL_CFG)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -818,6 +819,43 @@ class TestAuthenticateBatch:
         for text in (str(batch), repr(batch)):
             for secret in secrets:
                 assert secret not in text
+
+
+class TestExactStolenKeyFar:
+    """Every word of a small code, sent through ``authenticate_batch``
+    against one enrolled record, counts the stolen-key FAR exactly.
+
+    The fallback decode is total and maps exactly q^(N-K) words to each
+    message, so 2^(m(N-K)) words accept. The fail-deny decode accepts the
+    words within t symbols of the enrolled codeword, the sphere of volume
+    V_t = sum_{i<=t} C(N, i) (q - 1)^i.
+    """
+
+    @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("scheme", [SCHEME_SECURE_SKETCH, SCHEME_FUZZY_COMMITMENT])
+    @pytest.mark.parametrize("policy", [FB, FD])
+    def test_accepts_exactly_the_preimage_or_the_sphere(self, m, k, scheme, policy):
+        code = RsCode(Field(m), k)
+        rng = np.random.default_rng(m * 10 + k)
+        if scheme == SCHEME_SECURE_SKETCH and policy is FD:
+            # A uniform r_a is almost never within t symbols of a codeword, so
+            # under fail-deny it would not enroll.
+            r_a = symbols_to_bits(np.array(code.encode(rng.integers(1 << m, size=k))), m)
+        else:
+            r_a = random_bits(rng, code.n_bits)
+        record = enroll_batch(scheme, r_a[None], code, policy, [SALT], ["victim"], [7])[0]
+        shifts = np.arange(code.n_bits - 1, -1, -1)
+        accepts = 0
+        for lo in range(0, 1 << code.n_bits, 1 << 17):
+            words = np.arange(lo, min(1 << code.n_bits, lo + (1 << 17)))
+            probes = ((words[:, None] >> shifts) & 1).astype(np.uint8)
+            owner = np.zeros(len(probes), dtype=np.intp)
+            accepts += int(authenticate_batch(probes, [record], owner, code).accepted.sum())
+        q, n = 1 << m, code.n_symbols
+        if policy is FB:
+            assert accepts == q ** (n - k)
+        else:
+            assert accepts == sum(math.comb(n, i) * (q - 1) ** i for i in range(code.t + 1))
 
 
 def _record(scheme):
